@@ -114,6 +114,7 @@ fuzz:
 	$(GO) test -fuzz FuzzStrash -fuzztime 30s ./internal/netcore/
 	$(GO) test -fuzz FuzzParseTLN -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzPortfolio -fuzztime 30s ./internal/core/
+	$(GO) test -fuzz FuzzPrimes -fuzztime 30s ./internal/truth/
 
 experiments:
 	$(GO) run ./cmd/telsbench all

@@ -2,95 +2,171 @@ package truth
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 
 	"tels/internal/logic"
 )
 
-// Primes returns all prime implicants of the function as cubes over its N
-// variables, computed by Quine–McCluskey iterative merging. Cubes are
-// packed into uint64 keys (values | dcs<<32) and bucketed by DC mask and
-// ones count so only cubes that can actually merge are compared.
-func (t *Table) Primes() []logic.Cube {
-	type qmCube struct {
-		values uint32 // bits for non-DC positions (DC positions are 0)
-		dcs    uint32 // bitmask of DC positions
-	}
-	key := func(c qmCube) uint64 { return uint64(c.values) | uint64(c.dcs)<<32 }
+// varMasks[i] is the packed table of variable i within one 64-minterm word.
+var varMasks = [6]uint64{
+	0xAAAAAAAAAAAAAAAA,
+	0xCCCCCCCCCCCCCCCC,
+	0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00,
+	0xFFFF0000FFFF0000,
+	0xFFFFFFFF00000000,
+}
 
-	var current []qmCube
-	for m := 0; m < t.Size(); m++ {
-		if t.Get(m) {
-			current = append(current, qmCube{values: uint32(m)})
+// Primes returns all prime implicants of the function as cubes over its N
+// variables, sorted by Cube.String.
+//
+// The primes are generated on the packed table words. For each don't-care
+// mask D, S[D] is the bitset of positions m (the D bits of m clear) whose
+// cube (m, D) is an implicant; S[∅] is the table itself. Two cubes of S[D]
+// merge across a free variable j exactly when m and its j-partner m^2^j
+// are both in S[D], so S[D∪{j}] is S[D] & partner_j(S[D]) on the positions
+// with bit j clear, and a cube is prime when no free j merges it.
+// partner_j is an in-word shift by 2^j for j < 6 and a word swap for
+// j ≥ 6. Each D is visited once, depth first from D minus its highest
+// variable, and only the nonzero words of S[D] are touched, so a sparse
+// table costs in proportion to its ON-set rather than to 2^N.
+func (t *Table) Primes() []logic.Cube {
+	keys := t.primeKeys()
+	backing := make([]logic.Phase, len(keys)*t.n)
+	out := make([]logic.Cube, len(keys))
+	for i, k := range keys {
+		c := logic.Cube(backing[i*t.n : (i+1)*t.n : (i+1)*t.n])
+		decodeKey(k, c)
+		out[i] = c
+	}
+	return out
+}
+
+// A prime key packs a cube two bits per variable, variable 0 most
+// significant, with '-' < '0' < '1' as 0 < 1 < 2, so ascending keys are
+// ascending Cube.String order. 2·MaxVars bits fit in a uint64.
+func primeKey(n int, values, dcs uint32) uint64 {
+	var k uint64
+	for i := 0; i < n; i++ {
+		k <<= 2
+		if dcs>>uint(i)&1 == 0 {
+			k |= 1 + uint64(values>>uint(i)&1)
 		}
 	}
-	var primes []qmCube
-	for len(current) > 0 {
-		merged := make([]bool, len(current))
-		// Bucket by (dcs, popcount(values)): a merge pairs two cubes with
-		// identical DC masks whose values differ in exactly one bit, so
-		// their ones counts differ by one.
-		type bucketKey struct {
-			dcs  uint32
-			ones int
+	return k
+}
+
+// keyCube returns the minterm values and don't-care mask of a prime key.
+func keyCube(n int, k uint64) (values, dcs uint32) {
+	for i := n - 1; i >= 0; i, k = i-1, k>>2 {
+		switch k & 3 {
+		case 0:
+			dcs |= 1 << uint(i)
+		case 2:
+			values |= 1 << uint(i)
 		}
-		buckets := make(map[bucketKey][]int)
-		for i, c := range current {
-			buckets[bucketKey{c.dcs, bits.OnesCount32(c.values)}] = append(
-				buckets[bucketKey{c.dcs, bits.OnesCount32(c.values)}], i)
+	}
+	return values, dcs
+}
+
+// decodeKey writes the cube of a prime key into c (len N).
+func decodeKey(k uint64, c logic.Cube) {
+	for i := len(c) - 1; i >= 0; i, k = i-1, k>>2 {
+		c[i] = [3]logic.Phase{logic.DC, logic.Neg, logic.Pos}[k&3]
+	}
+}
+
+// primeKeys returns the prime keys of the function in ascending order.
+func (t *Table) primeKeys() []uint64 {
+	g := primeGen{n: t.n}
+	g.sets[0] = make([]uint64, len(t.bits))
+	copy(g.sets[0], t.bits)
+	g.sets[0][len(t.bits)-1] &= t.mask()
+	for w, x := range g.sets[0] {
+		if x != 0 {
+			g.idx[0] = append(g.idx[0], int32(w))
 		}
-		nextSet := make(map[uint64]qmCube)
-		for bk, lo := range buckets {
-			hi, ok := buckets[bucketKey{bk.dcs, bk.ones + 1}]
-			if !ok {
+	}
+	if len(g.idx[0]) > 0 {
+		g.visit(0, 0, -1)
+	}
+	slices.Sort(g.keys)
+	return g.keys
+}
+
+// primeGen is the scratch state of one primeKeys call: one bitset and one
+// nonzero-word list per depth of the don't-care mask lattice, allocated
+// when the search first reaches that depth.
+type primeGen struct {
+	n    int
+	sets [MaxVars + 1][]uint64 // sets[d] is S[D] of the node at depth d = |D|; zero off idx[d]
+	idx  [MaxVars + 1][]int32  // idx[d] lists the nonzero words of sets[d], ascending
+	keys []uint64
+}
+
+// visit emits the primes of S[D], held at depth d, and then visits every
+// D∪{j} with j above top, the highest variable of D.
+func (g *primeGen) visit(d int, dcs uint32, top int) {
+	s, idx := g.sets[d], g.idx[d]
+	for _, w := range idx {
+		x := s[w]
+		var merged uint64
+		for j := 0; j < g.n; j++ {
+			if dcs>>uint(j)&1 != 0 {
 				continue
 			}
-			for _, a := range lo {
-				for _, b := range hi {
-					diff := current[a].values ^ current[b].values
-					if diff&(diff-1) != 0 {
-						continue
-					}
-					merged[a] = true
-					merged[b] = true
-					nc := qmCube{values: current[a].values &^ diff, dcs: bk.dcs | diff}
-					nextSet[key(nc)] = nc
+			if j < 6 {
+				k := uint(1) << uint(j)
+				y := x & (x >> k) &^ varMasks[j]
+				merged |= y | y<<k
+			} else {
+				merged |= x & s[w^int32(1)<<uint(j-6)]
+			}
+		}
+		for p := x &^ merged; p != 0; p &= p - 1 {
+			pos := uint32(w)<<6 | uint32(bits.TrailingZeros64(p))
+			g.keys = append(g.keys, primeKey(g.n, pos, dcs))
+		}
+	}
+	if top+1 >= g.n {
+		return
+	}
+	if g.sets[d+1] == nil {
+		g.sets[d+1] = make([]uint64, len(s))
+	}
+	cs := g.sets[d+1]
+	for j := top + 1; j < g.n; j++ {
+		cidx := g.idx[d+1][:0]
+		if j < 6 {
+			k := uint(1) << uint(j)
+			for _, w := range idx {
+				x := s[w]
+				if y := x & (x >> k) &^ varMasks[j]; y != 0 {
+					cs[w] = y
+					cidx = append(cidx, w)
+				}
+			}
+		} else {
+			bit := int32(1) << uint(j-6)
+			for _, w := range idx {
+				if w&bit != 0 {
+					continue
+				}
+				if y := s[w] & s[w|bit]; y != 0 {
+					cs[w] = y
+					cidx = append(cidx, w)
 				}
 			}
 		}
-		for i, c := range current {
-			if !merged[i] {
-				primes = append(primes, c)
-			}
+		g.idx[d+1] = cidx
+		if len(cidx) == 0 {
+			continue
 		}
-		keys := make([]uint64, 0, len(nextSet))
-		for k := range nextSet {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		current = current[:0]
-		for _, k := range keys {
-			current = append(current, nextSet[k])
+		g.visit(d+1, dcs|1<<uint(j), j)
+		for _, w := range cidx {
+			cs[w] = 0
 		}
 	}
-	out := make([]logic.Cube, 0, len(primes))
-	for _, p := range primes {
-		c := logic.NewCube(t.n)
-		for i := 0; i < t.n; i++ {
-			bit := uint32(1) << uint(i)
-			switch {
-			case p.dcs&bit != 0:
-				c[i] = logic.DC
-			case p.values&bit != 0:
-				c[i] = logic.Pos
-			default:
-				c[i] = logic.Neg
-			}
-		}
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
 }
 
 // MinimalSOP returns an irredundant prime cover of the function: all
@@ -107,75 +183,104 @@ func (t *Table) MinimalSOP() logic.Cover {
 // covered. The returned cover agrees with t wherever dc is 0 and is free
 // on the dc minterms — the classical two-level use of satisfiability
 // don't-cares. A nil dc behaves like MinimalSOP.
+//
+// The covering step works on packed minterm bitsets: each prime keeps its
+// words of the ON-set it must cover, essential primes are those holding a
+// minterm no other prime covers, and each greedy step takes the
+// lowest-index prime with the most uncovered minterms, counted by
+// popcount.
 func (t *Table) MinimalSOPWithDC(dc *Table) logic.Cover {
 	expand := t
 	if dc != nil {
 		t.checkArity(dc)
 		expand = t.Or(dc)
 	}
-	primes := expand.Primes()
+	keys := expand.primeKeys()
 	cover := logic.NewCover(t.n)
-	if len(primes) == 0 {
+	if len(keys) == 0 {
 		return cover // constant 0
 	}
-	// Which primes cover which ON-set minterms (don't-cares need not be
+	// The ON-set minterms the cover must contain (don't-cares need not be
 	// covered).
-	var minterms []int
-	for m := 0; m < t.Size(); m++ {
-		if t.Get(m) && (dc == nil || !dc.Get(m)) {
-			minterms = append(minterms, m)
+	nw := len(t.bits)
+	scratch := make([]uint64, 4*nw)
+	need, ones, twos, covered := scratch[:nw], scratch[nw:2*nw], scratch[2*nw:3*nw], scratch[3*nw:]
+	remaining := 0
+	for w := range need {
+		need[w] = t.bits[w]
+		if dc != nil {
+			need[w] &^= dc.bits[w]
 		}
 	}
-	if len(minterms) == 0 {
+	need[nw-1] &= t.mask()
+	for _, x := range need {
+		remaining += bits.OnesCount64(x)
+	}
+	if remaining == 0 {
 		return cover // ON-set fully inside the DC set: constant 0 works
 	}
-	assign := make([]bool, t.n)
-	covers := make([][]int, len(primes)) // prime index -> minterm indices
-	coveredBy := make([][]int, len(minterms))
-	for mi, m := range minterms {
-		for i := 0; i < t.n; i++ {
-			assign[i] = m&(1<<uint(i)) != 0
-		}
-		for pi, p := range primes {
-			if p.Eval(assign) {
-				covers[pi] = append(covers[pi], mi)
-				coveredBy[mi] = append(coveredBy[mi], pi)
+	// Prime pi covers the need minterms bitsets[off[pi]:off[pi+1]] in the
+	// words words[off[pi]:off[pi+1]]; ones and twos mark the minterms
+	// covered by at least one and at least two primes.
+	off := make([]int, len(keys)+1)
+	var words []int32
+	var bitsets []uint64
+	for pi, k := range keys {
+		values, dcs := keyCube(t.n, k)
+		low := ^uint64(0)
+		for i := 0; i < t.n && i < 6; i++ {
+			switch {
+			case dcs>>uint(i)&1 != 0:
+			case values>>uint(i)&1 != 0:
+				low &= varMasks[i]
+			default:
+				low &^= varMasks[i]
 			}
 		}
+		hiV, hiD := int32(values>>6), int32(dcs>>6)
+		for sub := hiD; ; sub = (sub - 1) & hiD {
+			w := hiV | sub
+			if b := low & need[w]; b != 0 {
+				words = append(words, w)
+				bitsets = append(bitsets, b)
+				twos[w] |= ones[w] & b
+				ones[w] |= b
+			}
+			if sub == 0 {
+				break
+			}
+		}
+		off[pi+1] = len(words)
 	}
-	selected := make([]bool, len(primes))
-	covered := make([]bool, len(minterms))
-	remaining := len(minterms)
+	selected := make([]bool, len(keys))
 	take := func(pi int) {
-		if selected[pi] {
-			return
-		}
 		selected[pi] = true
-		for _, mi := range covers[pi] {
-			if !covered[mi] {
-				covered[mi] = true
-				remaining--
-			}
+		for e := off[pi]; e < off[pi+1]; e++ {
+			w := words[e]
+			remaining -= bits.OnesCount64(bitsets[e] &^ covered[w])
+			covered[w] |= bitsets[e]
 		}
 	}
 	// Essential primes first.
-	for mi := range minterms {
-		if len(coveredBy[mi]) == 1 {
-			take(coveredBy[mi][0])
+	for pi := range keys {
+		for e := off[pi]; e < off[pi+1]; e++ {
+			w := words[e]
+			if bitsets[e]&ones[w]&^twos[w] != 0 {
+				take(pi)
+				break
+			}
 		}
 	}
 	// Greedy cover of the rest.
 	for remaining > 0 {
 		best, bestGain := -1, 0
-		for pi := range primes {
+		for pi := range keys {
 			if selected[pi] {
 				continue
 			}
 			gain := 0
-			for _, mi := range covers[pi] {
-				if !covered[mi] {
-					gain++
-				}
+			for e := off[pi]; e < off[pi+1]; e++ {
+				gain += bits.OnesCount64(bitsets[e] &^ covered[words[e]])
 			}
 			if gain > bestGain {
 				best, bestGain = pi, gain
@@ -186,9 +291,11 @@ func (t *Table) MinimalSOPWithDC(dc *Table) logic.Cover {
 		}
 		take(best)
 	}
-	for pi, p := range primes {
+	for pi, k := range keys {
 		if selected[pi] {
-			cover.AddCube(p.Clone())
+			c := logic.NewCube(t.n)
+			decodeKey(k, c)
+			cover.AddCube(c)
 		}
 	}
 	return cover

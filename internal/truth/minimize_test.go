@@ -1,11 +1,295 @@
 package truth
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"tels/internal/logic"
 )
+
+// primesQM is the reference prime generator: Quine–McCluskey iterative
+// merging over explicit minterm cubes, with cubes packed into uint64 keys
+// (values | dcs<<32) and bucketed by DC mask and ones count so only cubes
+// that can merge are compared. Table.Primes must return exactly its
+// primes, in the same order.
+func primesQM(t *Table) []logic.Cube {
+	type qmCube struct {
+		values uint32 // bits for non-DC positions (DC positions are 0)
+		dcs    uint32 // bitmask of DC positions
+	}
+	key := func(c qmCube) uint64 { return uint64(c.values) | uint64(c.dcs)<<32 }
+
+	var current []qmCube
+	for m := 0; m < t.Size(); m++ {
+		if t.Get(m) {
+			current = append(current, qmCube{values: uint32(m)})
+		}
+	}
+	var primes []qmCube
+	for len(current) > 0 {
+		merged := make([]bool, len(current))
+		// A merge pairs two cubes with identical DC masks whose values
+		// differ in exactly one bit, so their ones counts differ by one.
+		type bucketKey struct {
+			dcs  uint32
+			ones int
+		}
+		buckets := make(map[bucketKey][]int)
+		for i, c := range current {
+			bk := bucketKey{c.dcs, bits.OnesCount32(c.values)}
+			buckets[bk] = append(buckets[bk], i)
+		}
+		nextSet := make(map[uint64]qmCube)
+		for bk, lo := range buckets {
+			hi, ok := buckets[bucketKey{bk.dcs, bk.ones + 1}]
+			if !ok {
+				continue
+			}
+			for _, a := range lo {
+				for _, b := range hi {
+					diff := current[a].values ^ current[b].values
+					if diff&(diff-1) != 0 {
+						continue
+					}
+					merged[a] = true
+					merged[b] = true
+					nc := qmCube{values: current[a].values &^ diff, dcs: bk.dcs | diff}
+					nextSet[key(nc)] = nc
+				}
+			}
+		}
+		for i, c := range current {
+			if !merged[i] {
+				primes = append(primes, c)
+			}
+		}
+		keys := make([]uint64, 0, len(nextSet))
+		for k := range nextSet {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		current = current[:0]
+		for _, k := range keys {
+			current = append(current, nextSet[k])
+		}
+	}
+	out := make([]logic.Cube, 0, len(primes))
+	for _, p := range primes {
+		c := logic.NewCube(t.n)
+		for i := 0; i < t.n; i++ {
+			bit := uint32(1) << uint(i)
+			switch {
+			case p.dcs&bit != 0:
+				c[i] = logic.DC
+			case p.values&bit != 0:
+				c[i] = logic.Pos
+			default:
+				c[i] = logic.Neg
+			}
+		}
+		out = append(out, c)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	return out
+}
+
+// minimalSOPWithDCRef is the reference covering step: primesQM primes,
+// a prime × minterm incidence built with Cube.Eval, essential primes,
+// then greedy selection of the lowest-index prime with the largest gain.
+// Table.MinimalSOPWithDC must return exactly its cover.
+func minimalSOPWithDCRef(t, dc *Table) logic.Cover {
+	expand := t
+	if dc != nil {
+		expand = t.Or(dc)
+	}
+	primes := primesQM(expand)
+	cover := logic.NewCover(t.n)
+	if len(primes) == 0 {
+		return cover
+	}
+	var minterms []int
+	for m := 0; m < t.Size(); m++ {
+		if t.Get(m) && (dc == nil || !dc.Get(m)) {
+			minterms = append(minterms, m)
+		}
+	}
+	if len(minterms) == 0 {
+		return cover
+	}
+	assign := make([]bool, t.n)
+	covers := make([][]int, len(primes)) // prime index -> minterm indices
+	coveredBy := make([][]int, len(minterms))
+	for mi, m := range minterms {
+		for i := 0; i < t.n; i++ {
+			assign[i] = m&(1<<uint(i)) != 0
+		}
+		for pi, p := range primes {
+			if p.Eval(assign) {
+				covers[pi] = append(covers[pi], mi)
+				coveredBy[mi] = append(coveredBy[mi], pi)
+			}
+		}
+	}
+	selected := make([]bool, len(primes))
+	covered := make([]bool, len(minterms))
+	remaining := len(minterms)
+	take := func(pi int) {
+		if selected[pi] {
+			return
+		}
+		selected[pi] = true
+		for _, mi := range covers[pi] {
+			if !covered[mi] {
+				covered[mi] = true
+				remaining--
+			}
+		}
+	}
+	for mi := range minterms {
+		if len(coveredBy[mi]) == 1 {
+			take(coveredBy[mi][0])
+		}
+	}
+	for remaining > 0 {
+		best, bestGain := -1, 0
+		for pi := range primes {
+			if selected[pi] {
+				continue
+			}
+			gain := 0
+			for _, mi := range covers[pi] {
+				if !covered[mi] {
+					gain++
+				}
+			}
+			if gain > bestGain {
+				best, bestGain = pi, gain
+			}
+		}
+		if best < 0 {
+			break
+		}
+		take(best)
+	}
+	for pi, p := range primes {
+		if selected[pi] {
+			cover.AddCube(p.Clone())
+		}
+	}
+	return cover
+}
+
+// densityTable returns an n-variable table whose minterms are each ON
+// with probability num/den.
+func densityTable(rng *rand.Rand, n, num, den int) *Table {
+	t := New(n)
+	for m := 0; m < t.Size(); m++ {
+		t.Set(m, rng.Intn(den) < num)
+	}
+	return t
+}
+
+// sameCubes reports the first position where two cube lists differ, or -1.
+func sameCubes(got, want []logic.Cube) int {
+	for i := 0; i < len(got) || i < len(want); i++ {
+		if i >= len(got) || i >= len(want) || got[i].String() != want[i].String() {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkAgainstReference compares Primes and MinimalSOPWithDC (without and
+// with dc) with the reference implementations, cube for cube.
+func checkAgainstReference(t *testing.T, name string, on, dc *Table) {
+	t.Helper()
+	got, want := on.Primes(), primesQM(on)
+	if i := sameCubes(got, want); i >= 0 {
+		t.Fatalf("%s: Primes differs at %d:\n got  %v\n want %v", name, i, got, want)
+	}
+	dcs := []*Table{nil}
+	if dc != nil {
+		dcs = append(dcs, dc)
+	}
+	for _, d := range dcs {
+		got, want := on.MinimalSOPWithDC(d), minimalSOPWithDCRef(on, d)
+		if i := sameCubes(got.Cubes, want.Cubes); i >= 0 {
+			t.Fatalf("%s (dc=%v): MinimalSOPWithDC differs at %d:\n got  %v\n want %v",
+				name, d != nil, i, got.Cubes, want.Cubes)
+		}
+	}
+}
+
+func TestPrimesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	densities := [][2]int{{9, 10}, {1, 2}, {1, 16}, {1, 64}}
+	for n := 0; n <= 12; n++ {
+		for _, dn := range densities {
+			reps := 6
+			switch {
+			case n > 10:
+				reps = 1
+			case n > 8:
+				reps = 2
+			}
+			for r := 0; r < reps; r++ {
+				on := densityTable(rng, n, dn[0], dn[1])
+				dc := densityTable(rng, n, 1, 8)
+				checkAgainstReference(t, fmt.Sprintf("n=%d density=%d/%d rep=%d", n, dn[0], dn[1], r), on, dc)
+			}
+		}
+		// Constant tables, where for n < 6 the single word is partial.
+		checkAgainstReference(t, fmt.Sprintf("n=%d const0", n), Const(n, false), Const(n, true))
+		checkAgainstReference(t, fmt.Sprintf("n=%d const1", n), Const(n, true), nil)
+	}
+	for _, n := range []int{14, 16} {
+		for _, den := range []int{64, 1024} {
+			on := densityTable(rng, n, 1, den)
+			dc := densityTable(rng, n, 1, 4*den)
+			checkAgainstReference(t, fmt.Sprintf("n=%d density=1/%d", n, den), on, dc)
+		}
+	}
+}
+
+func TestPrimesIgnoresStaleHighBits(t *testing.T) {
+	// Bits past 2^N in the single word of a small table are not minterms.
+	for n := 0; n < 6; n++ {
+		tt := Const(n, true)
+		tt.bits[0] = ^uint64(0)
+		if got, want := tt.Primes(), primesQM(Const(n, true)); sameCubes(got, want) >= 0 {
+			t.Fatalf("n=%d: primes %v, want %v", n, got, want)
+		}
+		if got := tt.MinimalSOP(); len(got.Cubes) != 1 || !got.Cubes[0].IsUniverse() {
+			t.Fatalf("n=%d: cover %v, want the universe", n, got.Cubes)
+		}
+	}
+}
+
+// FuzzPrimes checks Primes and MinimalSOPWithDC against the reference
+// oracle on tables of up to 10 variables. The first byte picks N; the
+// remaining bytes, repeated as needed, fill the ON-set and then the DC set.
+// The seed corpus is in testdata/fuzz/FuzzPrimes.
+func FuzzPrimes(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := int(data[0]) % 11
+		fill := data[1:]
+		on, dc := New(n), New(n)
+		if len(fill) > 0 {
+			for m := 0; m < on.Size(); m++ {
+				on.Set(m, fill[(m/8)%len(fill)]>>uint(m%8)&1 != 0)
+				k := on.Size() + m
+				dc.Set(m, fill[(k/8)%len(fill)]>>uint(k%8)&1 != 0 && !on.Get(m))
+			}
+		}
+		checkAgainstReference(t, "fuzz", on, dc)
+	})
+}
 
 func TestPrimesXor(t *testing.T) {
 	x := Var(2, 0).Xor(Var(2, 1))
