@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race benchsmoke sweepsmoke resynsmoke widthsmoke storesmoke clustersmoke apismoke pbsatsmoke netsmoke cover bench fuzz experiments examples serve ci clean
+.PHONY: all build test race benchsmoke sweepsmoke resynsmoke widthsmoke storesmoke clustersmoke apismoke netsmoke cover bench fuzz experiments examples serve ci clean
 
 all: build test
 
@@ -14,7 +14,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/ ./internal/pbsat/ ./internal/sim/ ./internal/opt/ ./internal/expt/ ./internal/service/ ./internal/fsim/ ./internal/resyn/ ./internal/store/ ./internal/cluster/
+	$(GO) test -race ./internal/core/ ./internal/sim/ ./internal/opt/ ./internal/expt/ ./internal/service/ ./internal/fsim/ ./internal/resyn/ ./internal/store/ ./internal/cluster/
 	$(GO) test -race -run 'Sweep|Session|V1|Resyn|Run' -count=2 ./internal/service/ ./internal/fsim/ ./internal/resyn/
 
 # benchsmoke compiles and runs the packed-vs-scalar Fig. 11 benchmark once
@@ -75,17 +75,6 @@ apismoke:
 	$(GO) test -count=1 -run 'TestAPISmokeMultiTenant' ./cmd/telsd/
 	$(GO) run ./cmd/telsbench -quick tenants
 
-# pbsatsmoke proves the threshold-check solver portfolio: the pbsat CDCL
-# unit tests, the cross-engine identity and cache-transparency suites
-# (exhaustive n≤4 plus randomized wide functions, both under -race since
-# the portfolio races goroutines), the whole-flow synthesize-identically
-# corpus test, then one quick ilp-vs-pbsat-vs-portfolio timing run.
-pbsatsmoke:
-	$(GO) test -count=1 ./internal/pbsat/
-	$(GO) test -race -count=1 -run 'TestPortfolio|TestPbsat|TestPBRefutation|TestPBDecide|TestUnsatCache|TestBudgetBailout|TestParseSolverMode' ./internal/core/
-	$(GO) test -count=1 -short -run 'TestSolverModesSynthesizeIdentically|TestThreshBenchQuick' ./internal/expt/
-	$(GO) run ./cmd/telsbench -quick thresh
-
 # netsmoke proves the structurally-hashed network core: the arena unit
 # and fuzz-seed suites under -race, the whole-corpus golden identity gate
 # (every MCNC benchmark byte-identical through the arena-backed passes),
@@ -101,7 +90,7 @@ serve:
 	$(GO) run ./cmd/telsd -addr $(ADDR)
 
 # ci is the exact gate GitHub Actions runs.
-ci: build test race benchsmoke sweepsmoke resynsmoke widthsmoke storesmoke clustersmoke apismoke pbsatsmoke netsmoke
+ci: build test race benchsmoke sweepsmoke resynsmoke widthsmoke storesmoke clustersmoke apismoke netsmoke
 
 cover:
 	$(GO) test -cover ./internal/... ./cmd/...
@@ -113,7 +102,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/blif/
 	$(GO) test -fuzz FuzzStrash -fuzztime 30s ./internal/netcore/
 	$(GO) test -fuzz FuzzParseTLN -fuzztime 30s ./internal/core/
-	$(GO) test -fuzz FuzzPortfolio -fuzztime 30s ./internal/core/
+	$(GO) test -fuzz FuzzCheck -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzPrimes -fuzztime 30s ./internal/truth/
 
 experiments:

@@ -40,7 +40,6 @@ type config struct {
 	maxWeight int
 	seed      int64
 	exact     bool
-	solver    string
 	script    string
 	mapper    string
 	output    string
@@ -57,7 +56,6 @@ func main() {
 	flag.IntVar(&cfg.deltaOff, "doff", 1, "defect tolerance δoff")
 	flag.Int64Var(&cfg.seed, "seed", 0, "tie-break seed for the splitting heuristics")
 	flag.BoolVar(&cfg.exact, "exact", false, "solve threshold ILPs in exact rational arithmetic")
-	flag.StringVar(&cfg.solver, "solver", "", "threshold-check engine: portfolio, ilp, or pbsat (default portfolio)")
 	flag.IntVar(&cfg.maxWeight, "maxw", 0, "bound on |weight| per gate input (0 = unbounded)")
 	flag.StringVar(&cfg.script, "script", "algebraic", "pre-synthesis optimization: algebraic, boolean, or none")
 	flag.StringVar(&cfg.mapper, "map", "tels", "mapping: tels (threshold synthesis) or one2one (baseline)")
@@ -114,12 +112,8 @@ func runLocal(t *cli.Tool, cfg config, in io.Reader, srcName string) error {
 		return fmt.Errorf("unknown script %q (want algebraic, boolean, or none)", cfg.script)
 	}
 
-	solver, err := core.ParseSolverMode(cfg.solver)
-	if err != nil {
-		return err
-	}
 	o := core.Options{Fanin: cfg.fanin, DeltaOn: cfg.deltaOn, DeltaOff: cfg.deltaOff,
-		Seed: cfg.seed, ExactILP: cfg.exact, MaxWeight: cfg.maxWeight, Solver: solver}
+		Seed: cfg.seed, ExactILP: cfg.exact, MaxWeight: cfg.maxWeight}
 	ccBefore := core.SnapshotCheckCounters()
 	var tn *core.Network
 	var stats core.SynthStats
@@ -156,10 +150,9 @@ func runLocal(t *cli.Tool, cfg config, in io.Reader, srcName string) error {
 			stats.ILPCalls, stats.ILPFeasible, stats.Collapses,
 			stats.UnateSplits, stats.BinateSplits, stats.Theorem2)
 		cc := core.SnapshotCheckCounters()
-		t.Infof("solver %s: %d checks, %d races (%d ilp / %d pbsat wins), %d unsat-cache hits, %d budget bailouts",
-			solver, cc.Checks-ccBefore.Checks, cc.Races-ccBefore.Races,
-			cc.ILPWins-ccBefore.ILPWins, cc.PbsatWins-ccBefore.PbsatWins,
-			cc.UnsatCacheHits-ccBefore.UnsatCacheHits, cc.BudgetBailouts-ccBefore.BudgetBailouts)
+		t.Infof("threshold checks: %d, %d unsat-cache hits, %d budget bailouts",
+			cc.Checks-ccBefore.Checks, cc.UnsatCacheHits-ccBefore.UnsatCacheHits,
+			cc.BudgetBailouts-ccBefore.BudgetBailouts)
 	}
 	if cfg.verify {
 		switch verifyMode {

@@ -21,8 +21,8 @@
 //	                          and cold-start recovery time vs journal size
 //	telsbench cluster         sweep fan-out scaling across 1/2/4 in-process
 //	                          telsd peers (synthetic per-point delay)
-//	telsbench thresh          threshold-check solver portfolio: ilp vs pbsat vs
-//	                          portfolio wall-clock on the widest MCNC nodes
+//	telsbench thresh          threshold check, cold vs deployed (UNSAT cache)
+//	                          wall-clock on the widest MCNC nodes
 //	telsbench netcore         arena-backed netcore representation vs the pointer
 //	                          network: build/collapse/sweep ns/op and allocs/op
 //	                          on the largest MCNC benchmarks (BENCH_netcore.json)

@@ -7,10 +7,8 @@ import (
 	"tels/internal/expt"
 )
 
-// threshBench times the threshold-check engines (ilp | pbsat | portfolio)
-// on the widest node functions of the algebraically factored MCNC
-// benchmarks. Verdict and weight-vector identity across the modes is
-// asserted inside expt.ThreshBench before any timing is reported.
+// threshBench times the threshold check cold and as deployed on the
+// widest node functions of the algebraically factored MCNC benchmarks.
 func threshBench(quick, jsonOut bool, emit emitFn) error {
 	names := []string{
 		"maj5", "vote5", "mux16", "priority8", "t481x", "cm85a", "cmb",

@@ -93,7 +93,6 @@ import (
 
 	"tels/internal/cli"
 	"tels/internal/cluster"
-	"tels/internal/core"
 	"tels/internal/fsim"
 	"tels/internal/service"
 	"tels/internal/store"
@@ -108,7 +107,6 @@ type options struct {
 	timeout    time.Duration
 	maxjobs    int
 	width      fsim.Width
-	solver     core.SolverMode
 	dataDir    string
 	peers      string
 	self       string
@@ -129,7 +127,6 @@ func main() {
 		timeout   = flag.Duration("timeout", 2*time.Minute, "default per-job timeout")
 		maxjobs   = flag.Int("maxjobs", 1024, "retained job records")
 		width     = flag.String("width", "1", "fsim lane-block width in 64-bit words (1, 4, or 8); results and job digests are identical at every width")
-		solver    = flag.String("solver", "", "threshold-check engine: portfolio, ilp, or pbsat; results and job digests are identical across engines (default portfolio)")
 		dataDir   = flag.String("data-dir", "", "durable store directory: journal job lifecycles, persist results, and recover on restart (empty = in-memory only)")
 		peers     = flag.String("peers", "", "static cluster peer list (host:port,...); every peer must be started with the same list (empty = single node)")
 		self      = flag.String("self", "", "this daemon's own address as it appears in -peers (required with -peers)")
@@ -153,10 +150,6 @@ func main() {
 	if err != nil {
 		t.Usage("%v", err)
 	}
-	sm, err := core.ParseSolverMode(*solver)
-	if err != nil {
-		t.Usage("%v", err)
-	}
 	if (*peers == "") != (*self == "") {
 		t.Usage("-peers and -self must be set together")
 	}
@@ -169,7 +162,7 @@ func main() {
 	}
 	o := options{
 		addr: *addr, workers: *workers, queue: *queue, cache: *cache,
-		timeout: *timeout, maxjobs: *maxjobs, width: w, solver: sm, dataDir: *dataDir,
+		timeout: *timeout, maxjobs: *maxjobs, width: w, dataDir: *dataDir,
 		peers: *peers, self: *self, auth: auth, admission: *admission,
 		tenantWt: *tenantWt, tenantJobs: *tenantJ, tenantInfl: *tenantIF,
 		execDelay: *execDelay,
@@ -258,7 +251,6 @@ func run(t *cli.Tool, o options) error {
 			DefaultTimeout:    o.timeout,
 			MaxJobs:           o.maxjobs,
 			FsimWidth:         o.width,
-			Solver:            o.solver,
 			Auth:              o.auth,
 			Admission:         o.admission,
 			TenantWeight:      o.tenantWt,

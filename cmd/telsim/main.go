@@ -63,7 +63,6 @@ type options struct {
 	n         int
 	seed      int64
 	width     fsim.Width
-	solver    core.SolverMode
 	v         float64
 	trials    int
 	maxTrials int
@@ -118,7 +117,6 @@ func main() {
 	flag.IntVar(&o.budget, "budget", 0, "resyn: area budget (0 = unbounded)")
 	flag.StringVar(&o.output, "o", "", "resyn: write the hardened .tln here")
 	width := flag.String("width", "1", "fsim lane-block width in 64-bit words (1, 4, or 8); results are bit-identical at every width")
-	solver := flag.String("solver", "", "threshold-check engine for in-process sweep/resyn: portfolio, ilp, or pbsat (default portfolio)")
 	quiet := flag.Bool("q", false, "suppress informational diagnostics")
 	flag.Parse()
 	o.quiet = *quiet
@@ -129,11 +127,6 @@ func main() {
 		t.Usage("%v", err)
 	}
 	o.width = w
-	sm, err := core.ParseSolverMode(*solver)
-	if err != nil {
-		t.Usage("%v", err)
-	}
-	o.solver = sm
 	if flag.NArg() < 1 {
 		t.Usage("need a command (info, run, compare, perturb, faults, yield, sweep, resyn, dot)")
 	}
@@ -553,7 +546,7 @@ func runServiceJob(env service.SubmitEnvelope, o options, progress func(service.
 		}
 		return job, nil
 	}
-	m := service.New(service.Config{Workers: o.workers, FsimWidth: o.width, Solver: o.solver})
+	m := service.New(service.Config{Workers: o.workers, FsimWidth: o.width})
 	defer m.Close()
 	ccBefore := core.SnapshotCheckCounters()
 	defer func() {
@@ -564,10 +557,9 @@ func runServiceJob(env service.SubmitEnvelope, o options, progress func(service.
 		if cc.Checks == ccBefore.Checks {
 			return
 		}
-		fmt.Fprintf(os.Stderr, "solver %s: %d checks, %d races (%d ilp / %d pbsat wins), %d unsat-cache hits, %d budget bailouts\n",
-			o.solver, cc.Checks-ccBefore.Checks, cc.Races-ccBefore.Races,
-			cc.ILPWins-ccBefore.ILPWins, cc.PbsatWins-ccBefore.PbsatWins,
-			cc.UnsatCacheHits-ccBefore.UnsatCacheHits, cc.BudgetBailouts-ccBefore.BudgetBailouts)
+		fmt.Fprintf(os.Stderr, "threshold checks: %d, %d unsat-cache hits, %d budget bailouts\n",
+			cc.Checks-ccBefore.Checks, cc.UnsatCacheHits-ccBefore.UnsatCacheHits,
+			cc.BudgetBailouts-ccBefore.BudgetBailouts)
 	}()
 	req, err := env.Request()
 	if err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"sync"
 
 	"tels/internal/ilp"
 	"tels/internal/logic"
@@ -54,18 +53,16 @@ func CheckThreshold(tt *truth.Table, deltaOn, deltaOff int, solver *ilp.Solver) 
 // between the largest and unit weight. maxWeight ≤ 0 means unbounded.
 // Functions needing larger weights are declared non-threshold, which
 // makes the synthesizer split them into smaller gates.
-//
-// This entry point always decides with the ILP engine alone; the
-// portfolio (ILP raced against the pbsat pseudo-Boolean engine) is
-// reached through Checker.
 func CheckThresholdBounded(tt *truth.Table, deltaOn, deltaOff, maxWeight int, solver *ilp.Solver) (WeightVector, bool) {
-	c := Checker{Mode: SolverILP, ILP: *solver}
+	c := Checker{ILP: *solver}
 	return c.Check(tt, deltaOn, deltaOff, maxWeight)
 }
 
-// checkSystem is the ON/OFF cube constraint system of one threshold check
-// in positive-unate form, shared by the ILP and pbsat encodings so both
-// engines decide exactly the same instance.
+// checkSystem is one threshold check in positive-unate form. The ON/OFF
+// covers are derived only by problem(): exact prime generation over 2ⁿ
+// minterms dwarfs the solve itself on wide functions, and the
+// UNSAT-certificate cache is keyed on pos alone, so a cache hit never
+// pays for them.
 type checkSystem struct {
 	n       int
 	flipped []bool       // variables substituted to reach positive-unate form
@@ -73,31 +70,11 @@ type checkSystem struct {
 	don     int
 	doff    int
 	maxW    int
-
-	// The ON/OFF covers are by far the most expensive part of a check on
-	// wide functions (exact prime generation over 2ⁿ minterms dwarfs the
-	// solve itself), so they are derived lazily: the UNSAT-certificate
-	// cache is keyed on pos alone, and a hit never pays for them. Both
-	// portfolio goroutines may reach for the covers concurrently, hence
-	// the Once.
-	coverOnce sync.Once
-	on        []logic.Cube
-	off       []logic.Cube
 }
 
-// covers derives (once) and returns the minimal ON and OFF covers.
-func (sys *checkSystem) covers() ([]logic.Cube, []logic.Cube) {
-	sys.coverOnce.Do(func() {
-		sys.on = sys.pos.MinimalSOP().Cubes
-		sys.off = sys.pos.Not().MinimalSOP().Cubes
-	})
-	return sys.on, sys.off
-}
-
-// buildCheckSystem normalizes tt to positive-unate form and derives the
-// ON/OFF covers. ok is false for constants, binate functions, and
-// functions with dead variables — the same early-outs the checker always
-// had.
+// buildCheckSystem normalizes tt to positive-unate form. ok is false for
+// constants, binate functions, and functions with dead variables — the
+// same early-outs the checker always had.
 func buildCheckSystem(tt *truth.Table, deltaOn, deltaOff, maxWeight int) (*checkSystem, bool) {
 	n := tt.N()
 	if isConst, _ := tt.IsConst(); isConst {
@@ -127,13 +104,15 @@ func buildCheckSystem(tt *truth.Table, deltaOn, deltaOff, maxWeight int) (*check
 	}, true
 }
 
-// problem builds the simplex/ILP formulation. Row order matches the
-// original CheckThresholdBounded exactly, so branch-and-bound traversal —
-// and therefore the returned vector — is bit-identical to the historical
+// problem derives the minimal ON and OFF covers and builds the
+// simplex/ILP formulation. Row order matches the original
+// CheckThresholdBounded exactly, so branch-and-bound traversal — and
+// therefore the returned vector — is bit-identical to the historical
 // behaviour.
 func (sys *checkSystem) problem() *simplex.Problem {
 	n := sys.n
-	on, off := sys.covers()
+	on := sys.pos.MinimalSOP().Cubes
+	off := sys.pos.Not().MinimalSOP().Cubes
 	// Variables 0..n-1 are the weights, n is the threshold.
 	p := &simplex.Problem{C: make([]float64, n+1)}
 	for i := range p.C {

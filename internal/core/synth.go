@@ -49,13 +49,6 @@ type Options struct {
 	// conjectures "there may also exist better partitioning heuristics";
 	// the alternatives here let that be measured.
 	Split SplitStrategy
-	// Solver selects the threshold-check engine: the default
-	// SolverPortfolio races the simplex ILP against the pbsat
-	// pseudo-Boolean solver per node, SolverILP and SolverPbsat pin one
-	// engine. Every mode returns bit-identical networks on the same
-	// input (the race only changes which engine proves the answer
-	// first), so this is a deployment knob, not a semantic one.
-	Solver SolverMode
 }
 
 // SplitStrategy selects how a non-threshold unate cover is partitioned.

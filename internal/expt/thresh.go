@@ -13,30 +13,22 @@ import (
 	"tels/internal/truth"
 )
 
-// This file benchmarks the threshold-check solver subsystem on real
-// synthesis workloads: the node functions of the algebraically factored
-// MCNC benchmarks, widest first, checked under the same Fig. 6 cube
-// system the synthesis core builds. Three configurations are timed per
-// benchmark:
+// This file benchmarks the threshold check on real synthesis workloads:
+// the node functions of the algebraically factored MCNC benchmarks,
+// widest first, checked under the same Fig. 6 cube system the synthesis
+// core builds. Two configurations are timed per benchmark:
 //
-//	ilp        Checker{Mode: ilp, NoCache} — the pre-portfolio checker:
-//	           every check pays cover construction and a fresh
-//	           branch-and-bound solve.
-//	pbsat      Checker{Mode: pbsat, NoCache} — the pseudo-Boolean engine
-//	           alone, same cold-check discipline.
-//	portfolio  the subsystem as deployed: root-LP probe, engine race, and
-//	           the UNSAT-certificate cache (reset before every timed pass,
-//	           so the speedup is earned within one pass over the workload,
-//	           exactly as one synthesis run would).
+//	cold      Checker{NoCache: true}: every check pays cover
+//	          construction and a fresh branch-and-bound solve.
+//	deployed  the checker as synthesis runs it: the same ILP behind the
+//	          UNSAT-certificate cache (reset before every timed pass, so
+//	          the speedup is earned within one pass over the workload,
+//	          exactly as one synthesis run would).
 //
 // Instances are deliberately NOT deduplicated: array-style benchmarks
 // (comparator stages, adder slices) genuinely instantiate the same wide
 // node function many times, and re-deciding those repeats is precisely
-// the per-node hot path the portfolio's certificate cache removes. Every
-// distinct instance is decided by all three configurations and the
-// verdicts and weight vectors are compared before any timing is
-// reported, so the table doubles as a bit-identity check of the
-// portfolio guarantee.
+// the per-node hot path the certificate cache removes.
 
 // threshConfigs are the margin/cap points each instance is checked under:
 // the flow default (δon=0, δoff=1), a hardened margin (δon=1), and an
@@ -58,16 +50,15 @@ type ThreshInstance struct {
 
 // ThreshRow is one benchmark's per-configuration timing aggregate.
 type ThreshRow struct {
-	Benchmark string  `json:"benchmark"`
-	Nodes     int     `json:"nodes"`
-	Distinct  int     `json:"distinct"`
-	Checks    int     `json:"checks"`
-	MaxVars   int     `json:"max_vars"`
-	SatChecks int     `json:"sat_checks"`
-	ILPMS     float64 `json:"ilp_ms"`
-	PbsatMS   float64 `json:"pbsat_ms"`
-	PortMS    float64 `json:"portfolio_ms"`
-	Speedup   float64 `json:"portfolio_speedup_vs_ilp"`
+	Benchmark  string  `json:"benchmark"`
+	Nodes      int     `json:"nodes"`
+	Distinct   int     `json:"distinct"`
+	Checks     int     `json:"checks"`
+	MaxVars    int     `json:"max_vars"`
+	SatChecks  int     `json:"sat_checks"`
+	ColdMS     float64 `json:"cold_ms"`
+	DeployedMS float64 `json:"deployed_ms"`
+	Speedup    float64 `json:"deployed_speedup_vs_cold"`
 }
 
 // HarvestThreshNodes extracts the checkable node functions of a
@@ -107,20 +98,18 @@ func HarvestThreshNodes(name string, minVars, maxVars, limit int) ([]ThreshInsta
 }
 
 // threshPass times iters full checking passes over the instances and
-// returns the mean per-pass wall clock. Portfolio mode keeps the deployed
-// cache semantics, but the cache is emptied at the top of every pass, so
-// each iteration is one cold synthesis-run equivalent — repetition only
-// stretches the timed region (sub-millisecond benchmarks would otherwise
-// drown in scheduler noise), it never lets certificates leak across
-// passes.
-func threshPass(mode core.SolverMode, insts []ThreshInstance, iters int) time.Duration {
+// returns the mean per-pass wall clock. The cache is emptied at the top
+// of every pass, so each iteration is one cold synthesis-run equivalent —
+// repetition only stretches the timed region (sub-millisecond benchmarks
+// would otherwise drown in scheduler noise), it never lets certificates
+// leak across passes.
+func threshPass(chk core.Checker, insts []ThreshInstance, iters int) time.Duration {
 	if iters < 1 {
 		iters = 1
 	}
 	t0 := time.Now()
 	for it := 0; it < iters; it++ {
 		core.ResetUnsatCache()
-		chk := &core.Checker{Mode: mode, NoCache: mode != core.SolverPortfolio}
 		for _, inst := range insts {
 			for _, cfg := range threshConfigs {
 				chk.Check(inst.TT, cfg.DeltaOn, cfg.DeltaOff, cfg.MaxW)
@@ -135,17 +124,14 @@ func threshPass(mode core.SolverMode, insts []ThreshInstance, iters int) time.Du
 const minTimedRegion = 50 * time.Millisecond
 
 // ThreshBench decides every harvested instance of the named benchmarks
-// under each solver configuration and reports per-benchmark wall-clock
-// totals. Identity first: for each (instance, config) the three
-// configurations' verdicts and weight vectors are compared, and a
-// mismatch aborts the run. Timing second: per configuration, the total
-// time of a full pass over the benchmark's instances, minimised over
-// reps passes to shed scheduler noise.
+// cold and deployed and reports per-benchmark wall-clock totals: per
+// configuration, the time of a full pass over the benchmark's instances,
+// minimised over reps passes to shed scheduler noise.
 func ThreshBench(names []string, minVars, maxVars, limit, reps int) ([]ThreshRow, error) {
 	if reps < 1 {
 		reps = 1
 	}
-	modes := []core.SolverMode{core.SolverILP, core.SolverPbsat, core.SolverPortfolio}
+	cold, deployed := core.Checker{NoCache: true}, core.Checker{}
 	rows := make([]ThreshRow, 0, len(names))
 	for _, name := range names {
 		insts, err := HarvestThreshNodes(name, minVars, maxVars, limit)
@@ -162,59 +148,38 @@ func ThreshBench(names []string, minVars, maxVars, limit, reps int) ([]ThreshRow
 				row.MaxVars = n
 			}
 			distinct[inst.TT.String()] = true
-		}
-		row.Distinct = len(distinct)
-
-		// Bit-identity gate. Each mode runs cold (no cache) here: the
-		// guarantee under test is that the engines themselves agree.
-		for _, inst := range insts {
 			for _, cfg := range threshConfigs {
 				row.Checks++
-				var refVec core.WeightVector
-				var refOK bool
-				for mi, m := range modes {
-					chk := &core.Checker{Mode: m, NoCache: true}
-					vec, ok := chk.Check(inst.TT, cfg.DeltaOn, cfg.DeltaOff, cfg.MaxW)
-					if mi == 0 {
-						refVec, refOK = vec, ok
-						if ok {
-							row.SatChecks++
-						}
-						continue
-					}
-					if ok != refOK || !sameVector(vec, refVec) {
-						return nil, fmt.Errorf("expt: %s/%s δon=%d δoff=%d maxW=%d: solver %s disagrees with %s (ok %v vs %v, vector %v vs %v)",
-							inst.Bench, inst.Node, cfg.DeltaOn, cfg.DeltaOff, cfg.MaxW,
-							m, modes[0], ok, refOK, vec, refVec)
-					}
+				if _, ok := cold.Check(inst.TT, cfg.DeltaOn, cfg.DeltaOff, cfg.MaxW); ok {
+					row.SatChecks++
 				}
 			}
 		}
+		row.Distinct = len(distinct)
 
-		// Timing passes. One calibration pass sizes the repetition count
-		// so every sample spans at least minTimedRegion; the same count is
-		// used for all modes so they share the measurement discipline.
+		// One calibration pass sizes the repetition count so every sample
+		// spans at least minTimedRegion; both configurations use the same
+		// count so they share the measurement discipline.
 		iters := 1
-		if calib := threshPass(core.SolverILP, insts, 1); calib < minTimedRegion {
+		if calib := threshPass(cold, insts, 1); calib < minTimedRegion {
 			iters = int(minTimedRegion/calib) + 1
 			if iters > 64 {
 				iters = 64
 			}
 		}
-		best := map[core.SolverMode]time.Duration{}
+		var bestCold, bestDeployed time.Duration
 		for rep := 0; rep < reps; rep++ {
-			for _, m := range modes {
-				elapsed := threshPass(m, insts, iters)
-				if cur, ok := best[m]; !ok || elapsed < cur {
-					best[m] = elapsed
-				}
+			if d := threshPass(cold, insts, iters); rep == 0 || d < bestCold {
+				bestCold = d
+			}
+			if d := threshPass(deployed, insts, iters); rep == 0 || d < bestDeployed {
+				bestDeployed = d
 			}
 		}
-		row.ILPMS = float64(best[core.SolverILP].Microseconds()) / 1000
-		row.PbsatMS = float64(best[core.SolverPbsat].Microseconds()) / 1000
-		row.PortMS = float64(best[core.SolverPortfolio].Microseconds()) / 1000
-		if row.PortMS > 0 {
-			row.Speedup = row.ILPMS / row.PortMS
+		row.ColdMS = float64(bestCold.Microseconds()) / 1000
+		row.DeployedMS = float64(bestDeployed.Microseconds()) / 1000
+		if row.DeployedMS > 0 {
+			row.Speedup = row.ColdMS / row.DeployedMS
 		}
 		rows = append(rows, row)
 	}
@@ -222,46 +187,32 @@ func ThreshBench(names []string, minVars, maxVars, limit, reps int) ([]ThreshRow
 	return rows, nil
 }
 
-// sameVector compares weight vectors componentwise.
-func sameVector(a, b core.WeightVector) bool {
-	if a.T != b.T || len(a.Weights) != len(b.Weights) {
-		return false
-	}
-	for i := range a.Weights {
-		if a.Weights[i] != b.Weights[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// RenderThreshBench formats the solver-portfolio timing table.
+// RenderThreshBench formats the threshold-check timing table.
 func RenderThreshBench(rows []ThreshRow) string {
 	var b strings.Builder
-	b.WriteString("threshold-check solver portfolio — widest MCNC node functions\n")
-	b.WriteString("(per benchmark: one full checking pass, best of reps; ilp/pbsat run cold\n")
-	b.WriteString(" per check, portfolio races engines and keeps its UNSAT-certificate cache)\n\n")
-	fmt.Fprintf(&b, "%-10s | %5s %4s %6s %4s %4s | %9s %9s %9s | %7s\n",
-		"bench", "nodes", "uniq", "checks", "maxN", "sat", "ilp ms", "pbsat ms", "port ms", "vs ilp")
-	fmt.Fprintln(&b, "-------------------------------------------------------------------------------------")
+	b.WriteString("threshold check — widest MCNC node functions\n")
+	b.WriteString("(per benchmark: one full checking pass, best of reps; cold pays every\n")
+	b.WriteString(" check, deployed keeps the UNSAT-certificate cache within the pass)\n\n")
+	fmt.Fprintf(&b, "%-10s | %5s %4s %6s %4s %4s | %9s %11s | %7s\n",
+		"bench", "nodes", "uniq", "checks", "maxN", "sat", "cold ms", "deployed ms", "speedup")
+	fmt.Fprintln(&b, "-------------------------------------------------------------------------------")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10s | %5d %4d %6d %4d %4d | %9.2f %9.2f %9.2f | %6.2fx\n",
+		fmt.Fprintf(&b, "%-10s | %5d %4d %6d %4d %4d | %9.2f %11.2f | %6.2fx\n",
 			r.Benchmark, r.Nodes, r.Distinct, r.Checks, r.MaxVars, r.SatChecks,
-			r.ILPMS, r.PbsatMS, r.PortMS, r.Speedup)
+			r.ColdMS, r.DeployedMS, r.Speedup)
 	}
-	b.WriteString("\n(verdicts and weight vectors verified identical across all modes before timing)\n")
 	return b.String()
 }
 
 // WriteThreshBenchCSV emits the table in plottable form.
 func WriteThreshBenchCSV(w io.Writer, rows []ThreshRow) error {
-	if _, err := fmt.Fprintln(w, "benchmark,nodes,distinct,checks,max_vars,sat_checks,ilp_ms,pbsat_ms,portfolio_ms,portfolio_speedup_vs_ilp"); err != nil {
+	if _, err := fmt.Fprintln(w, "benchmark,nodes,distinct,checks,max_vars,sat_checks,cold_ms,deployed_ms,deployed_speedup_vs_cold"); err != nil {
 		return err
 	}
 	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%s,%d,%d,%d,%d,%d,%g,%g,%g,%g\n",
+		if _, err := fmt.Fprintf(w, "%s,%d,%d,%d,%d,%d,%g,%g,%g\n",
 			r.Benchmark, r.Nodes, r.Distinct, r.Checks, r.MaxVars, r.SatChecks,
-			r.ILPMS, r.PbsatMS, r.PortMS, r.Speedup); err != nil {
+			r.ColdMS, r.DeployedMS, r.Speedup); err != nil {
 			return err
 		}
 	}

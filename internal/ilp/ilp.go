@@ -89,29 +89,14 @@ func (s *Solver) Solve(p *simplex.Problem) Result {
 
 // SolveContext is Solve with cooperative cancellation: when ctx is
 // cancelled mid-search the solver stops at the next node and reports the
-// partial outcome with LimitHit set (the portfolio racer uses this to
-// cancel the losing engine).
+// partial outcome with LimitHit set.
 func (s *Solver) SolveContext(ctx context.Context, p *simplex.Problem) Result {
-	return s.SolveContextCutoff(ctx, p, math.Inf(1))
-}
-
-// SolveContextCutoff is SolveContext with an externally-supplied objective
-// cutoff: only solutions with objective strictly below cutoff are
-// accepted, and subtrees whose relaxation bound reaches it are pruned.
-// When the true optimum k* is known (e.g. proven by another engine),
-// calling with cutoff = k*+0.5 returns exactly the solution the unbounded
-// solve would have returned — the depth-first traversal up to the first
-// optimal incumbent is identical, because pruned subtrees can only
-// contain solutions with objective > k* and intermediate incumbents are
-// integral (so every pre-optimal acceptance threshold in both runs
-// exceeds k*) — while exploring no more nodes, usually far fewer.
-func (s *Solver) SolveContextCutoff(ctx context.Context, p *simplex.Problem, cutoff float64) Result {
 	maxNodes := s.MaxNodes
 	if maxNodes == 0 {
 		maxNodes = DefaultMaxNodes
 	}
 	b := &bnb{
-		best:     cutoff,
+		best:     math.Inf(1),
 		maxNodes: maxNodes,
 		exact:    s.Exact,
 		done:     ctx.Done(),
@@ -146,7 +131,7 @@ func (b *bnb) explore(p *simplex.Problem) {
 		return
 	}
 	// Cancellation check every few nodes: a select per node is cheap
-	// relative to one simplex solve, and a cancelled racer must release
+	// relative to one simplex solve, and a cancelled solve must release
 	// its CPU quickly.
 	if b.nodes&7 == 0 && b.done != nil {
 		select {

@@ -236,7 +236,11 @@ func TestClusterOwnerTimeoutFallsBackToLocal(t *testing.T) {
 			return h
 		}
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strings.HasPrefix(r.URL.Path, "/v1/cluster/result/") {
+			// Hold only the fill (GET). The owner push that follows the
+			// local compute is a PUT whose unread body keeps the server
+			// from noticing the client hang up, so holding it too would
+			// block the server's Close at cleanup forever.
+			if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/cluster/result/") {
 				<-r.Context().Done() // hold the fill until the caller gives up
 				return
 			}

@@ -38,13 +38,6 @@ type Config struct {
 	// the knob is deployment configuration — it is surfaced as the
 	// fsim_width metrics label and never enters job digests.
 	FsimWidth fsim.Width
-	// Solver selects the threshold-check engine for every synthesis and
-	// resynthesis job this manager runs (default core.SolverPortfolio:
-	// the simplex ILP raced against the pbsat pseudo-Boolean engine).
-	// Results are bit-identical across modes, so — like FsimWidth — the
-	// knob is deployment configuration: it is surfaced as the
-	// solver_mode metrics label and never enters job digests.
-	Solver core.SolverMode
 	// Store, when set, makes the manager durable: job lifecycles are
 	// journaled to its WAL, results persist to its content-addressed
 	// store, and at construction the journal is replayed — terminal
@@ -235,7 +228,7 @@ func New(cfg Config) *Manager {
 		flights:    make(map[string]*flight),
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		exec:       runBounded(cfg.FsimWidth, cfg.Solver),
+		exec:       runBounded(cfg.FsimWidth),
 		admit:      newAdmitQueue(cfg),
 	}
 	var pending []*jobRecord
@@ -438,12 +431,8 @@ func (m *Manager) MetricsSnapshot() map[string]int64 {
 	m.mu.Unlock()
 	out := m.metrics.Snapshot(perState, m.cache.Len())
 	out["fsim_width"] = int64(m.cfg.FsimWidth)
-	out["solver_mode"] = int64(m.cfg.Solver)
 	cc := core.SnapshotCheckCounters()
 	out["threshold_checks"] = cc.Checks
-	out["races"] = cc.Races
-	out["ilp_wins"] = cc.ILPWins
-	out["pbsat_wins"] = cc.PbsatWins
 	out["unsat_core_hits"] = cc.UnsatCacheHits
 	out["solver_budget_bailouts"] = cc.BudgetBailouts
 	for name, ts := range m.admit.stats() {

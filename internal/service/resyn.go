@@ -103,7 +103,7 @@ func (m *Manager) resynRunner(j *jobRecord) func(context.Context, Request) (Resu
 				Seed:      req.Yield.Seed,
 				Width:     m.cfg.FsimWidth,
 			},
-			Synth:       withSolver(req.Options, m.cfg.Solver),
+			Synth:       req.Options,
 			TopK:        req.Resyn.TopK,
 			DeltaStep:   req.Resyn.DeltaStep,
 			MaxDeltaOn:  req.Resyn.MaxDeltaOn,

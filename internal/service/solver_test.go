@@ -24,52 +24,11 @@ const solverTestBlif = `.model solvr
 .end
 `
 
-// TestSolverModeTransparent runs the same synthesis job through managers
-// deployed at every solver mode: job digests and result bytes must be
-// identical — the solver is a deployment latency knob, never request
-// state — and the configured mode is visible only in the metrics.
-func TestSolverModeTransparent(t *testing.T) {
-	modes := []core.SolverMode{core.SolverILP, core.SolverPbsat, core.SolverPortfolio}
-	var digests, tlns []string
-	var areas []int
-	for _, mode := range modes {
-		m := newTestManager(t, Config{Workers: 2, Solver: mode})
-		job, err := m.Submit(Request{BLIF: solverTestBlif})
-		if err != nil {
-			t.Fatalf("solver %s: %v", mode, err)
-		}
-		done, err := m.Wait(context.Background(), job.ID)
-		if err != nil {
-			t.Fatalf("solver %s: %v", mode, err)
-		}
-		if done.State != StateDone {
-			t.Fatalf("solver %s: state %s (%s)", mode, done.State, done.Error)
-		}
-		digests = append(digests, done.Digest)
-		tlns = append(tlns, done.Result.TLN)
-		areas = append(areas, done.Result.Stats.Area)
-		if got := m.MetricsSnapshot()["solver_mode"]; got != int64(mode) {
-			t.Fatalf("solver %s: solver_mode metric = %d", mode, got)
-		}
-	}
-	for i := 1; i < len(modes); i++ {
-		if digests[i] != digests[0] {
-			t.Fatalf("solver %s changed the job digest: %s vs %s", modes[i], digests[i], digests[0])
-		}
-		if tlns[i] != tlns[0] {
-			t.Fatalf("solver %s changed the network:\n%s\nvs\n%s", modes[i], tlns[i], tlns[0])
-		}
-		if areas[i] != areas[0] {
-			t.Fatalf("solver %s changed the area: %d vs %d", modes[i], areas[i], areas[0])
-		}
-	}
-}
-
-// TestSolverMetricsExported checks that the portfolio race counters are
+// TestSolverMetricsExported checks that the threshold-check counters are
 // surfaced through /v1/metrics' backing snapshot with their documented
 // names.
 func TestSolverMetricsExported(t *testing.T) {
-	m := newTestManager(t, Config{Workers: 1, Solver: core.SolverPortfolio})
+	m := newTestManager(t, Config{Workers: 1})
 	job, err := m.Submit(Request{BLIF: solverTestBlif})
 	if err != nil {
 		t.Fatal(err)
@@ -79,14 +38,69 @@ func TestSolverMetricsExported(t *testing.T) {
 	}
 	snap := m.MetricsSnapshot()
 	for _, key := range []string{
-		"threshold_checks", "races", "ilp_wins", "pbsat_wins",
-		"unsat_core_hits", "solver_budget_bailouts", "solver_mode",
+		"threshold_checks", "unsat_core_hits", "solver_budget_bailouts",
 	} {
 		if _, ok := snap[key]; !ok {
 			t.Fatalf("metrics snapshot missing %q", key)
 		}
 	}
+	for _, key := range []string{"solver_mode", "races", "ilp_wins", "pbsat_wins"} {
+		if _, ok := snap[key]; ok {
+			t.Fatalf("metrics snapshot still exports removed key %q", key)
+		}
+	}
 	if snap["threshold_checks"] == 0 {
 		t.Fatal("threshold_checks did not advance across a synthesis job")
+	}
+}
+
+// f = a·b + c·d is unate but not threshold, so with fanin 4 its first
+// check is a proven rejection that the UNSAT cache keeps.
+const rejectTestBlif = `.model reject
+.inputs a b c d
+.outputs f
+.names a b c d f
+11-- 1
+--11 1
+.end
+`
+
+// TestSolverModeTransparent runs the same job with the proven-UNSAT
+// cache cold and then warm: the warm run answers repeated rejections
+// from the cache, and the job digest, network and area must not change.
+func TestSolverModeTransparent(t *testing.T) {
+	core.ResetUnsatCache()
+	defer core.ResetUnsatCache()
+	var digests, tlns []string
+	var areas []int
+	for run, name := range []string{"cold", "warm"} {
+		m := newTestManager(t, Config{Workers: 2})
+		hitsBefore := m.MetricsSnapshot()["unsat_core_hits"]
+		job, err := m.Submit(Request{BLIF: rejectTestBlif, Options: core.Options{Fanin: 4}})
+		if err != nil {
+			t.Fatalf("%s cache: %v", name, err)
+		}
+		done, err := m.Wait(context.Background(), job.ID)
+		if err != nil {
+			t.Fatalf("%s cache: %v", name, err)
+		}
+		if done.State != StateDone {
+			t.Fatalf("%s cache: state %s (%s)", name, done.State, done.Error)
+		}
+		if run == 1 && m.MetricsSnapshot()["unsat_core_hits"] == hitsBefore {
+			t.Fatal("warm run registered no unsat cache hits")
+		}
+		digests = append(digests, done.Digest)
+		tlns = append(tlns, done.Result.TLN)
+		areas = append(areas, done.Result.Stats.Area)
+	}
+	if digests[1] != digests[0] {
+		t.Fatalf("warm cache changed the job digest: %s vs %s", digests[1], digests[0])
+	}
+	if tlns[1] != tlns[0] {
+		t.Fatalf("warm cache changed the network:\n%s\nvs\n%s", tlns[1], tlns[0])
+	}
+	if areas[1] != areas[0] {
+		t.Fatalf("warm cache changed the area: %d vs %d", areas[1], areas[0])
 	}
 }

@@ -38,25 +38,13 @@ func runDetached(ctx context.Context, req Request, fn func(context.Context, Requ
 }
 
 // runBounded builds the default manager exec at the configured fsim lane
-// width and threshold-check solver mode: the full pipeline, detached.
-// The solver is injected here — after digest computation — because it is
-// deployment configuration that never enters the wire spec or job
-// digests (results are bit-identical across modes).
-func runBounded(width fsim.Width, solver core.SolverMode) func(context.Context, Request) (Result, error) {
+// width: the full pipeline, detached.
+func runBounded(width fsim.Width) func(context.Context, Request) (Result, error) {
 	return func(ctx context.Context, req Request) (Result, error) {
 		return runDetached(ctx, req, func(ctx context.Context, req Request) (Result, error) {
-			req.Options.Solver = solver
 			return runPipeline(ctx, req, width)
 		})
 	}
-}
-
-// withSolver returns the synthesis options with the manager's deployment
-// solver mode applied; the wire spec deliberately carries no solver
-// field, so every exec path injects it the same way.
-func withSolver(o core.Options, m core.SolverMode) core.Options {
-	o.Solver = m
-	return o
 }
 
 // runPipeline is the full batch flow of cmd/tels: parse → optimize →
