@@ -2,13 +2,19 @@
 
 GO ?= go
 
-.PHONY: all build test race benchsmoke sweepsmoke resynsmoke widthsmoke storesmoke clustersmoke apismoke netsmoke cover bench fuzz experiments examples serve ci clean
+.PHONY: all build fmtcheck test race benchsmoke sweepsmoke resynsmoke widthsmoke storesmoke clustersmoke apismoke netsmoke cover bench fuzz experiments examples serve ci clean
 
 all: build test
 
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
+
+# fmtcheck fails if any Go source is not gofmt-clean. It names the source
+# directories rather than "." so the module cache under .bench_build/ is
+# not scanned.
+fmtcheck:
+	test -z "$$(gofmt -l cmd internal examples perfbench *.go)"
 
 test:
 	$(GO) test ./...
@@ -76,13 +82,12 @@ apismoke:
 	$(GO) run ./cmd/telsbench -quick tenants
 
 # netsmoke proves the structurally-hashed network core: the arena unit
-# and fuzz-seed suites under -race, the whole-corpus golden identity gate
-# (every MCNC benchmark byte-identical through the arena-backed passes),
-# then one quick pointer-vs-arena build/collapse/sweep measurement.
+# and fuzz-seed suites under -race, then the whole-corpus golden identity
+# gate (every MCNC benchmark byte-identical through the arena-backed
+# passes).
 netsmoke:
 	$(GO) test -race -count=1 ./internal/netcore/
 	$(GO) test -race -count=1 -short -run 'TestCorpusGolden' ./internal/expt/
-	$(GO) run ./cmd/telsbench -quick netcore
 
 # serve runs the synthesis daemon on :8455 (override with ADDR=...).
 ADDR ?= :8455
@@ -90,7 +95,7 @@ serve:
 	$(GO) run ./cmd/telsd -addr $(ADDR)
 
 # ci is the exact gate GitHub Actions runs.
-ci: build test race benchsmoke sweepsmoke resynsmoke widthsmoke storesmoke clustersmoke apismoke netsmoke
+ci: build fmtcheck test race benchsmoke sweepsmoke resynsmoke widthsmoke storesmoke clustersmoke apismoke netsmoke
 
 cover:
 	$(GO) test -cover ./internal/... ./cmd/...

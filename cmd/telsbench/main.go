@@ -23,9 +23,6 @@
 //	                          telsd peers (synthetic per-point delay)
 //	telsbench thresh          threshold check, cold vs deployed (UNSAT cache)
 //	                          wall-clock on the widest MCNC nodes
-//	telsbench netcore         arena-backed netcore representation vs the pointer
-//	                          network: build/collapse/sweep ns/op and allocs/op
-//	                          on the largest MCNC benchmarks (BENCH_netcore.json)
 //	telsbench all             everything above (except sweep, resyn, fsimwidth,
 //	                          store, cluster, thresh)
 //
@@ -109,10 +106,10 @@ func run(cmd string, fanin int, quick bool, trials int, seed int64, csvDir strin
 	}
 	_ = emit
 	switch cmd {
-	case "table1", "fig10", "fig11", "fig12", "resyn", "fsimwidth", "store", "cluster", "tenants", "thresh", "netcore":
+	case "table1", "fig10", "fig11", "fig12", "resyn", "fsimwidth", "store", "cluster", "tenants", "thresh":
 	default:
 		if jsonOut {
-			return fmt.Errorf("-json supports table1, fig10, fig11, fig12, resyn, fsimwidth, store, cluster, tenants, thresh, and netcore, not %q", cmd)
+			return fmt.Errorf("-json supports table1, fig10, fig11, fig12, resyn, fsimwidth, store, cluster, tenants, and thresh, not %q", cmd)
 		}
 	}
 	switch cmd {
@@ -150,8 +147,6 @@ func run(cmd string, fanin int, quick bool, trials int, seed int64, csvDir strin
 		return tenantsBench(quick, jsonOut, emit)
 	case "thresh":
 		return threshBench(quick, jsonOut, emit)
-	case "netcore":
-		return netcoreBench(quick, jsonOut, emit)
 	case "all":
 		for _, c := range []func() error{
 			func() error { return table1(o, quick, false, emit) },

@@ -32,16 +32,16 @@ import (
 
 // tenantArm is one admission policy's measurement.
 type tenantArm struct {
-	Arm          string  `json:"arm"`
-	HeavyJobs    int     `json:"heavy_jobs"`
-	LightJobs    int     `json:"light_jobs"`
-	WallMS       int64   `json:"wall_ms"`
-	LightP50MS   float64 `json:"light_p50_ms"`
-	LightP95MS   float64 `json:"light_p95_ms"`
-	HeavyP50MS   float64 `json:"heavy_p50_ms"`
-	HeavyP95MS   float64 `json:"heavy_p95_ms"`
-	LightVsSolo  float64 `json:"light_p95_vs_solo"`
-	LightMaxMS   float64 `json:"light_max_ms"`
+	Arm         string  `json:"arm"`
+	HeavyJobs   int     `json:"heavy_jobs"`
+	LightJobs   int     `json:"light_jobs"`
+	WallMS      int64   `json:"wall_ms"`
+	LightP50MS  float64 `json:"light_p50_ms"`
+	LightP95MS  float64 `json:"light_p95_ms"`
+	HeavyP50MS  float64 `json:"heavy_p50_ms"`
+	HeavyP95MS  float64 `json:"heavy_p95_ms"`
+	LightVsSolo float64 `json:"light_p95_vs_solo"`
+	LightMaxMS  float64 `json:"light_max_ms"`
 }
 
 // waitQuantiles returns the p50/p95/max queue wait of the jobs in ms.

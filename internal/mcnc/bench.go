@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"tels/internal/logic"
-	"tels/internal/netcore"
 	"tels/internal/network"
 )
 
@@ -63,14 +62,6 @@ func Build(name string) *network.Network {
 		panic(fmt.Sprintf("mcnc: unknown benchmark %q", name))
 	}
 	return b.Build()
-}
-
-// BuildCore constructs the named benchmark in the arena-backed
-// representation: the generator DSL emits the pointer network and the
-// result is interned into a netcore arena (structurally hashing every
-// cover) at this boundary.
-func BuildCore(name string) *netcore.Network {
-	return netcore.FromNetwork(Build(name))
 }
 
 func init() {

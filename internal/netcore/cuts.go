@@ -82,8 +82,8 @@ func mergeLeaves(a, b []Handle, k int) []Handle {
 
 // CutConfig bounds cut enumeration.
 type CutConfig struct {
-	K     int // max leaves per cut (capped at 12)
-	Limit int // max cuts kept per node (trivial cut not counted)
+	K     int  // max leaves per cut (capped at 12)
+	Limit int  // max cuts kept per node (trivial cut not counted)
 	TT    bool // compute the local truth table of every cut
 }
 

@@ -29,7 +29,6 @@ package netcore
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"tels/internal/logic"
@@ -140,9 +139,6 @@ func New(name string) *Network {
 // ---------------------------------------------------------------------------
 // Handle layer: arena, structural hashing, reference counts.
 
-// NumHandles returns the arena size including dead and constant slots.
-func (nw *Network) NumHandles() int { return len(nw.nodes) }
-
 // LiveHandles returns the number of live structural nodes (constants
 // included).
 func (nw *Network) LiveHandles() int { return len(nw.nodes) - nw.deadCnt }
@@ -161,9 +157,6 @@ func (nw *Network) HandleFanins(h Handle) []Handle {
 	nd := &nw.nodes[h]
 	return nw.fanins[nd.faninOff : nd.faninOff+nd.nFanin]
 }
-
-// HandleLevel returns h's level (constants and inputs at 0).
-func (nw *Network) HandleLevel(h Handle) int { return int(nw.nodes[h].level) }
 
 // HandleIsInput reports whether h is a primary-input node.
 func (nw *Network) HandleIsInput(h Handle) bool { return nw.nodes[h].kind == kindInput }
@@ -354,9 +347,6 @@ func phaseSliceEqual(a, b []logic.Phase) bool {
 // ---------------------------------------------------------------------------
 // Net layer: named signals with pointer-network semantics.
 
-// NumNets returns the net count including dead slots.
-func (nw *Network) NumNets() int { return len(nw.nets) }
-
 // GateCount returns the number of live internal nets in O(1).
 func (nw *Network) GateCount() int { return nw.funcNets }
 
@@ -371,15 +361,6 @@ func (nw *Network) NetName(n Net) string { return nw.nets[n].name }
 
 // NetKind returns NetInput or NetFunc.
 func (nw *Network) NetKind(n Net) uint8 { return nw.nets[n].kind }
-
-// NetIsInput reports whether the net is a primary input.
-func (nw *Network) NetIsInput(n Net) bool { return nw.nets[n].kind == NetInput }
-
-// NetIsDead reports whether the net has been removed.
-func (nw *Network) NetIsDead(n Net) bool { return nw.nets[n].kind == netDead }
-
-// NetIsOutput reports whether the net is marked as a primary output.
-func (nw *Network) NetIsOutput(n Net) bool { return nw.nets[n].outCnt > 0 }
 
 // NetFanins returns the fanin nets of n. The slice aliases the slab and
 // must not be modified.
@@ -907,14 +888,4 @@ func (nw *Network) Stats() Stats {
 		Handles:  nw.LiveHandles(),
 		Dedups:   nw.dedups,
 	}
-}
-
-// SortedNetNames returns all live net names sorted.
-func (nw *Network) SortedNetNames() []string {
-	names := make([]string, 0, len(nw.byName))
-	for name := range nw.byName {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -31,9 +31,6 @@ type Node struct {
 	Cover logic.Cover
 }
 
-// IsInput reports whether the node is a primary input.
-func (n *Node) IsInput() bool { return n.Kind == Input }
-
 // Network is a named multi-output Boolean network.
 type Network struct {
 	Name    string

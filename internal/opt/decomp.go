@@ -305,3 +305,17 @@ func decomposeNode(nw *network.Network, n *network.Node, maxFanin int) {
 	n.Cover = cv
 	mergeDuplicateFanins(n)
 }
+
+// nodeConst reports whether the node's cover is syntactically constant.
+func nodeConst(n *network.Node) (isConst, value bool) {
+	if n.Kind != network.Internal {
+		return false, false
+	}
+	if n.Cover.IsZero() {
+		return true, false
+	}
+	if n.Cover.HasUniverse() {
+		return true, true
+	}
+	return false, false
+}

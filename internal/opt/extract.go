@@ -292,6 +292,50 @@ func rewriteWithDivisor(space *signalSpace, n *network.Node, q, r algebra.Expr, 
 	mergeDuplicateFanins(n)
 }
 
+// mergeDuplicateFanins folds repeated fanin entries into a single column.
+// Cubes requiring contradictory phases of the same signal are dropped.
+func mergeDuplicateFanins(n *network.Node) bool {
+	seen := make(map[*network.Node]int)
+	dup := false
+	for _, f := range n.Fanins {
+		if _, ok := seen[f]; ok {
+			dup = true
+			break
+		}
+		seen[f] = 1
+	}
+	if !dup {
+		return false
+	}
+	var fanins []*network.Node
+	index := make(map[*network.Node]int)
+	for _, f := range n.Fanins {
+		if _, ok := index[f]; !ok {
+			index[f] = len(fanins)
+			fanins = append(fanins, f)
+		}
+	}
+	out := logic.NewCover(len(fanins))
+nextCube:
+	for _, c := range n.Cover.Cubes {
+		d := logic.NewCube(len(fanins))
+		for i, p := range c {
+			if p == logic.DC {
+				continue
+			}
+			j := index[n.Fanins[i]]
+			if d[j] != logic.DC && d[j] != p {
+				continue nextCube // x * !x
+			}
+			d[j] = p
+		}
+		out.AddCube(d)
+	}
+	n.Fanins = fanins
+	n.Cover = out
+	return true
+}
+
 func kernelKey(e algebra.Expr) string {
 	keys := make([]string, len(e))
 	for i, c := range e {

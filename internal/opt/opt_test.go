@@ -5,8 +5,27 @@ import (
 	"testing"
 
 	"tels/internal/logic"
+	"tels/internal/netcore"
 	"tels/internal/network"
 )
+
+// runCore pushes nw through one arena pass (FromNetwork → pass →
+// ToNetwork) and returns the converted network with the pass's count.
+// Signal names survive the round trip, so tests look nodes up by name.
+func runCore(nw *network.Network, pass func(*netcore.Network) int) (*network.Network, int) {
+	cw := netcore.FromNetwork(nw)
+	n := pass(cw)
+	return cw.ToNetwork(), n
+}
+
+// faninNames lists a node's fanin names in order.
+func faninNames(n *network.Node) []string {
+	names := make([]string, len(n.Fanins))
+	for i, f := range n.Fanins {
+		names[i] = f.Name
+	}
+	return names
+}
 
 // equivalentOnAll checks two networks with identical input/output names
 // agree on every input vector (inputs ≤ 16) or a random sample otherwise.
@@ -81,11 +100,14 @@ func TestSweepBuffersAndConstants(t *testing.T) {
 	b.Output(y)
 	ref := b.Net.Clone()
 
-	Sweep(b.Net)
-	if b.Net.Node("buf") != nil || b.Net.Node("inv") != nil || b.Net.Node("one") != nil {
-		t.Fatalf("sweep left wires/constants: %v", b.Net.SortedNodeNames())
+	out, removed := runCore(b.Net, SweepCore)
+	if out.Node("buf") != nil || out.Node("inv") != nil || out.Node("one") != nil {
+		t.Fatalf("sweep left wires/constants: %v", out.SortedNodeNames())
 	}
-	equivalentOnAll(t, ref, b.Net)
+	if removed != 3 {
+		t.Fatalf("SweepCore returned %d, want 3 (buf, inv, one)", removed)
+	}
+	equivalentOnAll(t, ref, out)
 }
 
 func TestSweepConstantZeroFanin(t *testing.T) {
@@ -95,11 +117,11 @@ func TestSweepConstantZeroFanin(t *testing.T) {
 	y := b.Or("y", a, zero)
 	b.Output(y)
 	ref := b.Net.Clone()
-	Sweep(b.Net)
-	if b.Net.Node("zero") != nil {
+	out, _ := runCore(b.Net, SweepCore)
+	if out.Node("zero") != nil {
 		t.Fatal("constant 0 not swept")
 	}
-	equivalentOnAll(t, ref, b.Net)
+	equivalentOnAll(t, ref, out)
 }
 
 func TestSweepDuplicateFanins(t *testing.T) {
@@ -109,15 +131,15 @@ func TestSweepDuplicateFanins(t *testing.T) {
 	// y = a*a*c + a*!a  -> a*c
 	y := nw.AddNode("y", []*network.Node{a, a, c, a}, logic.MustCover("11-0", "1-1-"))
 	nw.MarkOutput(y)
-	Sweep(nw)
-	if len(y.Fanins) != 2 {
-		t.Fatalf("fanins = %d, want 2", len(y.Fanins))
+	out, _ := runCore(nw, SweepCore)
+	if got := len(out.Node("y").Fanins); got != 2 {
+		t.Fatalf("fanins = %d, want 2", got)
 	}
-	vals, _ := nw.EvalOutputs(map[string]bool{"a": true, "c": true})
+	vals, _ := out.EvalOutputs(map[string]bool{"a": true, "c": true})
 	if !vals[0] {
 		t.Fatal("y(1,1) should be 1")
 	}
-	vals, _ = nw.EvalOutputs(map[string]bool{"a": true, "c": false})
+	vals, _ = out.EvalOutputs(map[string]bool{"a": true, "c": false})
 	if vals[0] {
 		t.Fatal("y(1,0) should be 0")
 	}
@@ -131,11 +153,11 @@ func TestSimplifyNodes(t *testing.T) {
 	y := nw.AddNode("y", []*network.Node{a, c}, logic.MustCover("11", "10", "1-"))
 	nw.MarkOutput(y)
 	ref := nw.Clone()
-	SimplifyNodes(nw)
-	if len(y.Fanins) != 1 || y.Fanins[0] != a {
-		t.Fatalf("y fanins = %v", y.Fanins)
+	out, _ := runCore(nw, SimplifyNodesCore)
+	if got := faninNames(out.Node("y")); len(got) != 1 || got[0] != a.Name {
+		t.Fatalf("y fanins = %v", got)
 	}
-	equivalentOnAll(t, ref, nw)
+	equivalentOnAll(t, ref, out)
 }
 
 func TestSimplifyConstantNode(t *testing.T) {
@@ -144,7 +166,8 @@ func TestSimplifyConstantNode(t *testing.T) {
 	// y = a + !a = 1.
 	y := nw.AddNode("y", []*network.Node{a}, logic.MustCover("1", "0"))
 	nw.MarkOutput(y)
-	SimplifyNodes(nw)
+	out, _ := runCore(nw, SimplifyNodesCore)
+	y = out.Node("y")
 	if len(y.Fanins) != 0 || !y.Cover.HasUniverse() {
 		t.Fatalf("y not reduced to constant 1: fanins=%v cover=%v", y.Fanins, y.Cover)
 	}
@@ -153,11 +176,11 @@ func TestSimplifyConstantNode(t *testing.T) {
 func TestEliminate(t *testing.T) {
 	nw := fig2a()
 	ref := nw.Clone()
-	n := Eliminate(nw, 0)
+	out, n := runCore(nw, func(cw *netcore.Network) int { return EliminateCore(cw, 0) })
 	if n == 0 {
 		t.Fatal("expected at least one elimination in fig2a")
 	}
-	equivalentOnAll(t, ref, nw)
+	equivalentOnAll(t, ref, out)
 }
 
 func TestExtractSharedKernel(t *testing.T) {
@@ -411,16 +434,18 @@ func TestSimplifyWideNode(t *testing.T) {
 	y := nw.AddNode("y", ins, cover)
 	nw.MarkOutput(y)
 	ref := nw.Clone()
-	if changed := SimplifyNodes(nw); changed == 0 {
+	out, changed := runCore(nw, SimplifyNodesCore)
+	if changed == 0 {
 		t.Fatal("wide node not simplified")
 	}
+	y = out.Node("y")
 	if got := len(y.Cover.Cubes); got != 2 {
 		t.Fatalf("cover has %d cubes, want 2", got)
 	}
 	if len(y.Fanins) != 13 {
 		t.Fatalf("fanins = %d, want 13 (x13 dropped)", len(y.Fanins))
 	}
-	equivalentOnAll(t, ref, nw)
+	equivalentOnAll(t, ref, out)
 }
 
 func TestResubReusesExistingNode(t *testing.T) {
@@ -434,19 +459,20 @@ func TestResubReusesExistingNode(t *testing.T) {
 	nw.MarkOutput(d)
 	nw.MarkOutput(y)
 	ref := nw.Clone()
-	if n := Resub(nw); n == 0 {
+	out, n := runCore(nw, ResubCore)
+	if n == 0 {
 		t.Fatal("expected a resubstitution")
 	}
 	usesD := false
-	for _, f := range y.Fanins {
-		if f == d {
+	for _, f := range faninNames(out.Node("y")) {
+		if f == d.Name {
 			usesD = true
 		}
 	}
 	if !usesD {
-		t.Fatalf("y does not reuse d: fanins %v", y.Fanins)
+		t.Fatalf("y does not reuse d: fanins %v", faninNames(out.Node("y")))
 	}
-	equivalentOnAll(t, ref, nw)
+	equivalentOnAll(t, ref, out)
 }
 
 func TestResubMergesDuplicates(t *testing.T) {
@@ -458,14 +484,14 @@ func TestResubMergesDuplicates(t *testing.T) {
 	nw.MarkOutput(d1)
 	nw.MarkOutput(d2)
 	ref := nw.Clone()
-	Resub(nw)
+	out, _ := runCore(nw, ResubCore)
 	// d2 should now be a single-cube function of d1 (a buffer), which
-	// Sweep cannot remove because it is an output — but its cover must
-	// reference d1.
-	if len(d2.Fanins) != 1 || d2.Fanins[0] != d1 {
-		t.Fatalf("duplicate not merged: fanins %v", d2.Fanins)
+	// SweepCore cannot remove because it is an output — but its cover
+	// must reference d1.
+	if got := faninNames(out.Node(d2.Name)); len(got) != 1 || got[0] != d1.Name {
+		t.Fatalf("duplicate not merged: fanins %v", got)
 	}
-	equivalentOnAll(t, ref, nw)
+	equivalentOnAll(t, ref, out)
 }
 
 func TestResubPreservesFunction(t *testing.T) {
@@ -473,9 +499,9 @@ func TestResubPreservesFunction(t *testing.T) {
 	for iter := 0; iter < 25; iter++ {
 		nw := randomNetwork(rng, 6, 9)
 		ref := nw.Clone()
-		Resub(nw)
-		equivalentOnAll(t, ref, nw)
-		if err := nw.Validate(); err != nil {
+		out, _ := runCore(nw, ResubCore)
+		equivalentOnAll(t, ref, out)
+		if err := out.Validate(); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
 	}
@@ -493,8 +519,8 @@ func TestResubNoCycles(t *testing.T) {
 	n3 := nw.AddNode("n3", []*network.Node{a, c, e}, logic.MustCover("1-1", "-11"))
 	nw.MarkOutput(n2)
 	nw.MarkOutput(n3)
-	Resub(nw)
-	if err := nw.Validate(); err != nil {
+	out, _ := runCore(nw, ResubCore)
+	if err := out.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -8,9 +8,8 @@ import (
 	"tels/internal/netcore"
 )
 
-// signalSpaceCore maps nets to contiguous variable indices — the same
-// indices (creation-order positions) the pointer signalSpace assigns, so
-// algebraic division sees identical literals.
+// signalSpaceCore maps nets to contiguous variable indices (their
+// creation-order positions), the literal space of algebraic division.
 type signalSpaceCore struct {
 	nw    *netcore.Network
 	index map[netcore.Net]int
@@ -46,8 +45,8 @@ func (s *signalSpaceCore) exprOf(m netcore.Net) algebra.Expr {
 	return e
 }
 
-// rewriteWithDivisorCore rewrites net n as q*div + r, mirroring
-// rewriteWithDivisor (including the final duplicate-fanin merge).
+// rewriteWithDivisorCore rewrites net n as q*div + r, merging any
+// duplicate fanins the rewrite creates.
 func (s *signalSpaceCore) rewriteWithDivisorCore(n netcore.Net, q, r algebra.Expr, div netcore.Net) {
 	varSet := make(map[int]bool)
 	for _, e := range []algebra.Expr{q, r} {
@@ -89,8 +88,11 @@ func (s *signalSpaceCore) rewriteWithDivisorCore(n netcore.Net, q, r algebra.Exp
 	s.nw.SetFunction(n, fanins, cover)
 }
 
-// ResubCore is the arena port of Resub: algebraic resubstitution against
-// existing nets, no new nodes created.
+// ResubCore performs algebraic resubstitution, the SIS resub pass: each
+// net's cover is divided by every other existing net's function, and when
+// the division saves literals the net is rewritten to reuse that net as a
+// divisor. Unlike Extract, no new nodes are created — existing shared
+// logic is simply rediscovered. Returns the number of rewrites.
 func ResubCore(nw *netcore.Network) int {
 	rewrites := 0
 	for pass := 0; pass < 4; pass++ {
@@ -121,8 +123,9 @@ func ResubCore(nw *netcore.Network) int {
 				if d == n || len(exprs[d]) < 2 {
 					continue
 				}
-				// Using d as a fanin of n adds the edge n→d; topological
-				// precedence of d rules out a cycle.
+				// Using d as a fanin of n adds the edge n→d; any path from
+				// n to d would close a cycle, and topological precedence of
+				// d rules that out.
 				if topoIdx[d] >= topoIdx[n] {
 					continue
 				}

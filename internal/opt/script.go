@@ -1,3 +1,8 @@
+// Package opt implements multi-level Boolean network optimization passes
+// modelled on the SIS commands the paper's flow relies on: sweep, node
+// simplification, eliminate, algebraic extraction and bounded-fanin
+// technology decomposition, composed into script pipelines that play the
+// role of script.algebraic and script.boolean.
 package opt
 
 import (
@@ -6,13 +11,11 @@ import (
 )
 
 // The script pipelines run the structural passes (sweep, simplify,
-// eliminate, resub, don't-care simplify) on the arena-backed netcore
-// representation — decision-identical ports of the pointer passes, minus
-// the per-round recounting and pointer chasing — and cross back to the
-// pointer network only for the passes that create new nodes (Extract) or
-// use observability don't-cares (SimplifyFull). The initial Clone both
-// protects the caller's network and normalizes creation order exactly as
-// the legacy scripts did.
+// eliminate, resub) on the arena-backed netcore representation and cross
+// back to the pointer network only for the passes that create new nodes
+// (Extract) or use satisfiability and observability don't-cares
+// (SimplifyFull). The initial Clone protects the caller's network and
+// normalizes creation order.
 
 // Algebraic runs the equivalent of SIS's script.algebraic on a copy of the
 // network: structural cleanup, exact node simplification, a round of

@@ -6,9 +6,20 @@ import (
 	"tels/internal/truth"
 )
 
-// SimplifyNodesCore is the arena port of SimplifyNodes: each net's cover
-// is replaced by an irredundant prime cover of its local function, fanins
-// the function does not depend on are dropped.
+// SimplifyMaxVars bounds the fanin count for exact truth-table node
+// simplification. SimplifyNodesCore hands wider nets to the cover-based
+// minimizer (simplifyWideCore); the don't-care passes skip them.
+const SimplifyMaxVars = 10
+
+// EliminateMaxSupport bounds the combined support when collapsing a net
+// into a fanout during EliminateCore.
+const EliminateMaxSupport = 10
+
+// SimplifyNodesCore replaces each net's cover with an irredundant prime
+// cover of its local function and drops fanins the function does not
+// depend on. It is the two-level-minimization step of the script
+// pipelines (espresso without external don't-cares). Returns the number
+// of nets changed.
 func SimplifyNodesCore(nw *netcore.Network) int {
 	changed := 0
 	for _, n := range nw.InternalNets() {
@@ -58,7 +69,9 @@ func SimplifyNodesCore(nw *netcore.Network) int {
 	return changed
 }
 
-// simplifyWideCore mirrors simplifyWide for slab-backed nets.
+// simplifyWideCore minimizes a net too wide for the truth-table route
+// with the cover-based espresso-style pass and drops fanins the minimized
+// cover no longer mentions.
 func simplifyWideCore(fanins []netcore.Net, cov logic.Cover) ([]netcore.Net, logic.Cover, bool) {
 	cover := cov.Minimize()
 	if cover.LiteralCount() >= cov.LiteralCount() && len(cover.Cubes) >= len(cov.Cubes) {
@@ -88,8 +101,13 @@ func simplifyWideCore(fanins []netcore.Net, cov logic.Cover) ([]netcore.Net, log
 	return nf, cover, true
 }
 
-// EliminateCore is the arena port of Eliminate: low-value nets are
-// collapsed into their fanouts.
+// EliminateCore collapses low-value nets into their fanouts, mirroring
+// the SIS eliminate command. A net's value is the literal-count change its
+// elimination would cause; nets with value at most threshold are
+// collapsed. Output nets are kept. Each pass builds a consumer index
+// once, collapses every qualifying net whose neighbourhood has not been
+// touched this pass, and repeats to a fixpoint. Returns the number of
+// nets eliminated.
 func EliminateCore(nw *netcore.Network, threshold int) int {
 	eliminated := 0
 	const maxPasses = 40
@@ -206,7 +224,9 @@ func combinedSupportSizeCore(nw *netcore.Network, m, n netcore.Net) int {
 }
 
 // CollapseFaninCore rewrites net m with fanin n substituted by n's
-// function, combining the two exactly over a window truth table.
+// function, combining the two exactly over a window truth table; m's new
+// support is its remaining fanins plus n's fanins. Reports success
+// (failure means the combined support exceeds EliminateMaxSupport).
 func CollapseFaninCore(nw *netcore.Network, m, n netcore.Net) bool {
 	var support []netcore.Net
 	seen := make(map[netcore.Net]bool)

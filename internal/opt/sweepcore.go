@@ -5,18 +5,13 @@ import (
 	"tels/internal/netcore"
 )
 
-// Arena-native ports of the structural cleanup passes. Each *Core pass is
-// decision-identical to its pointer-network counterpart (same iteration
-// order, same predicates, same rewrites), so a network pushed through
-// FromNetwork → pass → ToNetwork is byte-identical to running the legacy
-// pass — the whole-corpus golden gate in internal/expt enforces this.
-// What changes is the representation: covers are read from the phase slab
-// without chasing pointers, fanout counts are maintained incrementally
-// instead of recounted per round, and window truth tables come from the
-// word-parallel NetLocalTT.
+// The structural passes run on the arena-backed netcore representation:
+// covers are read from the phase slab without chasing pointers, fanout
+// counts are maintained incrementally instead of recounted per round, and
+// window truth tables come from the word-parallel NetLocalTT.
 
-// netConstCore mirrors nodeConst on the slab: an internal net whose cover
-// is syntactically constant (no cubes, or any universal cube).
+// netConstCore reports whether an internal net's cover is syntactically
+// constant (no cubes, or any universal cube).
 func netConstCore(nw *netcore.Network, n netcore.Net) (isConst, value bool) {
 	if nw.NetKind(n) != netcore.NetFunc {
 		return false, false
@@ -40,8 +35,8 @@ func netConstCore(nw *netcore.Network, n netcore.Net) (isConst, value bool) {
 	return false, false
 }
 
-// netWireCore mirrors nodeWire: a single-literal function of a single
-// fanin — buffer (Pos) or inverter (Neg).
+// netWireCore reports whether the net is a single-literal function of its
+// single fanin: a buffer (phase Pos) or inverter (phase Neg).
 func netWireCore(nw *netcore.Network, n netcore.Net) (wire bool, phase logic.Phase) {
 	if nw.NetKind(n) != netcore.NetFunc {
 		return false, logic.DC
@@ -101,9 +96,13 @@ nextCube:
 	return true
 }
 
-// SweepCore is the arena port of Sweep: duplicate fanins merged, constant
-// and wire fanins absorbed, covers SCC-normalized, dangling nets removed.
+// SweepCore simplifies the network structurally: duplicate fanins are
+// merged, constant and wire (buffer/inverter) fanins are absorbed into
+// their fanouts, covers are SCC-normalized, and dangling logic is removed.
+// It returns the number of nets removed over all rounds. Output nets are
+// never deleted, so output names survive.
 func SweepCore(nw *netcore.Network) int {
+	total := 0
 	for {
 		changed := false
 		order, err := nw.TopoNets()
@@ -164,12 +163,22 @@ func SweepCore(nw *netcore.Network) int {
 				nw.SetFunction(n, fanins, cov)
 			}
 		}
-		removed := nw.RemoveDangling()
-		if !changed && removed == 0 {
-			return 0
-		}
+		total += nw.RemoveDangling()
 		if !changed {
-			return removed
+			return total
 		}
 	}
+}
+
+// removePosition deletes variable position i from every cube. The position
+// must be DC in all cubes (as after a cofactor).
+func removePosition(f logic.Cover, i int) logic.Cover {
+	out := logic.NewCover(f.N - 1)
+	for _, c := range f.Cubes {
+		d := make(logic.Cube, 0, f.N-1)
+		d = append(d, c[:i]...)
+		d = append(d, c[i+1:]...)
+		out.AddCube(d)
+	}
+	return out
 }

@@ -18,7 +18,6 @@ import (
 
 	"tels/internal/core"
 	"tels/internal/fsim"
-	"tels/internal/netcore"
 	"tels/internal/network"
 )
 
@@ -139,16 +138,6 @@ type Report struct {
 	// Network is the hardened network (not serialised; render via its
 	// .tln String form).
 	Network *core.Network `json:"-"`
-}
-
-// RunCore is Run for callers holding the golden Boolean network in the
-// arena-backed representation; the conversion happens once at this
-// boundary and the loop below is unchanged.
-func RunCore(ctx context.Context, golden *netcore.Network, tn *core.Network, cfg Config) (*Report, error) {
-	if golden == nil {
-		return nil, errors.New("resyn: nil network")
-	}
-	return Run(ctx, golden.ToNetwork(), tn, cfg)
 }
 
 // Run executes the selective re-synthesis loop on tn against the golden

@@ -707,4 +707,3 @@ func TestOverloadedCarriesRetryAfter(t *testing.T) {
 		t.Fatalf("503 without Retry-After: %v", err)
 	}
 }
-
