@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmtcheck test race benchsmoke sweepsmoke resynsmoke widthsmoke storesmoke clustersmoke apismoke netsmoke cover bench fuzz experiments examples serve ci clean
+.PHONY: all build fmtcheck test race benchsmoke sweepsmoke resynsmoke widthsmoke storesmoke clustersmoke apismoke netsmoke perfsmoke cover bench fuzz experiments examples serve ci clean
 
 all: build test
 
@@ -89,13 +89,24 @@ netsmoke:
 	$(GO) test -race -count=1 ./internal/netcore/
 	$(GO) test -race -count=1 -short -run 'TestCorpusGolden' ./internal/expt/
 
+# perfsmoke runs the corpus benchmark workload once, traced, and fails
+# unless every job was proved correct, none failed, and the per-pass
+# replay matched the scripts (a divergence silently drops the per-layer
+# figures).
+perfsmoke:
+	@mkdir -p .bench_build
+	bash perfbench/run.sh --workload corpus --seed 1 --seconds 1 --trace 1 > .bench_build/perfsmoke.json
+	@for want in '"correct":true' '"failed":0,' '"opt.replay_diverged":{"value":0,'; do \
+		grep -qF "$$want" .bench_build/perfsmoke.json || { echo "perfsmoke: $$want not in .bench_build/perfsmoke.json"; exit 1; }; \
+	done
+
 # serve runs the synthesis daemon on :8455 (override with ADDR=...).
 ADDR ?= :8455
 serve:
 	$(GO) run ./cmd/telsd -addr $(ADDR)
 
 # ci is the exact gate GitHub Actions runs.
-ci: build fmtcheck test race benchsmoke sweepsmoke resynsmoke widthsmoke storesmoke clustersmoke apismoke netsmoke
+ci: build fmtcheck test race benchsmoke sweepsmoke resynsmoke widthsmoke storesmoke clustersmoke apismoke netsmoke perfsmoke
 
 cover:
 	$(GO) test -cover ./internal/... ./cmd/...
@@ -109,6 +120,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParseTLN -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzCheck -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzPrimes -fuzztime 30s ./internal/truth/
+	$(GO) test -fuzz FuzzCover -fuzztime 30s ./internal/logic/
 
 experiments:
 	$(GO) run ./cmd/telsbench all

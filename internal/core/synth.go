@@ -146,7 +146,7 @@ const maxSupport = 12
 // threshold gates. Fanout nodes of the source network are preserved.
 //
 // The source is converted into the arena-backed netcore representation
-// after structural pre-decomposition; all cone reads (local functions,
+// and structurally pre-decomposed there; all cone reads (local functions,
 // fanins, fanout counts) run against the slab, and the word-parallel
 // NetLocalTT replaces the per-node cone walk.
 func Synthesize(src *network.Network, o Options) (*Network, SynthStats, error) {
@@ -156,11 +156,10 @@ func Synthesize(src *network.Network, o Options) (*Network, SynthStats, error) {
 	if err := src.Validate(); err != nil {
 		return nil, SynthStats{}, err
 	}
-	work := src.Clone()
-	// Nodes wider than the truth-table engine are structurally split
+	cw := netcore.FromNetwork(src.Clone())
+	// Nets wider than the truth-table engine are structurally split
 	// first; the algorithm itself enforces ψ on the result.
-	opt.DecomposeLarge(work, maxSupport-2)
-	cw := netcore.FromNetwork(work)
+	opt.DecomposeLargeCore(cw, maxSupport-2)
 
 	s := &synthesizer{
 		o:      o,

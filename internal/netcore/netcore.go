@@ -436,7 +436,13 @@ func (nw *Network) AddNode(name string, fanins []Net, cover logic.Cover) Net {
 	nw.nets = append(nw.nets, netRec{name: name, kind: NetFunc})
 	nw.byName[name] = n
 	nw.funcNets++
-	nw.bindFunction(n, fanins, cover)
+	if nw.stale {
+		// Fanin handles may be out of date (SetFunction leaves them
+		// invalid), so the shape is interned by the next Rehash.
+		nw.installUnhashed(n, fanins, cover)
+	} else {
+		nw.bindFunction(n, fanins, cover)
+	}
 	return n
 }
 
@@ -486,6 +492,13 @@ func (nw *Network) SetFunction(n Net, fanins []Net, cover logic.Cover) {
 		panic(fmt.Sprintf("netcore: SetFunction on non-internal net %s", nw.nets[n].name))
 	}
 	nw.unbindFunction(n)
+	nw.installUnhashed(n, fanins, cover)
+}
+
+// installUnhashed gives net n the function with its own cover copy and no
+// structural handle, marking the arena stale so the next handle-layer
+// query interns the shape (Rehash).
+func (nw *Network) installUnhashed(n Net, fanins []Net, cover logic.Cover) {
 	r := &nw.nets[n]
 	r.faninOff = int32(len(nw.netFan))
 	r.nFanin = int32(len(fanins))

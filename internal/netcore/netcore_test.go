@@ -378,3 +378,43 @@ func TestSetFunctionRehash(t *testing.T) {
 		t.Fatal("n2 should now be AND(a,b) = false")
 	}
 }
+
+// handleShape renders the structural cone of h — input ordinals, covers
+// and fanins — independent of handle numbering.
+func handleShape(nw *Network, h Handle) string {
+	nd := &nw.nodes[h]
+	switch nd.kind {
+	case kindConst:
+		return fmt.Sprintf("c%d", h)
+	case kindInput:
+		return fmt.Sprintf("i%d", nd.input)
+	}
+	phases, _, _ := nw.nodeCover(h)
+	s := fmt.Sprintf("f%v(", phases)
+	for _, f := range nw.HandleFanins(h) {
+		s += handleShape(nw, f) + " "
+	}
+	return s + ")"
+}
+
+func TestAddNodeAfterSetFunction(t *testing.T) {
+	nw := New("stale")
+	a := nw.AddInput("a")
+	b := nw.AddInput("b")
+	n1 := nw.AddNode("n1", []Net{a, b}, cover(2, cube(logic.Pos, logic.Pos)))
+	nw.MarkOutput(n1)
+	nw.SetFunction(n1, []Net{a, b}, cover(2, cube(logic.Pos, logic.DC), cube(logic.DC, logic.Neg)))
+	n2 := nw.AddNode("n2", []Net{n1, a}, cover(2, cube(logic.Pos, logic.Neg)))
+	nw.MarkOutput(n2)
+	if err := nw.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := FromNetwork(nw.ToNetwork())
+	for _, name := range []string{"n1", "n2"} {
+		got := handleShape(nw, nw.NetHandle(nw.NetByName(name)))
+		want := handleShape(rebuilt, rebuilt.NetHandle(rebuilt.NetByName(name)))
+		if got != want {
+			t.Fatalf("%s: handle %s, rebuilt %s", name, got, want)
+		}
+	}
+}

@@ -83,23 +83,6 @@ func maskTT(words []uint64, k int) {
 	}
 }
 
-// ttScratch recycles per-cone word buffers across NetLocalTT calls.
-type ttScratch struct {
-	memo map[Net][]uint64
-	free [][]uint64
-}
-
-func (s *ttScratch) get(nWords int) []uint64 {
-	if n := len(s.free); n > 0 {
-		b := s.free[n-1]
-		s.free = s.free[:n-1]
-		if cap(b) >= nWords {
-			return b[:nWords]
-		}
-	}
-	return make([]uint64, nWords)
-}
-
 // NetLocalTT returns the truth table of net n over the given support nets,
 // treating every support net as a free variable and evaluating the cone
 // between them and n. Every path from n must reach a support net or an
@@ -107,29 +90,36 @@ func (s *ttScratch) get(nWords int) []uint64 {
 // to the pointer network's LocalFunction, but computed word-parallel in a
 // single cone walk.
 func (nw *Network) NetLocalTT(n Net, support []Net) (*truth.Table, error) {
+	tts, err := nw.NetLocalTTs([]Net{n}, support)
+	if err != nil {
+		return nil, err
+	}
+	return tts[0], nil
+}
+
+// NetLocalTTs is NetLocalTT for several roots over one support: cone nets
+// the roots share are evaluated once.
+func (nw *Network) NetLocalTTs(roots, support []Net) ([]*truth.Table, error) {
 	k := len(support)
 	if k > truth.MaxVars {
 		return nil, fmt.Errorf("netcore: support of %d exceeds %d variables", k, truth.MaxVars)
 	}
 	nWords := ttWords(k)
-	pos := make(map[Net]int, k)
+	memo := make(map[Net][]uint64, 16)
 	for i, s := range support {
-		pos[s] = i
-	}
-	sc := ttScratch{memo: make(map[Net][]uint64, 16)}
-	for i, s := range support {
-		w := sc.get(nWords)
+		w := make([]uint64, nWords)
 		fillVarWords(w, k, i)
-		sc.memo[s] = w
+		memo[s] = w
 	}
+	var root Net
 	var eval func(x Net) ([]uint64, error)
 	eval = func(x Net) ([]uint64, error) {
-		if w, ok := sc.memo[x]; ok {
+		if w, ok := memo[x]; ok {
 			return w, nil
 		}
 		if nw.nets[x].kind == NetInput {
 			return nil, fmt.Errorf("netcore: cone of %s escapes support at input %s",
-				nw.nets[n].name, nw.nets[x].name)
+				nw.nets[root].name, nw.nets[x].name)
 		}
 		fans := nw.NetFanins(x)
 		args := make([][]uint64, len(fans))
@@ -141,20 +131,25 @@ func (nw *Network) NetLocalTT(n Net, support []Net) (*truth.Table, error) {
 			args[i] = w
 		}
 		phases, nCubes, width := nw.NetCubes(x)
-		out := sc.get(nWords)
+		out := make([]uint64, nWords)
 		coverEvalWords(phases, nCubes, width, args, out)
-		sc.memo[x] = out
+		memo[x] = out
 		return out, nil
 	}
-	res, err := eval(n)
-	if err != nil {
-		return nil, err
+	tts := make([]*truth.Table, len(roots))
+	for i, r := range roots {
+		root = r
+		res, err := eval(r)
+		if err != nil {
+			return nil, err
+		}
+		tt := truth.New(k)
+		words := tt.Words()
+		copy(words, res)
+		maskTT(words, k)
+		tts[i] = tt
 	}
-	tt := truth.New(k)
-	words := tt.Words()
-	copy(words, res)
-	maskTT(words, k)
-	return tt, nil
+	return tts, nil
 }
 
 // HandleLocalTT returns the truth table of handle h over the given leaf

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tels/internal/logic"
+	"tels/internal/netcore"
 	"tels/internal/network"
 )
 
@@ -164,146 +165,128 @@ func buildTree(out *network.Network, base, finalName string, ins []*network.Node
 	return level[0]
 }
 
-// DecomposeLarge splits any node whose fanin count exceeds maxFanin into a
-// tree of smaller nodes, leaving compliant nodes untouched. Used as a
-// TELS pre-pass so collapsed functions stay within the truth-table engine.
-// Returns the number of nodes decomposed.
-func DecomposeLarge(nw *network.Network, maxFanin int) int {
+// DecomposeLargeCore splits any net whose fanin count exceeds maxFanin
+// into a tree of smaller nets, leaving compliant nets untouched. Used as
+// a TELS pre-pass so collapsed functions stay within the truth-table
+// engine. Nets are visited once in creation order: a split net and the
+// nets it creates all comply. Returns the number of nets decomposed.
+func DecomposeLargeCore(nw *netcore.Network, maxFanin int) int {
 	if maxFanin < 2 {
-		panic("opt: DecomposeLarge needs maxFanin >= 2")
+		panic("opt: DecomposeLargeCore needs maxFanin >= 2")
 	}
 	changed := 0
-	for {
-		var victim *network.Node
-		for _, n := range nw.InternalNodes() {
-			if len(n.Fanins) > maxFanin {
-				victim = n
-				break
-			}
+	for _, n := range nw.InternalNets() {
+		if len(nw.NetFanins(n)) > maxFanin {
+			decomposeNet(nw, n, maxFanin)
+			changed++
 		}
-		if victim == nil {
-			return changed
-		}
-		decomposeNode(nw, victim, maxFanin)
-		changed++
 	}
+	return changed
 }
 
-// decomposeNode rewrites n as an OR of cube-AND subnodes, splitting wide
+// litRef is one literal of a cube being decomposed.
+type litRef struct {
+	net   netcore.Net
+	phase logic.Phase
+}
+
+// decomposeNet rewrites n as an OR of cube-AND subnets, splitting wide
 // cubes and wide ORs into trees. Negative literals stay as cover phases
 // (no explicit inverters here, unlike TechDecomp).
-func decomposeNode(nw *network.Network, n *network.Node, maxFanin int) {
-	type litRef struct {
-		node  *network.Node
-		phase logic.Phase
-	}
-	cubeAnd := func(base string, lits []litRef) *network.Node {
-		level := lits
-		serial := 0
-		for len(level) > maxFanin {
-			var next []litRef
-			for i := 0; i < len(level); i += maxFanin {
-				end := i + maxFanin
-				if end > len(level) {
-					end = len(level)
-				}
-				group := level[i:end]
-				if len(group) == 1 {
-					next = append(next, group[0])
-					continue
-				}
-				fanins := make([]*network.Node, len(group))
-				cube := logic.NewCube(len(group))
-				for k, lr := range group {
-					fanins[k] = lr.node
-					cube[k] = lr.phase
-				}
-				cv := logic.NewCover(len(group))
-				cv.AddCube(cube)
-				g := nw.AddNode(nw.FreshName(fmt.Sprintf("%s_d%d", base, serial)), fanins, cv)
-				serial++
-				next = append(next, litRef{g, logic.Pos})
-			}
-			level = next
-		}
-		fanins := make([]*network.Node, len(level))
-		cube := logic.NewCube(len(level))
-		for k, lr := range level {
-			fanins[k] = lr.node
-			cube[k] = lr.phase
-		}
-		cv := logic.NewCover(len(level))
-		cv.AddCube(cube)
-		return nw.AddNode(nw.FreshName(base+"_dc"), fanins, cv)
-	}
-
+func decomposeNet(nw *netcore.Network, n netcore.Net, maxFanin int) {
+	name := nw.NetName(n)
+	fanins := append([]netcore.Net(nil), nw.NetFanins(n)...)
 	var cubeSignals []litRef
-	for ci, cube := range n.Cover.Cubes {
+	for ci, cube := range nw.NetCover(n).Cubes {
 		var lits []litRef
 		for i, p := range cube {
 			if p != logic.DC {
-				lits = append(lits, litRef{n.Fanins[i], p})
+				lits = append(lits, litRef{fanins[i], p})
 			}
 		}
 		if len(lits) == 0 {
-			// Universal cube: the node is constant 1.
-			n.Fanins = nil
-			n.Cover = logic.One(0)
+			// Universal cube: the net is constant 1.
+			nw.SetFunction(n, nil, logic.One(0))
 			return
 		}
 		if len(lits) == 1 {
 			cubeSignals = append(cubeSignals, lits[0])
 			continue
 		}
-		g := cubeAnd(fmt.Sprintf("%s_k%d", n.Name, ci), lits)
+		base := fmt.Sprintf("%s_k%d", name, ci)
+		level := reduceLits(nw, lits, maxFanin, andOfLits, base+"_d")
+		g := addLitGate(nw, nw.FreshName(base+"_dc"), level, andOfLits)
 		cubeSignals = append(cubeSignals, litRef{g, logic.Pos})
 	}
 	if len(cubeSignals) == 0 {
-		n.Fanins = nil
-		n.Cover = logic.Zero(0)
+		nw.SetFunction(n, nil, logic.Zero(0))
 		return
 	}
 	// OR the cube signals in trees of fanin ≤ maxFanin, rewriting n itself
 	// as the final OR (or single cube).
-	level := cubeSignals
+	level := reduceLits(nw, cubeSignals, maxFanin, orOfLits, name+"_or")
+	nf, cv := litGate(level, orOfLits)
+	mergeDuplicateFaninsCore(&nf, &cv)
+	nw.SetFunction(n, nf, cv)
+}
+
+// reduceLits combines literals maxFanin at a time with new gates, named
+// prefix plus a serial, until at most maxFanin remain.
+func reduceLits(nw *netcore.Network, level []litRef, maxFanin int,
+	coverOf func([]litRef) logic.Cover, prefix string) []litRef {
 	serial := 0
 	for len(level) > maxFanin {
 		var next []litRef
 		for i := 0; i < len(level); i += maxFanin {
-			end := i + maxFanin
-			if end > len(level) {
-				end = len(level)
-			}
-			group := level[i:end]
+			group := level[i:min(i+maxFanin, len(level))]
 			if len(group) == 1 {
 				next = append(next, group[0])
 				continue
 			}
-			fanins := make([]*network.Node, len(group))
-			cv := logic.NewCover(len(group))
-			for k, lr := range group {
-				fanins[k] = lr.node
-				c := logic.NewCube(len(group))
-				c[k] = lr.phase
-				cv.AddCube(c)
-			}
-			g := nw.AddNode(nw.FreshName(fmt.Sprintf("%s_or%d", n.Name, serial)), fanins, cv)
+			g := addLitGate(nw, nw.FreshName(fmt.Sprintf("%s%d", prefix, serial)), group, coverOf)
 			serial++
 			next = append(next, litRef{g, logic.Pos})
 		}
 		level = next
 	}
-	fanins := make([]*network.Node, len(level))
-	cv := logic.NewCover(len(level))
-	for k, lr := range level {
-		fanins[k] = lr.node
-		c := logic.NewCube(len(level))
+	return level
+}
+
+// addLitGate creates a net combining the literals with coverOf.
+func addLitGate(nw *netcore.Network, name string, lits []litRef, coverOf func([]litRef) logic.Cover) netcore.Net {
+	fanins, cv := litGate(lits, coverOf)
+	return nw.AddNode(name, fanins, cv)
+}
+
+// litGate returns the fanins and cover of a gate over the literals.
+func litGate(lits []litRef, coverOf func([]litRef) logic.Cover) ([]netcore.Net, logic.Cover) {
+	fanins := make([]netcore.Net, len(lits))
+	for k, lr := range lits {
+		fanins[k] = lr.net
+	}
+	return fanins, coverOf(lits)
+}
+
+// andOfLits is the single cube of the literals.
+func andOfLits(lits []litRef) logic.Cover {
+	cube := logic.NewCube(len(lits))
+	for k, lr := range lits {
+		cube[k] = lr.phase
+	}
+	cv := logic.NewCover(len(lits))
+	cv.AddCube(cube)
+	return cv
+}
+
+// orOfLits has one single-literal cube per literal.
+func orOfLits(lits []litRef) logic.Cover {
+	cv := logic.NewCover(len(lits))
+	for k, lr := range lits {
+		c := logic.NewCube(len(lits))
 		c[k] = lr.phase
 		cv.AddCube(c)
 	}
-	n.Fanins = fanins
-	n.Cover = cv
-	mergeDuplicateFanins(n)
+	return cv
 }
 
 // nodeConst reports whether the node's cover is syntactically constant.

@@ -6,6 +6,7 @@ import (
 
 	"tels/internal/algebra"
 	"tels/internal/logic"
+	"tels/internal/netcore"
 	"tels/internal/network"
 )
 
@@ -17,15 +18,15 @@ const (
 	extractMaxIters        = 400 // global greedy iterations
 )
 
-// Extract performs greedy algebraic extraction: it repeatedly finds the
-// kernel and cube divisors whose reuse across the network saves the most
-// literals, creates new nodes for them, and re-expresses every affected
-// node through weak division. This is the factorization step that turns a
-// flat network into the algebraically-factored multi-level form TELS
-// consumes. Divisors that do not touch the same nodes are extracted in one
-// round, so large regular networks converge in a few rounds. It returns
-// the number of divisors extracted.
-func Extract(nw *network.Network) int {
+// ExtractCore performs greedy algebraic extraction: it repeatedly finds
+// the kernel and cube divisors whose reuse across the network saves the
+// most literals, creates new nets for them, and re-expresses every
+// affected net through weak division. This is the factorization step that
+// turns a flat network into the algebraically-factored multi-level form
+// TELS consumes. Divisors that do not touch the same nets are extracted
+// in one round, so large regular networks converge in a few rounds. It
+// returns the number of divisors extracted.
+func ExtractCore(nw *netcore.Network) int {
 	extracted := 0
 	for iter := 0; iter < extractMaxIters; iter++ {
 		n := extractRound(nw, extracted)
@@ -37,48 +38,24 @@ func Extract(nw *network.Network) int {
 	return extracted
 }
 
-// signalSpace maps network signals to contiguous variable indices so node
-// covers from different nodes can be compared in one algebraic space.
-type signalSpace struct {
-	index map[*network.Node]int
-	nodes []*network.Node
+// Extract runs ExtractCore on a pointer network in place. It stays only
+// until the next benchmark change: perfbench/adapter.go times it.
+func Extract(nw *network.Network) int {
+	cw := netcore.FromNetwork(nw)
+	n := ExtractCore(cw)
+	*nw = *cw.ToNetwork()
+	return n
 }
 
-func newSignalSpace(nw *network.Network) *signalSpace {
-	s := &signalSpace{index: make(map[*network.Node]int)}
-	for _, n := range nw.Nodes() {
-		s.index[n] = len(s.nodes)
-		s.nodes = append(s.nodes, n)
-	}
-	return s
-}
-
-// exprOf re-expresses node m's cover in the global space.
-func (s *signalSpace) exprOf(m *network.Node) algebra.Expr {
-	var e algebra.Expr
-	for _, c := range m.Cover.Cubes {
-		var cube algebra.Cube
-		for i, p := range c {
-			if p == logic.DC {
-				continue
-			}
-			cube = append(cube, algebra.MakeLit(s.index[m.Fanins[i]], p))
-		}
-		sort.Slice(cube, func(a, b int) bool { return cube[a] < cube[b] })
-		e = append(e, cube)
-	}
-	return e
-}
-
-// toNodeCover converts a global-space expression into a cover over an
+// divisorCover converts a global-space expression into a cover over an
 // explicit fanin list.
-func (s *signalSpace) toNodeCover(e algebra.Expr) ([]*network.Node, logic.Cover) {
+func (s *signalSpaceCore) divisorCover(e algebra.Expr) ([]netcore.Net, logic.Cover) {
 	vars := e.Vars()
 	pos := make(map[int]int, len(vars))
-	fanins := make([]*network.Node, len(vars))
+	fanins := make([]netcore.Net, len(vars))
 	for i, v := range vars {
 		pos[v] = i
-		fanins[i] = s.nodes[v]
+		fanins[i] = s.nets[v]
 	}
 	cover := logic.NewCover(len(vars))
 	for _, cube := range e {
@@ -97,9 +74,9 @@ type candidate struct {
 	key   string
 }
 
-func extractRound(nw *network.Network, serial int) int {
-	space := newSignalSpace(nw)
-	internals := nw.InternalNodes()
+func extractRound(nw *netcore.Network, serial int) int {
+	space := newSignalSpaceCore(nw)
+	internals := nw.InternalNets()
 	exprs := make([]algebra.Expr, len(internals))
 	litMasks := make([]map[algebra.Lit]bool, len(internals))
 	for i, n := range internals {
@@ -115,7 +92,7 @@ func extractRound(nw *network.Network, serial int) int {
 
 	// Candidate kernels, deduplicated by structure.
 	cands := make(map[string]*candidate)
-	for i, e := range exprs {
+	for _, e := range exprs {
 		if len(e) < 2 || len(e) > extractMaxCubesPerNode {
 			continue
 		}
@@ -128,9 +105,8 @@ func extractRound(nw *network.Network, serial int) int {
 				cands[key] = &candidate{expr: k.Expr, key: key}
 			}
 		}
-		_ = i
 	}
-	// Candidate cube divisors: literal pairs occurring in ≥2 cubes.
+	// Candidate cube divisors: literal pairs occurring in ≥3 cubes.
 	pairCount := make(map[[2]algebra.Lit]int)
 	for _, e := range exprs {
 		for _, c := range e {
@@ -226,10 +202,10 @@ func extractRound(nw *network.Network, serial int) int {
 		if stale || len(affected) == 0 {
 			continue
 		}
-		fanins, cover := space.toNodeCover(c.expr)
+		fanins, cover := space.divisorCover(c.expr)
 		div := nw.AddNode(nw.FreshName(fmt.Sprintf("ex%d", serial+extracted)), fanins, cover)
 		for k, i := range affected {
-			rewriteWithDivisor(space, internals[i], quotients[k], remainders[k], div)
+			space.rewriteWithDivisorCore(internals[i], quotients[k], remainders[k], div)
 			touched[i] = true
 		}
 		extracted++
@@ -246,93 +222,6 @@ func litsSubset(e algebra.Expr, mask map[algebra.Lit]bool) bool {
 			}
 		}
 	}
-	return true
-}
-
-// rewriteWithDivisor rewrites node n as q*div + r.
-func rewriteWithDivisor(space *signalSpace, n *network.Node, q, r algebra.Expr, div *network.Node) {
-	varSet := make(map[int]bool)
-	for _, e := range []algebra.Expr{q, r} {
-		for _, v := range e.Vars() {
-			varSet[v] = true
-		}
-	}
-	vars := make([]int, 0, len(varSet))
-	for v := range varSet {
-		vars = append(vars, v)
-	}
-	sort.Ints(vars)
-	pos := make(map[int]int, len(vars))
-	fanins := make([]*network.Node, 0, len(vars)+1)
-	for i, v := range vars {
-		pos[v] = i
-		fanins = append(fanins, space.nodes[v])
-	}
-	divPos := len(fanins)
-	fanins = append(fanins, div)
-
-	cover := logic.NewCover(len(fanins))
-	for _, qc := range q {
-		c := logic.NewCube(len(fanins))
-		for _, l := range qc {
-			c[pos[l.Var()]] = l.Phase()
-		}
-		c[divPos] = logic.Pos
-		cover.AddCube(c)
-	}
-	for _, rc := range r {
-		c := logic.NewCube(len(fanins))
-		for _, l := range rc {
-			c[pos[l.Var()]] = l.Phase()
-		}
-		cover.AddCube(c)
-	}
-	n.Fanins = fanins
-	n.Cover = cover
-	mergeDuplicateFanins(n)
-}
-
-// mergeDuplicateFanins folds repeated fanin entries into a single column.
-// Cubes requiring contradictory phases of the same signal are dropped.
-func mergeDuplicateFanins(n *network.Node) bool {
-	seen := make(map[*network.Node]int)
-	dup := false
-	for _, f := range n.Fanins {
-		if _, ok := seen[f]; ok {
-			dup = true
-			break
-		}
-		seen[f] = 1
-	}
-	if !dup {
-		return false
-	}
-	var fanins []*network.Node
-	index := make(map[*network.Node]int)
-	for _, f := range n.Fanins {
-		if _, ok := index[f]; !ok {
-			index[f] = len(fanins)
-			fanins = append(fanins, f)
-		}
-	}
-	out := logic.NewCover(len(fanins))
-nextCube:
-	for _, c := range n.Cover.Cubes {
-		d := logic.NewCube(len(fanins))
-		for i, p := range c {
-			if p == logic.DC {
-				continue
-			}
-			j := index[n.Fanins[i]]
-			if d[j] != logic.DC && d[j] != p {
-				continue nextCube // x * !x
-			}
-			d[j] = p
-		}
-		out.AddCube(d)
-	}
-	n.Fanins = fanins
-	n.Cover = out
 	return true
 }
 

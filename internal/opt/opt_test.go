@@ -195,16 +195,15 @@ func TestExtractSharedKernel(t *testing.T) {
 	y2 := nw.AddNode("y2", []*network.Node{b, c, d, e}, logic.MustCover("11--", "1-1-", "---1"))
 	nw.MarkOutput(y1)
 	nw.MarkOutput(y2)
-	ref := nw.Clone()
-	got := Extract(nw)
+	out, got := runCore(nw, ExtractCore)
 	if got == 0 {
 		t.Fatal("expected extraction of the shared kernel c+d")
 	}
-	equivalentOnAll(t, ref, nw)
+	equivalentOnAll(t, nw, out)
 	// The divisor must be shared: some new node fans out to both y1 and y2.
-	shared := nw.FanoutNodes()
+	shared := out.FanoutNodes()
 	if len(shared) == 0 {
-		t.Fatalf("no shared node created: %v", nw.SortedNodeNames())
+		t.Fatalf("no shared node created: %v", out.SortedNodeNames())
 	}
 }
 
@@ -212,10 +211,9 @@ func TestExtractPreservesFunction(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for iter := 0; iter < 30; iter++ {
 		nw := randomNetwork(rng, 6, 8)
-		ref := nw.Clone()
-		Extract(nw)
-		equivalentOnAll(t, ref, nw)
-		if err := nw.Validate(); err != nil {
+		out, _ := runCore(nw, ExtractCore)
+		equivalentOnAll(t, nw, out)
+		if err := out.Validate(); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
 	}
@@ -357,17 +355,88 @@ func TestDecomposeLarge(t *testing.T) {
 		ins = append(ins, nw.AddInput("i"+string(rune('0'+i))))
 	}
 	// Wide node: 9-input function with three 3-literal cubes and phases.
-	cover := logic.MustCover("111------", "---00----", "------1-1")
-	y := nw.AddNode("y", ins, cover)
+	y := nw.AddNode("y", ins, logic.MustCover("111------", "---00----", "------1-1"))
 	nw.MarkOutput(y)
-	ref := nw.Clone()
-	DecomposeLarge(nw, 4)
-	for _, n := range nw.InternalNodes() {
-		if len(n.Fanins) > 4 {
-			t.Fatalf("node %s still has %d fanins", n.Name, len(n.Fanins))
+	// Single-literal cubes of both phases on one fanin: the final OR
+	// sees that fanin twice and must merge the columns.
+	z := nw.AddNode("z", ins, logic.MustCover("1--------", "0--------", "-1111111-"))
+	nw.MarkOutput(z)
+	// A universal cube after a wide one: the node folds to constant 1.
+	u := nw.AddNode("u", ins, logic.MustCover("11111111-", "---------"))
+	nw.MarkOutput(u)
+	checkDecomposeLarge(t, nw, 4)
+
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 40; iter++ {
+		checkDecomposeLarge(t, randomWideNetwork(rng), 2+rng.Intn(4))
+	}
+}
+
+// checkDecomposeLarge runs DecomposeLargeCore and checks the fanin bound,
+// that every split node's root has distinct fanins, the arena's
+// consistency and the network function.
+func checkDecomposeLarge(t *testing.T, nw *network.Network, k int) {
+	t.Helper()
+	cw := netcore.FromNetwork(nw)
+	DecomposeLargeCore(cw, k)
+	if err := cw.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	out := cw.ToNetwork()
+	for _, n := range out.InternalNodes() {
+		if len(n.Fanins) > k {
+			t.Fatalf("k=%d: node %s still has %d fanins", k, n.Name, len(n.Fanins))
 		}
 	}
-	equivalentOnAll(t, ref, nw)
+	for _, n := range nw.InternalNodes() {
+		if len(n.Fanins) <= k {
+			continue
+		}
+		seen := map[string]bool{}
+		for _, f := range faninNames(out.Node(n.Name)) {
+			if seen[f] {
+				t.Fatalf("k=%d: split node %s keeps duplicate fanin %s", k, n.Name, f)
+			}
+			seen[f] = true
+		}
+	}
+	equivalentOnAll(t, nw, out)
+}
+
+// randomWideNetwork builds one to three nodes of 5..10 fanins over eight
+// inputs. Fanin lists may repeat an input; covers mix wide cubes with
+// single-literal cubes and, now and then, a universal cube.
+func randomWideNetwork(rng *rand.Rand) *network.Network {
+	nw := network.New("wide")
+	var ins []*network.Node
+	for i := 0; i < 8; i++ {
+		ins = append(ins, nw.AddInput(nameOf(i)))
+	}
+	for g := 0; g < 1+rng.Intn(3); g++ {
+		k := 5 + rng.Intn(6)
+		fanins := make([]*network.Node, k)
+		for i := range fanins {
+			fanins[i] = ins[rng.Intn(len(ins))]
+		}
+		cover := logic.NewCover(k)
+		for c := 0; c < 1+rng.Intn(5); c++ {
+			cube := logic.NewCube(k)
+			switch rng.Intn(8) {
+			case 0: // universal
+			case 1, 2: // single literal
+				cube[rng.Intn(k)] = logic.Phase(rng.Intn(2))
+			default:
+				for i := range cube {
+					if rng.Intn(3) != 0 {
+						cube[i] = logic.Phase(rng.Intn(2))
+					}
+				}
+			}
+			cover.AddCube(cube)
+		}
+		nw.MarkOutput(nw.AddNode(nw.FreshName("w"), fanins, cover))
+	}
+	return nw
 }
 
 func TestScriptsPreserveFunction(t *testing.T) {
@@ -537,36 +606,34 @@ func TestSimplifyDCUnreachablePatterns(t *testing.T) {
 	nw.MarkOutput(p) // keep p and q alive as outputs
 	nw.MarkOutput(q)
 	nw.MarkOutput(f)
-	ref := nw.Clone()
-	if n := SimplifyDC(nw); n == 0 {
+	out, n := runCore(nw, simplifySDC)
+	if n == 0 {
 		t.Fatal("expected a DC simplification")
 	}
-	if f.Cover.LiteralCount() > 1 {
+	if f := out.Node(f.Name); f.Cover.LiteralCount() > 1 {
 		t.Fatalf("f not simplified: %v over %d fanins", f.Cover, len(f.Fanins))
 	}
-	equivalentOnAll(t, ref, nw)
+	equivalentOnAll(t, nw, out)
 }
 
 func TestSimplifyDCPreservesNetworkFunction(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for iter := 0; iter < 30; iter++ {
 		nw := randomNetwork(rng, 6, 10)
-		ref := nw.Clone()
-		SimplifyDC(nw)
-		equivalentOnAll(t, ref, nw)
-		if err := nw.Validate(); err != nil {
+		out, _ := runCore(nw, simplifySDC)
+		equivalentOnAll(t, nw, out)
+		if err := out.Validate(); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
 	}
 }
 
 func TestSimplifyDCOnBenchmarkShapes(t *testing.T) {
-	// The comparator's eq-chain has correlated fanins; SimplifyDC must
+	// The comparator's eq-chain has correlated fanins; the SDC pass must
 	// keep the function intact (improvement is circuit-dependent).
 	nw := fig2a()
-	ref := nw.Clone()
-	SimplifyDC(nw)
-	equivalentOnAll(t, ref, nw)
+	out, _ := runCore(nw, simplifySDC)
+	equivalentOnAll(t, nw, out)
 }
 
 func TestSimplifyFullObservability(t *testing.T) {
@@ -579,12 +646,12 @@ func TestSimplifyFullObservability(t *testing.T) {
 	n := nw.AddNode("n", []*network.Node{a, b}, logic.MustCover("1-", "-1"))
 	y := nw.AddNode("y", []*network.Node{n, a}, logic.MustCover("11"))
 	nw.MarkOutput(y)
-	ref := nw.Clone()
-	if c := SimplifyFull(nw); c == 0 {
+	out, c := runCore(nw, SimplifyFullCore)
+	if c == 0 {
 		t.Fatal("expected an ODC simplification")
 	}
-	equivalentOnAll(t, ref, nw)
-	if len(n.Fanins) != 0 || !n.Cover.HasUniverse() {
+	equivalentOnAll(t, nw, out)
+	if n := out.Node(n.Name); len(n.Fanins) != 0 || !n.Cover.HasUniverse() {
 		t.Fatalf("n not reduced to constant 1: %v over %d fanins", n.Cover, len(n.Fanins))
 	}
 }
@@ -593,10 +660,9 @@ func TestSimplifyFullPreservesFunction(t *testing.T) {
 	rng := rand.New(rand.NewSource(111))
 	for iter := 0; iter < 25; iter++ {
 		nw := randomNetwork(rng, 6, 9)
-		ref := nw.Clone()
-		SimplifyFull(nw)
-		equivalentOnAll(t, ref, nw)
-		if err := nw.Validate(); err != nil {
+		out, _ := runCore(nw, SimplifyFullCore)
+		equivalentOnAll(t, nw, out)
+		if err := out.Validate(); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
 	}
@@ -613,9 +679,8 @@ func TestSimplifyFullFallsBackOnWideNetworks(t *testing.T) {
 	n1 := nw.AddNode("n1", ins[:3], logic.MustCover("11-", "--1"))
 	y := nw.AddNode("y", []*network.Node{n1, ins[4]}, logic.MustCover("1-", "-1"))
 	nw.MarkOutput(y)
-	ref := nw.Clone()
-	SimplifyFull(nw)
-	equivalentOnAll(t, ref, nw)
+	out, _ := runCore(nw, SimplifyFullCore)
+	equivalentOnAll(t, nw, out)
 }
 
 func nameOf(i int) string { return "pi" + string(rune('a'+i)) }

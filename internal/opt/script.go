@@ -10,12 +10,9 @@ import (
 	"tels/internal/network"
 )
 
-// The script pipelines run the structural passes (sweep, simplify,
-// eliminate, resub) on the arena-backed netcore representation and cross
-// back to the pointer network only for the passes that create new nodes
-// (Extract) or use satisfiability and observability don't-cares
-// (SimplifyFull). The initial Clone protects the caller's network and
-// normalizes creation order.
+// The script pipelines run every pass on the arena-backed netcore
+// representation: the caller's network is cloned (which also normalizes
+// creation order), converted once on the way in and once on the way out.
 
 // Algebraic runs the equivalent of SIS's script.algebraic on a copy of the
 // network: structural cleanup, exact node simplification, a round of
@@ -23,15 +20,12 @@ import (
 // extraction, and a final cleanup. The result is the algebraically-
 // factored multi-level network that threshold synthesis consumes.
 func Algebraic(nw *network.Network) *network.Network {
-	out := nw.Clone()
-	cw := netcore.FromNetwork(out)
+	cw := netcore.FromNetwork(nw.Clone())
 	SweepCore(cw)
 	SimplifyNodesCore(cw)
 	EliminateCore(cw, 0)
 	SimplifyNodesCore(cw)
-	out = cw.ToNetwork()
-	Extract(out)
-	cw = netcore.FromNetwork(out)
+	ExtractCore(cw)
 	ResubCore(cw)
 	SweepCore(cw)
 	SimplifyNodesCore(cw)
@@ -48,28 +42,21 @@ func Algebraic(nw *network.Network) *network.Network {
 // makes the one-to-one baseline sensitive to the fanin restriction
 // (Fig. 10). The paper derives its one-to-one baseline from this script.
 func Boolean(nw *network.Network) *network.Network {
-	out := nw.Clone()
-	cw := netcore.FromNetwork(out)
+	cw := netcore.FromNetwork(nw.Clone())
 	SweepCore(cw)
 	SimplifyNodesCore(cw)
 	EliminateCore(cw, 2)
 	SimplifyNodesCore(cw)
-	out = cw.ToNetwork()
-	Extract(out)
-	cw = netcore.FromNetwork(out)
+	ExtractCore(cw)
 	SimplifyNodesCore(cw)
 	EliminateCore(cw, 0)
 	SimplifyNodesCore(cw)
-	out = cw.ToNetwork()
-	Extract(out)
-	cw = netcore.FromNetwork(out)
+	ExtractCore(cw)
 	ResubCore(cw)
-	out = cw.ToNetwork()
 	// The don’t-care ingredient of script.boolean (full_simplify): after
 	// extraction the cones share logic, so satisfiability and observability
 	// don’t-cares appear.
-	SimplifyFull(out)
-	cw = netcore.FromNetwork(out)
+	SimplifyFullCore(cw)
 	SweepCore(cw)
 	EliminateCore(cw, 25)
 	SimplifyNodesCore(cw)

@@ -77,28 +77,33 @@ func simplifyWideCore(fanins []netcore.Net, cov logic.Cover) ([]netcore.Net, log
 	if cover.LiteralCount() >= cov.LiteralCount() && len(cover.Cubes) >= len(cov.Cubes) {
 		return nil, logic.Cover{}, false
 	}
-	nf := fanins
-	sup := cover.Support()
-	if len(sup) != len(fanins) {
-		nf = make([]netcore.Net, len(sup))
-		keep := make(map[int]int, len(sup))
-		for i, v := range sup {
-			nf[i] = fanins[v]
-			keep[v] = i
-		}
-		reduced := logic.NewCover(len(sup))
-		for _, c := range cover.Cubes {
-			d := logic.NewCube(len(sup))
-			for v, p := range c {
-				if p != logic.DC {
-					d[keep[v]] = p
-				}
-			}
-			reduced.AddCube(d)
-		}
-		cover = reduced
-	}
+	nf, cover := dropUnusedFanins(fanins, cover)
 	return nf, cover, true
+}
+
+// dropUnusedFanins projects the cover onto the fanins it mentions.
+func dropUnusedFanins(fanins []netcore.Net, cover logic.Cover) ([]netcore.Net, logic.Cover) {
+	sup := cover.Support()
+	if len(sup) == len(fanins) {
+		return fanins, cover
+	}
+	nf := make([]netcore.Net, len(sup))
+	keep := make(map[int]int, len(sup))
+	for i, v := range sup {
+		nf[i] = fanins[v]
+		keep[v] = i
+	}
+	reduced := logic.NewCover(len(sup))
+	for _, c := range cover.Cubes {
+		d := logic.NewCube(len(sup))
+		for v, p := range c {
+			if p != logic.DC {
+				d[keep[v]] = p
+			}
+		}
+		reduced.AddCube(d)
+	}
+	return nf, reduced
 }
 
 // EliminateCore collapses low-value nets into their fanouts, mirroring
