@@ -81,10 +81,10 @@ apismoke:
 	$(GO) test -count=1 -run 'TestAPISmokeMultiTenant' ./cmd/telsd/
 	$(GO) run ./cmd/telsbench -quick tenants
 
-# netsmoke proves the structurally-hashed network core: the arena unit
-# and fuzz-seed suites under -race, then the whole-corpus golden identity
-# gate (every MCNC benchmark byte-identical through the arena-backed
-# passes).
+# netsmoke proves the netcore network store: its unit tests and the
+# FuzzNetOps seeds (netcore against internal/network after every edit)
+# under -race, then the whole-corpus golden identity gate (every MCNC
+# benchmark byte-identical through the netcore-backed passes).
 netsmoke:
 	$(GO) test -race -count=1 ./internal/netcore/
 	$(GO) test -race -count=1 -short -run 'TestCorpusGolden' ./internal/expt/
@@ -116,7 +116,7 @@ bench:
 
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/blif/
-	$(GO) test -fuzz FuzzStrash -fuzztime 30s ./internal/netcore/
+	$(GO) test -fuzz FuzzNetOps -fuzztime 30s ./internal/netcore/
 	$(GO) test -fuzz FuzzParseTLN -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzCheck -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzPrimes -fuzztime 30s ./internal/truth/

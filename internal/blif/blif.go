@@ -33,8 +33,8 @@ func ParseString(s string) (*network.Network, error) {
 	return Parse(strings.NewReader(s))
 }
 
-// ParseCore reads one .model from r and builds the arena-backed network,
-// interning every cover into the structural-hash table as it is read.
+// ParseCore reads one .model from r and builds the netcore network, each
+// cover stored as written.
 func ParseCore(r io.Reader) (*netcore.Network, error) {
 	p := &parser{scanner: bufio.NewScanner(r)}
 	p.scanner.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -168,6 +168,9 @@ func build(name string, inputs, outputs []string, names []rawNames) (*netcore.Ne
 	byOutput := make(map[string]rawNames, len(names))
 	for _, rn := range names {
 		out := rn.signals[len(rn.signals)-1]
+		if nw.NetByName(out) != netcore.InvalidNet {
+			return nil, fmt.Errorf("blif: line %d: signal %s is a primary input and cannot be driven by .names", rn.line, out)
+		}
 		if _, dup := byOutput[out]; dup {
 			return nil, fmt.Errorf("blif: line %d: signal %s defined twice", rn.line, out)
 		}
@@ -175,8 +178,8 @@ func build(name string, inputs, outputs []string, names []rawNames) (*netcore.Ne
 	}
 
 	// Signals are defined depth-first from the outputs, so every net's
-	// fanins are interned before the net itself — AddNode can hash the
-	// cover against the strash table immediately.
+	// fanins exist before the net itself. This creation order fixes the
+	// net order every later pass and writer follows.
 	building := make(map[string]bool)
 	var define func(sig string) (netcore.Net, error)
 	define = func(sig string) (netcore.Net, error) {

@@ -163,6 +163,17 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// A .names whose output is a primary input would give that signal two
+// definitions; accepting it would drop the cover and read y = a here.
+func TestNamesDrivingInputRejected(t *testing.T) {
+	text := ".model m\n.inputs a b\n.outputs y\n.names b a\n0 1\n.names a y\n1 1\n.end"
+	_, err := ParseString(text)
+	want := "blif: line 4: signal a is a primary input and cannot be driven by .names"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+}
+
 func TestUnknownDirectiveIgnored(t *testing.T) {
 	text := ".model m\n.default_input_arrival 0 0\n.inputs a\n.outputs y\n.names a y\n1 1\n.end"
 	if _, err := ParseString(text); err != nil {

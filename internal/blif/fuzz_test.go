@@ -23,6 +23,7 @@ func FuzzParse(f *testing.F) {
 		".model m\n.latch a b re c 0\n.end",
 		"# only a comment",
 		".model m\n.inputs a\n.outputs y\n.names y\n1\n.end",
+		".model m\n.inputs a b\n.outputs y\n.names b a\n0 1\n.names a y\n1 1\n.end",
 	}
 	for _, s := range seeds {
 		f.Add(s)

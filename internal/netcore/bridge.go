@@ -10,8 +10,7 @@ import (
 // everything passes can observe: names, creation order (which extraction
 // leaves non-topological — fanin lists may point at later-created
 // divisors), fanin order, cover cubes exactly as written, and the output
-// list including duplicate entries. Structural handles are interned
-// bottom-up, so building reports dedup/fold statistics for free.
+// list including duplicate entries.
 func FromNetwork(src *network.Network) *Network {
 	nw := New(src.Name)
 	// Phase 1: reserve every net in creation order so Net indices follow
@@ -22,15 +21,10 @@ func FromNetwork(src *network.Network) *Network {
 			mapping[n] = nw.AddInput(n.Name)
 			continue
 		}
-		nw.mustBeFresh(n.Name)
-		net := Net(len(nw.nets))
-		nw.nets = append(nw.nets, netRec{name: n.Name, kind: NetFunc, h: InvalidHandle})
-		nw.byName[n.Name] = net
-		nw.funcNets++
-		mapping[n] = net
+		mapping[n] = nw.newFuncNet(n.Name)
 	}
-	// Phase 2: bind functions in topological order so fanin handles exist
-	// before their fanouts are interned.
+	// Phase 2: bind functions in topological order, which rejects a cyclic
+	// source before any pass walks it.
 	order, err := src.TopoSort()
 	if err != nil {
 		panic(fmt.Sprintf("netcore: FromNetwork(%s): %v", src.Name, err))

@@ -1,92 +1,181 @@
 package netcore
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"tels/internal/logic"
+	"tels/internal/network"
 )
 
-// FuzzStrash builds the same random network under two creation orders and
-// checks that structural hashing is order-independent: the arenas intern
-// the same number of live nodes with the same dedup/fold counts, and every
-// cut's truth table matches an independent recomputation over its leaves.
-func FuzzStrash(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(8))
-	f.Add(int64(7), uint8(2), uint8(30))
-	f.Add(int64(42), uint8(9), uint8(50))
-	f.Add(int64(-3), uint8(6), uint8(1))
-	f.Fuzz(func(t *testing.T, seed int64, nInRaw, nNodeRaw uint8) {
-		nIn := 2 + int(nInRaw)%9
-		nNode := 1 + int(nNodeRaw)%40
-
-		a, _ := randomNetwork(rand.New(rand.NewSource(seed)), nIn, nNode, false)
-		b, _ := randomNetwork(rand.New(rand.NewSource(seed)), nIn, nNode, true)
-
-		if a.LiveHandles() != b.LiveHandles() {
-			t.Fatalf("live handles differ across build orders: %d vs %d",
-				a.LiveHandles(), b.LiveHandles())
+// FuzzNetOps applies one random edit sequence to a netcore network and to
+// a pointer network built alongside it, and after every step checks that
+// the two agree: Validate passes, NetFanoutCount equals FanoutCounts,
+// ToNetwork reproduces the pointer network (names, creation order, fanins,
+// covers, outputs), and every output's NetLocalTT over the primary inputs
+// equals LocalFunction.
+//
+// Each ops byte is one step: the low two bits pick AddNode (named by
+// FreshName), SetFunction, MarkOutput or RemoveDangling; the high six bits
+// pick the net it acts on (AddNode's first fanin, SetFunction's target,
+// MarkOutput's net). Everything else is drawn from seed. The committed
+// seeds under testdata/fuzz/FuzzNetOps run as regular tests; run
+// `go test -fuzz FuzzNetOps ./internal/netcore` to explore.
+func FuzzNetOps(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, nInRaw uint8, ops []byte) {
+		if len(ops) > 64 {
+			ops = ops[:64]
 		}
-		if a.DedupCount() != b.DedupCount() {
-			t.Fatalf("dedup counts differ across build orders: %d vs %d",
-				a.DedupCount(), b.DedupCount())
+		rng := rand.New(rand.NewSource(seed))
+		nc, pw := New("fz"), network.New("fz")
+		nIn := 1 + int(nInRaw)%6
+		for i := 0; i < nIn; i++ {
+			name := fmt.Sprintf("x%d", i)
+			nc.AddInput(name)
+			pw.AddInput(name)
 		}
-		if a.FoldCount() != b.FoldCount() {
-			t.Fatalf("fold counts differ across build orders: %d vs %d",
-				a.FoldCount(), b.FoldCount())
-		}
+		// One output from the start, so Validate has an output to find.
+		first := nc.AddNode("n", nc.Inputs(), randomCover(rng, nIn))
+		pw.AddNode("n", pw.Inputs, nc.NetCover(first))
+		nc.MarkOutput(first)
+		pw.MarkOutput(pw.Node("n"))
+		checkNetOps(t, "start", nc, pw)
 
-		// Nets that hash to the same handle must compute the same local
-		// function over their shared fanin handles.
-		byHandle := make(map[Handle]Net)
-		for _, n := range a.Nets() {
-			h := a.NetHandle(n)
-			prev, ok := byHandle[h]
-			if !ok {
-				byHandle[h] = n
-				continue
-			}
-			// A net can fold to an input handle; its own handle is then
-			// the only usable leaf.
-			leaves := a.HandleFanins(h)
-			if a.HandleIsInput(h) {
-				leaves = []Handle{h}
-			}
-			tt1, err1 := a.HandleLocalTT(h, leaves)
-			tt2, err2 := a.HandleLocalTT(a.NetHandle(prev), leaves)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("local TT over own fanins failed: %v / %v", err1, err2)
-			}
-			if !tt1.Equal(tt2) {
-				t.Fatalf("nets %s and %s share handle %d but differ in TT",
-					a.NetName(n), a.NetName(prev), h)
-			}
-		}
-
-		// Every enumerated cut is k-feasible, includes the trivial cut,
-		// and carries the truth table HandleLocalTT recomputes.
-		cfg := CutConfig{K: 4, Limit: 6, TT: true}
-		for h, cs := range a.EnumerateCuts(cfg) {
-			if cs == nil {
-				continue
-			}
-			trivial := false
-			for _, c := range cs {
-				if len(c.Leaves) > cfg.K && !(len(c.Leaves) == 1 && c.Leaves[0] == Handle(h)) {
-					t.Fatalf("handle %d: cut with %d leaves exceeds k=%d", h, len(c.Leaves), cfg.K)
+		bases := []string{"n", "t", "n_1"}
+		for step, op := range ops {
+			live := nc.Nets()
+			subject := live[int(op>>2)%len(live)]
+			var what string
+			switch op & 3 {
+			case 0:
+				base := bases[rng.Intn(len(bases))]
+				name := nc.FreshName(base)
+				if p := pw.FreshName(base); p != name {
+					t.Fatalf("step %d: FreshName(%s) netcore %q, network %q", step, base, name, p)
 				}
-				if len(c.Leaves) == 1 && c.Leaves[0] == Handle(h) {
-					trivial = true
+				fanins := append([]Net{subject}, randomFanins(rng, live, rng.Intn(3))...)
+				cv := randomCover(rng, len(fanins))
+				nc.AddNode(name, fanins, cv)
+				pw.AddNode(name, pointerNodes(nc, pw, fanins), cv)
+				what = "AddNode " + name
+			case 1:
+				internal := nc.InternalNets()
+				if len(internal) == 0 {
+					continue
 				}
-				want, err := a.HandleLocalTT(Handle(h), c.Leaves)
-				if err != nil {
-					t.Fatalf("handle %d: cut cone escapes leaves: %v", h, err)
+				target := internal[int(op>>2)%len(internal)]
+				fanins := randomFanins(rng, notInFanout(nc, target), rng.Intn(4))
+				cv := randomCover(rng, len(fanins))
+				nc.SetFunction(target, fanins, cv)
+				pn := pw.Node(nc.NetName(target))
+				pn.Fanins = pointerNodes(nc, pw, fanins)
+				pn.Cover = cv
+				what = "SetFunction " + nc.NetName(target)
+			case 2:
+				nc.MarkOutput(subject)
+				pw.MarkOutput(pw.Node(nc.NetName(subject)))
+				what = "MarkOutput " + nc.NetName(subject)
+			case 3:
+				if rc, rp := nc.RemoveDangling(), pw.RemoveDangling(); rc != rp {
+					t.Fatalf("step %d: RemoveDangling removed netcore %d, network %d", step, rc, rp)
 				}
-				if !c.TT.Equal(want) {
-					t.Fatalf("handle %d: cut TT mismatch", h)
-				}
+				what = "RemoveDangling"
 			}
-			if !a.HandleIsConst(Handle(h)) && !trivial {
-				t.Fatalf("handle %d: trivial cut missing", h)
-			}
+			checkNetOps(t, fmt.Sprintf("step %d (%s)", step, what), nc, pw)
 		}
 	})
+}
+
+// checkNetOps asserts that the netcore network nc and the pointer network
+// pw describe the same network.
+func checkNetOps(t *testing.T, at string, nc *Network, pw *network.Network) {
+	t.Helper()
+	if err := nc.Validate(); err != nil {
+		t.Fatalf("%s: %v", at, err)
+	}
+	if nc.GateCount() != pw.GateCount() {
+		t.Fatalf("%s: GateCount netcore %d, network %d", at, nc.GateCount(), pw.GateCount())
+	}
+	counts := pw.FanoutCounts()
+	for _, n := range nc.Nets() {
+		if got, want := nc.NetFanoutCount(n), counts[pw.Node(nc.NetName(n))]; got != want {
+			t.Fatalf("%s: NetFanoutCount(%s) = %d, FanoutCounts %d", at, nc.NetName(n), got, want)
+		}
+	}
+	if msg := sameNetwork(pw, nc.ToNetwork()); msg != "" {
+		t.Fatalf("%s: ToNetwork: %s", at, msg)
+	}
+	for _, o := range nc.Outputs() {
+		got, err := nc.NetLocalTT(o, nc.Inputs())
+		if err != nil {
+			t.Fatalf("%s: NetLocalTT(%s): %v", at, nc.NetName(o), err)
+		}
+		want, err := pw.LocalFunction(pw.Node(nc.NetName(o)), pw.Inputs)
+		if err != nil {
+			t.Fatalf("%s: LocalFunction(%s): %v", at, nc.NetName(o), err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s: output %s: NetLocalTT %s, LocalFunction %s", at, nc.NetName(o), got, want)
+		}
+	}
+}
+
+// randomCover draws a cover of up to three cubes over k variables; empty
+// covers and universal cubes are allowed.
+func randomCover(rng *rand.Rand, k int) logic.Cover {
+	cv := logic.NewCover(k)
+	for c := rng.Intn(4); c > 0; c-- {
+		cb := logic.NewCube(k)
+		for v := range cb {
+			cb[v] = logic.Phase(rng.Intn(3))
+		}
+		cv.AddCube(cb)
+	}
+	return cv
+}
+
+// randomFanins draws k nets from pool with replacement, so a fanin list
+// may repeat a net.
+func randomFanins(rng *rand.Rand, pool []Net, k int) []Net {
+	if len(pool) == 0 {
+		return nil
+	}
+	out := make([]Net, k)
+	for i := range out {
+		out[i] = pool[rng.Intn(len(pool))]
+	}
+	return out
+}
+
+// notInFanout returns the live nets that do not depend on target (target
+// excluded), the fanins SetFunction may give it without a cycle.
+func notInFanout(nc *Network, target Net) []Net {
+	order, err := nc.TopoNets()
+	if err != nil {
+		panic(err)
+	}
+	tfo := map[Net]bool{target: true}
+	var out []Net
+	for _, n := range order {
+		for _, f := range nc.NetFanins(n) {
+			if tfo[f] {
+				tfo[n] = true
+				break
+			}
+		}
+		if !tfo[n] {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// pointerNodes maps netcore nets to the same-named pointer-network nodes.
+func pointerNodes(nc *Network, pw *network.Network, nets []Net) []*network.Node {
+	out := make([]*network.Node, len(nets))
+	for i, n := range nets {
+		out[i] = pw.Node(nc.NetName(n))
+	}
+	return out
 }

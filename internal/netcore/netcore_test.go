@@ -19,70 +19,6 @@ func cover(n int, cubes ...logic.Cube) logic.Cover {
 	return cv
 }
 
-func TestStrashDedupOnCreation(t *testing.T) {
-	nw := New("dedup")
-	a := nw.AddInput("a")
-	b := nw.AddInput("b")
-	and := cover(2, cube(logic.Pos, logic.Pos))
-	n1 := nw.AddNode("n1", []Net{a, b}, and)
-	n2 := nw.AddNode("n2", []Net{a, b}, and)
-	if nw.NetHandle(n1) != nw.NetHandle(n2) {
-		t.Fatalf("identical (cover, fanins) got different handles %d vs %d",
-			nw.NetHandle(n1), nw.NetHandle(n2))
-	}
-	if nw.DedupCount() != 1 {
-		t.Fatalf("DedupCount = %d, want 1", nw.DedupCount())
-	}
-	// Different cube order is a different shape (covers are positional).
-	or2 := cover(2, cube(logic.Pos, logic.DC), cube(logic.DC, logic.Pos))
-	or2r := cover(2, cube(logic.DC, logic.Pos), cube(logic.Pos, logic.DC))
-	n3 := nw.AddNode("n3", []Net{a, b}, or2)
-	n4 := nw.AddNode("n4", []Net{a, b}, or2r)
-	if nw.NetHandle(n3) == nw.NetHandle(n4) {
-		t.Fatal("covers with different cube order must not share a handle")
-	}
-	// Same cover over different fanins is a different shape.
-	n5 := nw.AddNode("n5", []Net{b, a}, and)
-	if nw.NetHandle(n5) == nw.NetHandle(n1) {
-		t.Fatal("same cover over swapped fanins must not share a handle")
-	}
-	nw.MarkOutput(n1)
-	if err := nw.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStrashConstAndIdentityFolds(t *testing.T) {
-	nw := New("folds")
-	a := nw.AddInput("a")
-	b := nw.AddInput("b")
-	zero := nw.AddNode("z", []Net{a}, cover(1))
-	if nw.NetHandle(zero) != Const0 {
-		t.Fatalf("empty cover handle = %d, want Const0", nw.NetHandle(zero))
-	}
-	one := nw.AddNode("o", []Net{a, b}, cover(2, cube(logic.DC, logic.DC)))
-	if nw.NetHandle(one) != Const1 {
-		t.Fatalf("universal cover handle = %d, want Const1", nw.NetHandle(one))
-	}
-	buf := nw.AddNode("buf", []Net{b}, cover(1, cube(logic.Pos)))
-	if nw.NetHandle(buf) != nw.NetHandle(b) {
-		t.Fatalf("buffer handle = %d, want fanin handle %d", nw.NetHandle(buf), nw.NetHandle(b))
-	}
-	// An inverter is NOT an identity — it keeps its own node.
-	inv := nw.AddNode("inv", []Net{b}, cover(1, cube(logic.Neg)))
-	if nw.NetHandle(inv) == nw.NetHandle(b) {
-		t.Fatal("inverter folded to its fanin")
-	}
-	if nw.FoldCount() != 3 {
-		t.Fatalf("FoldCount = %d, want 3", nw.FoldCount())
-	}
-	// The net layer still reports the written covers.
-	cv := nw.NetCover(buf)
-	if cv.N != 1 || len(cv.Cubes) != 1 || cv.Cubes[0][0] != logic.Pos {
-		t.Fatalf("buffer net cover mutated by fold: %+v", cv)
-	}
-}
-
 func TestFreshNameMatchesRescan(t *testing.T) {
 	nc := New("fresh")
 	pw := network.New("fresh")
@@ -100,11 +36,16 @@ func TestFreshNameMatchesRescan(t *testing.T) {
 			t.Fatalf("FreshName diverged: netcore %q, network %q", n, p)
 		}
 		add(n)
+		if n != "t_1" {
+			nc.MarkOutput(nc.NetByName(n))
+			pw.MarkOutput(pw.Node(n))
+		}
 	}
-	// Open a hole: both sides must reuse it.
-	hole := nc.NetByName("t_1")
-	nc.ReplaceNet(hole, nc.NetByName("t_0"))
-	pw.ReplaceNode(pw.Node("t_1"), pw.Node("t_0"))
+	// Open a hole: t_1 is the only net without a fanout, and both sides
+	// must reuse its name.
+	if rc, rp := nc.RemoveDangling(), pw.RemoveDangling(); rc != 1 || rp != 1 {
+		t.Fatalf("RemoveDangling removed netcore %d, network %d, want 1", rc, rp)
+	}
 	n, p := nc.FreshName("t"), pw.FreshName("t")
 	if n != p || n != "t_1" {
 		t.Fatalf("after removal FreshName netcore %q, network %q, want t_1", n, p)
@@ -137,7 +78,8 @@ func TestGateCountO1AndRemoveDangling(t *testing.T) {
 // randomNetwork builds the same random network into both representations,
 // returning them for cross-checks. Permute shuffles internal creation
 // order without changing the graph (inputs and node definitions stay
-// identical) to exercise order-independence of handle counts.
+// identical), giving the non-topological creation orders extraction
+// leaves behind.
 func randomNetwork(rng *rand.Rand, nIn, nNode int, permute bool) (*Network, *network.Network) {
 	type def struct {
 		name   string
@@ -262,68 +204,14 @@ func TestNetLocalTTMatchesLocalFunction(t *testing.T) {
 	}
 }
 
-func TestEvalMatchesPointerNetwork(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 25; trial++ {
-		nc, pw := randomNetwork(rng, 5, 10, false)
-		assign := map[string]bool{}
-		for _, in := range pw.Inputs {
-			assign[in.Name] = rng.Intn(2) == 0
-		}
-		want, err := pw.Eval(assign)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := nc.Eval(assign)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, w := range want {
-			if got[name] != w {
-				t.Fatalf("trial %d: Eval(%s) = %v, want %v", trial, name, got[name], w)
-			}
-		}
-	}
-}
-
 func TestRoundTripIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 25; trial++ {
 		// permute=true creates non-topological creation orders like
 		// extraction does; the round trip must preserve them.
 		_, pw := randomNetwork(rng, 4, 9, true)
-		back := FromNetwork(pw).ToNetwork()
-		a, b := pw.Nodes(), back.Nodes()
-		if len(a) != len(b) {
-			t.Fatalf("trial %d: node count %d != %d", trial, len(a), len(b))
-		}
-		for i := range a {
-			if a[i].Name != b[i].Name || a[i].Kind != b[i].Kind {
-				t.Fatalf("trial %d: creation order diverged at %d: %s/%v vs %s/%v",
-					trial, i, a[i].Name, a[i].Kind, b[i].Name, b[i].Kind)
-			}
-			if a[i].Kind != network.Internal {
-				continue
-			}
-			if len(a[i].Fanins) != len(b[i].Fanins) {
-				t.Fatalf("trial %d node %s: fanin count differs", trial, a[i].Name)
-			}
-			for j := range a[i].Fanins {
-				if a[i].Fanins[j].Name != b[i].Fanins[j].Name {
-					t.Fatalf("trial %d node %s: fanin %d differs", trial, a[i].Name, j)
-				}
-			}
-			if a[i].Cover.String() != b[i].Cover.String() {
-				t.Fatalf("trial %d node %s: cover differs", trial, a[i].Name)
-			}
-		}
-		if len(pw.Outputs) != len(back.Outputs) {
-			t.Fatalf("trial %d: output count differs", trial)
-		}
-		for i := range pw.Outputs {
-			if pw.Outputs[i].Name != back.Outputs[i].Name {
-				t.Fatalf("trial %d: output %d differs", trial, i)
-			}
+		if msg := sameNetwork(pw, FromNetwork(pw).ToNetwork()); msg != "" {
+			t.Fatalf("trial %d: %s", trial, msg)
 		}
 	}
 }
@@ -352,69 +240,131 @@ func TestTopoNetsMatchesTopoSort(t *testing.T) {
 	}
 }
 
+// TestSetFunctionRehash checks that SetFunction replaces the net's fanins
+// and cover in place: reference counts move to the new fanins and the new
+// function reaches the net's fanouts.
 func TestSetFunctionRehash(t *testing.T) {
-	nw := New("rehash")
+	nw := New("setfn")
 	a := nw.AddInput("a")
 	b := nw.AddInput("b")
 	and := cover(2, cube(logic.Pos, logic.Pos))
 	or := cover(2, cube(logic.Pos, logic.DC), cube(logic.DC, logic.Pos))
 	n1 := nw.AddNode("n1", []Net{a, b}, and)
 	n2 := nw.AddNode("n2", []Net{a, b}, or)
+	inv := nw.AddNode("inv", []Net{n2}, cover(1, cube(logic.Neg)))
+	nand := nw.AddNode("nand", []Net{a, b}, cover(2, cube(logic.Neg, logic.DC), cube(logic.DC, logic.Neg)))
 	nw.MarkOutput(n1)
-	nw.MarkOutput(n2)
-	h1 := nw.NetHandle(n1)
-	nw.SetFunction(n2, []Net{a, b}, and)
-	if got := nw.NetHandle(n2); got != h1 {
-		t.Fatalf("after SetFunction to identical shape, handle = %d, want %d", got, h1)
+	nw.MarkOutput(inv)
+	nw.MarkOutput(nand)
+	same := func(x, y Net) bool {
+		t.Helper()
+		tx, err := nw.NetLocalTT(x, []Net{a, b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ty, err := nw.NetLocalTT(y, []Net{a, b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tx.Equal(ty)
 	}
+
+	nw.SetFunction(n2, []Net{a, b}, and)
 	if err := nw.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	vals, err := nw.Eval(map[string]bool{"a": true, "b": false})
-	if err != nil {
+	if !same(n2, n1) {
+		t.Fatal("n2 after SetFunction does not compute AND(a,b)")
+	}
+	if !same(inv, nand) {
+		t.Fatal("inv over the replaced n2 does not compute NAND(a,b)")
+	}
+
+	// A new fanin list moves the references: a and b lose n2's positions,
+	// n1 gains one.
+	nw.SetFunction(n2, []Net{n1}, cover(1, cube(logic.Neg)))
+	if err := nw.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if vals["n2"] != false {
-		t.Fatal("n2 should now be AND(a,b) = false")
+	if got := nw.NetFanoutCount(a); got != 2 {
+		t.Fatalf("NetFanoutCount(a) = %d, want 2", got)
+	}
+	if got := nw.NetFanoutCount(n1); got != 2 {
+		t.Fatalf("NetFanoutCount(n1) = %d, want 2", got)
+	}
+	if !same(inv, n1) {
+		t.Fatal("inv = NOT NOT n1 does not compute AND(a,b)")
 	}
 }
 
-// handleShape renders the structural cone of h — input ordinals, covers
-// and fanins — independent of handle numbering.
-func handleShape(nw *Network, h Handle) string {
-	nd := &nw.nodes[h]
-	switch nd.kind {
-	case kindConst:
-		return fmt.Sprintf("c%d", h)
-	case kindInput:
-		return fmt.Sprintf("i%d", nd.input)
-	}
-	phases, _, _ := nw.nodeCover(h)
-	s := fmt.Sprintf("f%v(", phases)
-	for _, f := range nw.HandleFanins(h) {
-		s += handleShape(nw, f) + " "
-	}
-	return s + ")"
-}
-
+// TestAddNodeAfterSetFunction creates a net over a net whose function was
+// just replaced; the new net must read the replaced function and the
+// network must survive a round trip unchanged.
 func TestAddNodeAfterSetFunction(t *testing.T) {
-	nw := New("stale")
+	nw := New("setadd")
 	a := nw.AddInput("a")
 	b := nw.AddInput("b")
 	n1 := nw.AddNode("n1", []Net{a, b}, cover(2, cube(logic.Pos, logic.Pos)))
 	nw.MarkOutput(n1)
-	nw.SetFunction(n1, []Net{a, b}, cover(2, cube(logic.Pos, logic.DC), cube(logic.DC, logic.Neg)))
-	n2 := nw.AddNode("n2", []Net{n1, a}, cover(2, cube(logic.Pos, logic.Neg)))
+	set := cover(2, cube(logic.Pos, logic.DC), cube(logic.DC, logic.Neg))
+	nw.SetFunction(n1, []Net{a, b}, set)
+	added := cover(2, cube(logic.Pos, logic.Neg))
+	n2 := nw.AddNode("n2", []Net{n1, a}, added)
 	nw.MarkOutput(n2)
 	if err := nw.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	rebuilt := FromNetwork(nw.ToNetwork())
-	for _, name := range []string{"n1", "n2"} {
-		got := handleShape(nw, nw.NetHandle(nw.NetByName(name)))
-		want := handleShape(rebuilt, rebuilt.NetHandle(rebuilt.NetByName(name)))
-		if got != want {
-			t.Fatalf("%s: handle %s, rebuilt %s", name, got, want)
+	if got := nw.NetCover(n1).String(); got != set.String() {
+		t.Fatalf("n1 cover = %s, want %s", got, set)
+	}
+	if got := nw.NetCover(n2).String(); got != added.String() {
+		t.Fatalf("n2 cover = %s, want %s", got, added)
+	}
+	if f := nw.NetFanins(n2); len(f) != 2 || f[0] != n1 || f[1] != a {
+		t.Fatalf("n2 fanins = %v, want [n1 a]", f)
+	}
+	if msg := sameNetwork(nw.ToNetwork(), FromNetwork(nw.ToNetwork()).ToNetwork()); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
+// sameNetwork compares two pointer networks on everything the passes
+// observe — creation order, names, kinds, fanin order, covers as written
+// and the output list — and describes the first difference ("" if none).
+func sameNetwork(want, got *network.Network) string {
+	a, b := want.Nodes(), got.Nodes()
+	if len(a) != len(b) {
+		return fmt.Sprintf("node count %d, want %d", len(b), len(a))
+	}
+	for i := range a {
+		if a[i].Name != b[i].Name || a[i].Kind != b[i].Kind {
+			return fmt.Sprintf("creation order diverged at %d: %s/%v, want %s/%v",
+				i, b[i].Name, b[i].Kind, a[i].Name, a[i].Kind)
+		}
+		if a[i].Kind != network.Internal {
+			continue
+		}
+		if len(a[i].Fanins) != len(b[i].Fanins) {
+			return fmt.Sprintf("node %s: %d fanins, want %d", a[i].Name, len(b[i].Fanins), len(a[i].Fanins))
+		}
+		for j := range a[i].Fanins {
+			if a[i].Fanins[j].Name != b[i].Fanins[j].Name {
+				return fmt.Sprintf("node %s: fanin %d is %s, want %s",
+					a[i].Name, j, b[i].Fanins[j].Name, a[i].Fanins[j].Name)
+			}
+		}
+		ca, cb := a[i].Cover, b[i].Cover
+		if ca.N != cb.N || len(ca.Cubes) != len(cb.Cubes) || ca.String() != cb.String() {
+			return fmt.Sprintf("node %s: cover %d/%q, want %d/%q", a[i].Name, cb.N, cb, ca.N, ca)
 		}
 	}
+	if len(want.Outputs) != len(got.Outputs) {
+		return fmt.Sprintf("%d outputs, want %d", len(got.Outputs), len(want.Outputs))
+	}
+	for i := range want.Outputs {
+		if want.Outputs[i].Name != got.Outputs[i].Name {
+			return fmt.Sprintf("output %d is %s, want %s", i, got.Outputs[i].Name, want.Outputs[i].Name)
+		}
+	}
+	return ""
 }

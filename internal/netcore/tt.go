@@ -151,63 +151,3 @@ func (nw *Network) NetLocalTTs(roots, support []Net) ([]*truth.Table, error) {
 	}
 	return tts, nil
 }
-
-// HandleLocalTT returns the truth table of handle h over the given leaf
-// handles, evaluating the structural cone between them and h. Every path
-// must reach a leaf or a constant node.
-func (nw *Network) HandleLocalTT(h Handle, leaves []Handle) (*truth.Table, error) {
-	k := len(leaves)
-	if k > truth.MaxVars {
-		return nil, fmt.Errorf("netcore: leaf set of %d exceeds %d variables", k, truth.MaxVars)
-	}
-	nWords := ttWords(k)
-	memo := make(map[Handle][]uint64, 16)
-	for i, l := range leaves {
-		w := make([]uint64, nWords)
-		fillVarWords(w, k, i)
-		memo[l] = w
-	}
-	var eval func(x Handle) ([]uint64, error)
-	eval = func(x Handle) ([]uint64, error) {
-		if w, ok := memo[x]; ok {
-			return w, nil
-		}
-		nd := &nw.nodes[x]
-		switch nd.kind {
-		case kindConst:
-			w := make([]uint64, nWords)
-			if x == Const1 {
-				for i := range w {
-					w[i] = ^uint64(0)
-				}
-			}
-			memo[x] = w
-			return w, nil
-		case kindInput:
-			return nil, fmt.Errorf("netcore: cone of handle %d escapes leaves at input handle %d", h, x)
-		}
-		fans := nw.HandleFanins(x)
-		args := make([][]uint64, len(fans))
-		for i, f := range fans {
-			w, err := eval(f)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = w
-		}
-		phases, nCubes, width := nw.nodeCover(x)
-		out := make([]uint64, nWords)
-		coverEvalWords(phases, nCubes, width, args, out)
-		memo[x] = out
-		return out, nil
-	}
-	res, err := eval(h)
-	if err != nil {
-		return nil, err
-	}
-	tt := truth.New(k)
-	words := tt.Words()
-	copy(words, res)
-	maskTT(words, k)
-	return tt, nil
-}
