@@ -121,6 +121,7 @@ fuzz:
 	$(GO) test -fuzz FuzzCheck -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzPrimes -fuzztime 30s ./internal/truth/
 	$(GO) test -fuzz FuzzCover -fuzztime 30s ./internal/logic/
+	$(GO) test -fuzz FuzzWeakDiv -fuzztime 30s ./internal/algebra/
 
 experiments:
 	$(GO) run ./cmd/telsbench all

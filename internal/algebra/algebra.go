@@ -150,10 +150,13 @@ func cubeUnion(c, d Cube) Cube {
 	return out
 }
 
+// cubeKey encodes a cube as a string map key: four big-endian bytes per
+// literal, so distinct cubes get distinct keys for every literal below
+// 2^31 and, below 2^16, sort as the cubes compare literal by literal.
 func cubeKey(c Cube) string {
-	b := make([]byte, 0, len(c)*2)
+	b := make([]byte, 0, len(c)*4)
 	for _, l := range c {
-		b = append(b, byte(l>>8), byte(l))
+		b = append(b, byte(l>>24), byte(l>>16), byte(l>>8), byte(l))
 	}
 	return string(b)
 }
@@ -234,7 +237,11 @@ func (e Expr) DivideByCube(d Cube) (quotient, remainder Expr) {
 }
 
 // WeakDiv computes the algebraic (weak) division e / d, returning the
-// quotient q and remainder r such that e = q*d + r with q maximal.
+// quotient q and remainder r such that e = q*d + r with q maximal. The
+// quotient is the intersection of e's quotients by each cube of d, so it
+// is empty whenever some literal of d occurs in no cube of e; callers
+// dividing many pairs can skip those without dividing. Quotient cubes come
+// in cubeKey order.
 func WeakDiv(e, d Expr) (q, r Expr) {
 	if len(d) == 0 {
 		return nil, e.Clone()

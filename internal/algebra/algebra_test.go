@@ -237,3 +237,17 @@ func TestVars(t *testing.T) {
 		}
 	}
 }
+
+// Literals 65 536 apart are different literals: dividing by a + b must
+// not match the a-quotient x against the b-quotient y when x and y are
+// the variables 0 and 32 768.
+func TestWeakDivWideLiterals(t *testing.T) {
+	e := Expr{{0, 2}, {3, 65536}}
+	q, r := WeakDiv(e, Expr{{2}, {3}})
+	if len(q) != 0 || len(r) != 2 {
+		t.Fatalf("WeakDiv(%v, [[2] [3]]) = q %v r %v, want q empty and r = e", e, q, r)
+	}
+	if Equal(Expr{{0}}, Expr{{65536}}) {
+		t.Fatal("Equal([[0]], [[65536]]) = true")
+	}
+}

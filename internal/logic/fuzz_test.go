@@ -43,8 +43,47 @@ func cubeInside(c Cube, f Cover) bool {
 	return true
 }
 
-// FuzzCover checks Complement, Minimize, Tautology, Cofactor and SCC
-// against brute-force evaluation on every minterm.
+// bruteReduce is REDUCE by minterm enumeration: cube by cube, the
+// supercube of the minterms the cube covers and the rest of the cover
+// (cubes already reduced, then cubes still to come) does not; a cube with
+// no such minterm is dropped.
+func bruteReduce(f Cover) Cover {
+	n := f.N
+	out := NewCover(n)
+	for i, c := range f.Cubes {
+		rest := NewCover(n)
+		rest.Cubes = append(append(rest.Cubes, out.Cubes...), f.Cubes[i+1:]...)
+		var sc Cube
+		for m := 0; m < 1<<uint(n); m++ {
+			a := assignment(n, m)
+			if !c.Eval(a) || rest.Eval(a) {
+				continue
+			}
+			if sc == nil {
+				sc = NewCube(n)
+				for v, on := range a {
+					sc[v] = Neg
+					if on {
+						sc[v] = Pos
+					}
+				}
+				continue
+			}
+			for v, on := range a {
+				if sc[v] != DC && (sc[v] == Pos) != on {
+					sc[v] = DC
+				}
+			}
+		}
+		if sc != nil {
+			out.AddCube(sc)
+		}
+	}
+	return out
+}
+
+// FuzzCover checks Complement, Minimize, REDUCE, Tautology, Cofactor and
+// SCC against brute-force evaluation on every minterm.
 func FuzzCover(f *testing.F) {
 	f.Add([]byte{3, 1, 1, 2, 0, 2, 1})
 	f.Add([]byte{2, 2, 2})
@@ -106,6 +145,10 @@ func FuzzCover(f *testing.F) {
 					t.Fatalf("%v: Minimize cube %v is redundant", fn, c)
 				}
 			}
+		}
+
+		if got, want := fn.reduce(), bruteReduce(fn); got.String() != want.String() {
+			t.Fatalf("%v: reduce = %v, want %v", fn, got, want)
 		}
 
 		for v := 0; v < n; v++ {

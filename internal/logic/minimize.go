@@ -79,24 +79,31 @@ func (g Cover) expandIrredundant(off Cover) Cover {
 // other cube covers (cubes entirely covered elsewhere are dropped). A
 // reduced cover gives the following EXPAND different directions to grow
 // in, which is how the espresso loop escapes the first local optimum.
+//
+// Cubes are reduced in order against the rest of the cover: the cubes
+// already reduced and the ones still to come. Only the part of the rest
+// that meets cube c matters, since c ∧ ¬rest = c ∧ ¬(rest cofactored by
+// c), so REDUCE complements that cofactor, which is free of c's variables
+// and usually much smaller than the rest (Brayton et al. 1984). The
+// reduced cube is the supercube of the complement with c's literals
+// written back in; a supercube depends only on the minterms, not on the
+// cubes that list them.
 func (f Cover) reduce() Cover {
-	cur := f.Clone()
 	out := NewCover(f.N)
-	for i := 0; i < len(cur.Cubes); i++ {
+	for i, c := range f.Cubes {
 		rest := NewCover(f.N)
-		for _, c := range out.Cubes { // cubes already reduced this pass
-			rest.AddCube(c)
-		}
-		for _, c := range cur.Cubes[i+1:] { // cubes still to process
-			rest.AddCube(c)
-		}
-		single := NewCover(f.N)
-		single.AddCube(cur.Cubes[i])
-		exclusive := single.And(rest.Complement())
-		if exclusive.IsZero() {
+		rest.Cubes = append(append(rest.Cubes, out.Cubes...), f.Cubes[i+1:]...)
+		comp := rest.cofactorCube(c).Complement()
+		if comp.IsZero() {
 			continue // fully covered by the others
 		}
-		out.AddCube(supercube(exclusive))
+		sc := supercube(comp)
+		for v, p := range c {
+			if p != DC {
+				sc[v] = p
+			}
+		}
+		out.AddCube(sc)
 	}
 	return out
 }
@@ -130,8 +137,12 @@ func intersectsCover(c Cube, f Cover) bool {
 // coverContainsCube reports whether every minterm of the cube is covered
 // by f, via the standard cofactor-tautology test.
 func coverContainsCube(f Cover, c Cube) bool {
-	// Cofactor f with respect to c: keep cubes compatible with c, drop
-	// the literals c fixes.
+	return f.cofactorCube(c).Tautology()
+}
+
+// cofactorCube returns the cofactor of f with respect to cube c: the cubes
+// of f that meet c, with the positions c fixes raised to DC.
+func (f Cover) cofactorCube(c Cube) Cover {
 	cof := NewCover(f.N)
 	for _, d := range f.Cubes {
 		if c.Distance(d) != 0 {
@@ -145,5 +156,5 @@ func coverContainsCube(f Cover, c Cube) bool {
 		}
 		cof.AddCube(e)
 	}
-	return cof.Tautology()
+	return cof
 }

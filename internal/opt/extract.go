@@ -70,6 +70,7 @@ func (s *signalSpaceCore) divisorCover(e algebra.Expr) ([]netcore.Net, logic.Cov
 
 type candidate struct {
 	expr  algebra.Expr
+	lits  litSet
 	value int
 	key   string
 }
@@ -78,16 +79,10 @@ func extractRound(nw *netcore.Network, serial int) int {
 	space := newSignalSpaceCore(nw)
 	internals := nw.InternalNets()
 	exprs := make([]algebra.Expr, len(internals))
-	litMasks := make([]map[algebra.Lit]bool, len(internals))
+	lits := make([]litSet, len(internals))
 	for i, n := range internals {
 		exprs[i] = space.exprOf(n)
-		mask := make(map[algebra.Lit]bool)
-		for _, c := range exprs[i] {
-			for _, l := range c {
-				mask[l] = true
-			}
-		}
-		litMasks[i] = mask
+		lits[i] = litsOf(exprs[i])
 	}
 
 	// Candidate kernels, deduplicated by structure.
@@ -102,7 +97,7 @@ func extractRound(nw *netcore.Network, serial int) int {
 			}
 			key := kernelKey(k.Expr)
 			if _, ok := cands[key]; !ok {
-				cands[key] = &candidate{expr: k.Expr, key: key}
+				cands[key] = &candidate{expr: k.Expr, lits: litsOf(k.Expr), key: key}
 			}
 		}
 	}
@@ -124,7 +119,7 @@ func extractRound(nw *netcore.Network, serial int) int {
 		e := algebra.Expr{algebra.Cube{pair[0], pair[1]}}
 		key := kernelKey(e)
 		if _, ok := cands[key]; !ok {
-			cands[key] = &candidate{expr: e, key: key}
+			cands[key] = &candidate{expr: e, lits: litsOf(e), key: key}
 		}
 	}
 	if len(cands) == 0 {
@@ -148,7 +143,7 @@ func extractRound(nw *netcore.Network, serial int) int {
 		c := cands[key]
 		value := -c.expr.Literals()
 		for i, e := range exprs {
-			if !litsSubset(c.expr, litMasks[i]) {
+			if !c.lits.subsetOf(lits[i]) {
 				continue
 			}
 			q, r := divide(e, c.expr)
@@ -180,7 +175,7 @@ func extractRound(nw *netcore.Network, serial int) int {
 		var remainders []algebra.Expr
 		stale := false
 		for i, e := range exprs {
-			if !litsSubset(c.expr, litMasks[i]) {
+			if !c.lits.subsetOf(lits[i]) {
 				continue
 			}
 			q, r := divide(e, c.expr)
@@ -212,17 +207,6 @@ func extractRound(nw *netcore.Network, serial int) int {
 	}
 	nw.RemoveDangling()
 	return extracted
-}
-
-func litsSubset(e algebra.Expr, mask map[algebra.Lit]bool) bool {
-	for _, c := range e {
-		for _, l := range c {
-			if !mask[l] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 func kernelKey(e algebra.Expr) string {

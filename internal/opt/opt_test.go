@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"tels/internal/algebra"
 	"tels/internal/logic"
 	"tels/internal/netcore"
 	"tels/internal/network"
@@ -591,6 +592,50 @@ func TestResubNoCycles(t *testing.T) {
 	out, _ := runCore(nw, ResubCore)
 	if err := out.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLitSetSubset checks the resub and extract support filter against a
+// map of literals, across word boundaries and set offsets.
+func TestLitSetSubset(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	// randExpr draws literals below 300, mostly from pool when it is
+	// given, so subsets are common.
+	randExpr := func(pool []algebra.Lit) algebra.Expr {
+		var e algebra.Expr
+		for c := rng.Intn(5); c > 0; c-- {
+			var cube algebra.Cube
+			for l := 1 + rng.Intn(3); l > 0; l-- {
+				lit := algebra.Lit(rng.Intn(300))
+				if len(pool) > 0 && rng.Intn(8) != 0 {
+					lit = pool[rng.Intn(len(pool))]
+				}
+				cube = append(cube, lit)
+			}
+			e = append(e, cube)
+		}
+		return e
+	}
+	for iter := 0; iter < 2000; iter++ {
+		u := randExpr(nil)
+		var pool []algebra.Lit
+		in := make(map[algebra.Lit]bool)
+		for _, c := range u {
+			for _, l := range c {
+				in[l] = true
+				pool = append(pool, l)
+			}
+		}
+		s := randExpr(pool)
+		want := true
+		for _, c := range s {
+			for _, l := range c {
+				want = want && in[l]
+			}
+		}
+		if got := litsOf(s).subsetOf(litsOf(u)); got != want {
+			t.Fatalf("lits of %v ⊆ lits of %v = %v, want %v", s, u, got, want)
+		}
 	}
 }
 

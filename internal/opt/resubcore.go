@@ -88,11 +88,65 @@ func (s *signalSpaceCore) rewriteWithDivisorCore(n netcore.Net, q, r algebra.Exp
 	s.nw.SetFunction(n, fanins, cover)
 }
 
+// litSet is the set of literals an expression uses, as a bitset (bit l
+// for literal l) trimmed to the words from its lowest literal to its
+// highest: words[0] holds literals 64·base to 64·base+63.
+type litSet struct {
+	base  int
+	words []uint64
+}
+
+// litsOf returns the set of literals e uses.
+func litsOf(e algebra.Expr) litSet {
+	lo, hi := -1, -1
+	for _, c := range e {
+		for _, l := range c {
+			w := int(l) / 64
+			if lo < 0 || w < lo {
+				lo = w
+			}
+			hi = max(hi, w)
+		}
+	}
+	if lo < 0 {
+		return litSet{}
+	}
+	s := litSet{base: lo, words: make([]uint64, hi-lo+1)}
+	for _, c := range e {
+		for _, l := range c {
+			s.words[int(l)/64-lo] |= 1 << (uint(l) % 64)
+		}
+	}
+	return s
+}
+
+// subsetOf reports whether every literal of s is in t. The first and last
+// words of a non-empty set are non-zero, so a set reaching past t's words
+// is not a subset.
+func (s litSet) subsetOf(t litSet) bool {
+	if len(s.words) == 0 {
+		return true
+	}
+	off := s.base - t.base
+	if off < 0 || off+len(s.words) > len(t.words) {
+		return false
+	}
+	for i, w := range s.words {
+		if w&^t.words[off+i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // ResubCore performs algebraic resubstitution, the SIS resub pass: each
 // net's cover is divided by every other existing net's function, and when
 // the division saves literals the net is rewritten to reuse that net as a
 // divisor. Unlike Extract, no new nodes are created — existing shared
 // logic is simply rediscovered. Returns the number of rewrites.
+//
+// A divisor using a literal the net's cover lacks has an empty weak
+// quotient, so it is skipped before dividing: most pairs fail that way.
 func ResubCore(nw *netcore.Network) int {
 	rewrites := 0
 	for pass := 0; pass < 4; pass++ {
@@ -107,29 +161,38 @@ func ResubCore(nw *netcore.Network) int {
 		for i, n := range order {
 			topoIdx[n] = i
 		}
-		exprs := make(map[netcore.Net]algebra.Expr, len(internals))
-		for _, n := range internals {
-			exprs[n] = space.exprOf(n)
+		// Per internal net, by position in internals: its expression, the
+		// expression's literals and its topological index.
+		exprs := make([]algebra.Expr, len(internals))
+		lits := make([]litSet, len(internals))
+		topo := make([]int, len(internals))
+		for i, n := range internals {
+			exprs[i] = space.exprOf(n)
+			lits[i] = litsOf(exprs[i])
+			topo[i] = topoIdx[n]
 		}
-		for _, n := range internals {
+		for i, n := range internals {
 			best := 0
 			var bestQ, bestR algebra.Expr
 			bestDiv := netcore.InvalidNet
-			e := exprs[n]
+			e := exprs[i]
 			if len(e) < 2 {
 				continue
 			}
-			for _, d := range internals {
-				if d == n || len(exprs[d]) < 2 {
+			for j, d := range internals {
+				if j == i || len(exprs[j]) < 2 {
 					continue
 				}
 				// Using d as a fanin of n adds the edge n→d; any path from
 				// n to d would close a cycle, and topological precedence of
 				// d rules that out.
-				if topoIdx[d] >= topoIdx[n] {
+				if topo[j] >= topo[i] {
 					continue
 				}
-				q, r := algebra.WeakDiv(e, exprs[d])
+				if !lits[j].subsetOf(lits[i]) {
+					continue
+				}
+				q, r := algebra.WeakDiv(e, exprs[j])
 				if len(q) == 0 {
 					continue
 				}
@@ -142,7 +205,8 @@ func ResubCore(nw *netcore.Network) int {
 				continue
 			}
 			space.rewriteWithDivisorCore(n, bestQ, bestR, bestDiv)
-			exprs[n] = space.exprOf(n)
+			exprs[i] = space.exprOf(n)
+			lits[i] = litsOf(exprs[i])
 			changed++
 			rewrites++
 		}
