@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmtcheck test race benchsmoke sweepsmoke resynsmoke widthsmoke storesmoke clustersmoke apismoke netsmoke perfsmoke cover bench fuzz experiments examples serve ci clean
+.PHONY: all build fmtcheck test race benchsmoke sweepsmoke resynsmoke storesmoke clustersmoke apismoke netsmoke perfsmoke cover bench fuzz experiments examples serve ci clean
 
 all: build test
 
@@ -39,14 +39,6 @@ resynsmoke:
 	@f=$$(mktemp); $(GO) run ./cmd/benchgen -q mux4 > $$f \
 		&& $(GO) run ./cmd/telsim -don 1 -v 1.2 -trials 300 -target 0.999 -maxiters 2 resyn $$f; \
 		s=$$?; rm -f $$f; exit $$s
-
-# widthsmoke proves the lane-width refactor under the vectorizing build:
-# GOAMD64=v3 build plus the cross-width bit-identity suites, then one
-# quick W=1 vs 4 vs 8 timing sweep of the Fig. 11 inner loop.
-widthsmoke:
-	GOAMD64=v3 $(GO) build ./...
-	GOAMD64=v3 $(GO) test ./internal/fsim/ ./internal/sim/
-	GOAMD64=v3 $(GO) run ./cmd/telsbench -quick fsimwidth
 
 # storesmoke proves the durability layer end to end: WAL unit tests
 # (torn-tail truncation, rotation, compaction), the service-level
@@ -106,7 +98,7 @@ serve:
 	$(GO) run ./cmd/telsd -addr $(ADDR)
 
 # ci is the exact gate GitHub Actions runs.
-ci: build fmtcheck test race benchsmoke sweepsmoke resynsmoke widthsmoke storesmoke clustersmoke apismoke netsmoke perfsmoke
+ci: build fmtcheck test race benchsmoke sweepsmoke resynsmoke storesmoke clustersmoke apismoke netsmoke perfsmoke
 
 cover:
 	$(GO) test -cover ./internal/... ./cmd/...

@@ -15,23 +15,21 @@
 //	                          fanned vs sequential wall-clock comparison
 //	telsbench resyn           selective re-synthesis (internal/resyn) vs the
 //	                          paper's global-δon hardening: area at equal yield
-//	telsbench fsimwidth       packed-engine lane-width sweep: the Fig. 11 inner
-//	                          loop timed at W=1 vs 4 vs 8 ×64-bit blocks
 //	telsbench store           durable-store microbench: WAL append throughput
 //	                          and cold-start recovery time vs journal size
 //	telsbench cluster         sweep fan-out scaling across 1/2/4 in-process
 //	                          telsd peers (synthetic per-point delay)
 //	telsbench thresh          threshold check, cold vs deployed (UNSAT cache)
 //	                          wall-clock on the widest MCNC nodes
-//	telsbench all             everything above (except sweep, resyn, fsimwidth,
-//	                          store, cluster, thresh)
+//	telsbench all             everything above (except sweep, resyn, store,
+//	                          cluster, thresh)
 //
 // The -quick flag shrinks the Monte-Carlo grids and skips the largest
 // benchmark (i10) for a fast smoke run. The -json flag replaces the
-// rendered tables of table1, fig10, fig11, fig12, resyn, fsimwidth,
-// store, and cluster with a machine-readable JSON document on stdout
-// (BENCH_fig11.json, BENCH_resyn.json, BENCH_fsim_width.json,
-// BENCH_store.json, and BENCH_cluster.json in the repo root are such
+// rendered tables of table1, fig10, fig11, fig12, resyn, store, and
+// cluster with a machine-readable JSON document on stdout
+// (BENCH_fig11.json, BENCH_resyn.json, BENCH_store.json, and
+// BENCH_cluster.json in the repo root are such
 // baselines, regenerated with `telsbench -quick -json fig11` and
 // friends).
 package main
@@ -106,10 +104,10 @@ func run(cmd string, fanin int, quick bool, trials int, seed int64, csvDir strin
 	}
 	_ = emit
 	switch cmd {
-	case "table1", "fig10", "fig11", "fig12", "resyn", "fsimwidth", "store", "cluster", "tenants", "thresh":
+	case "table1", "fig10", "fig11", "fig12", "resyn", "store", "cluster", "tenants", "thresh":
 	default:
 		if jsonOut {
-			return fmt.Errorf("-json supports table1, fig10, fig11, fig12, resyn, fsimwidth, store, cluster, tenants, and thresh, not %q", cmd)
+			return fmt.Errorf("-json supports table1, fig10, fig11, fig12, resyn, store, cluster, tenants, and thresh, not %q", cmd)
 		}
 	}
 	switch cmd {
@@ -137,8 +135,6 @@ func run(cmd string, fanin int, quick bool, trials int, seed int64, csvDir strin
 		return serviceSweep(quick, seed)
 	case "resyn":
 		return resynBench(quick, jsonOut, seed, emit)
-	case "fsimwidth":
-		return fsimWidth(quick, jsonOut, seed, emit)
 	case "store":
 		return storeBench(quick, jsonOut, emit)
 	case "cluster":
@@ -167,7 +163,7 @@ func run(cmd string, fanin int, quick bool, trials int, seed int64, csvDir strin
 		}
 		return nil
 	default:
-		return fmt.Errorf("unknown command %q (want table1, fig10, fig11, fig12, timing, ablation, heuristics, weights, seeds, unate, sweep, resyn, fsimwidth, store, cluster, tenants, or all)", cmd)
+		return fmt.Errorf("unknown command %q (want table1, fig10, fig11, fig12, timing, ablation, heuristics, weights, seeds, unate, sweep, resyn, store, cluster, tenants, or all)", cmd)
 	}
 }
 
@@ -448,42 +444,6 @@ func serviceSweep(quick bool, seed int64) error {
 	fmt.Printf("sweep job (fanned):    %8.1f ms\n", float64(fan.Microseconds())/1000)
 	fmt.Printf("speedup:               %8.2fx\n", float64(seq)/float64(fan))
 	return nil
-}
-
-// fsimWidth benchmarks the packed engine's lane-width abstraction: the
-// Fig. 11 inner loop (one perturbed threshold evaluation plus golden
-// comparison per Monte-Carlo trial) timed at W = 1, 4, and 8 ×64-bit
-// blocks on benchmarks spanning small exhaustive batches to wide sampled
-// ones. Every width replays the identical seeded RNG stream, and
-// expt.WidthBench fails if the per-width failure counts diverge, so the
-// timing table doubles as an end-to-end bit-identity check. The sweep
-// uses its own trial count (the -trials flag sizes the fig11/fig12
-// grids, not this loop).
-func fsimWidth(quick, jsonOut bool, seed int64, emit emitFn) error {
-	const v = 1.6
-	names := []string{"parity8", "rd53", "cm85a", "comp", "term1"}
-	samples := 1 << 14
-	trials := 60
-	if quick {
-		names = []string{"parity8", "cm85a", "comp"}
-		samples = 1 << 12
-		trials = 24
-	}
-	rows, err := expt.WidthBench(names, v, trials, samples, seed)
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		if err := writeJSON(map[string]any{
-			"experiment": "fsimwidth", "v": v, "trials": trials,
-			"samples": samples, "seed": seed, "rows": rows,
-		}); err != nil {
-			return err
-		}
-	} else {
-		fmt.Print(expt.RenderWidthBench(v, rows))
-	}
-	return emit("fsimwidth.csv", func(w io.Writer) error { return expt.WriteWidthBenchCSV(w, rows) })
 }
 
 // resynRow is one benchmark's selective-vs-global hardening comparison.

@@ -9,7 +9,6 @@ func TestQuickCommands(t *testing.T) {
 	for _, cmd := range []string{
 		"table1", "fig10", "fig11", "fig12", "timing",
 		"ablation", "heuristics", "weights", "seeds", "unate",
-		"fsimwidth",
 	} {
 		if err := run(cmd, 3, true, 2, 1, t.TempDir(), false); err != nil {
 			t.Fatalf("%s: %v", cmd, err)
@@ -20,7 +19,7 @@ func TestQuickCommands(t *testing.T) {
 func TestJSONCommands(t *testing.T) {
 	// The four table/figure experiments emit JSON; everything else
 	// rejects the flag.
-	for _, cmd := range []string{"table1", "fig10", "fig11", "fig12", "fsimwidth"} {
+	for _, cmd := range []string{"table1", "fig10", "fig11", "fig12"} {
 		if err := run(cmd, 3, true, 2, 1, "", true); err != nil {
 			t.Fatalf("%s -json: %v", cmd, err)
 		}

@@ -93,7 +93,6 @@ import (
 
 	"tels/internal/cli"
 	"tels/internal/cluster"
-	"tels/internal/fsim"
 	"tels/internal/service"
 	"tels/internal/store"
 )
@@ -106,7 +105,6 @@ type options struct {
 	cache      int
 	timeout    time.Duration
 	maxjobs    int
-	width      fsim.Width
 	dataDir    string
 	peers      string
 	self       string
@@ -126,7 +124,6 @@ func main() {
 		cache     = flag.Int("cache", service.DefaultCacheEntries, "result-cache capacity in entries")
 		timeout   = flag.Duration("timeout", 2*time.Minute, "default per-job timeout")
 		maxjobs   = flag.Int("maxjobs", 1024, "retained job records")
-		width     = flag.String("width", "1", "fsim lane-block width in 64-bit words (1, 4, or 8); results and job digests are identical at every width")
 		dataDir   = flag.String("data-dir", "", "durable store directory: journal job lifecycles, persist results, and recover on restart (empty = in-memory only)")
 		peers     = flag.String("peers", "", "static cluster peer list (host:port,...); every peer must be started with the same list (empty = single node)")
 		self      = flag.String("self", "", "this daemon's own address as it appears in -peers (required with -peers)")
@@ -146,10 +143,6 @@ func main() {
 	if flag.NArg() > 0 {
 		t.Usage("unexpected arguments %v", flag.Args())
 	}
-	w, err := fsim.ParseWidth(*width)
-	if err != nil {
-		t.Usage("%v", err)
-	}
 	if (*peers == "") != (*self == "") {
 		t.Usage("-peers and -self must be set together")
 	}
@@ -162,7 +155,7 @@ func main() {
 	}
 	o := options{
 		addr: *addr, workers: *workers, queue: *queue, cache: *cache,
-		timeout: *timeout, maxjobs: *maxjobs, width: w, dataDir: *dataDir,
+		timeout: *timeout, maxjobs: *maxjobs, dataDir: *dataDir,
 		peers: *peers, self: *self, auth: auth, admission: *admission,
 		tenantWt: *tenantWt, tenantJobs: *tenantJ, tenantInfl: *tenantIF,
 		execDelay: *execDelay,
@@ -250,7 +243,6 @@ func run(t *cli.Tool, o options) error {
 			CacheEntries:      o.cache,
 			DefaultTimeout:    o.timeout,
 			MaxJobs:           o.maxjobs,
-			FsimWidth:         o.width,
 			Auth:              o.auth,
 			Admission:         o.admission,
 			TenantWeight:      o.tenantWt,
@@ -300,7 +292,7 @@ func run(t *cli.Tool, o options) error {
 		if o.auth != nil && !o.auth.Open() {
 			t.Infof("auth on: %d tenants (%s admission)", len(o.auth.Tenants()), o.admission)
 		}
-		t.Infof("ready (%d workers, cache %d entries, fsim width %s)", m.Workers(), o.cache, o.width)
+		t.Infof("ready (%d workers, cache %d entries)", m.Workers(), o.cache)
 		bootCh <- booted{m: m, st: st}
 	}()
 

@@ -18,10 +18,7 @@
 //
 // faults, yield, and perturb run on the packed fsim engine: 64 vectors
 // per machine word, exhaustive up to fsim.ExhaustiveInputs inputs,
-// sampled beyond. -width selects the engine's lane-block width (1, 4, or
-// 8 ×64-bit words; results are bit-identical at every width, wider
-// blocks auto-vectorize under GOAMD64=v3). In -server mode the daemon's
-// own -width applies instead.
+// sampled beyond (faults samples at least fsim.DefaultSamples).
 //
 // sweep submits one kind="sweep" job — to a running telsd when -server is
 // given, to an in-process manager otherwise — synthesizing each δon once
@@ -62,7 +59,6 @@ import (
 type options struct {
 	n         int
 	seed      int64
-	width     fsim.Width
 	v         float64
 	trials    int
 	maxTrials int
@@ -116,17 +112,11 @@ func main() {
 	flag.IntVar(&o.maxiters, "maxiters", 0, "resyn: iteration cap (default 10)")
 	flag.IntVar(&o.budget, "budget", 0, "resyn: area budget (0 = unbounded)")
 	flag.StringVar(&o.output, "o", "", "resyn: write the hardened .tln here")
-	width := flag.String("width", "1", "fsim lane-block width in 64-bit words (1, 4, or 8); results are bit-identical at every width")
 	quiet := flag.Bool("q", false, "suppress informational diagnostics")
 	flag.Parse()
 	o.quiet = *quiet
 	t := cli.New("telsim")
 	t.Quiet = *quiet
-	w, err := fsim.ParseWidth(*width)
-	if err != nil {
-		t.Usage("%v", err)
-	}
-	o.width = w
 	if flag.NArg() < 1 {
 		t.Usage("need a command (info, run, compare, perturb, faults, yield, sweep, resyn, dot)")
 	}
@@ -352,24 +342,12 @@ func perturb(golden, impl string, o options) error {
 	}
 	rate, err := sim.FailureRate(
 		[]sim.Pair{{Name: impl, Bool: g.boolean, Threshold: i.threshold}},
-		o.v, sim.FailureRateConfig{Trials: o.trials, Seed: o.seed, Width: o.width})
+		o.v, sim.FailureRateConfig{Trials: o.trials, Seed: o.seed})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("v=%.2f: %d trials, failure rate %.1f%%\n", o.v, o.trials, 100*rate)
 	return nil
-}
-
-// batchFor builds the fault/yield vector batch: exhaustive when the input
-// count permits, n random vectors otherwise.
-func batchFor(inputs []string, n int, seed int64, w fsim.Width) (*fsim.Batch, error) {
-	if len(inputs) <= fsim.ExhaustiveInputs {
-		return fsim.ExhaustiveW(inputs, w)
-	}
-	if n < fsim.DefaultSamples {
-		n = fsim.DefaultSamples
-	}
-	return fsim.RandomW(inputs, n, rand.New(rand.NewSource(seed)), w), nil
 }
 
 func faults(impl string, o options) error {
@@ -380,7 +358,7 @@ func faults(impl string, o options) error {
 	if l.threshold == nil {
 		return fmt.Errorf("faults supports threshold (.tln) netlists")
 	}
-	batch, err := batchFor(l.threshold.Inputs, o.n, o.seed, o.width)
+	batch, err := fsim.Vectors(l.threshold.Inputs, max(o.n, fsim.DefaultSamples), rand.New(rand.NewSource(o.seed)))
 	if err != nil {
 		return err
 	}
@@ -427,7 +405,6 @@ func yield(golden, impl string, o options) error {
 		HalfWidth: o.eps,
 		Samples:   o.n,
 		Seed:      o.seed,
-		Width:     o.width,
 	})
 	if err != nil {
 		return err
@@ -546,7 +523,7 @@ func runServiceJob(env service.SubmitEnvelope, o options, progress func(service.
 		}
 		return job, nil
 	}
-	m := service.New(service.Config{Workers: o.workers, FsimWidth: o.width})
+	m := service.New(service.Config{Workers: o.workers})
 	defer m.Close()
 	ccBefore := core.SnapshotCheckCounters()
 	defer func() {

@@ -3,14 +3,12 @@
 // Boolean networks (internal/network) and threshold networks
 // (internal/core) in topological order over preallocated flat buffers —
 // no per-vector maps, no per-gate allocation in the hot loop. The inner
-// evaluator kernels are generic over the lane-block width (Width: 1, 4,
-// or 8 words per step), so the same flat layout runs through portable
-// 64-bit code or compiler-vectorized 256/512-bit blocks with bit-identical
-// results. On top of the packed evaluators it provides defect models
-// (weight variation, threshold drift, stuck-at gate faults), a Monte-Carlo
-// yield estimator with sequential early stopping, and a critical-gate
-// ranking that attributes observed output failures to the first flipped
-// gate on each failing lane. The scalar evaluators in internal/sim,
+// evaluator kernels are plain loops over the batch's []uint64 words. On
+// top of the packed evaluators it provides defect models (weight
+// variation, threshold drift, stuck-at gate faults), a Monte-Carlo yield
+// estimator with sequential early stopping, and a critical-gate ranking
+// that attributes observed output failures to the first flipped gate on
+// each failing lane. The scalar evaluators in internal/sim,
 // internal/network and internal/core remain the correctness oracle;
 // property tests pin the packed paths to them bit for bit.
 package fsim
@@ -22,11 +20,17 @@ import (
 	"math/rand"
 )
 
-// lanes is the number of vectors per 64-bit word. The packing layout
-// (vector index v lives in bit v%64 of word v/64 of a flat row) is
-// fixed and width-independent; Width only sets how many words the
-// evaluator kernels advance per step.
+// lanes is the number of vectors per 64-bit word: vector index v lives
+// in bit v%64 of word v/64 of a flat row.
 const lanes = 64
+
+// ExhaustiveInputs is the widest network checked on all 2^n vectors;
+// Vectors samples wider networks at random instead.
+const ExhaustiveInputs = 14
+
+// DefaultSamples is the random-vector sample size for networks wider
+// than ExhaustiveInputs.
+const DefaultSamples = 4096
 
 // MaxExhaustiveInputs bounds Exhaustive batches (2^20 vectors ≈ 16 K words
 // per input); callers with wider networks sample with Random instead.
@@ -39,36 +43,23 @@ var ErrTooManyInputs = errors.New("fsim: too many inputs for exhaustive batch")
 
 // Batch is a set of packed input assignments: for every input, a flat row
 // of uint64 words with vector index v living in bit v%64 of word v/64.
-// Rows are padded to a whole number of lane blocks (Width.Words() words
-// each); the mask zeroes the final partial word and every pad word out of
-// all comparisons and counts, so batches of different widths carry the
-// same valid bits at the same flat positions.
+// The mask zeroes the unused lanes of the final partial word out of all
+// comparisons and counts.
 type Batch struct {
 	inputs []string
 	pos    map[string]int
 	n      int
-	width  Width
-	blocks int        // lane blocks per row
-	words  [][]uint64 // [input][word], blocks*width.Words() words per row
-	mask   []uint64   // [word] valid-lane mask (zero on pad words)
+	words  [][]uint64 // [input][word]
+	mask   []uint64   // [word] valid-lane mask
 }
 
-// newBatch allocates an empty batch for the inputs and vector count at
-// lane width w.
-func newBatch(inputs []string, n int, w Width) *Batch {
-	w = w.or0()
-	wpb := w.Words()
-	blocks := (n + w.Lanes() - 1) / w.Lanes()
-	if n == 0 {
-		blocks = 0
-	}
-	row := blocks * wpb
+// newBatch allocates an empty batch for the inputs and vector count.
+func newBatch(inputs []string, n int) *Batch {
+	row := (n + lanes - 1) / lanes
 	b := &Batch{
 		inputs: append([]string(nil), inputs...),
 		pos:    make(map[string]int, len(inputs)),
 		n:      n,
-		width:  w,
-		blocks: blocks,
 		words:  make([][]uint64, len(inputs)),
 		mask:   make([]uint64, row),
 	}
@@ -76,12 +67,11 @@ func newBatch(inputs []string, n int, w Width) *Batch {
 		b.pos[name] = i
 		b.words[i] = make([]uint64, row)
 	}
-	valid := (n + lanes - 1) / lanes
-	for wi := 0; wi < valid; wi++ {
+	for wi := range b.mask {
 		b.mask[wi] = ^uint64(0)
 	}
-	if rem := n % lanes; rem != 0 && valid > 0 {
-		b.mask[valid-1] = (uint64(1) << uint(rem)) - 1
+	if rem := n % lanes; rem != 0 {
+		b.mask[row-1] = (uint64(1) << uint(rem)) - 1
 	}
 	return b
 }
@@ -89,39 +79,37 @@ func newBatch(inputs []string, n int, w Width) *Batch {
 // Len returns the number of vectors in the batch.
 func (b *Batch) Len() int { return b.n }
 
-// Blocks returns the number of lane blocks per row (each Width.Words()
-// words wide).
-func (b *Batch) Blocks() int { return b.blocks }
-
-// Words returns the padded row length in 64-bit words
-// (Blocks()·Width().Words()). Packed output and trace rows share it.
+// Words returns the row length in 64-bit words. Packed output and trace
+// rows share it.
 func (b *Batch) Words() int { return len(b.mask) }
-
-// Width returns the lane-block width the batch was built for.
-func (b *Batch) Width() Width { return b.width }
 
 // Inputs returns the input names, in column order.
 func (b *Batch) Inputs() []string { return b.inputs }
 
-// Exhaustive packs all 2^n assignments of the inputs at the default
-// width: vector m assigns input i the value of bit i of m, matching the
-// enumeration order of sim.Vectors. It returns ErrTooManyInputs if
-// len(inputs) exceeds MaxExhaustiveInputs.
-func Exhaustive(inputs []string) (*Batch, error) {
-	return ExhaustiveW(inputs, DefaultWidth)
+// Vectors packs the vectors a check sweeps: all 2^n assignments when
+// len(inputs) is at most ExhaustiveInputs, otherwise `samples` random
+// vectors drawn from rng. It consumes rng exactly as sim.Vectors does
+// (not at all for exhaustive batches).
+func Vectors(inputs []string, samples int, rng *rand.Rand) (*Batch, error) {
+	if len(inputs) <= ExhaustiveInputs {
+		return Exhaustive(inputs)
+	}
+	return Random(inputs, samples, rng), nil
 }
 
-// ExhaustiveW is Exhaustive at an explicit lane width. The valid bits are
-// identical at every width; only the row padding differs.
-func ExhaustiveW(inputs []string, w Width) (*Batch, error) {
+// Exhaustive packs all 2^n assignments of the inputs: vector m assigns
+// input i the value of bit i of m, matching the enumeration order of
+// sim.Vectors. It returns ErrTooManyInputs if len(inputs) exceeds
+// MaxExhaustiveInputs.
+func Exhaustive(inputs []string) (*Batch, error) {
 	n := len(inputs)
 	if n > MaxExhaustiveInputs {
 		return nil, fmt.Errorf("%w: %d inputs (max %d)", ErrTooManyInputs, n, MaxExhaustiveInputs)
 	}
-	b := newBatch(inputs, 1<<uint(n), w)
+	b := newBatch(inputs, 1<<uint(n))
 	// Inside a 64-lane word, inputs 0..5 follow fixed alternation
 	// patterns; inputs 6+ are constant per word, selected by the word
-	// index bits. Pad words get the same fill; the mask hides them.
+	// index bits. The mask hides the unused lanes of a short batch.
 	var low = [6]uint64{
 		0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
 		0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
@@ -143,18 +131,12 @@ func ExhaustiveW(inputs []string, w Width) (*Batch, error) {
 	return b, nil
 }
 
-// Random packs n uniformly random assignments at the default width. The
-// RNG consumption order (vector-major, input-minor, one Intn(2) per bit)
-// is identical to sim.Vectors, so a packed caller sampling from the same
-// seeded stream sees exactly the vectors the scalar path would.
+// Random packs n uniformly random assignments. The RNG consumption order
+// (vector-major, input-minor, one Intn(2) per bit) is identical to
+// sim.Vectors, so a packed caller sampling from the same seeded stream
+// sees exactly the vectors the scalar path would.
 func Random(inputs []string, n int, rng *rand.Rand) *Batch {
-	return RandomW(inputs, n, rng, DefaultWidth)
-}
-
-// RandomW is Random at an explicit lane width; the RNG stream and the
-// valid bits are identical at every width.
-func RandomW(inputs []string, n int, rng *rand.Rand, w Width) *Batch {
-	b := newBatch(inputs, n, w)
+	b := newBatch(inputs, n)
 	for v := 0; v < n; v++ {
 		wi, bit := v/lanes, uint(v%lanes)
 		for i := range inputs {
@@ -166,15 +148,10 @@ func RandomW(inputs []string, n int, rng *rand.Rand, w Width) *Batch {
 	return b
 }
 
-// Pack converts explicit assignments (e.g. from sim.Vectors) into a batch
-// at the default width. Every assignment must cover every input by name.
+// Pack converts explicit assignments (e.g. from sim.Vectors) into a
+// batch. Every assignment must cover every input by name.
 func Pack(inputs []string, vecs []map[string]bool) (*Batch, error) {
-	return PackW(inputs, vecs, DefaultWidth)
-}
-
-// PackW is Pack at an explicit lane width.
-func PackW(inputs []string, vecs []map[string]bool, w Width) (*Batch, error) {
-	b := newBatch(inputs, len(vecs), w)
+	b := newBatch(inputs, len(vecs))
 	for v, vec := range vecs {
 		wi, bit := v/lanes, uint(v%lanes)
 		for i, name := range inputs {

@@ -6,10 +6,10 @@ import (
 )
 
 // boolLit is one literal of a compiled cube: the value slot of the fanin
-// and its phase.
+// and the word XORed into its value (all ones for a negative literal).
 type boolLit struct {
 	slot int
-	neg  bool
+	inv  uint64
 }
 
 // boolCube is a compiled product term: the AND of its literals (empty =
@@ -22,27 +22,16 @@ type boolNode struct {
 	slot  int
 }
 
-// boolKern holds the per-width value buffer of a BoolSim: one lane block
-// per signal, rewritten per step.
-type boolKern[B lword[B]] struct {
-	vals []B
-}
-
-// BoolSim evaluates a Boolean network one lane block (the batch's width ×
-// 64 vectors) at a time. Compile once, evaluate many batches; not safe
-// for concurrent use (buffers are reused).
+// BoolSim evaluates a Boolean network one 64-vector word at a time.
+// Compile once, evaluate many batches; not safe for concurrent use
+// (buffers are reused).
 type BoolSim struct {
 	inputs   []string
 	inSlots  []int
 	nodes    []boolNode
 	outSlots []int
-	nslots   int
+	vals     []uint64   // [slot], rewritten per word
 	out      [][]uint64 // [output][word], reused across Eval calls
-
-	// per-width kernels, allocated on first use
-	k1 *boolKern[b1]
-	k4 *boolKern[b4]
-	k8 *boolKern[b8]
 }
 
 // CompileBool flattens the network into slot-addressed packed-cover form.
@@ -56,7 +45,7 @@ func CompileBool(nw *network.Network) (*BoolSim, error) {
 	for _, n := range order {
 		slot[n] = len(slot)
 	}
-	s.nslots = len(slot)
+	s.vals = make([]uint64, len(slot))
 	for _, in := range nw.Inputs {
 		s.inputs = append(s.inputs, in.Name)
 		s.inSlots = append(s.inSlots, slot[in])
@@ -73,7 +62,7 @@ func CompileBool(nw *network.Network) (*BoolSim, error) {
 				case logic.Pos:
 					cube = append(cube, boolLit{slot: slot[n.Fanins[i]]})
 				case logic.Neg:
-					cube = append(cube, boolLit{slot: slot[n.Fanins[i]], neg: true})
+					cube = append(cube, boolLit{slot: slot[n.Fanins[i]], inv: ^uint64(0)})
 				}
 			}
 			bn.cubes = append(bn.cubes, cube)
@@ -87,9 +76,8 @@ func CompileBool(nw *network.Network) (*BoolSim, error) {
 	return s, nil
 }
 
-// Eval computes the packed outputs ([output][word]) for the batch at the
-// batch's lane width. The returned slices are reused by the next Eval
-// call. Results are bit-identical on valid lanes at every width.
+// Eval computes the packed outputs ([output][word]) for the batch. The
+// returned slices are reused by the next Eval call.
 func (s *BoolSim) Eval(b *Batch) ([][]uint64, error) {
 	cols, err := b.columns(s.inputs)
 	if err != nil {
@@ -102,62 +90,34 @@ func (s *BoolSim) Eval(b *Batch) ([][]uint64, error) {
 		}
 		s.out[o] = s.out[o][:row]
 	}
-	switch b.width {
-	case W4:
-		if s.k4 == nil {
-			s.k4 = &boolKern[b4]{vals: make([]b4, s.nslots)}
-		}
-		runBool(s, s.k4, b, cols)
-	case W8:
-		if s.k8 == nil {
-			s.k8 = &boolKern[b8]{vals: make([]b8, s.nslots)}
-		}
-		runBool(s, s.k8, b, cols)
-	default:
-		if s.k1 == nil {
-			s.k1 = &boolKern[b1]{vals: make([]b1, s.nslots)}
-		}
-		runBool(s, s.k1, b, cols)
-	}
-	return s.out, nil
-}
-
-// runBool is the generic inner loop: per lane block, load the input
-// blocks, OR each node's cubes of ANDed literals, and store the outputs
-// back to the flat rows. The early exits (dead cube, saturated node) are
-// pure optimizations — they never change the stored words — so taking
-// them per block rather than per word keeps all widths bit-identical.
-func runBool[B lword[B]](s *BoolSim, k *boolKern[B], b *Batch, cols []int) {
-	var zero B
-	wpb := zero.words()
-	for blk := 0; blk < b.blocks; blk++ {
-		base := blk * wpb
+	// Per word: load the inputs, OR each node's cubes of ANDed literals,
+	// and store the outputs. The early exits (dead cube, saturated node)
+	// never change the stored word.
+	vals := s.vals
+	for wi := 0; wi < row; wi++ {
 		for i, slot := range s.inSlots {
-			k.vals[slot] = zero.load(b.words[cols[i]][base:])
+			vals[slot] = b.words[cols[i]][wi]
 		}
 		for _, n := range s.nodes {
-			var acc B
+			var acc uint64
 			for _, cube := range n.cubes {
-				t := zero.ones()
+				t := ^uint64(0)
 				for _, l := range cube {
-					w := k.vals[l.slot]
-					if l.neg {
-						w = w.not()
-					}
-					t = t.and(w)
-					if t.isZero() {
+					t &= vals[l.slot] ^ l.inv
+					if t == 0 {
 						break
 					}
 				}
-				acc = acc.or(t)
-				if acc.isOnes() {
+				acc |= t
+				if acc == ^uint64(0) {
 					break
 				}
 			}
-			k.vals[n.slot] = acc
+			vals[n.slot] = acc
 		}
 		for o, slot := range s.outSlots {
-			k.vals[slot].store(s.out[o][base:])
+			s.out[o][wi] = vals[slot]
 		}
 	}
+	return s.out, nil
 }

@@ -1,6 +1,7 @@
 package fsim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -99,13 +100,29 @@ func exhaustive(t *testing.T, inputs []string) *Batch {
 	return b
 }
 
+// propertySizes are the random batch sizes the property tests add to the
+// exhaustive batch: a single vector, a partial word, and multi-word
+// batches whose last word is partial.
+var propertySizes = []int{1, 63, 65, 130, 300}
+
+// propertyBatches returns the exhaustive batch over inputs followed by
+// one random batch of each propertySizes size.
+func propertyBatches(t *testing.T, rng *rand.Rand, inputs []string) []*Batch {
+	t.Helper()
+	out := []*Batch{exhaustive(t, inputs)}
+	for _, n := range propertySizes {
+		out = append(out, Random(inputs, n, rng))
+	}
+	return out
+}
+
 // TestExhaustiveBatchLayout pins the packing convention: vector m assigns
 // input i the value of bit i of m.
 func TestExhaustiveBatchLayout(t *testing.T) {
 	inputs := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	b := exhaustive(t, inputs)
-	if b.Len() != 256 || b.Blocks() != 4 {
-		t.Fatalf("len=%d blocks=%d", b.Len(), b.Blocks())
+	if b.Len() != 256 || b.Words() != 4 {
+		t.Fatalf("len=%d words=%d", b.Len(), b.Words())
 	}
 	for m := 0; m < b.Len(); m++ {
 		got := b.Assignment(m)
@@ -135,8 +152,9 @@ func TestRandomBatchMatchesScalarStream(t *testing.T) {
 	}
 }
 
-// TestPackedBoolMatchesScalar is the property test: on random networks
-// and all 2^n inputs, the packed Boolean evaluator equals the scalar
+// TestPackedBoolMatchesScalar is the property test: on random networks,
+// over all 2^n inputs and over random multi-word batches with a partial
+// last word, the packed Boolean evaluator equals the scalar
 // network.Evaluator bit for bit.
 func TestPackedBoolMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -151,21 +169,22 @@ func TestPackedBoolMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch := exhaustive(t, inputNames(nw))
-		got, err := sim.Eval(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []bool
-		for m := 0; m < batch.Len(); m++ {
-			want, err = ev.Eval(batch.Assignment(m), want)
+		for _, batch := range propertyBatches(t, rng, inputNames(nw)) {
+			got, err := sim.Eval(batch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for o := range want {
-				if Bit(got[o], m) != want[o] {
-					t.Fatalf("trial %d: vector %d output %d: packed=%v scalar=%v",
-						trial, m, o, Bit(got[o], m), want[o])
+			var want []bool
+			for m := 0; m < batch.Len(); m++ {
+				want, err = ev.Eval(batch.Assignment(m), want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for o := range want {
+					if Bit(got[o], m) != want[o] {
+						t.Fatalf("trial %d, %d vectors: vector %d output %d: packed=%v scalar=%v",
+							trial, batch.Len(), m, o, Bit(got[o], m), want[o])
+					}
 				}
 			}
 		}
@@ -181,7 +200,8 @@ func inputNames(nw *network.Network) []string {
 }
 
 // TestPackedThreshMatchesScalar: packed threshold evaluation equals the
-// scalar core.Evaluator on random networks over all 2^n inputs.
+// scalar core.Evaluator on random networks, over all 2^n inputs and over
+// random batches with a partial last word.
 func TestPackedThreshMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 60; trial++ {
@@ -195,21 +215,22 @@ func TestPackedThreshMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch := exhaustive(t, tn.Inputs)
-		got, err := sim.Eval(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []bool
-		for m := 0; m < batch.Len(); m++ {
-			want, err = ev.Eval(batch.Assignment(m), want)
+		for _, batch := range propertyBatches(t, rng, tn.Inputs) {
+			got, err := sim.Eval(batch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for o := range want {
-				if Bit(got[o], m) != want[o] {
-					t.Fatalf("trial %d: vector %d output %d: packed=%v scalar=%v",
-						trial, m, o, Bit(got[o], m), want[o])
+			var want []bool
+			for m := 0; m < batch.Len(); m++ {
+				want, err = ev.Eval(batch.Assignment(m), want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for o := range want {
+					if Bit(got[o], m) != want[o] {
+						t.Fatalf("trial %d, %d vectors: vector %d output %d: packed=%v scalar=%v",
+							trial, batch.Len(), m, o, Bit(got[o], m), want[o])
+					}
 				}
 			}
 		}
@@ -218,7 +239,8 @@ func TestPackedThreshMatchesScalar(t *testing.T) {
 
 // TestPackedPerturbedMatchesScalar: under random weight noise the packed
 // evaluator equals core.Evaluator.EvalPerturbed bit for bit (same float
-// association order, so even razor-edge sums agree).
+// association order, so even razor-edge sums agree), on exhaustive and
+// random batches.
 func TestPackedPerturbedMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 60; trial++ {
@@ -240,21 +262,107 @@ func TestPackedPerturbedMatchesScalar(t *testing.T) {
 			}
 			noise[gi] = ns
 		}
-		batch := exhaustive(t, tn.Inputs)
-		got, err := sim.EvalPerturbed(batch, noise)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []bool
-		for m := 0; m < batch.Len(); m++ {
-			want, err = ev.EvalPerturbed(batch.Assignment(m), noise, want)
+		for _, batch := range propertyBatches(t, rng, tn.Inputs) {
+			got, err := sim.EvalPerturbed(batch, noise)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for o := range want {
-				if Bit(got[o], m) != want[o] {
-					t.Fatalf("trial %d: vector %d output %d: packed=%v scalar=%v",
-						trial, m, o, Bit(got[o], m), want[o])
+			var want []bool
+			for m := 0; m < batch.Len(); m++ {
+				want, err = ev.EvalPerturbed(batch.Assignment(m), noise, want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for o := range want {
+					if Bit(got[o], m) != want[o] {
+						t.Fatalf("trial %d, %d vectors: vector %d output %d: packed=%v scalar=%v",
+							trial, batch.Len(), m, o, Bit(got[o], m), want[o])
+					}
+				}
+			}
+		}
+	}
+}
+
+// scalarDefect evaluates one vector under a defect gate by gate in
+// GateOrder, returning the outputs and every gate's value. It mirrors
+// fillNoisyFire's float association: weights plus noise summed in
+// ascending input order against T plus drift.
+func scalarDefect(s *ThreshSim, d *Defect, in map[string]bool) (outs, gates []bool) {
+	val := make(map[string]bool, len(in)+len(s.order))
+	for k, v := range in {
+		val[k] = v
+	}
+	for gi, g := range s.order {
+		var fire bool
+		if d.Stuck != nil && d.Stuck[gi] >= 0 {
+			fire = d.Stuck[gi] == 1
+		} else {
+			sum := 0.0
+			for i, name := range g.Inputs {
+				if val[name] {
+					sum += float64(g.Weights[i]) + d.WeightNoise[gi][i]
+				}
+			}
+			fire = sum >= float64(g.T)+d.ThresholdNoise[gi]
+		}
+		val[g.Name] = fire
+		gates = append(gates, fire)
+	}
+	for _, o := range s.tn.Outputs {
+		outs = append(outs, val[o])
+	}
+	return outs, gates
+}
+
+// TestPackedDefectMatchesScalar: EvalDefect under weight noise, threshold
+// drift and stuck gates equals a scalar per-vector reference on every
+// output and every trace row, on exhaustive and random batches.
+func TestPackedDefectMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(7)
+		tn := randomThreshNet(rng, n)
+		sim, err := CompileThresh(tn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		order := sim.GateOrder()
+		d := &Defect{
+			WeightNoise:    make([][]float64, len(order)),
+			ThresholdNoise: make([]float64, len(order)),
+			Stuck:          make([]int8, len(order)),
+		}
+		for gi, g := range order {
+			d.WeightNoise[gi] = make([]float64, len(g.Weights))
+			for i := range g.Weights {
+				d.WeightNoise[gi][i] = 2 * (rng.Float64() - 0.5)
+			}
+			d.ThresholdNoise[gi] = rng.Float64() - 0.5
+			d.Stuck[gi] = -1
+			if rng.Intn(2) == 0 {
+				d.Stuck[gi] = int8(rng.Intn(2))
+			}
+		}
+		for _, batch := range propertyBatches(t, rng, tn.Inputs) {
+			trace := makeTrace(len(order), batch.Words())
+			got, err := sim.EvalDefect(batch, d, trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for m := 0; m < batch.Len(); m++ {
+				outs, gates := scalarDefect(sim, d, batch.Assignment(m))
+				for o := range outs {
+					if Bit(got[o], m) != outs[o] {
+						t.Fatalf("trial %d, %d vectors: vector %d output %d: packed=%v scalar=%v",
+							trial, batch.Len(), m, o, Bit(got[o], m), outs[o])
+					}
+				}
+				for gi := range gates {
+					if Bit(trace[gi], m) != gates[gi] {
+						t.Fatalf("trial %d, %d vectors: vector %d gate %s: trace=%v scalar=%v",
+							trial, batch.Len(), m, order[gi].Name, Bit(trace[gi], m), gates[gi])
+					}
 				}
 			}
 		}
@@ -330,19 +438,25 @@ func TestFaninLimit(t *testing.T) {
 	}
 }
 
-// TestFirstDiff checks mismatch localization across blocks.
+// TestFirstDiff checks mismatch localization across words.
 func TestFirstDiff(t *testing.T) {
-	b := newBatch([]string{"x"}, 130, W1)
+	b := newBatch([]string{"x"}, 130)
 	a := [][]uint64{{0, 0, 0}}
 	c := [][]uint64{{0, 1 << 5, 1 << 1}}
 	vec, out, found := b.FirstDiff(a, c)
 	if !found || vec != 69 || out != 0 {
 		t.Fatalf("FirstDiff = (%d, %d, %v), want (69, 0, true)", vec, out, found)
 	}
-	// Lanes beyond Len are masked: 130 vectors → block 2 valid bits 0..1.
-	c2 := [][]uint64{{0, 0, 1 << 2}}
+	if !b.Differs(a, c) {
+		t.Fatal("Differs missed a valid-lane difference")
+	}
+	// Lanes beyond Len are masked: 130 vectors → word 2 valid bits 0..1.
+	c2 := [][]uint64{{0, 0, 0xFFFFFFFFFFFFFFFC}}
 	if _, _, found := b.FirstDiff(a, c2); found {
 		t.Fatal("diff found in masked lane")
+	}
+	if b.Differs(a, c2) {
+		t.Fatal("Differs saw a masked-lane difference")
 	}
 }
 
@@ -368,5 +482,72 @@ func TestPackDense(t *testing.T) {
 				t.Fatalf("vector %d input %s mismatch", i, n)
 			}
 		}
+	}
+}
+
+// TestVectorsRule pins the one exhaustive-or-sampled rule: all 2^n
+// vectors up to ExhaustiveInputs inputs without touching the RNG,
+// `samples` vectors drawn exactly as Random draws them beyond.
+func TestVectorsRule(t *testing.T) {
+	names := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("x%d", i)
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(5))
+	b, err := Vectors(names(ExhaustiveInputs), 100, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Len() != 1<<ExhaustiveInputs {
+		t.Fatalf("exhaustive batch has %d vectors", b.Len())
+	}
+	if got, want := rng.Int63(), rand.New(rand.NewSource(5)).Int63(); got != want {
+		t.Fatal("exhaustive batch consumed the RNG")
+	}
+
+	wide := names(ExhaustiveInputs + 1)
+	b, err = Vectors(wide, 100, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Random(wide, 100, rand.New(rand.NewSource(5)))
+	if b.Len() != 100 || b.Differs(b.words, want.words) {
+		t.Fatalf("sampled batch: %d vectors, or not the Random draw", b.Len())
+	}
+}
+
+// TestExhaustiveTooManyInputs: the hardened constructor reports the
+// sentinel instead of panicking, and InvalidInput classifies it.
+func TestExhaustiveTooManyInputs(t *testing.T) {
+	inputs := make([]string, MaxExhaustiveInputs+1)
+	for i := range inputs {
+		inputs[i] = fmt.Sprintf("x%d", i)
+	}
+	_, err := Exhaustive(inputs)
+	if !errors.Is(err, ErrTooManyInputs) {
+		t.Fatalf("err = %v, want ErrTooManyInputs", err)
+	}
+	if !InvalidInput(err) {
+		t.Fatalf("InvalidInput(%v) = false", err)
+	}
+	if _, err := Exhaustive(inputs[:MaxExhaustiveInputs]); err != nil {
+		t.Fatalf("at the limit: %v", err)
+	}
+}
+
+// TestInvalidInputClassifier: fanin overflows classify as invalid input;
+// unrelated errors do not.
+func TestInvalidInputClassifier(t *testing.T) {
+	if !InvalidInput(fmt.Errorf("wrapped: %w", ErrFaninLimit)) {
+		t.Fatal("wrapped ErrFaninLimit not classified")
+	}
+	if InvalidInput(errors.New("disk on fire")) {
+		t.Fatal("unrelated error classified as invalid input")
+	}
+	if InvalidInput(nil) {
+		t.Fatal("nil error classified as invalid input")
 	}
 }

@@ -53,20 +53,12 @@ type pGate struct {
 	g    *core.Gate
 	ins  []int // fanin value slots
 	slot int   // output value slot
-	size int   // 1 << fanin
 }
 
-// threshKern holds the per-width buffers of a ThreshSim: one lane block
-// per signal plus the 2^maxFanin minterm-mask array.
-type threshKern[B lword[B]] struct {
-	vals []B
-	mts  []B
-}
-
-// ThreshSim evaluates a threshold network one lane block (the batch's
-// width × 64 vectors) at a time, under exact weights (Eval), Monte-Carlo
-// weight noise (EvalPerturbed), or a general Defect (EvalDefect). Compile
-// once, evaluate many batches; not safe for concurrent use.
+// ThreshSim evaluates a threshold network one 64-vector word at a time,
+// under exact weights (Eval), Monte-Carlo weight noise (EvalPerturbed),
+// or a general Defect (EvalDefect). Compile once, evaluate many batches;
+// not safe for concurrent use.
 type ThreshSim struct {
 	tn       *core.Network
 	order    []*core.Gate
@@ -74,17 +66,12 @@ type ThreshSim struct {
 	inSlots  []int
 	gates    []pGate
 	outSlots []int
-	nslots   int
-	maxFanin int
 
+	vals []uint64    // [slot], rewritten per word
+	mts  []uint64    // the 2^maxFanin minterm masks of one gate
 	out  [][]uint64  // [output][word], reused across calls
 	base []fireTable // exact-weight tables, built at compile time
 	work []fireTable // rebuilt per perturbed/defect evaluation
-
-	// per-width kernels, allocated on first use
-	k1 *threshKern[b1]
-	k4 *threshKern[b4]
-	k8 *threshKern[b8]
 }
 
 // CompileThresh prepares the packed evaluator. The gate order is
@@ -113,12 +100,12 @@ func CompileThresh(tn *core.Network) (*ThreshSim, error) {
 		}
 		slot[g.Name] = len(slot)
 	}
-	s.nslots = len(slot)
-	s.maxFanin = maxFanin
+	s.vals = make([]uint64, len(slot))
+	s.mts = make([]uint64, 1<<uint(maxFanin))
 	s.base = make([]fireTable, len(order))
 	s.work = make([]fireTable, len(order))
 	for gi, g := range order {
-		pg := pGate{g: g, slot: slot[g.Name], size: 1 << uint(len(g.Inputs))}
+		pg := pGate{g: g, slot: slot[g.Name]}
 		for _, in := range g.Inputs {
 			is, ok := slot[in]
 			if !ok {
@@ -228,8 +215,9 @@ func (s *ThreshSim) EvalDefect(b *Batch, d *Defect, trace [][]uint64) ([][]uint6
 	return s.evalWith(b, tabs, stuck, trace)
 }
 
-// evalWith sizes the output rows and dispatches the generic inner loop at
-// the batch's lane width.
+// evalWith is the packed inner loop: per word, load the inputs, evaluate
+// every gate through its fire table over an incrementally doubled
+// minterm-mask array, and collect the outputs.
 func (s *ThreshSim) evalWith(b *Batch, tabs []fireTable, stuck []int8, trace [][]uint64) ([][]uint64, error) {
 	cols, err := b.columns(s.inputs)
 	if err != nil {
@@ -242,97 +230,69 @@ func (s *ThreshSim) evalWith(b *Batch, tabs []fireTable, stuck []int8, trace [][
 		}
 		s.out[o] = s.out[o][:row]
 	}
-	switch b.width {
-	case W4:
-		if s.k4 == nil {
-			s.k4 = &threshKern[b4]{vals: make([]b4, s.nslots), mts: make([]b4, 1<<uint(s.maxFanin))}
-		}
-		runThresh(s, s.k4, b, cols, tabs, stuck, trace)
-	case W8:
-		if s.k8 == nil {
-			s.k8 = &threshKern[b8]{vals: make([]b8, s.nslots), mts: make([]b8, 1<<uint(s.maxFanin))}
-		}
-		runThresh(s, s.k8, b, cols, tabs, stuck, trace)
-	default:
-		if s.k1 == nil {
-			s.k1 = &threshKern[b1]{vals: make([]b1, s.nslots), mts: make([]b1, 1<<uint(s.maxFanin))}
-		}
-		runThresh(s, s.k1, b, cols, tabs, stuck, trace)
-	}
-	return s.out, nil
-}
-
-// runThresh is the generic packed inner loop: per lane block, load the
-// input blocks, evaluate every gate through its fire table over an
-// incrementally doubled minterm-mask array, and collect the outputs.
-func runThresh[B lword[B]](s *ThreshSim, k *threshKern[B], b *Batch, cols []int, tabs []fireTable, stuck []int8, trace [][]uint64) {
-	var zero B
-	wpb := zero.words()
-	mts := k.mts
-	for blk := 0; blk < b.blocks; blk++ {
-		base := blk * wpb
+	vals, mts := s.vals, s.mts
+	for wi := 0; wi < row; wi++ {
 		for i, slot := range s.inSlots {
-			k.vals[slot] = zero.load(b.words[cols[i]][base:])
+			vals[slot] = b.words[cols[i]][wi]
 		}
 		for gi := range s.gates {
 			pg := &s.gates[gi]
 			if stuck != nil && stuck[gi] >= 0 {
-				var word B
+				var word uint64
 				if stuck[gi] == 1 {
-					word = zero.ones()
+					word = ^uint64(0)
 				}
-				k.vals[pg.slot] = word
+				vals[pg.slot] = word
 				if trace != nil {
-					word.store(trace[gi][base:])
+					trace[gi][wi] = word
 				}
 				continue
 			}
 			// Build the 2^k minterm masks by recursive doubling,
 			// processing fanins in reverse so input i lands at index
 			// bit i: each pass splits every existing mask on one input
-			// block, costing ~2·2^k block-ops total.
-			mts[0] = zero.ones()
+			// word, costing ~2·2^k word ops total.
+			mts[0] = ^uint64(0)
 			size := 1
 			for i := len(pg.ins) - 1; i >= 0; i-- {
-				w := k.vals[pg.ins[i]]
+				w := vals[pg.ins[i]]
 				for j := size - 1; j >= 0; j-- {
 					t := mts[j]
-					mts[2*j+1] = t.and(w)
-					mts[2*j] = t.andNot(w)
+					mts[2*j+1] = t & w
+					mts[2*j] = t &^ w
 				}
 				size <<= 1
 			}
 			// OR the smaller of the ON/OFF minterm sets; the minterm
 			// masks partition the lanes, so the OFF union is the exact
-			// complement of the ON union. The fire words stay 64-bit —
-			// they index minterms, not vectors.
+			// complement of the ON union.
 			ft := &tabs[gi]
 			invert := 2*ft.ones > size
-			var acc B
-			words := (size + lanes - 1) / lanes
-			for wi := 0; wi < words; wi++ {
-				fw := ft.bits[wi]
+			var acc uint64
+			for fi := 0; fi*lanes < size; fi++ {
+				fw := ft.bits[fi]
 				if invert {
 					fw = ^fw
 				}
-				if rem := size - wi*lanes; rem < lanes {
+				if rem := size - fi*lanes; rem < lanes {
 					fw &= uint64(1)<<uint(rem) - 1
 				}
 				for fw != 0 {
-					acc = acc.or(mts[wi*lanes+bits.TrailingZeros64(fw)])
+					acc |= mts[fi*lanes+bits.TrailingZeros64(fw)]
 					fw &= fw - 1
 				}
 			}
 			if invert {
-				acc = acc.not()
+				acc = ^acc
 			}
-			k.vals[pg.slot] = acc
+			vals[pg.slot] = acc
 			if trace != nil {
-				acc.store(trace[gi][base:])
+				trace[gi][wi] = acc
 			}
 		}
 		for o, slot := range s.outSlots {
-			k.vals[slot].store(s.out[o][base:])
+			s.out[o][wi] = vals[slot]
 		}
 	}
+	return s.out, nil
 }

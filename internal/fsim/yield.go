@@ -12,14 +12,6 @@ import (
 	"tels/internal/network"
 )
 
-// ExhaustiveInputs is the widest network the yield estimator checks
-// exhaustively, mirroring sim.ExhaustiveLimit; wider networks are sampled
-// with DefaultSamples random vectors.
-const ExhaustiveInputs = 14
-
-// DefaultSamples is the random-vector sample size for wide networks.
-const DefaultSamples = 4096
-
 // YieldConfig controls a Monte-Carlo yield measurement.
 type YieldConfig struct {
 	// MaxTrials caps the defect instances drawn (default 2000).
@@ -38,11 +30,6 @@ type YieldConfig struct {
 	Samples int
 	// Seed drives both vector sampling and defect drawing.
 	Seed int64
-	// Width is the lane-block width of the packed engine (default
-	// DefaultWidth). It is a pure throughput knob: reports are
-	// bit-identical at every width, so it never participates in result
-	// digests or report comparisons.
-	Width Width
 }
 
 func (c YieldConfig) withDefaults() YieldConfig {
@@ -64,7 +51,6 @@ func (c YieldConfig) withDefaults() YieldConfig {
 	if c.Samples <= 0 {
 		c.Samples = DefaultSamples
 	}
-	c.Width = c.Width.or0()
 	return c
 }
 
@@ -139,17 +125,12 @@ type YieldSession struct {
 	tn     *core.Network
 	batch  *Batch
 	golden [][]uint64
-	// random records that the batch was sampled (wide network) rather
-	// than exhaustive, and how many vectors were drawn; Estimate uses it
-	// to keep its defect RNG stream aligned with EstimateYield's.
-	random  bool
-	seed    int64 // the seed that drew a random batch
-	samples int
+	seed   int64 // the seed the batch was built with
 }
 
-// NewYieldSession packs the vector batch (exhaustive up to
-// ExhaustiveInputs inputs, cfg.Samples random vectors beyond) and records
-// the golden Boolean outputs. Only cfg.Samples and cfg.Seed are read; the
+// NewYieldSession packs the vector batch (Vectors, sampling cfg.Samples
+// vectors from the cfg.Seed stream for wide networks) and records the
+// golden Boolean outputs. Only cfg.Samples and cfg.Seed are read; the
 // trial knobs are per-Estimate.
 func NewYieldSession(nw *network.Network, tn *core.Network, cfg YieldConfig) (*YieldSession, error) {
 	cfg = cfg.withDefaults()
@@ -166,18 +147,10 @@ func NewYieldSession(nw *network.Network, tn *core.Network, cfg YieldConfig) (*Y
 	for i, in := range nw.Inputs {
 		inputs[i] = in.Name
 	}
-	s := &YieldSession{tn: tn, seed: cfg.Seed, samples: cfg.Samples}
-	if len(inputs) <= ExhaustiveInputs {
-		s.batch, err = ExhaustiveW(inputs, cfg.Width)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		// Consume the seed stream exactly as EstimateYield does so the
-		// defect draws that follow in Estimate stay aligned.
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		s.batch = RandomW(inputs, cfg.Samples, rng, cfg.Width)
-		s.random = true
+	s := &YieldSession{tn: tn, seed: cfg.Seed}
+	s.batch, err = Vectors(inputs, cfg.Samples, rand.New(rand.NewSource(cfg.Seed)))
+	if err != nil {
+		return nil, err
 	}
 	ref, err := bsim.Eval(s.batch)
 	if err != nil {
@@ -248,11 +221,12 @@ func (s *YieldSession) EstimateFor(tn *core.Network, model DefectModel, cfg Yiel
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	if s.random && cfg.Seed == s.seed {
-		// EstimateYield draws the batch from the same stream before the
-		// first defect; replay that consumption (one Intn(2) per bit,
-		// vector-major) so the defect sequence matches it exactly.
-		for i := 0; i < s.samples*len(s.batch.Inputs()); i++ {
+	if cfg.Seed == s.seed && len(s.batch.Inputs()) > ExhaustiveInputs {
+		// A sampled batch was drawn from this stream before the first
+		// defect; replay that consumption (one Intn(2) per bit,
+		// vector-major) so the defect sequence continues where it left
+		// off.
+		for i := 0; i < s.batch.Len()*len(s.batch.Inputs()); i++ {
 			rng.Intn(2)
 		}
 	}
@@ -269,25 +243,11 @@ func (s *YieldSession) EstimateFor(tn *core.Network, model DefectModel, cfg Yiel
 // should build a YieldSession instead, which packs the batch and golden
 // reference once.
 func EstimateYield(nw *network.Network, tn *core.Network, model DefectModel, cfg YieldConfig) (*YieldReport, error) {
-	cfg = cfg.withDefaults()
 	s, err := NewYieldSession(nw, tn, cfg)
 	if err != nil {
 		return nil, err
 	}
-	tsim, err := CompileThresh(tn)
-	if err != nil {
-		return nil, err
-	}
-	// Re-derive the RNG the session used for batch sampling so defect
-	// draws continue the same stream (no-op consumption for exhaustive
-	// batches, matching the historical single-call behavior).
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	if s.random {
-		for i := 0; i < cfg.Samples*len(s.batch.Inputs()); i++ {
-			rng.Intn(2)
-		}
-	}
-	return s.estimate(tsim, model, cfg, rng)
+	return s.Estimate(model, cfg)
 }
 
 // estimate is the shared trial loop; tsim and rng are private to the
@@ -324,9 +284,7 @@ func (s *YieldSession) estimate(tsim *ThreshSim, model DefectModel, cfg YieldCon
 			failedTrial = true
 			// Attribute each failing lane to the first flipped gate in
 			// topological order; once a lane is blamed it is removed so
-			// downstream propagation is not double-counted. Iterating flat
-			// 64-bit words keeps the counts and orderings identical at
-			// every lane width.
+			// downstream propagation is not double-counted.
 			remaining := fail
 			for gi := range gates {
 				flip := (cleanTrace[gi][wi] ^ badTrace[gi][wi]) & batch.mask[wi]

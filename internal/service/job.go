@@ -65,7 +65,8 @@ type YieldSpec struct {
 	// P is the per-gate stuck probability for the stuck model
 	// (default 0.01).
 	P float64 `json:"p,omitempty"`
-	// MaxTrials caps the Monte-Carlo defect instances (0 = fsim default).
+	// MaxTrials caps the Monte-Carlo defect instances (0 = fsim default,
+	// at most MaxYieldTrials).
 	MaxTrials int `json:"max_trials,omitempty"`
 	// HalfWidth is the early-stop CI half-width (0 = fsim default).
 	HalfWidth float64 `json:"half_width,omitempty"`
@@ -107,6 +108,12 @@ type ResynSpec struct {
 
 // MaxSweepPoints bounds the grid of one sweep job.
 const MaxSweepPoints = 1024
+
+// MaxYieldTrials bounds YieldSpec.MaxTrials. The trial loop does not
+// watch the job's context, so an unbounded cap with a half-width no
+// estimate reaches would hold a CPU long after the deadline frees the
+// worker slot.
+const MaxYieldTrials = 100_000
 
 // SweepSpec is the grid of a sweep job. Each listed axis replaces the
 // corresponding base value (Options.DeltaOn for DeltaOns, Yield.Model for
@@ -278,6 +285,9 @@ func (r *Request) Normalize() error {
 		}
 		if r.Yield.MaxTrials < 0 || r.Yield.HalfWidth < 0 {
 			return fmt.Errorf("service: negative yield bounds")
+		}
+		if r.Yield.MaxTrials > MaxYieldTrials {
+			return fmt.Errorf("service: max_trials %d exceeds %d", r.Yield.MaxTrials, MaxYieldTrials)
 		}
 		if r.Kind == "sweep" {
 			if err := r.normalizeSweep(); err != nil {

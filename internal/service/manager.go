@@ -32,12 +32,6 @@ type Config struct {
 	// MaxJobs bounds the retained job table (default 1024); the oldest
 	// finished jobs are pruned first.
 	MaxJobs int
-	// FsimWidth is the packed fault-simulation engine's lane-block width
-	// for every yield/sweep/resyn job this manager runs (default
-	// fsim.DefaultWidth). Results are bit-identical at every width, so
-	// the knob is deployment configuration — it is surfaced as the
-	// fsim_width metrics label and never enters job digests.
-	FsimWidth fsim.Width
 	// Store, when set, makes the manager durable: job lifecycles are
 	// journaled to its WAL, results persist to its content-addressed
 	// store, and at construction the journal is replayed — terminal
@@ -91,9 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 1024
-	}
-	if c.FsimWidth == 0 {
-		c.FsimWidth = fsim.DefaultWidth
 	}
 	return c
 }
@@ -228,7 +219,7 @@ func New(cfg Config) *Manager {
 		flights:    make(map[string]*flight),
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		exec:       runBounded(cfg.FsimWidth),
+		exec:       runBounded,
 		admit:      newAdmitQueue(cfg),
 	}
 	var pending []*jobRecord
@@ -430,7 +421,6 @@ func (m *Manager) MetricsSnapshot() map[string]int64 {
 	}
 	m.mu.Unlock()
 	out := m.metrics.Snapshot(perState, m.cache.Len())
-	out["fsim_width"] = int64(m.cfg.FsimWidth)
 	cc := core.SnapshotCheckCounters()
 	out["threshold_checks"] = cc.Checks
 	out["unsat_core_hits"] = cc.UnsatCacheHits

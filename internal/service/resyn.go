@@ -101,7 +101,6 @@ func (m *Manager) resynRunner(j *jobRecord) func(context.Context, Request) (Resu
 				MaxTrials: req.Yield.MaxTrials,
 				HalfWidth: req.Yield.HalfWidth,
 				Seed:      req.Yield.Seed,
-				Width:     m.cfg.FsimWidth,
 			},
 			Synth:       req.Options,
 			TopK:        req.Resyn.TopK,

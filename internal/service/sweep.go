@@ -218,7 +218,7 @@ func (m *Manager) sweepPrefixes(ctx context.Context, j *jobRecord, points []Swee
 		if err != nil {
 			return nil, fmt.Errorf("service: sweep synthesis (δon=%d): malformed tln: %w", p.DeltaOn, err)
 		}
-		sess, err := fsim.NewYieldSession(golden, tn, fsim.YieldConfig{Seed: j.req.Yield.Seed, Width: m.cfg.FsimWidth})
+		sess, err := fsim.NewYieldSession(golden, tn, fsim.YieldConfig{Seed: j.req.Yield.Seed})
 		if err != nil {
 			return nil, fmt.Errorf("service: sweep session (δon=%d): %w", p.DeltaOn, err)
 		}
@@ -246,7 +246,6 @@ func (m *Manager) pointRunner(px *prefix, index int) func(context.Context, Reque
 			MaxTrials: req.Yield.MaxTrials,
 			HalfWidth: req.Yield.HalfWidth,
 			Seed:      req.Yield.Seed,
-			Width:     m.cfg.FsimWidth,
 		})
 		if err != nil {
 			return Result{}, fmt.Errorf("service: yield analysis: %w", err)

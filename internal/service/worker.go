@@ -37,22 +37,16 @@ func runDetached(ctx context.Context, req Request, fn func(context.Context, Requ
 	}
 }
 
-// runBounded builds the default manager exec at the configured fsim lane
-// width: the full pipeline, detached.
-func runBounded(width fsim.Width) func(context.Context, Request) (Result, error) {
-	return func(ctx context.Context, req Request) (Result, error) {
-		return runDetached(ctx, req, func(ctx context.Context, req Request) (Result, error) {
-			return runPipeline(ctx, req, width)
-		})
-	}
+// runBounded is the default manager exec: the full pipeline, detached.
+func runBounded(ctx context.Context, req Request) (Result, error) {
+	return runDetached(ctx, req, runPipeline)
 }
 
 // runPipeline is the full batch flow of cmd/tels: parse → optimize →
 // synthesize → verify → render. The context is checked between stages so
 // a cancelled job stops at the next stage boundary even when its worker
-// has already moved on. width is the packed engine's lane-block width for
-// the yield stage; it never affects the result bits.
-func runPipeline(ctx context.Context, req Request, width fsim.Width) (Result, error) {
+// has already moved on.
+func runPipeline(ctx context.Context, req Request) (Result, error) {
 	var st StageTimes
 	t := time.Now()
 	src, err := blif.ParseString(req.BLIF)
@@ -121,7 +115,6 @@ func runPipeline(ctx context.Context, req Request, width fsim.Width) (Result, er
 			MaxTrials: req.Yield.MaxTrials,
 			HalfWidth: req.Yield.HalfWidth,
 			Seed:      req.Yield.Seed,
-			Width:     width,
 		})
 		st.Analyze = time.Since(t)
 		if err != nil {

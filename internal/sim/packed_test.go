@@ -74,7 +74,7 @@ func TestEquivalentPackedAgreesWithScalar(t *testing.T) {
 // engine (fanin > fsim.PackedFaninLimit) routes the check through the
 // scalar oracle instead of failing, and FailureRate likewise still works.
 func TestEquivalentFallsBackBeyondFaninLimit(t *testing.T) {
-	const n = 14 // > fsim.PackedFaninLimit, ≤ ExhaustiveLimit
+	const n = 14 // > fsim.PackedFaninLimit, ≤ fsim.ExhaustiveInputs
 	nw := network.New("wideor")
 	fanins := make([]*network.Node, n)
 	cubes := make([]string, n)

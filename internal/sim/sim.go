@@ -6,7 +6,9 @@
 //
 // The hot paths (Equivalent's simulation sweep and FailureRate's
 // Monte-Carlo inner loop) run word-parallel through internal/fsim, 64
-// vectors per machine word; the scalar evaluators in this package remain
+// vectors per machine word, on the vectors fsim.Vectors picks (all of
+// them up to fsim.ExhaustiveInputs inputs, a random sample beyond);
+// the scalar evaluators in this package remain
 // the correctness oracle (FailureRateConfig.Scalar and EquivalentScalar
 // force them), and both paths consume the seeded RNG streams identically,
 // so packed and scalar runs produce the same results.
@@ -23,19 +25,13 @@ import (
 	"tels/internal/network"
 )
 
-// ExhaustiveLimit is the largest primary-input count for which equivalence
-// checks enumerate all vectors; beyond it a random sample is used.
-const ExhaustiveLimit = 14
-
-// DefaultRandomVectors is the sample size for large networks.
-const DefaultRandomVectors = 4096
-
-// Vectors produces the input assignments used for checking nw: exhaustive
-// when the input count is at most ExhaustiveLimit, otherwise `samples`
-// random vectors drawn from rng.
+// Vectors produces the input assignments used for checking nw, by the
+// rule of fsim.Vectors: exhaustive when the input count is at most
+// fsim.ExhaustiveInputs, otherwise `samples` random vectors drawn from
+// rng.
 func Vectors(nw *network.Network, samples int, rng *rand.Rand) []map[string]bool {
 	n := len(nw.Inputs)
-	if n <= ExhaustiveLimit {
+	if n <= fsim.ExhaustiveInputs {
 		out := make([]map[string]bool, 0, 1<<uint(n))
 		for m := 0; m < 1<<uint(n); m++ {
 			in := make(map[string]bool, n)
@@ -66,18 +62,6 @@ func inputNames(nw *network.Network) []string {
 	return names
 }
 
-// packedBatch builds the packed counterpart of Vectors: exhaustive for
-// narrow networks, `samples` random vectors otherwise, consuming rng
-// exactly as Vectors would. The lane width w is a pure throughput knob;
-// the valid bits are identical at every width.
-func packedBatch(nw *network.Network, samples int, rng *rand.Rand, w fsim.Width) (*fsim.Batch, error) {
-	names := inputNames(nw)
-	if len(names) <= ExhaustiveLimit {
-		return fsim.ExhaustiveW(names, w)
-	}
-	return fsim.RandomW(names, samples, rng, w), nil
-}
-
 // Equivalent checks that the threshold network computes the same outputs
 // as the Boolean network on all vectors (or a random sample for wide
 // networks). It returns a descriptive error on the first mismatch. The
@@ -91,7 +75,7 @@ func Equivalent(nw *network.Network, tn *core.Network, seed int64) error {
 		return EquivalentScalar(nw, tn, seed)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	batch, err := packedBatch(nw, DefaultRandomVectors, rng, fsim.DefaultWidth)
+	batch, err := fsim.Vectors(inputNames(nw), fsim.DefaultSamples, rng)
 	if err != nil {
 		return err
 	}
@@ -123,7 +107,7 @@ func EquivalentScalar(nw *network.Network, tn *core.Network, seed int64) error {
 		return err
 	}
 	var want, got []bool
-	for _, in := range Vectors(nw, DefaultRandomVectors, rng) {
+	for _, in := range Vectors(nw, fsim.DefaultSamples, rng) {
 		want, err = bev.Eval(in, want)
 		if err != nil {
 			return err
@@ -240,15 +224,12 @@ func failsWith(bev *network.Evaluator, tev *core.Evaluator, p *Perturbation,
 // FailureRateConfig controls a Monte-Carlo failure-rate measurement.
 type FailureRateConfig struct {
 	Trials  int   // disturbed instances per circuit (default 10)
-	Samples int   // random vectors for wide circuits (default DefaultRandomVectors)
+	Samples int   // random vectors for wide circuits (default fsim.DefaultSamples)
 	Seed    int64 // RNG seed
 	// Scalar forces the one-vector-at-a-time oracle path instead of the
 	// packed fsim engine (for cross-checks and benchmarks; both paths
 	// produce identical results).
 	Scalar bool
-	// Width is the packed engine's lane-block width (default
-	// fsim.DefaultWidth). Results are bit-identical at every width.
-	Width fsim.Width
 }
 
 // FailureRate measures the fraction of (circuit, disturbance) trials that
@@ -263,7 +244,7 @@ func FailureRate(pairs []Pair, v float64, cfg FailureRateConfig) (float64, error
 		cfg.Trials = 10
 	}
 	if cfg.Samples <= 0 {
-		cfg.Samples = DefaultRandomVectors
+		cfg.Samples = fsim.DefaultSamples
 	}
 	if len(pairs) == 0 {
 		return 0, fmt.Errorf("sim: no trials")
@@ -344,7 +325,7 @@ func pairFailures(pair Pair, v float64, cfg FailureRateConfig, idx int64) (int, 
 // time.
 func packedPairFailures(pair Pair, bsim *fsim.BoolSim, tsim *fsim.ThreshSim,
 	v float64, cfg FailureRateConfig, rng *rand.Rand) (int, error) {
-	batch, err := packedBatch(pair.Bool, cfg.Samples, rng, cfg.Width)
+	batch, err := fsim.Vectors(inputNames(pair.Bool), cfg.Samples, rng)
 	if err != nil {
 		return 0, err
 	}
