@@ -23,8 +23,8 @@ race:
 	$(GO) test -race ./internal/core/ ./internal/sim/ ./internal/opt/ ./internal/expt/ ./internal/service/ ./internal/fsim/ ./internal/resyn/ ./internal/store/ ./internal/cluster/
 	$(GO) test -race -run 'Sweep|Session|V1|Resyn|Run' -count=2 ./internal/service/ ./internal/fsim/ ./internal/resyn/
 
-# benchsmoke compiles and runs the packed-vs-scalar Fig. 11 benchmark once
-# (correctness smoke, not a measurement).
+# benchsmoke compiles and runs the packed Fig. 11 inner-loop benchmark
+# once (correctness smoke, not a measurement).
 benchsmoke:
 	$(GO) test -run=NONE -bench=Fig11Inner -benchtime=1x .
 
@@ -114,6 +114,7 @@ fuzz:
 	$(GO) test -fuzz FuzzPrimes -fuzztime 30s ./internal/truth/
 	$(GO) test -fuzz FuzzCover -fuzztime 30s ./internal/logic/
 	$(GO) test -fuzz FuzzWeakDiv -fuzztime 30s ./internal/algebra/
+	$(GO) test -fuzz FuzzThreshSim -fuzztime 30s ./internal/fsim/
 
 experiments:
 	$(GO) run ./cmd/telsbench all

@@ -16,9 +16,11 @@
 //	       [-budget A] [-server URL]              selective re-synthesis loop
 //	telsim dot <net.tln>                          Graphviz export
 //
-// faults, yield, and perturb run on the packed fsim engine: 64 vectors
-// per machine word, exhaustive up to fsim.ExhaustiveInputs inputs,
-// sampled beyond (faults samples at least fsim.DefaultSamples).
+// faults, yield, perturb and compare's simulation fallback run on the
+// packed fsim engine, the one simulator for threshold gates of any
+// fanin: 64 vectors per machine word, exhaustive up to
+// fsim.ExhaustiveInputs inputs, sampled beyond (faults samples at least
+// fsim.DefaultSamples).
 //
 // sweep submits one kind="sweep" job — to a running telsd when -server is
 // given, to an in-process manager otherwise — synthesizing each δon once
@@ -358,10 +360,7 @@ func faults(impl string, o options) error {
 	if l.threshold == nil {
 		return fmt.Errorf("faults supports threshold (.tln) netlists")
 	}
-	batch, err := fsim.Vectors(l.threshold.Inputs, max(o.n, fsim.DefaultSamples), rand.New(rand.NewSource(o.seed)))
-	if err != nil {
-		return err
-	}
+	batch := fsim.Vectors(l.threshold.Inputs, max(o.n, fsim.DefaultSamples), rand.New(rand.NewSource(o.seed)))
 	rep, err := fsim.FaultSweep(l.threshold, batch)
 	if err != nil {
 		return err

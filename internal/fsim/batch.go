@@ -8,13 +8,15 @@
 // variation, threshold drift, stuck-at gate faults), a Monte-Carlo yield
 // estimator with sequential early stopping, and a critical-gate ranking
 // that attributes observed output failures to the first flipped gate on
-// each failing lane. The scalar evaluators in internal/sim,
-// internal/network and internal/core remain the correctness oracle;
-// property tests pin the packed paths to them bit for bit.
+// each failing lane. It is the repository's only simulator: threshold
+// gates of every fanin run through it, the narrow ones via fire tables
+// and the wide ones lane by lane. The map-based reference evaluators
+// (network.Network.EvalOutputs, core.Network.EvalOutputs and
+// core.Gate.EvalPerturbed) are its test oracle; property tests and
+// FuzzThreshSim pin the packed paths to them bit for bit.
 package fsim
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -31,15 +33,6 @@ const ExhaustiveInputs = 14
 // DefaultSamples is the random-vector sample size for networks wider
 // than ExhaustiveInputs.
 const DefaultSamples = 4096
-
-// MaxExhaustiveInputs bounds Exhaustive batches (2^20 vectors ≈ 16 K words
-// per input); callers with wider networks sample with Random instead.
-const MaxExhaustiveInputs = 20
-
-// ErrTooManyInputs is returned by Exhaustive when the input count exceeds
-// MaxExhaustiveInputs. Service runners classify it (via InvalidInput) as a
-// caller error rather than an internal failure.
-var ErrTooManyInputs = errors.New("fsim: too many inputs for exhaustive batch")
 
 // Batch is a set of packed input assignments: for every input, a flat row
 // of uint64 words with vector index v living in bit v%64 of word v/64.
@@ -88,24 +81,19 @@ func (b *Batch) Inputs() []string { return b.inputs }
 
 // Vectors packs the vectors a check sweeps: all 2^n assignments when
 // len(inputs) is at most ExhaustiveInputs, otherwise `samples` random
-// vectors drawn from rng. It consumes rng exactly as sim.Vectors does
-// (not at all for exhaustive batches).
-func Vectors(inputs []string, samples int, rng *rand.Rand) (*Batch, error) {
+// vectors drawn from rng (see Random). Exhaustive batches leave rng
+// untouched.
+func Vectors(inputs []string, samples int, rng *rand.Rand) *Batch {
 	if len(inputs) <= ExhaustiveInputs {
-		return Exhaustive(inputs)
+		return exhaustive(inputs)
 	}
-	return Random(inputs, samples, rng), nil
+	return Random(inputs, samples, rng)
 }
 
-// Exhaustive packs all 2^n assignments of the inputs: vector m assigns
-// input i the value of bit i of m, matching the enumeration order of
-// sim.Vectors. It returns ErrTooManyInputs if len(inputs) exceeds
-// MaxExhaustiveInputs.
-func Exhaustive(inputs []string) (*Batch, error) {
+// exhaustive packs all 2^n assignments of the inputs: vector m assigns
+// input i the value of bit i of m.
+func exhaustive(inputs []string) *Batch {
 	n := len(inputs)
-	if n > MaxExhaustiveInputs {
-		return nil, fmt.Errorf("%w: %d inputs (max %d)", ErrTooManyInputs, n, MaxExhaustiveInputs)
-	}
 	b := newBatch(inputs, 1<<uint(n))
 	// Inside a 64-lane word, inputs 0..5 follow fixed alternation
 	// patterns; inputs 6+ are constant per word, selected by the word
@@ -128,13 +116,13 @@ func Exhaustive(inputs []string) (*Batch, error) {
 			}
 		}
 	}
-	return b, nil
+	return b
 }
 
-// Random packs n uniformly random assignments. The RNG consumption order
-// (vector-major, input-minor, one Intn(2) per bit) is identical to
-// sim.Vectors, so a packed caller sampling from the same seeded stream
-// sees exactly the vectors the scalar path would.
+// Random packs n uniformly random assignments. It consumes rng
+// vector-major, input-minor, one Intn(2) per bit, so a caller that knows
+// the batch shape can replay or continue the stream (see
+// YieldSession.EstimateFor).
 func Random(inputs []string, n int, rng *rand.Rand) *Batch {
 	b := newBatch(inputs, n)
 	for v := 0; v < n; v++ {
@@ -146,25 +134,6 @@ func Random(inputs []string, n int, rng *rand.Rand) *Batch {
 		}
 	}
 	return b
-}
-
-// Pack converts explicit assignments (e.g. from sim.Vectors) into a
-// batch. Every assignment must cover every input by name.
-func Pack(inputs []string, vecs []map[string]bool) (*Batch, error) {
-	b := newBatch(inputs, len(vecs))
-	for v, vec := range vecs {
-		wi, bit := v/lanes, uint(v%lanes)
-		for i, name := range inputs {
-			val, ok := vec[name]
-			if !ok {
-				return nil, fmt.Errorf("fsim: vector %d has no value for input %s", v, name)
-			}
-			if val {
-				b.words[i][wi] |= uint64(1) << bit
-			}
-		}
-	}
-	return b, nil
 }
 
 // Assignment reconstructs vector v as a name→value map (for error

@@ -29,10 +29,8 @@ type DefectModel interface {
 }
 
 // WeightVariation is the paper's §VI-C Monte-Carlo disturbance: every
-// weight receives an independent V·U(−0.5, 0.5) offset. Its RNG
-// consumption (gate-major, weight-minor, one Float64 per weight) is
-// identical to sim.PerturbFor, so packed and scalar experiments driven
-// from the same stream see the same disturbances.
+// weight receives an independent V·U(−0.5, 0.5) offset. It consumes the
+// RNG gate-major, weight-minor, one Float64 per weight, in GateOrder().
 type WeightVariation struct {
 	V float64
 }

@@ -10,7 +10,7 @@ import (
 // is observable only on vector 11, stuck-at-1 on the other three.
 func TestFaultSweepAND(t *testing.T) {
 	_, tn := andPair(t)
-	rep, err := FaultSweep(tn, exhaustive(t, tn.Inputs))
+	rep, err := FaultSweep(tn, exhaustive(tn.Inputs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestFaultSweepRedundant(t *testing.T) {
 		t.Fatal(err)
 	}
 	tn.MarkOutput("f")
-	rep, err := FaultSweep(tn, exhaustive(t, tn.Inputs))
+	rep, err := FaultSweep(tn, exhaustive(tn.Inputs))
 	if err != nil {
 		t.Fatal(err)
 	}

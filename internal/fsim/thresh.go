@@ -1,25 +1,18 @@
 package fsim
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 
 	"tels/internal/core"
 )
 
-// PackedFaninLimit bounds the gate fanin the packed threshold evaluator
-// accepts: each gate is evaluated through a 2^k-entry fire table, so the
-// limit caps the per-gate scratch at 4096 minterm blocks. Networks
-// synthesized under the paper's fanin restriction (ψ ≤ 8) are far below
-// it; CompileThresh fails beyond it and callers fall back to the scalar
-// evaluator.
-const PackedFaninLimit = 12
-
-// ErrFaninLimit is returned by CompileThresh when a gate's fanin exceeds
-// PackedFaninLimit. Service runners classify it (via InvalidInput) as a
-// caller error rather than an internal failure.
-var ErrFaninLimit = errors.New("fsim: gate fanin exceeds packed limit")
+// tableFanin is the widest gate evaluated through a fire table: each
+// table holds 2^k minterm bits, so the bound caps the per-gate scratch at
+// 4096 minterm masks. Networks synthesized under the paper's fanin
+// restriction (ψ ≤ 8) stay below it; a wider gate has no table and is
+// evaluated lane by lane instead (see evalWith).
+const tableFanin = 12
 
 // fireTable is the packed truth table of one gate under one weight
 // assignment: bit m is the gate output on input minterm m (bit i of m is
@@ -57,8 +50,8 @@ type pGate struct {
 
 // ThreshSim evaluates a threshold network one 64-vector word at a time,
 // under exact weights (Eval), Monte-Carlo weight noise (EvalPerturbed),
-// or a general Defect (EvalDefect). Compile once, evaluate many batches;
-// not safe for concurrent use.
+// or a general Defect (EvalDefect), for gates of any fanin. Compile once,
+// evaluate many batches; not safe for concurrent use.
 type ThreshSim struct {
 	tn       *core.Network
 	order    []*core.Gate
@@ -68,15 +61,15 @@ type ThreshSim struct {
 	outSlots []int
 
 	vals []uint64    // [slot], rewritten per word
-	mts  []uint64    // the 2^maxFanin minterm masks of one gate
+	mts  []uint64    // the minterm masks of one table gate
 	out  [][]uint64  // [output][word], reused across calls
 	base []fireTable // exact-weight tables, built at compile time
 	work []fireTable // rebuilt per perturbed/defect evaluation
 }
 
 // CompileThresh prepares the packed evaluator. The gate order is
-// tn.TopoGates(), identical to core.Evaluator.GateOrder(), so noise
-// slices drawn for one are valid for the other.
+// tn.TopoGates(), so noise slices drawn against GateOrder() line up with
+// a topological walk of the network.
 func CompileThresh(tn *core.Network) (*ThreshSim, error) {
 	order, err := tn.TopoGates()
 	if err != nil {
@@ -91,12 +84,8 @@ func CompileThresh(tn *core.Network) (*ThreshSim, error) {
 	}
 	maxFanin := 0
 	for _, g := range order {
-		if len(g.Inputs) > PackedFaninLimit {
-			return nil, fmt.Errorf("%w: gate %s fanin %d (max %d)",
-				ErrFaninLimit, g.Name, len(g.Inputs), PackedFaninLimit)
-		}
-		if len(g.Inputs) > maxFanin {
-			maxFanin = len(g.Inputs)
+		if k := len(g.Inputs); k > maxFanin && k <= tableFanin {
+			maxFanin = k
 		}
 		slot[g.Name] = len(slot)
 	}
@@ -114,9 +103,11 @@ func CompileThresh(tn *core.Network) (*ThreshSim, error) {
 			pg.ins = append(pg.ins, is)
 		}
 		s.gates = append(s.gates, pg)
-		s.base[gi] = newFireTable(len(g.Inputs))
-		s.work[gi] = newFireTable(len(g.Inputs))
-		fillExactFire(g, &s.base[gi])
+		if len(g.Inputs) <= tableFanin {
+			s.base[gi] = newFireTable(len(g.Inputs))
+			s.work[gi] = newFireTable(len(g.Inputs))
+			fillExactFire(g, &s.base[gi])
+		}
 	}
 	for _, o := range tn.Outputs {
 		os, ok := slot[o]
@@ -151,8 +142,8 @@ func fillExactFire(g *core.Gate, ft *fireTable) {
 
 // fillNoisyFire enumerates the truth table under real-valued weight noise
 // and threshold drift. The per-minterm sum accumulates float64 terms in
-// ascending input order — exactly the association the scalar
-// core.Evaluator.EvalPerturbed uses — so packed and scalar agree bit for
+// ascending input order — exactly the association of the scalar
+// reference core.Gate.EvalPerturbed — so packed and scalar agree bit for
 // bit even on razor-edge sums.
 func fillNoisyFire(g *core.Gate, noise []float64, drift float64, ft *fireTable) {
 	ft.clear()
@@ -174,51 +165,55 @@ func fillNoisyFire(g *core.Gate, noise []float64, drift float64, ft *fireTable) 
 	}
 }
 
+// gateNoise returns gate gi's weight offsets (nil when the defect has
+// none) and threshold drift.
+func (d *Defect) gateNoise(gi int) (noise []float64, drift float64) {
+	if d.WeightNoise != nil {
+		noise = d.WeightNoise[gi]
+	}
+	if d.ThresholdNoise != nil {
+		drift = d.ThresholdNoise[gi]
+	}
+	return noise, drift
+}
+
 // Eval computes the packed outputs under the exact integer weights.
 func (s *ThreshSim) Eval(b *Batch) ([][]uint64, error) {
-	return s.evalWith(b, s.base, nil, nil)
+	return s.EvalDefect(b, nil, nil)
 }
 
 // EvalPerturbed computes the packed outputs with per-gate weight noise
 // (noise[gi] aligned with GateOrder()[gi].Weights), the w' = w +
 // v·U(−0.5,0.5) model of §VI-C.
 func (s *ThreshSim) EvalPerturbed(b *Batch, noise [][]float64) ([][]uint64, error) {
-	for gi := range s.gates {
-		fillNoisyFire(s.gates[gi].g, noise[gi], 0, &s.work[gi])
-	}
-	return s.evalWith(b, s.work, nil, nil)
+	return s.EvalDefect(b, &Defect{WeightNoise: noise}, nil)
 }
 
-// EvalDefect computes the packed outputs under a defect instance, writing
-// per-gate output words into trace ([gate][word], rows at least
-// b.Words() long) when trace is non-nil.
+// EvalDefect computes the packed outputs under a defect instance (nil for
+// none), writing per-gate output words into trace ([gate][word], rows at
+// least b.Words() long) when trace is non-nil.
 func (s *ThreshSim) EvalDefect(b *Batch, d *Defect, trace [][]uint64) ([][]uint64, error) {
+	if d == nil {
+		d = &Defect{}
+	}
 	tabs := s.base
-	if d != nil && (d.WeightNoise != nil || d.ThresholdNoise != nil) {
+	if d.WeightNoise != nil || d.ThresholdNoise != nil {
 		tabs = s.work
-		for gi := range s.gates {
-			var wn []float64
-			drift := 0.0
-			if d.WeightNoise != nil {
-				wn = d.WeightNoise[gi]
+		for gi, pg := range s.gates {
+			if len(pg.ins) <= tableFanin {
+				noise, drift := d.gateNoise(gi)
+				fillNoisyFire(pg.g, noise, drift, &s.work[gi])
 			}
-			if d.ThresholdNoise != nil {
-				drift = d.ThresholdNoise[gi]
-			}
-			fillNoisyFire(s.gates[gi].g, wn, drift, &s.work[gi])
 		}
 	}
-	var stuck []int8
-	if d != nil {
-		stuck = d.Stuck
-	}
-	return s.evalWith(b, tabs, stuck, trace)
+	return s.evalWith(b, tabs, d, trace)
 }
 
 // evalWith is the packed inner loop: per word, load the inputs, evaluate
-// every gate through its fire table over an incrementally doubled
-// minterm-mask array, and collect the outputs.
-func (s *ThreshSim) evalWith(b *Batch, tabs []fireTable, stuck []int8, trace [][]uint64) ([][]uint64, error) {
+// every gate, and collect the outputs. A gate of at most tableFanin
+// inputs goes through its fire table over an incrementally doubled
+// minterm-mask array; a wider gate is summed lane by lane (sumFire).
+func (s *ThreshSim) evalWith(b *Batch, tabs []fireTable, d *Defect, trace [][]uint64) ([][]uint64, error) {
 	cols, err := b.columns(s.inputs)
 	if err != nil {
 		return nil, err
@@ -230,60 +225,57 @@ func (s *ThreshSim) evalWith(b *Batch, tabs []fireTable, stuck []int8, trace [][
 		}
 		s.out[o] = s.out[o][:row]
 	}
-	vals, mts := s.vals, s.mts
+	vals, mts, stuck := s.vals, s.mts, d.Stuck
 	for wi := 0; wi < row; wi++ {
 		for i, slot := range s.inSlots {
 			vals[slot] = b.words[cols[i]][wi]
 		}
 		for gi := range s.gates {
 			pg := &s.gates[gi]
-			if stuck != nil && stuck[gi] >= 0 {
-				var word uint64
-				if stuck[gi] == 1 {
-					word = ^uint64(0)
-				}
-				vals[pg.slot] = word
-				if trace != nil {
-					trace[gi][wi] = word
-				}
-				continue
-			}
-			// Build the 2^k minterm masks by recursive doubling,
-			// processing fanins in reverse so input i lands at index
-			// bit i: each pass splits every existing mask on one input
-			// word, costing ~2·2^k word ops total.
-			mts[0] = ^uint64(0)
-			size := 1
-			for i := len(pg.ins) - 1; i >= 0; i-- {
-				w := vals[pg.ins[i]]
-				for j := size - 1; j >= 0; j-- {
-					t := mts[j]
-					mts[2*j+1] = t & w
-					mts[2*j] = t &^ w
-				}
-				size <<= 1
-			}
-			// OR the smaller of the ON/OFF minterm sets; the minterm
-			// masks partition the lanes, so the OFF union is the exact
-			// complement of the ON union.
-			ft := &tabs[gi]
-			invert := 2*ft.ones > size
 			var acc uint64
-			for fi := 0; fi*lanes < size; fi++ {
-				fw := ft.bits[fi]
+			if stuck != nil && stuck[gi] >= 0 {
+				if stuck[gi] == 1 {
+					acc = ^uint64(0)
+				}
+			} else if len(pg.ins) > tableFanin {
+				acc = sumFire(pg, vals, d, gi)
+			} else {
+				// Build the 2^k minterm masks by recursive doubling,
+				// processing fanins in reverse so input i lands at
+				// index bit i: each pass splits every existing mask on
+				// one input word, costing ~2·2^k word ops total.
+				mts[0] = ^uint64(0)
+				size := 1
+				for i := len(pg.ins) - 1; i >= 0; i-- {
+					w := vals[pg.ins[i]]
+					for j := size - 1; j >= 0; j-- {
+						t := mts[j]
+						mts[2*j+1] = t & w
+						mts[2*j] = t &^ w
+					}
+					size <<= 1
+				}
+				// OR the smaller of the ON/OFF minterm sets; the
+				// minterm masks partition the lanes, so the OFF union
+				// is the exact complement of the ON union.
+				ft := &tabs[gi]
+				invert := 2*ft.ones > size
+				for fi := 0; fi*lanes < size; fi++ {
+					fw := ft.bits[fi]
+					if invert {
+						fw = ^fw
+					}
+					if rem := size - fi*lanes; rem < lanes {
+						fw &= uint64(1)<<uint(rem) - 1
+					}
+					for fw != 0 {
+						acc |= mts[fi*lanes+bits.TrailingZeros64(fw)]
+						fw &= fw - 1
+					}
+				}
 				if invert {
-					fw = ^fw
+					acc = ^acc
 				}
-				if rem := size - fi*lanes; rem < lanes {
-					fw &= uint64(1)<<uint(rem) - 1
-				}
-				for fw != 0 {
-					acc |= mts[fi*lanes+bits.TrailingZeros64(fw)]
-					fw &= fw - 1
-				}
-			}
-			if invert {
-				acc = ^acc
 			}
 			vals[pg.slot] = acc
 			if trace != nil {
@@ -295,4 +287,46 @@ func (s *ThreshSim) evalWith(b *Batch, tabs []fireTable, stuck []int8, trace [][
 		}
 	}
 	return s.out, nil
+}
+
+// sumFire evaluates one word of a gate too wide for a fire table: every
+// lane adds the weights of its set inputs in ascending input order and
+// compares the sum with T (plus drift). Exact weights sum as integers,
+// noisy ones as float64 terms w + noise — the sums fillExactFire and
+// fillNoisyFire form, so both paths agree bit for bit.
+func sumFire(pg *pGate, vals []uint64, d *Defect, gi int) uint64 {
+	g := pg.g
+	var acc uint64
+	if d.WeightNoise == nil && d.ThresholdNoise == nil {
+		var sums [lanes]int
+		for i, in := range pg.ins {
+			for w := vals[in]; w != 0; w &= w - 1 {
+				sums[bits.TrailingZeros64(w)] += g.Weights[i]
+			}
+		}
+		for l, sum := range sums {
+			if sum >= g.T {
+				acc |= uint64(1) << uint(l)
+			}
+		}
+		return acc
+	}
+	noise, drift := d.gateNoise(gi)
+	var sums [lanes]float64
+	for i, in := range pg.ins {
+		x := float64(g.Weights[i])
+		if noise != nil {
+			x += noise[i]
+		}
+		for w := vals[in]; w != 0; w &= w - 1 {
+			sums[bits.TrailingZeros64(w)] += x
+		}
+	}
+	t := float64(g.T) + drift
+	for l, sum := range sums {
+		if sum >= t {
+			acc |= uint64(1) << uint(l)
+		}
+	}
+	return acc
 }

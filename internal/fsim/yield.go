@@ -1,7 +1,6 @@
 package fsim
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -52,14 +51,6 @@ func (c YieldConfig) withDefaults() YieldConfig {
 		c.Samples = DefaultSamples
 	}
 	return c
-}
-
-// InvalidInput reports whether err stems from a request the packed engine
-// rejects by design — too many inputs for an exhaustive batch, or a gate
-// fanin beyond the packed limit — rather than an internal failure.
-// Service runners map it to the invalid_request error code.
-func InvalidInput(err error) bool {
-	return errors.Is(err, ErrTooManyInputs) || errors.Is(err, ErrFaninLimit)
 }
 
 // GateImpact ranks one gate's contribution to observed failures.
@@ -138,8 +129,8 @@ func NewYieldSession(nw *network.Network, tn *core.Network, cfg YieldConfig) (*Y
 	if err != nil {
 		return nil, err
 	}
-	// Probe the threshold side now so a fanin overflow fails at session
-	// build rather than on the first point.
+	// Probe the threshold side now so an undriven or cyclic network fails
+	// at session build rather than on the first point.
 	if _, err := CompileThresh(tn); err != nil {
 		return nil, err
 	}
@@ -148,10 +139,7 @@ func NewYieldSession(nw *network.Network, tn *core.Network, cfg YieldConfig) (*Y
 		inputs[i] = in.Name
 	}
 	s := &YieldSession{tn: tn, seed: cfg.Seed}
-	s.batch, err = Vectors(inputs, cfg.Samples, rand.New(rand.NewSource(cfg.Seed)))
-	if err != nil {
-		return nil, err
-	}
+	s.batch = Vectors(inputs, cfg.Samples, rand.New(rand.NewSource(cfg.Seed)))
 	ref, err := bsim.Eval(s.batch)
 	if err != nil {
 		return nil, err

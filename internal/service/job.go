@@ -286,6 +286,12 @@ func (r *Request) Normalize() error {
 		if r.Yield.MaxTrials < 0 || r.Yield.HalfWidth < 0 {
 			return fmt.Errorf("service: negative yield bounds")
 		}
+		if r.Yield.V < 0 {
+			return fmt.Errorf("service: negative yield v %g", r.Yield.V)
+		}
+		if r.Yield.P < 0 || r.Yield.P > 1 {
+			return fmt.Errorf("service: yield p %g outside [0, 1]", r.Yield.P)
+		}
 		if r.Yield.MaxTrials > MaxYieldTrials {
 			return fmt.Errorf("service: max_trials %d exceeds %d", r.Yield.MaxTrials, MaxYieldTrials)
 		}
@@ -444,9 +450,9 @@ type Job struct {
 	Finished time.Time `json:"finished,omitempty"`
 	Error    string    `json:"error,omitempty"`
 	// ErrorCode classifies Error with a v1 error-envelope code when the
-	// failure is attributable to the request (e.g. invalid_request for a
-	// spec the packed engine rejects by design); empty for internal
-	// failures, timeouts, and cancellations.
+	// failure is attributable to the request; empty for internal
+	// failures, timeouts, and cancellations. No runner sets it today, but
+	// journals written by older builds carry it and replay restores it.
 	ErrorCode string `json:"error_code,omitempty"`
 	// Progress streams a sweep job's partial curve while it runs.
 	Progress *Progress `json:"progress,omitempty"`

@@ -12,7 +12,6 @@ import (
 
 	"tels/internal/cluster"
 	"tels/internal/core"
-	"tels/internal/fsim"
 	"tels/internal/resyn"
 	"tels/internal/store"
 )
@@ -498,12 +497,6 @@ func (j *jobRecord) snapshotLocked() Job {
 	if j.err != nil {
 		job.Error = j.err.Error()
 		job.ErrorCode = j.errCode
-		if fsim.InvalidInput(j.err) {
-			// Requests the packed engine rejects by design (too many
-			// exhaustive inputs, fanin over the packed limit) are caller
-			// errors, not service failures.
-			job.ErrorCode = CodeInvalidRequest
-		}
 	}
 	if j.req.Kind == "sweep" && j.sweepTotal > 0 {
 		pr := &Progress{

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"testing"
 
 	"tels/internal/core"
@@ -48,37 +47,13 @@ func TestEquivalentDetectsMismatch(t *testing.T) {
 	}
 }
 
-func TestVectorsExhaustiveVsSampled(t *testing.T) {
-	p := buildPair(t, 0)
-	rng := rand.New(rand.NewSource(3))
-	vs := Vectors(p.Bool, 100, rng)
-	if len(vs) != 16 {
-		t.Fatalf("4 inputs should give 16 exhaustive vectors, got %d", len(vs))
-	}
-	// A wide network samples.
-	b := network.NewBuilder("wide")
-	var ins []*network.Node
-	for i := 0; i < 20; i++ {
-		ins = append(ins, b.Input(network.New("x").FreshName("i")+string(rune('a'+i))))
-	}
-	b.Output(b.Or("y", ins...))
-	vs = Vectors(b.Net, 100, rng)
-	if len(vs) != 100 {
-		t.Fatalf("wide network should sample 100 vectors, got %d", len(vs))
-	}
-}
-
 func TestZeroPerturbationNeverFails(t *testing.T) {
-	p := buildPair(t, 0)
-	rng := rand.New(rand.NewSource(9))
-	vectors := Vectors(p.Bool, 256, rng)
-	pert := Perturb(p.Threshold, 0, rng)
-	bad, err := FailsUnderPerturbation(p.Bool, p.Threshold, pert, vectors)
+	rate, err := FailureRate([]Pair{buildPair(t, 0)}, 0, FailureRateConfig{Trials: 20, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bad {
-		t.Fatal("zero perturbation must not fail")
+	if rate != 0 {
+		t.Fatalf("zero perturbation failed %.2f of trials", rate)
 	}
 }
 
@@ -87,18 +62,12 @@ func TestSmallPerturbationWithinMargin(t *testing.T) {
 	// is the paper's Fig. 11 motivation. With δon=1 and δoff=1 both sides
 	// have margin 1; a multiplier v drifts any weighted sum by at most
 	// fanin·v/2 = 0.15 < 1, so no failures can occur.
-	p := buildPair(t, 1)
-	rng := rand.New(rand.NewSource(11))
-	vectors := Vectors(p.Bool, 256, rng)
-	for trial := 0; trial < 20; trial++ {
-		pert := Perturb(p.Threshold, 0.1, rng)
-		bad, err := FailsUnderPerturbation(p.Bool, p.Threshold, pert, vectors)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bad {
-			t.Fatal("v=0.1 must stay within the δ margins")
-		}
+	rate, err := FailureRate([]Pair{buildPair(t, 1)}, 0.1, FailureRateConfig{Trials: 20, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rate != 0 {
+		t.Fatalf("v=0.1 must stay within the δ margins, failed %.2f of trials", rate)
 	}
 }
 
@@ -148,29 +117,6 @@ func TestFailureRateMonotoneInV(t *testing.T) {
 func TestFailureRateEmptyPairs(t *testing.T) {
 	if _, err := FailureRate(nil, 1, FailureRateConfig{}); err == nil {
 		t.Fatal("empty pair list must error")
-	}
-}
-
-func TestEvalPerturbedStandalone(t *testing.T) {
-	p := buildPair(t, 0)
-	rng := rand.New(rand.NewSource(21))
-	pert := Perturb(p.Threshold, 0, rng)
-	in := map[string]bool{"a0": true, "a1": false, "b0": true, "b1": false}
-	got, err := EvalPerturbed(p.Threshold, pert, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := p.Threshold.EvalOutputs(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("zero-noise EvalPerturbed differs at output %d", i)
-		}
-	}
-	if _, err := EvalPerturbed(p.Threshold, pert, map[string]bool{"a0": true}); err == nil {
-		t.Fatal("missing inputs accepted")
 	}
 }
 
