@@ -64,10 +64,10 @@ clustersmoke:
 # apismoke proves the multi-tenant v1 surface end to end: the envelope
 # conformance sweep, tenant scoping with the ?tenant= filter, priority
 # and quota enforcement (429 + Retry-After while other tenants flow),
-# the weighted-fair starvation scenario against the FIFO baseline, SSE
+# the weighted-fair starvation scenario against a solo baseline, SSE
 # exactly-once streaming, tenant-preserving restart recovery, tenant
 # propagation across a 3-peer ring, a booted two-tenant telsd walked
-# over real HTTP, then one quick fair-vs-fifo admission benchmark.
+# over real HTTP, then one quick solo-vs-fair admission benchmark.
 apismoke:
 	$(GO) test -count=1 -run 'TestV1|TestTenant|TestPriority|TestQuota|TestWeightedFair|TestRestartPreservesTenant|TestPreTenantJournal|TestSSE|TestSubscribe|TestCluster.*Tenant|TestOverloaded|TestMetricsExpose' ./internal/service/
 	$(GO) test -count=1 -run 'TestAPISmokeMultiTenant' ./cmd/telsd/
@@ -115,6 +115,7 @@ fuzz:
 	$(GO) test -fuzz FuzzCover -fuzztime 30s ./internal/logic/
 	$(GO) test -fuzz FuzzWeakDiv -fuzztime 30s ./internal/algebra/
 	$(GO) test -fuzz FuzzThreshSim -fuzztime 30s ./internal/fsim/
+	$(GO) test -fuzz FuzzTechDecomp -fuzztime 30s ./internal/opt/
 
 experiments:
 	$(GO) run ./cmd/telsbench all

@@ -39,7 +39,6 @@ type config struct {
 	deltaOff  int
 	maxWeight int
 	seed      int64
-	exact     bool
 	script    string
 	mapper    string
 	output    string
@@ -55,7 +54,6 @@ func main() {
 	flag.IntVar(&cfg.deltaOn, "don", 0, "defect tolerance δon")
 	flag.IntVar(&cfg.deltaOff, "doff", 1, "defect tolerance δoff")
 	flag.Int64Var(&cfg.seed, "seed", 0, "tie-break seed for the splitting heuristics")
-	flag.BoolVar(&cfg.exact, "exact", false, "solve threshold ILPs in exact rational arithmetic")
 	flag.IntVar(&cfg.maxWeight, "maxw", 0, "bound on |weight| per gate input (0 = unbounded)")
 	flag.StringVar(&cfg.script, "script", "algebraic", "pre-synthesis optimization: algebraic, boolean, or none")
 	flag.StringVar(&cfg.mapper, "map", "tels", "mapping: tels (threshold synthesis) or one2one (baseline)")
@@ -113,7 +111,7 @@ func runLocal(t *cli.Tool, cfg config, in io.Reader, srcName string) error {
 	}
 
 	o := core.Options{Fanin: cfg.fanin, DeltaOn: cfg.deltaOn, DeltaOff: cfg.deltaOff,
-		Seed: cfg.seed, ExactILP: cfg.exact, MaxWeight: cfg.maxWeight}
+		Seed: cfg.seed, MaxWeight: cfg.maxWeight}
 	ccBefore := core.SnapshotCheckCounters()
 	var tn *core.Network
 	var stats core.SynthStats
@@ -182,7 +180,6 @@ func runRemote(t *cli.Tool, cfg config, in io.Reader, srcName string) error {
 		DeltaOn:    &don,
 		DeltaOff:   &doff,
 		Seed:       cfg.seed,
-		Exact:      cfg.exact,
 		MaxWeight:  cfg.maxWeight,
 		SkipVerify: !cfg.verify,
 	})

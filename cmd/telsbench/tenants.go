@@ -16,21 +16,21 @@ import (
 // experiment behind BENCH_tenants.json. Two tenants compete for one
 // small worker pool — "heavy" floods a large backlog, "light" submits a
 // small interactive batch right behind it — and the experiment measures
-// each tenant's queue wait (submit → dispatch) under three arms:
+// each tenant's queue wait (submit → dispatch) under two arms:
 //
 //   solo  light runs alone: the no-contention baseline
-//   fair  weighted-fair admission (the default): per-tenant queues,
-//         stride-scheduled by weight
-//   fifo  single shared queue: the pre-tenancy baseline
+//   fair  heavy's flood first: weighted-fair admission, per-tenant
+//         queues stride-scheduled by weight
 //
 // Like the cluster experiment, the measurement is synthetic: every job
 // carries a fixed ExecDelay sleep standing in for per-job compute, so
 // the arms characterize the admission queue, not the synthesizer. The
-// headline figure is light's p95 wait: under FIFO it grows with heavy's
-// whole backlog; under weighted-fair it stays near the solo baseline no
-// matter how deep heavy's flood is.
+// headline figure is light's p95 wait, which stays near the solo
+// baseline no matter how deep heavy's flood is. (A single shared FIFO
+// queue, since removed, let it grow with heavy's whole backlog; see
+// BENCH_tenants.json.)
 
-// tenantArm is one admission policy's measurement.
+// tenantArm is one arm's measurement.
 type tenantArm struct {
 	Arm         string  `json:"arm"`
 	HeavyJobs   int     `json:"heavy_jobs"`
@@ -61,14 +61,9 @@ func waitQuantiles(jobs []service.Job) (p50, p95, max float64) {
 // waits for light, and measures both tenants' queue waits.
 func runTenantArm(arm string, src string, heavyJobs, lightJobs int, delay time.Duration) (tenantArm, error) {
 	out := tenantArm{Arm: arm, HeavyJobs: heavyJobs, LightJobs: lightJobs}
-	policy := service.AdmissionFair
-	if arm == "fifo" {
-		policy = service.AdmissionFIFO
-	}
 	m := service.New(service.Config{
 		Workers:    2,
 		QueueDepth: heavyJobs + lightJobs + 8,
-		Admission:  policy,
 		ExecDelay:  delay,
 	})
 	defer m.Close()
@@ -125,7 +120,7 @@ func runTenantArm(arm string, src string, heavyJobs, lightJobs int, delay time.D
 	return out, nil
 }
 
-// tenantsBench runs the solo/fair/fifo arms and renders the comparison.
+// tenantsBench runs the solo and fair arms and renders the comparison.
 func tenantsBench(quick, jsonOut bool, emit emitFn) error {
 	const name = "cm152a"
 	delay := 10 * time.Millisecond
@@ -147,19 +142,11 @@ func tenantsBench(quick, jsonOut bool, emit emitFn) error {
 	if err != nil {
 		return err
 	}
-	fifo, err := runTenantArm("fifo", src, heavyJobs, lightJobs, delay)
-	if err != nil {
-		return err
-	}
-	norm := func(a *tenantArm) {
-		if solo.LightP95MS > 0 {
-			a.LightVsSolo = a.LightP95MS / solo.LightP95MS
-		}
-	}
 	solo.LightVsSolo = 1
-	norm(&fair)
-	norm(&fifo)
-	arms := []tenantArm{solo, fair, fifo}
+	if solo.LightP95MS > 0 {
+		fair.LightVsSolo = fair.LightP95MS / solo.LightP95MS
+	}
+	arms := []tenantArm{solo, fair}
 
 	if jsonOut {
 		return writeJSON(map[string]any{
@@ -182,7 +169,7 @@ func tenantsBench(quick, jsonOut bool, emit emitFn) error {
 			a.Arm, a.WallMS, a.LightP50MS, a.LightP95MS, a.LightMaxMS,
 			a.HeavyP50MS, a.HeavyP95MS, a.LightVsSolo)
 	}
-	fmt.Println("\nfair admission keeps the light tenant near its solo latency; fifo starves it")
+	fmt.Println("\nfair admission keeps the light tenant near its solo latency")
 	return emit("tenants.csv", func(w io.Writer) error {
 		if _, err := fmt.Fprintln(w, "arm,wall_ms,light_p50_ms,light_p95_ms,light_max_ms,heavy_p50_ms,heavy_p95_ms,light_p95_vs_solo"); err != nil {
 			return err

@@ -109,7 +109,6 @@ type options struct {
 	peers      string
 	self       string
 	auth       *service.Auth
-	admission  string
 	tenantWt   int
 	tenantJobs int
 	tenantInfl int
@@ -130,7 +129,6 @@ func main() {
 		apiKeys   = flag.String("api-keys", "", "tenant API keys as tenant=key[,tenant=key=admin,...]; empty = open mode (no auth)")
 		keysFile  = flag.String("api-keys-file", "", `JSON keys file {"tenants":[{"name","key","weight","max_jobs","max_in_flight","admin"}],"cluster_key":"..."}; merged with -api-keys`)
 		clustKey  = flag.String("cluster-key", "", "shared bearer token peers present on /v1/cluster/* calls (required when keys are set on a cluster)")
-		admission = flag.String("admission", service.AdmissionFair, "admission policy: fair (weighted-fair per-tenant queues) or fifo (single queue, baseline)")
 		tenantWt  = flag.Int("tenant-weight", 0, "default tenant weight under fair admission (0 = 1)")
 		tenantJ   = flag.Int("tenant-max-jobs", 0, "default cap on a tenant's outstanding jobs, 429 beyond it (0 = unlimited)")
 		tenantIF  = flag.Int("tenant-max-inflight", 0, "default cap on a tenant's concurrently running jobs (0 = unlimited)")
@@ -146,9 +144,6 @@ func main() {
 	if (*peers == "") != (*self == "") {
 		t.Usage("-peers and -self must be set together")
 	}
-	if *admission != service.AdmissionFair && *admission != service.AdmissionFIFO {
-		t.Usage("-admission must be fair or fifo, got %q", *admission)
-	}
 	auth, err := buildAuth(*apiKeys, *keysFile, *clustKey)
 	if err != nil {
 		t.Usage("%v", err)
@@ -156,7 +151,7 @@ func main() {
 	o := options{
 		addr: *addr, workers: *workers, queue: *queue, cache: *cache,
 		timeout: *timeout, maxjobs: *maxjobs, dataDir: *dataDir,
-		peers: *peers, self: *self, auth: auth, admission: *admission,
+		peers: *peers, self: *self, auth: auth,
 		tenantWt: *tenantWt, tenantJobs: *tenantJ, tenantInfl: *tenantIF,
 		execDelay: *execDelay,
 	}
@@ -244,7 +239,6 @@ func run(t *cli.Tool, o options) error {
 			DefaultTimeout:    o.timeout,
 			MaxJobs:           o.maxjobs,
 			Auth:              o.auth,
-			Admission:         o.admission,
 			TenantWeight:      o.tenantWt,
 			TenantMaxJobs:     o.tenantJobs,
 			TenantMaxInFlight: o.tenantInfl,
@@ -290,7 +284,7 @@ func run(t *cli.Tool, o options) error {
 		h := service.NewHandler(m)
 		gate.ready.Store(&h)
 		if o.auth != nil && !o.auth.Open() {
-			t.Infof("auth on: %d tenants (%s admission)", len(o.auth.Tenants()), o.admission)
+			t.Infof("auth on: %d tenants (weighted-fair admission)", len(o.auth.Tenants()))
 		}
 		t.Infof("ready (%d workers, cache %d entries)", m.Workers(), o.cache)
 		bootCh <- booted{m: m, st: st}

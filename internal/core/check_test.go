@@ -349,39 +349,3 @@ func TestTheorem2PaperExample(t *testing.T) {
 		t.Fatal("paper's vector <1,-1,2;1> fails verification")
 	}
 }
-
-// The exact-arithmetic ILP backend must agree with the float backend on
-// every unate function of up to 4 variables.
-func TestCheckThresholdExactBackend(t *testing.T) {
-	fl := ilp.Solver{}
-	ex := ilp.Solver{Exact: true}
-	for n := 1; n <= 4; n++ {
-		size := 1 << uint(n)
-		step := 1
-		if n == 4 {
-			step = 7
-		}
-		for code := 0; code < 1<<uint(size); code += step {
-			tt := truth.New(n)
-			for m := 0; m < size; m++ {
-				tt.Set(m, code&(1<<uint(m)) != 0)
-			}
-			if isConst, _ := tt.IsConst(); isConst {
-				continue
-			}
-			if len(tt.Support()) != n || !tt.IsUnate() {
-				continue
-			}
-			vf, okF := CheckThreshold(tt, 0, 1, &fl)
-			ve, okE := CheckThreshold(tt, 0, 1, &ex)
-			if okF != okE {
-				t.Fatalf("n=%d code=%x: float=%v exact=%v", n, code, okF, okE)
-			}
-			if okF {
-				if !VerifyVector(tt, vf, 0, 1) || !VerifyVector(tt, ve, 0, 1) {
-					t.Fatalf("n=%d code=%x: vector verification failed", n, code)
-				}
-			}
-		}
-	}
-}

@@ -86,8 +86,7 @@ func ResetUnsatCache() {
 // check, behind the proven-UNSAT cache. The zero value is ready to use:
 // default ILP node budget, UNSAT cache on.
 type Checker struct {
-	// ILP configures the branch-and-bound solver (§V-E node budget,
-	// exact arithmetic).
+	// ILP configures the branch-and-bound solver (§V-E node budget).
 	ILP ilp.Solver
 	// NoCache bypasses the process-wide proven-UNSAT cache. Benchmarks
 	// use it to measure cold solves.
@@ -98,7 +97,7 @@ type Checker struct {
 // knobs; internal/resyn and the synthesizer share it so the ILP knobs
 // reach every check.
 func (o *Options) Checker() Checker {
-	return Checker{ILP: ilp.Solver{MaxNodes: o.MaxILPNodes, Exact: o.ExactILP}}
+	return Checker{ILP: ilp.Solver{MaxNodes: o.MaxILPNodes}}
 }
 
 // Check decides whether tt is a threshold function under the margins and

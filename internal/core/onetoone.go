@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"tels/internal/netcore"
 	"tels/internal/network"
 	"tels/internal/opt"
 	"tels/internal/truth"
@@ -20,22 +21,24 @@ func OneToOne(src *network.Network, o Options) (*Network, error) {
 	if err := src.Validate(); err != nil {
 		return nil, err
 	}
-	dec := opt.TechDecomp(src, o.Fanin)
+	dec := opt.TechDecomp(netcore.FromNetwork(src), o.Fanin)
 	out := NewNetwork(src.Name)
-	for _, in := range dec.Inputs {
-		out.AddInput(in.Name)
+	for _, in := range dec.Inputs() {
+		out.AddInput(dec.NetName(in))
 	}
 	chk := o.Checker()
-	order, err := dec.TopoSort()
+	order, err := dec.TopoNets()
 	if err != nil {
 		return nil, err
 	}
 	for _, n := range order {
-		if n.Kind != network.Internal {
+		if dec.NetKind(n) != netcore.NetFunc {
 			continue
 		}
-		don := o.DeltaOnFor(n.Name)
-		tt := truth.FromCover(n.Cover)
+		name := dec.NetName(n)
+		don := o.DeltaOnFor(name)
+		cv := dec.NetCover(n)
+		tt := truth.FromCover(cv)
 		if isConst, v := tt.IsConst(); isConst {
 			t := o.DeltaOff
 			if t < 1 {
@@ -44,25 +47,26 @@ func OneToOne(src *network.Network, o Options) (*Network, error) {
 			if v {
 				t = -don
 			}
-			if err := out.AddGate(&Gate{Name: n.Name, T: t}); err != nil {
+			if err := out.AddGate(&Gate{Name: name, T: t}); err != nil {
 				return nil, err
 			}
 			continue
 		}
 		vec, ok := chk.Check(tt, don, o.DeltaOff, o.MaxWeight)
 		if !ok {
-			return nil, fmt.Errorf("core: one-to-one gate %s is not threshold (cover %v)", n.Name, n.Cover)
+			return nil, fmt.Errorf("core: one-to-one gate %s is not threshold (cover %v)", name, cv)
 		}
-		inputs := make([]string, len(n.Fanins))
-		for i, f := range n.Fanins {
-			inputs[i] = f.Name
+		fanins := dec.NetFanins(n)
+		inputs := make([]string, len(fanins))
+		for i, f := range fanins {
+			inputs[i] = dec.NetName(f)
 		}
-		if err := out.AddGate(&Gate{Name: n.Name, Inputs: inputs, Weights: vec.Weights, T: vec.T}); err != nil {
+		if err := out.AddGate(&Gate{Name: name, Inputs: inputs, Weights: vec.Weights, T: vec.T}); err != nil {
 			return nil, err
 		}
 	}
-	for _, o := range dec.Outputs {
-		out.MarkOutput(o.Name)
+	for _, o := range dec.Outputs() {
+		out.MarkOutput(dec.NetName(o))
 	}
 	out.MergeDuplicates()
 	if err := out.Validate(); err != nil {

@@ -31,9 +31,6 @@ type Options struct {
 	// MaxILPNodes bounds the branch-and-bound budget per threshold check;
 	// zero selects the ilp package default.
 	MaxILPNodes int
-	// ExactILP solves the threshold ILPs in exact rational arithmetic
-	// instead of float64 — slower, immune to rounding pathologies.
-	ExactILP bool
 	// MaxWeight bounds |wᵢ| of every gate input (0 = unbounded): RTD peak
 	// currents scale with the weight, so physical designs cap the ratio
 	// to the unit RTD. Functions needing larger weights are split.

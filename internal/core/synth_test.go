@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tels/internal/ilp"
@@ -419,6 +420,41 @@ func TestOneToOneRandom(t *testing.T) {
 	}
 }
 
+// TestOneToOneKeepsOutputNames maps a source whose output a_n carries the
+// name the decomposition would give the shared inverter of a. The outputs
+// must keep the source's names, and the gate named after each output must
+// compute that output.
+func TestOneToOneKeepsOutputNames(t *testing.T) {
+	nw := network.New("collide")
+	a := nw.AddInput("a")
+	b := nw.AddInput("b")
+	nw.MarkOutput(nw.AddNode("a_n", []*network.Node{a, b}, logic.MustCover("01")))
+	nw.MarkOutput(nw.AddNode("y", []*network.Node{a, b}, logic.MustCover("00")))
+	tn, err := OneToOne(nw, Options{Fanin: 2, DeltaOn: 0, DeltaOff: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(tn.Outputs, []string{"a_n", "y"}) {
+		t.Fatalf("outputs = %v, want [a_n y]", tn.Outputs)
+	}
+	for v := 0; v < 4; v++ {
+		in := map[string]bool{"a": v&1 != 0, "b": v&2 != 0}
+		want, err := nw.EvalOutputs(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tn.Eval(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, o := range nw.Outputs {
+			if got[o.Name] != want[i] {
+				t.Fatalf("a=%v b=%v: gate %s = %v, source %v", in["a"], in["b"], o.Name, got[o.Name], want[i])
+			}
+		}
+	}
+}
+
 func TestGateAreaEq14(t *testing.T) {
 	g := &Gate{Name: "g", Inputs: []string{"a", "b", "c"}, Weights: []int{2, -1, -1}, T: 1}
 	if got := g.Area(); got != 5 {
@@ -554,24 +590,6 @@ func TestVerifyVectorRejectsBad(t *testing.T) {
 }
 
 var _ = ilp.Solver{} // keep the import for documentation-style references
-
-func TestSynthesizeExactILP(t *testing.T) {
-	nw := fig2a()
-	o := Options{Fanin: 3, DeltaOn: 0, DeltaOff: 1, ExactILP: true}
-	exact, _, err := Synthesize(nw, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkEquivalent(t, nw, exact)
-	o.ExactILP = false
-	float, _, err := Synthesize(nw, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact.String() != float.String() {
-		t.Fatal("exact and float ILP backends produced different networks")
-	}
-}
 
 func TestMaxWeightRespected(t *testing.T) {
 	// f = x1x2 + x1x3 needs weight 2 on x1 as a single gate; with

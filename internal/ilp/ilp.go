@@ -70,9 +70,6 @@ type Solver struct {
 	// MaxNodes bounds the number of branch-and-bound nodes explored.
 	// Zero means DefaultMaxNodes.
 	MaxNodes int
-	// Exact solves every LP relaxation in exact rational arithmetic
-	// instead of float64 — slower, but immune to rounding pathologies.
-	Exact bool
 }
 
 // DefaultMaxNodes is the node budget used when Solver.MaxNodes is zero.
@@ -98,7 +95,6 @@ func (s *Solver) SolveContext(ctx context.Context, p *simplex.Problem) Result {
 	b := &bnb{
 		best:     math.Inf(1),
 		maxNodes: maxNodes,
-		exact:    s.Exact,
 		done:     ctx.Done(),
 	}
 	b.explore(p)
@@ -121,7 +117,6 @@ type bnb struct {
 	maxNodes  int
 	hitLimit  bool
 	unbounded bool
-	exact     bool
 	done      <-chan struct{}
 }
 
@@ -142,12 +137,7 @@ func (b *bnb) explore(p *simplex.Problem) {
 		}
 	}
 	b.nodes++
-	var res simplex.Result
-	if b.exact {
-		res = simplex.SolveExact(p)
-	} else {
-		res = simplex.Solve(p)
-	}
+	res := simplex.Solve(p)
 	switch res.Status {
 	case simplex.Infeasible:
 		return

@@ -178,39 +178,3 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 		}
 	}
 }
-
-// The exact-arithmetic mode must agree with the float mode.
-func TestExactModeAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(321))
-	fl := Solver{}
-	ex := Solver{Exact: true}
-	for iter := 0; iter < 80; iter++ {
-		n := 2 + rng.Intn(2)
-		p := &simplex.Problem{C: make([]float64, n)}
-		for j := range p.C {
-			p.C[j] = float64(1 + rng.Intn(3))
-		}
-		for i := 0; i < 1+rng.Intn(3); i++ {
-			row := make([]float64, n)
-			for j := range row {
-				row[j] = float64(rng.Intn(7) - 3)
-			}
-			p.A = append(p.A, row)
-			p.B = append(p.B, float64(rng.Intn(7)-3))
-		}
-		for j := 0; j < n; j++ { // box to keep it bounded
-			row := make([]float64, n)
-			row[j] = 1
-			p.A = append(p.A, row)
-			p.B = append(p.B, 5)
-		}
-		a := fl.Solve(p)
-		b := ex.Solve(p)
-		if a.Status != b.Status {
-			t.Fatalf("iter %d: status float=%v exact=%v", iter, a.Status, b.Status)
-		}
-		if a.Status == Optimal && math.Abs(a.Objective-b.Objective) > 1e-6 {
-			t.Fatalf("iter %d: objective float=%v exact=%v", iter, a.Objective, b.Objective)
-		}
-	}
-}

@@ -5,7 +5,6 @@ import (
 
 	"tels/internal/logic"
 	"tels/internal/netcore"
-	"tels/internal/network"
 )
 
 // TechDecomp rebuilds the network as simple gates — AND, OR, inverters and
@@ -14,155 +13,105 @@ import (
 // way the paper's one-to-one baseline counts inverters as gates (its
 // motivational example counts "seven gates ... including the inverter").
 // The returned network has the same primary inputs and output names.
-func TechDecomp(nw *network.Network, maxFanin int) *network.Network {
+// Generated gates never take a name the source uses, so every source node
+// finds its own name free for its root gate, constant or output buffer.
+func TechDecomp(nw *netcore.Network, maxFanin int) *netcore.Network {
 	if maxFanin < 2 {
 		panic(fmt.Sprintf("opt: TechDecomp fanin restriction %d < 2", maxFanin))
 	}
-	out := network.New(nw.Name)
-	mapping := make(map[*network.Node]*network.Node) // old signal -> new signal
-	inverters := make(map[*network.Node]*network.Node)
-
-	for _, in := range nw.Inputs {
-		mapping[in] = out.AddInput(in.Name)
+	out := netcore.New(nw.Name)
+	// fresh is out.FreshName that also skips the source's names, so a
+	// source node visited later still finds its own name free.
+	fresh := func(base string) string {
+		name := base
+		for i := 0; out.NetByName(name) != netcore.InvalidNet || nw.NetByName(name) != netcore.InvalidNet; i++ {
+			name = fmt.Sprintf("%s_%d", base, i)
+		}
+		return name
 	}
-
-	invOf := func(sig *network.Node) *network.Node {
+	// tree reduces lits to one gate of fanin ≤ maxFanin. Its root is named
+	// root when that is given, else prefix plus the next serial.
+	tree := func(lits []litRef, coverOf func([]litRef) logic.Cover, prefix, root string) netcore.Net {
+		level, serial := reduceLits(out, lits, maxFanin, coverOf, prefix, fresh)
+		if root == "" {
+			root = fresh(fmt.Sprintf("%s%d", prefix, serial))
+		}
+		return addLitGate(out, root, level, coverOf)
+	}
+	mapping := make(map[netcore.Net]netcore.Net) // source net -> new signal
+	inverters := make(map[netcore.Net]netcore.Net)
+	invOf := func(sig netcore.Net) netcore.Net {
 		if inv, ok := inverters[sig]; ok {
 			return inv
 		}
-		inv := out.AddNode(out.FreshName(sig.Name+"_n"), []*network.Node{sig},
-			logic.MustCover("0"))
+		inv := out.AddNode(fresh(out.NetName(sig)+"_n"), []netcore.Net{sig}, logic.MustCover("0"))
 		inverters[sig] = inv
 		return inv
 	}
 
-	andTree := func(base, finalName string, ins []*network.Node) *network.Node {
-		return buildTree(out, base+"_a", finalName, ins, maxFanin, andCover)
+	for _, in := range nw.Inputs() {
+		mapping[in] = out.AddInput(nw.NetName(in))
 	}
-	orTree := func(base, finalName string, ins []*network.Node) *network.Node {
-		return buildTree(out, base+"_o", finalName, ins, maxFanin, orCover)
-	}
-
-	order, err := nw.TopoSort()
+	order, err := nw.TopoNets()
 	if err != nil {
 		panic(err)
 	}
 	for _, n := range order {
-		if n.Kind != network.Internal {
+		if nw.NetKind(n) != netcore.NetFunc {
 			continue
 		}
-		if isC, v := nodeConst(n); isC {
+		name, cv := nw.NetName(n), nw.NetCover(n)
+		if cv.IsZero() || cv.HasUniverse() {
 			cover := logic.Zero(0)
-			if v {
+			if cv.HasUniverse() {
 				cover = logic.One(0)
 			}
-			mapping[n] = out.AddNode(out.FreshName(n.Name), nil, cover)
+			mapping[n] = out.AddNode(name, nil, cover)
 			continue
 		}
 		// One signal per cube: an AND tree over its (possibly inverted)
 		// literals; then an OR tree over the cubes.
-		var cubeSignals []*network.Node
-		for ci, cube := range n.Cover.Cubes {
-			var ins []*network.Node
+		fanins := nw.NetFanins(n)
+		var cubeSignals []litRef
+		for ci, cube := range cv.Cubes {
+			var ins []litRef
 			for i, p := range cube {
-				sig := mapping[n.Fanins[i]]
 				switch p {
 				case logic.Pos:
-					ins = append(ins, sig)
+					ins = append(ins, litRef{mapping[fanins[i]], logic.Pos})
 				case logic.Neg:
-					ins = append(ins, invOf(sig))
+					ins = append(ins, litRef{invOf(mapping[fanins[i]]), logic.Pos})
 				}
 			}
-			switch len(ins) {
-			case 0:
-				// Universal cube: constant 1.
-				cubeSignals = append(cubeSignals,
-					out.AddNode(out.FreshName(fmt.Sprintf("%s_c%d", n.Name, ci)), nil, logic.One(0)))
-				continue
-			case 1:
+			if len(ins) == 1 {
 				cubeSignals = append(cubeSignals, ins[0])
 				continue
 			}
-			finalName := ""
-			if len(n.Cover.Cubes) == 1 {
-				finalName = n.Name // single-cube node: the AND root takes its name
+			root := ""
+			if len(cv.Cubes) == 1 {
+				root = name // single-cube node: the AND root takes its name
 			}
-			cubeSignals = append(cubeSignals, andTree(fmt.Sprintf("%s_c%d", n.Name, ci), finalName, ins))
+			g := tree(ins, andOfLits, fmt.Sprintf("%s_c%d_a", name, ci), root)
+			cubeSignals = append(cubeSignals, litRef{g, logic.Pos})
 		}
-		var result *network.Node
 		if len(cubeSignals) == 1 {
-			result = cubeSignals[0]
+			mapping[n] = cubeSignals[0].net
 		} else {
-			result = orTree(n.Name, n.Name, cubeSignals)
+			mapping[n] = tree(cubeSignals, orOfLits, name+"_o", name)
 		}
-		mapping[n] = result
 	}
 
 	// Outputs keep their names: if the final signal already has the right
 	// name it is used directly, otherwise a named buffer is added.
-	for _, o := range nw.Outputs {
-		sig := mapping[o]
-		if sig.Name != o.Name && out.Node(o.Name) == nil {
-			sig = out.AddNode(o.Name, []*network.Node{sig}, logic.MustCover("1"))
+	for _, o := range nw.Outputs() {
+		sig, name := mapping[o], nw.NetName(o)
+		if out.NetName(sig) != name {
+			sig = out.AddNode(name, []netcore.Net{sig}, logic.MustCover("1"))
 		}
 		out.MarkOutput(sig)
 	}
 	out.RemoveDangling()
 	return out
-}
-
-func andCover(n int) logic.Cover {
-	c := logic.NewCube(n)
-	for i := range c {
-		c[i] = logic.Pos
-	}
-	cv := logic.NewCover(n)
-	cv.AddCube(c)
-	return cv
-}
-
-func orCover(n int) logic.Cover {
-	cv := logic.NewCover(n)
-	for i := 0; i < n; i++ {
-		c := logic.NewCube(n)
-		c[i] = logic.Pos
-		cv.AddCube(c)
-	}
-	return cv
-}
-
-// buildTree reduces ins to one signal with gates of fanin ≤ maxFanin. The
-// root gate is named finalName when that name is free (so decomposed nodes
-// keep their original names and no output buffers are needed).
-func buildTree(out *network.Network, base, finalName string, ins []*network.Node,
-	maxFanin int, coverFor func(int) logic.Cover) *network.Node {
-	level := ins
-	serial := 0
-	for len(level) > 1 {
-		var next []*network.Node
-		for i := 0; i < len(level); i += maxFanin {
-			end := i + maxFanin
-			if end > len(level) {
-				end = len(level)
-			}
-			group := level[i:end]
-			if len(group) == 1 {
-				next = append(next, group[0])
-				continue
-			}
-			name := ""
-			if i == 0 && end == len(level) && finalName != "" && out.Node(finalName) == nil {
-				name = finalName // root of the tree
-			} else {
-				name = out.FreshName(fmt.Sprintf("%s%d", base, serial))
-				serial++
-			}
-			g := out.AddNode(name, group, coverFor(len(group)))
-			next = append(next, g)
-		}
-		level = next
-	}
-	return level[0]
 }
 
 // DecomposeLargeCore splits any net whose fanin count exceeds maxFanin
@@ -192,7 +141,8 @@ type litRef struct {
 
 // decomposeNet rewrites n as an OR of cube-AND subnets, splitting wide
 // cubes and wide ORs into trees. Negative literals stay as cover phases
-// (no explicit inverters here, unlike TechDecomp).
+// (TechDecomp, which feeds the one-to-one mapper, realizes them as
+// explicit inverter gates instead).
 func decomposeNet(nw *netcore.Network, n netcore.Net, maxFanin int) {
 	name := nw.NetName(n)
 	fanins := append([]netcore.Net(nil), nw.NetFanins(n)...)
@@ -214,7 +164,7 @@ func decomposeNet(nw *netcore.Network, n netcore.Net, maxFanin int) {
 			continue
 		}
 		base := fmt.Sprintf("%s_k%d", name, ci)
-		level := reduceLits(nw, lits, maxFanin, andOfLits, base+"_d")
+		level, _ := reduceLits(nw, lits, maxFanin, andOfLits, base+"_d", nw.FreshName)
 		g := addLitGate(nw, nw.FreshName(base+"_dc"), level, andOfLits)
 		cubeSignals = append(cubeSignals, litRef{g, logic.Pos})
 	}
@@ -224,16 +174,17 @@ func decomposeNet(nw *netcore.Network, n netcore.Net, maxFanin int) {
 	}
 	// OR the cube signals in trees of fanin ≤ maxFanin, rewriting n itself
 	// as the final OR (or single cube).
-	level := reduceLits(nw, cubeSignals, maxFanin, orOfLits, name+"_or")
+	level, _ := reduceLits(nw, cubeSignals, maxFanin, orOfLits, name+"_or", nw.FreshName)
 	nf, cv := litGate(level, orOfLits)
 	mergeDuplicateFaninsCore(&nf, &cv)
 	nw.SetFunction(n, nf, cv)
 }
 
 // reduceLits combines literals maxFanin at a time with new gates, named
-// prefix plus a serial, until at most maxFanin remain.
+// by fresh from prefix plus a serial, until at most maxFanin remain. It
+// returns the remaining literals and the next unused serial.
 func reduceLits(nw *netcore.Network, level []litRef, maxFanin int,
-	coverOf func([]litRef) logic.Cover, prefix string) []litRef {
+	coverOf func([]litRef) logic.Cover, prefix string, fresh func(string) string) ([]litRef, int) {
 	serial := 0
 	for len(level) > maxFanin {
 		var next []litRef
@@ -243,13 +194,13 @@ func reduceLits(nw *netcore.Network, level []litRef, maxFanin int,
 				next = append(next, group[0])
 				continue
 			}
-			g := addLitGate(nw, nw.FreshName(fmt.Sprintf("%s%d", prefix, serial)), group, coverOf)
+			g := addLitGate(nw, fresh(fmt.Sprintf("%s%d", prefix, serial)), group, coverOf)
 			serial++
 			next = append(next, litRef{g, logic.Pos})
 		}
 		level = next
 	}
-	return level
+	return level, serial
 }
 
 // addLitGate creates a net combining the literals with coverOf.
@@ -287,18 +238,4 @@ func orOfLits(lits []litRef) logic.Cover {
 		cv.AddCube(c)
 	}
 	return cv
-}
-
-// nodeConst reports whether the node's cover is syntactically constant.
-func nodeConst(n *network.Node) (isConst, value bool) {
-	if n.Kind != network.Internal {
-		return false, false
-	}
-	if n.Cover.IsZero() {
-		return true, false
-	}
-	if n.Cover.HasUniverse() {
-		return true, true
-	}
-	return false, false
 }

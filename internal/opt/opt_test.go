@@ -278,77 +278,6 @@ func randomNetwork(rng *rand.Rand, inputs, gates int) *network.Network {
 	return nw
 }
 
-func TestTechDecompBoundsFanin(t *testing.T) {
-	nw := fig2a()
-	for _, k := range []int{2, 3, 4} {
-		dec := TechDecomp(nw, k)
-		for _, n := range dec.InternalNodes() {
-			if len(n.Fanins) > k {
-				t.Fatalf("k=%d: node %s has %d fanins", k, n.Name, len(n.Fanins))
-			}
-		}
-		equivalentOnAll(t, nw, dec)
-	}
-}
-
-func TestTechDecompGatesAreSimple(t *testing.T) {
-	nw := fig2a()
-	dec := TechDecomp(nw, 3)
-	for _, n := range dec.InternalNodes() {
-		// Every gate must be AND (single cube, all Pos), OR (one Pos per
-		// cube), NOT, BUF or constant.
-		switch {
-		case len(n.Fanins) == 0: // constant
-		case len(n.Fanins) == 1: // buf/inv
-			if len(n.Cover.Cubes) != 1 || n.Cover.Cubes[0][0] == logic.DC {
-				t.Fatalf("node %s is not a wire: %v", n.Name, n.Cover)
-			}
-		case len(n.Cover.Cubes) == 1: // AND
-			for _, p := range n.Cover.Cubes[0] {
-				if p != logic.Pos {
-					t.Fatalf("AND node %s has non-positive literal: %v", n.Name, n.Cover)
-				}
-			}
-		default: // OR
-			for _, cb := range n.Cover.Cubes {
-				lits := 0
-				for _, p := range cb {
-					if p == logic.Pos {
-						lits++
-					} else if p == logic.Neg {
-						t.Fatalf("OR node %s has negative literal: %v", n.Name, n.Cover)
-					}
-				}
-				if lits != 1 {
-					t.Fatalf("OR node %s cube has %d literals: %v", n.Name, lits, n.Cover)
-				}
-			}
-		}
-	}
-}
-
-func TestTechDecompSharesInverters(t *testing.T) {
-	nw := network.New("shinv")
-	a := nw.AddInput("a")
-	b := nw.AddInput("b")
-	c := nw.AddInput("c")
-	y1 := nw.AddNode("y1", []*network.Node{a, b}, logic.MustCover("01"))
-	y2 := nw.AddNode("y2", []*network.Node{a, c}, logic.MustCover("01"))
-	nw.MarkOutput(y1)
-	nw.MarkOutput(y2)
-	dec := TechDecomp(nw, 4)
-	inverters := 0
-	for _, n := range dec.InternalNodes() {
-		if len(n.Fanins) == 1 && len(n.Cover.Cubes) == 1 && n.Cover.Cubes[0][0] == logic.Neg {
-			inverters++
-		}
-	}
-	if inverters != 1 {
-		t.Fatalf("inverters = %d, want 1 (shared !a)", inverters)
-	}
-	equivalentOnAll(t, nw, dec)
-}
-
 func TestDecomposeLarge(t *testing.T) {
 	nw := network.New("big")
 	var ins []*network.Node

@@ -57,11 +57,12 @@ func gateTruth(g *core.Gate) *truth.Table {
 }
 
 // memoKey is the content address of one (function, δon) synthesis under
-// the loop's synthesis knobs.
+// the loop's synthesis knobs. The exact=false line is the retired
+// exact-ILP knob, kept so that existing keys do not move.
 func memoKey(tt *truth.Table, don int, o core.Options) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "resyn/v1\nn=%d\ndon=%d\ndoff=%d\nmaxw=%d\nfanin=%d\nexact=%t\nmaxilp=%d\nseed=%d\nbits=",
-		tt.N(), don, o.DeltaOff, o.MaxWeight, o.Fanin, o.ExactILP, o.MaxILPNodes, o.Seed)
+	fmt.Fprintf(h, "resyn/v1\nn=%d\ndon=%d\ndoff=%d\nmaxw=%d\nfanin=%d\nexact=false\nmaxilp=%d\nseed=%d\nbits=",
+		tt.N(), don, o.DeltaOff, o.MaxWeight, o.Fanin, o.MaxILPNodes, o.Seed)
 	b := make([]byte, tt.Size())
 	for m := 0; m < tt.Size(); m++ {
 		if tt.Get(m) {

@@ -48,12 +48,6 @@ func (e *QuotaError) Unwrap() error { return ErrQuotaExceeded }
 // picked up promptly.
 const quotaRetryAfter = time.Second
 
-// Admission policies.
-const (
-	AdmissionFair = "fair" // weighted-fair stride scheduling (default)
-	AdmissionFIFO = "fifo" // single shared FIFO (the pre-tenancy baseline)
-)
-
 // tenantState is one tenant's admission bookkeeping.
 type tenantState struct {
 	name        string
@@ -101,7 +95,6 @@ type admitQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	policy   string
 	depth    int // global queued-record bound for fail-fast enqueues
 	defaults struct {
 		weight      int
@@ -112,20 +105,15 @@ type admitQueue struct {
 
 	vtime   float64
 	tenants map[string]*tenantState
-	fifo    []*jobRecord // AdmissionFIFO: one shared lane, tenants ignored
-	queued  int          // records physically queued, internal and cancelled included
+	queued  int // records physically queued, internal and cancelled included
 	closed  bool
 }
 
 func newAdmitQueue(cfg Config) *admitQueue {
 	aq := &admitQueue{
-		policy:  cfg.Admission,
 		depth:   cfg.QueueDepth,
 		auth:    cfg.Auth,
 		tenants: make(map[string]*tenantState),
-	}
-	if aq.policy == "" {
-		aq.policy = AdmissionFair
 	}
 	aq.defaults.weight = cfg.TenantWeight
 	if aq.defaults.weight <= 0 {
@@ -257,22 +245,17 @@ func (aq *admitQueue) pushQueueLocked(t *tenantState, j *jobRecord) {
 	if t.nq == 0 && t.pass < aq.vtime {
 		t.pass = aq.vtime
 	}
-	if aq.policy == AdmissionFIFO {
-		aq.fifo = append(aq.fifo, j)
-	} else {
-		lane := priorityIndex(j.req.Priority)
-		t.q[lane] = append(t.q[lane], j)
-	}
+	lane := priorityIndex(j.req.Priority)
+	t.q[lane] = append(t.q[lane], j)
 	t.nq++
 	aq.queued++
 	aq.cond.Signal()
 }
 
 // pop blocks until a job is dispatchable and returns it, or returns
-// ok=false when the queue is closed and drained. Under the fair policy
-// it serves the smallest-pass tenant whose in-flight quota admits
-// another dispatch; during shutdown the in-flight quota is waived so
-// the drain can't wedge.
+// ok=false when the queue is closed and drained. It serves the
+// smallest-pass tenant whose in-flight quota admits another dispatch;
+// during shutdown the in-flight quota is waived so the drain can't wedge.
 func (aq *admitQueue) pop() (*jobRecord, bool) {
 	aq.mu.Lock()
 	defer aq.mu.Unlock()
@@ -288,23 +271,6 @@ func (aq *admitQueue) pop() (*jobRecord, bool) {
 }
 
 func (aq *admitQueue) popLocked() (*jobRecord, bool) {
-	if aq.policy == AdmissionFIFO {
-		for len(aq.fifo) > 0 {
-			j := aq.fifo[0]
-			aq.fifo[0] = nil
-			aq.fifo = aq.fifo[1:]
-			aq.queued--
-			t := aq.tenantLocked(j.tenant)
-			t.nq--
-			if j.gone.Load() {
-				continue
-			}
-			t.running++
-			t.dispatched++
-			return j, true
-		}
-		return nil, false
-	}
 	for {
 		var best *tenantState
 		for _, t := range aq.tenants {

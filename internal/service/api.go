@@ -33,15 +33,18 @@ import (
 // defaults the CLI uses (ψ=3, δon=0, δoff=1, algebraic script, tels
 // mapper, verification on).
 type SynthSpec struct {
-	BLIF      string `json:"blif"`
-	Script    string `json:"script,omitempty"`
-	Mapper    string `json:"mapper,omitempty"`
-	Fanin     int    `json:"fanin,omitempty"`
-	DeltaOn   *int   `json:"delta_on,omitempty"`
-	DeltaOff  *int   `json:"delta_off,omitempty"`
-	Seed      int64  `json:"seed,omitempty"`
-	Exact     bool   `json:"exact,omitempty"`
-	MaxWeight int    `json:"max_weight,omitempty"`
+	BLIF     string `json:"blif"`
+	Script   string `json:"script,omitempty"`
+	Mapper   string `json:"mapper,omitempty"`
+	Fanin    int    `json:"fanin,omitempty"`
+	DeltaOn  *int   `json:"delta_on,omitempty"`
+	DeltaOff *int   `json:"delta_off,omitempty"`
+	Seed     int64  `json:"seed,omitempty"`
+	// Exact is deprecated and has no effect: every threshold check uses
+	// the float simplex. It is still accepted and still feeds the request
+	// digest, so existing digests do not move; it goes in a later release.
+	Exact     bool `json:"exact,omitempty"`
+	MaxWeight int  `json:"max_weight,omitempty"`
 	// SkipVerify disables the equivalence check.
 	SkipVerify bool `json:"skip_verify,omitempty"`
 	// TimeoutMS bounds the job's run time in milliseconds (0 = server
@@ -62,13 +65,13 @@ func (s SynthSpec) request() Request {
 		o.DeltaOff = *s.DeltaOff
 	}
 	o.Seed = s.Seed
-	o.ExactILP = s.Exact
 	o.MaxWeight = s.MaxWeight
 	return Request{
 		BLIF:       s.BLIF,
 		Script:     s.Script,
 		Mapper:     s.Mapper,
 		Options:    o,
+		Exact:      s.Exact,
 		SkipVerify: s.SkipVerify,
 		Timeout:    time.Duration(s.TimeoutMS) * time.Millisecond,
 	}

@@ -239,6 +239,9 @@ type Request struct {
 	Mapper string `json:"mapper,omitempty"`
 	// Options configure the threshold synthesis core.
 	Options core.Options `json:"options"`
+	// Exact carries the deprecated SynthSpec.Exact into the digest only;
+	// it changes nothing else.
+	Exact bool `json:"exact,omitempty"`
 	// Verify runs the BDD/simulation equivalence check. Defaults to on;
 	// SkipVerify turns it off (named so the zero value keeps the check).
 	SkipVerify bool `json:"skip_verify,omitempty"`

@@ -56,10 +56,6 @@ type Config struct {
 	// caller acts as an admin of the default tenant, preserving the
 	// pre-tenancy behavior of a keyless telsd.
 	Auth *Auth
-	// Admission selects the scheduling policy: AdmissionFair (default)
-	// or AdmissionFIFO (the pre-tenancy single-queue baseline, kept for
-	// comparison benchmarks).
-	Admission string
 	// TenantWeight is the default weighted-fair share of a tenant that
 	// doesn't override it in the auth table (default 1).
 	TenantWeight int

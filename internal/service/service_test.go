@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -263,6 +265,35 @@ func TestDigestCanonicalization(t *testing.T) {
 	}
 	if d1 == d3 {
 		t.Error("different fanin must change the digest")
+	}
+}
+
+// TestDigestPinned pins the digests of a default synth request and of one
+// that sets the deprecated "exact" field: retiring the exact-ILP knob
+// moved neither, and "exact" is still accepted on the wire.
+func TestDigestPinned(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		want string
+	}{
+		{`{"blif": %q}`, "e84c6922325b93057e68f17920083ab3a24c91d0c19bc66e156db216848790a3"},
+		{`{"blif": %q, "exact": true}`, "59faad69a824c2cd0efc53c0a1d771caa04c2634ca3d159965a43a6d3afccf70"},
+	} {
+		spec := fmt.Sprintf(tc.spec, testBlif)
+		req, err := SubmitEnvelope{Kind: "synth", Spec: json.RawMessage(spec)}.Request()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := req.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Digest(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: digest %s, want %s", tc.spec, got, tc.want)
+		}
 	}
 }
 

@@ -33,31 +33,43 @@ func (r ProveResult) String() string {
 // sampled simulation). On inequivalence the error carries a concrete
 // counterexample when the proof path found one.
 func Prove(nw *network.Network, tn *core.Network, seed int64) (ProveResult, error) {
-	res, err := proveBDD(nw, tn)
-	if err == nil {
-		return Proved, nil
-	}
+	err := proveBDD(nw, tn)
 	if errors.Is(err, bdd.ErrNodeLimit) {
 		return Simulated, Equivalent(nw, tn, seed)
 	}
-	_ = res
 	return Proved, err
 }
 
-func proveBDD(nw *network.Network, tn *core.Network) (ProveResult, error) {
+// sameOutputs checks that the threshold network has the Boolean network's
+// outputs, by name and in order. Both checks compare outputs by position,
+// so a renamed port must not pass.
+func sameOutputs(nw *network.Network, tn *core.Network) error {
 	if len(nw.Outputs) != len(tn.Outputs) {
-		return Proved, fmt.Errorf("sim: output counts differ: %d vs %d",
+		return fmt.Errorf("sim: output counts differ: %d vs %d",
 			len(nw.Outputs), len(tn.Outputs))
+	}
+	for i, o := range nw.Outputs {
+		if o.Name != tn.Outputs[i] {
+			return fmt.Errorf("sim: output %d is %s in the threshold network, want %s",
+				i, tn.Outputs[i], o.Name)
+		}
+	}
+	return nil
+}
+
+func proveBDD(nw *network.Network, tn *core.Network) error {
+	if err := sameOutputs(nw, tn); err != nil {
+		return err
 	}
 	varLevel := bdd.VarOrder(nw)
 	m := bdd.New(len(varLevel), 0)
 	want, err := bdd.CompileBoolean(m, nw, varLevel)
 	if err != nil {
-		return Proved, err
+		return err
 	}
 	got, err := bdd.CompileThreshold(m, tn, varLevel)
 	if err != nil {
-		return Proved, err
+		return err
 	}
 	levelName := make([]string, len(varLevel))
 	for name, level := range varLevel {
@@ -69,15 +81,15 @@ func proveBDD(nw *network.Network, tn *core.Network) (ProveResult, error) {
 		}
 		diff, err := m.Xor(want[i], got[i])
 		if err != nil {
-			return Proved, err
+			return err
 		}
 		assign := m.AnySat(diff)
 		cex := make(map[string]bool, len(assign))
 		for level, v := range assign {
 			cex[levelName[level]] = v
 		}
-		return Proved, fmt.Errorf("sim: output %s differs; counterexample %v",
+		return fmt.Errorf("sim: output %s differs; counterexample %v",
 			nw.Outputs[i].Name, cex)
 	}
-	return Proved, nil
+	return nil
 }

@@ -83,3 +83,35 @@ func TestProveResultString(t *testing.T) {
 		t.Fatal("ProveResult strings wrong")
 	}
 }
+
+// TestProveChecksOutputNames pins that both equivalence checks match the
+// threshold network's outputs to the Boolean network's by name: a port
+// renamed to another gate computing the same function must not pass.
+func TestProveChecksOutputNames(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		edit    func(tn *core.Network)
+		wantErr string
+	}{
+		{"same", func(*core.Network) {}, ""},
+		{"renamed", func(tn *core.Network) {
+			if err := tn.AddGate(&core.Gate{Name: "eq_copy", Inputs: []string{"eq"}, Weights: []int{1}, T: 1}); err != nil {
+				t.Fatal(err)
+			}
+			tn.Outputs[0] = "eq_copy"
+		}, "output 0 is eq_copy"},
+		{"dropped", func(tn *core.Network) { tn.Outputs = tn.Outputs[:1] }, "output counts differ"},
+	} {
+		p := buildPair(t, 0)
+		tc.edit(p.Threshold)
+		_, proveErr := Prove(p.Bool, p.Threshold, 1)
+		for check, err := range map[string]error{"Prove": proveErr, "Equivalent": Equivalent(p.Bool, p.Threshold, 1)} {
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Errorf("%s: %s: %v", tc.name, check, err)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Errorf("%s: %s = %v, want an error containing %q", tc.name, check, err, tc.wantErr)
+			}
+		}
+	}
+}

@@ -37,6 +37,9 @@ func inputNames(nw *network.Network) []string {
 // as the Boolean network on all vectors (or a random sample for wide
 // networks). It returns a descriptive error on the first mismatch.
 func Equivalent(nw *network.Network, tn *core.Network, seed int64) error {
+	if err := sameOutputs(nw, tn); err != nil {
+		return err
+	}
 	bsim, err := fsim.CompileBool(nw)
 	if err != nil {
 		return err

@@ -200,56 +200,3 @@ func TestRandomAgainstGrid(t *testing.T) {
 		}
 	}
 }
-
-// The exact rational solver must agree with the float64 solver on status
-// and objective across random problems.
-func TestExactAgreesWithFloat(t *testing.T) {
-	rng := rand.New(rand.NewSource(1234))
-	for iter := 0; iter < 250; iter++ {
-		n := 2 + rng.Intn(3)
-		m := 1 + rng.Intn(4)
-		p := &Problem{C: make([]float64, n)}
-		for j := range p.C {
-			p.C[j] = float64(rng.Intn(5))
-		}
-		for i := 0; i < m; i++ {
-			row := make([]float64, n)
-			for j := range row {
-				row[j] = float64(rng.Intn(9) - 4)
-			}
-			p.A = append(p.A, row)
-			p.B = append(p.B, float64(rng.Intn(9)-4))
-		}
-		fl := Solve(p)
-		ex := SolveExact(p)
-		if fl.Status != ex.Status {
-			t.Fatalf("iter %d: status float=%v exact=%v (p=%+v)", iter, fl.Status, ex.Status, p)
-		}
-		if fl.Status == Optimal && math.Abs(fl.Objective-ex.Objective) > 1e-6 {
-			t.Fatalf("iter %d: objective float=%v exact=%v (p=%+v)", iter, fl.Objective, ex.Objective, p)
-		}
-	}
-}
-
-func TestExactBasicCases(t *testing.T) {
-	// min x+y s.t. x+y >= 3.
-	p := &Problem{C: []float64{1, 1}, A: [][]float64{{-1, -1}}, B: []float64{-3}}
-	res := SolveExact(p)
-	if res.Status != Optimal || math.Abs(res.Objective-3) > 1e-12 {
-		t.Fatalf("res = %+v", res)
-	}
-	// Infeasible.
-	q := &Problem{C: []float64{1}, A: [][]float64{{1}, {-1}}, B: []float64{1, -2}}
-	if res := SolveExact(q); res.Status != Infeasible {
-		t.Fatalf("status = %v", res.Status)
-	}
-	// Unbounded.
-	u := &Problem{C: []float64{-1}, A: [][]float64{{-1}}, B: []float64{-1}}
-	if res := SolveExact(u); res.Status != Unbounded {
-		t.Fatalf("status = %v", res.Status)
-	}
-	// No constraints.
-	if res := SolveExact(&Problem{C: []float64{2}}); res.Status != Optimal {
-		t.Fatalf("status = %v", res.Status)
-	}
-}
