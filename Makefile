@@ -20,7 +20,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/ ./internal/sim/ ./internal/opt/ ./internal/expt/ ./internal/service/ ./internal/fsim/ ./internal/resyn/ ./internal/store/ ./internal/cluster/
+	$(GO) test -race ./internal/truth/ ./internal/core/ ./internal/sim/ ./internal/opt/ ./internal/expt/ ./internal/service/ ./internal/fsim/ ./internal/resyn/ ./internal/store/ ./internal/cluster/
 	$(GO) test -race -run 'Sweep|Session|V1|Resyn|Run' -count=2 ./internal/service/ ./internal/fsim/ ./internal/resyn/
 
 # benchsmoke compiles and runs the packed Fig. 11 inner-loop benchmark
@@ -112,6 +112,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParseTLN -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzCheck -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzPrimes -fuzztime 30s ./internal/truth/
+	$(GO) test -fuzz FuzzTable -fuzztime 30s ./internal/truth/
 	$(GO) test -fuzz FuzzCover -fuzztime 30s ./internal/logic/
 	$(GO) test -fuzz FuzzWeakDiv -fuzztime 30s ./internal/algebra/
 	$(GO) test -fuzz FuzzThreshSim -fuzztime 30s ./internal/fsim/

@@ -13,39 +13,11 @@ import (
 // is determined by the function, and the function of the window is the
 // same regardless of evaluation strategy).
 
-// varMasks[i] is the packed table of variable i within one 64-minterm word.
-var varMasks = [6]uint64{
-	0xAAAAAAAAAAAAAAAA,
-	0xCCCCCCCCCCCCCCCC,
-	0xF0F0F0F0F0F0F0F0,
-	0xFF00FF00FF00FF00,
-	0xFFFF0000FFFF0000,
-	0xFFFFFFFF00000000,
-}
-
 func ttWords(k int) int {
 	if k < 6 {
 		return 1
 	}
 	return 1 << uint(k-6)
-}
-
-// fillVarWords writes the packed projection table of variable i over k
-// variables into out (len ttWords(k)).
-func fillVarWords(out []uint64, k, i int) {
-	if i < 6 {
-		for w := range out {
-			out[w] = varMasks[i]
-		}
-		return
-	}
-	for w := range out {
-		if w&(1<<uint(i-6)) != 0 {
-			out[w] = ^uint64(0)
-		} else {
-			out[w] = 0
-		}
-	}
 }
 
 // coverEvalWords evaluates a slab cover word-parallel: out = OR over cubes
@@ -76,13 +48,6 @@ func coverEvalWords(phases []logic.Phase, nCubes, width int, args [][]uint64, ou
 	}
 }
 
-// maskTT clears the unused high bits of a sub-64-minterm table word.
-func maskTT(words []uint64, k int) {
-	if k < 6 {
-		words[0] &= (1 << uint(1<<uint(k))) - 1
-	}
-}
-
 // NetLocalTT returns the truth table of net n over the given support nets,
 // treating every support net as a free variable and evaluating the cone
 // between them and n. Every path from n must reach a support net or an
@@ -107,9 +72,7 @@ func (nw *Network) NetLocalTTs(roots, support []Net) ([]*truth.Table, error) {
 	nWords := ttWords(k)
 	memo := make(map[Net][]uint64, 16)
 	for i, s := range support {
-		w := make([]uint64, nWords)
-		fillVarWords(w, k, i)
-		memo[s] = w
+		memo[s] = truth.Var(k, i).Words()
 	}
 	var root Net
 	var eval func(x Net) ([]uint64, error)
@@ -143,11 +106,7 @@ func (nw *Network) NetLocalTTs(roots, support []Net) ([]*truth.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tt := truth.New(k)
-		words := tt.Words()
-		copy(words, res)
-		maskTT(words, k)
-		tts[i] = tt
+		tts[i] = truth.FromWords(k, res)
 	}
 	return tts, nil
 }

@@ -1,21 +1,12 @@
 package truth
 
 import (
+	"container/heap"
 	"math/bits"
 	"slices"
 
 	"tels/internal/logic"
 )
-
-// varMasks[i] is the packed table of variable i within one 64-minterm word.
-var varMasks = [6]uint64{
-	0xAAAAAAAAAAAAAAAA,
-	0xCCCCCCCCCCCCCCCC,
-	0xF0F0F0F0F0F0F0F0,
-	0xFF00FF00FF00FF00,
-	0xFFFF0000FFFF0000,
-	0xFFFFFFFF00000000,
-}
 
 // Primes returns all prime implicants of the function as cubes over its N
 // variables, sorted by Cube.String.
@@ -190,18 +181,50 @@ func (t *Table) MinimalSOP() logic.Cover {
 // lowest-index prime with the most uncovered minterms, counted by
 // popcount.
 func (t *Table) MinimalSOPWithDC(dc *Table) logic.Cover {
+	keys, pc := t.primeCover(dc)
+	cover := logic.NewCover(t.n)
+	if pc == nil {
+		return cover // constant 0, or an ON-set inside the DC set
+	}
+	pc.greedy()
+	for pi, k := range keys {
+		if pc.selected[pi] {
+			c := logic.NewCube(t.n)
+			decodeKey(k, c)
+			cover.AddCube(c)
+		}
+	}
+	return cover
+}
+
+// primeCover is the covering problem of one MinimalSOPWithDC call. Prime
+// pi covers the need minterms bitsets[off[pi]:off[pi+1]] in the words
+// words[off[pi]:off[pi+1]].
+type primeCover struct {
+	off       []int
+	words     []int32
+	bitsets   []uint64
+	covered   []uint64 // need minterms covered by the selected primes
+	selected  []bool
+	remaining int // need minterms not yet covered
+}
+
+// primeCover returns the primes of t|dc in key order and their covering
+// problem over the ON-set minterms outside dc, with the essential primes
+// already selected. The problem is nil when there is nothing to cover.
+func (t *Table) primeCover(dc *Table) ([]uint64, *primeCover) {
 	expand := t
 	if dc != nil {
 		t.checkArity(dc)
 		expand = t.Or(dc)
 	}
 	keys := expand.primeKeys()
-	cover := logic.NewCover(t.n)
 	if len(keys) == 0 {
-		return cover // constant 0
+		return keys, nil
 	}
 	// The ON-set minterms the cover must contain (don't-cares need not be
-	// covered).
+	// covered); ones and twos mark the minterms covered by at least one
+	// and at least two primes.
 	nw := len(t.bits)
 	scratch := make([]uint64, 4*nw)
 	need, ones, twos, covered := scratch[:nw], scratch[nw:2*nw], scratch[2*nw:3*nw], scratch[3*nw:]
@@ -217,32 +240,25 @@ func (t *Table) MinimalSOPWithDC(dc *Table) logic.Cover {
 		remaining += bits.OnesCount64(x)
 	}
 	if remaining == 0 {
-		return cover // ON-set fully inside the DC set: constant 0 works
+		return keys, nil
 	}
-	// Prime pi covers the need minterms bitsets[off[pi]:off[pi+1]] in the
-	// words words[off[pi]:off[pi+1]]; ones and twos mark the minterms
-	// covered by at least one and at least two primes.
-	off := make([]int, len(keys)+1)
-	var words []int32
-	var bitsets []uint64
+	pc := &primeCover{
+		off:       make([]int, len(keys)+1),
+		words:     make([]int32, 0, len(keys)),
+		bitsets:   make([]uint64, 0, len(keys)),
+		covered:   covered,
+		selected:  make([]bool, len(keys)),
+		remaining: remaining,
+	}
 	for pi, k := range keys {
 		values, dcs := keyCube(t.n, k)
-		low := ^uint64(0)
-		for i := 0; i < t.n && i < 6; i++ {
-			switch {
-			case dcs>>uint(i)&1 != 0:
-			case values>>uint(i)&1 != 0:
-				low &= varMasks[i]
-			default:
-				low &^= varMasks[i]
-			}
-		}
+		low := inWordMask(values, dcs, t.n)
 		hiV, hiD := int32(values>>6), int32(dcs>>6)
 		for sub := hiD; ; sub = (sub - 1) & hiD {
 			w := hiV | sub
 			if b := low & need[w]; b != 0 {
-				words = append(words, w)
-				bitsets = append(bitsets, b)
+				pc.words = append(pc.words, w)
+				pc.bitsets = append(pc.bitsets, b)
 				twos[w] |= ones[w] & b
 				ones[w] |= b
 			}
@@ -250,53 +266,84 @@ func (t *Table) MinimalSOPWithDC(dc *Table) logic.Cover {
 				break
 			}
 		}
-		off[pi+1] = len(words)
+		pc.off[pi+1] = len(pc.words)
 	}
-	selected := make([]bool, len(keys))
-	take := func(pi int) {
-		selected[pi] = true
-		for e := off[pi]; e < off[pi+1]; e++ {
-			w := words[e]
-			remaining -= bits.OnesCount64(bitsets[e] &^ covered[w])
-			covered[w] |= bitsets[e]
-		}
-	}
-	// Essential primes first.
 	for pi := range keys {
-		for e := off[pi]; e < off[pi+1]; e++ {
-			w := words[e]
-			if bitsets[e]&ones[w]&^twos[w] != 0 {
-				take(pi)
+		for e := pc.off[pi]; e < pc.off[pi+1]; e++ {
+			w := pc.words[e]
+			if pc.bitsets[e]&ones[w]&^twos[w] != 0 {
+				pc.take(pi)
 				break
 			}
 		}
 	}
-	// Greedy cover of the rest.
-	for remaining > 0 {
-		best, bestGain := -1, 0
-		for pi := range keys {
-			if selected[pi] {
-				continue
-			}
-			gain := 0
-			for e := off[pi]; e < off[pi+1]; e++ {
-				gain += bits.OnesCount64(bitsets[e] &^ covered[words[e]])
-			}
-			if gain > bestGain {
-				best, bestGain = pi, gain
-			}
-		}
-		if best < 0 {
-			break // unreachable: primes cover all ON minterms
-		}
-		take(best)
+	return keys, pc
+}
+
+// gain returns the number of need minterms prime pi would newly cover.
+func (pc *primeCover) gain(pi int) int {
+	g := 0
+	for e := pc.off[pi]; e < pc.off[pi+1]; e++ {
+		g += bits.OnesCount64(pc.bitsets[e] &^ pc.covered[pc.words[e]])
 	}
-	for pi, k := range keys {
-		if selected[pi] {
-			c := logic.NewCube(t.n)
-			decodeKey(k, c)
-			cover.AddCube(c)
+	return g
+}
+
+// take selects prime pi.
+func (pc *primeCover) take(pi int) {
+	pc.selected[pi] = true
+	for e := pc.off[pi]; e < pc.off[pi+1]; e++ {
+		w := pc.words[e]
+		pc.remaining -= bits.OnesCount64(pc.bitsets[e] &^ pc.covered[w])
+		pc.covered[w] |= pc.bitsets[e]
+	}
+}
+
+// greedy selects primes until every need minterm is covered, each step
+// taking the unselected prime of largest gain, the lowest index among
+// ties. Gains only fall as primes are taken, so a max-heap of possibly
+// stale gains holds an upper bound for each prime: the top is re-gained,
+// and taken once its gain is fresh, since no prime below it can then do
+// better or tie at a lower index.
+func (pc *primeCover) greedy() {
+	h := make(gainHeap, 0, len(pc.selected))
+	for pi, sel := range pc.selected {
+		if !sel {
+			if g := pc.gain(pi); g > 0 {
+				h = append(h, gainEntry(g, pi))
+			}
 		}
 	}
-	return cover
+	heap.Init(&h)
+	for pc.remaining > 0 && len(h) > 0 {
+		pi := int(^uint32(h[0]))
+		switch g := pc.gain(pi); {
+		case g == int(h[0]>>32):
+			heap.Pop(&h)
+			pc.take(pi)
+		case g == 0:
+			heap.Pop(&h)
+		default:
+			h[0] = gainEntry(g, pi)
+			heap.Fix(&h, 0)
+		}
+	}
+}
+
+// gainEntry packs a prime's gain above its complemented index, so the
+// largest entry is the largest gain at the lowest index.
+func gainEntry(gain, pi int) uint64 { return uint64(gain)<<32 | uint64(^uint32(pi)) }
+
+// gainHeap is a max-heap of gain entries.
+type gainHeap []uint64
+
+func (h gainHeap) Len() int           { return len(h) }
+func (h gainHeap) Less(i, j int) bool { return h[i] > h[j] }
+func (h gainHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *gainHeap) Push(x any)        { *h = append(*h, x.(uint64)) }
+func (h *gainHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }

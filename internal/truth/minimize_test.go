@@ -330,7 +330,7 @@ func primeOracle(tt *Table, c logic.Cube) bool {
 	// c is an implicant of tt and no single literal can be dropped.
 	cover := logic.NewCover(tt.N())
 	cover.AddCube(c)
-	if !FromCover(cover).implies(tt) {
+	if !implies(FromCover(cover), tt) {
 		return false
 	}
 	for i, p := range c {
@@ -339,7 +339,7 @@ func primeOracle(tt *Table, c logic.Cube) bool {
 		}
 		bigger := logic.NewCover(tt.N())
 		bigger.AddCube(c.Without(i))
-		if FromCover(bigger).implies(tt) {
+		if implies(FromCover(bigger), tt) {
 			return false
 		}
 	}
@@ -475,5 +475,64 @@ func TestMinimalSOPWithDCFullDC(t *testing.T) {
 	cover := on.MinimalSOPWithDC(dc)
 	if !cover.IsZero() {
 		t.Fatalf("fully-DC function should minimize to constant 0, got %v", cover)
+	}
+}
+
+// greedyScan is the reference greedy step: it rescans every unselected
+// prime for the largest gain, lowest index first, at every pick.
+func (pc *primeCover) greedyScan() {
+	for pc.remaining > 0 {
+		best, bestGain := -1, 0
+		for pi, sel := range pc.selected {
+			if sel {
+				continue
+			}
+			if g := pc.gain(pi); g > bestGain {
+				best, bestGain = pi, g
+			}
+		}
+		if best < 0 {
+			break
+		}
+		pc.take(best)
+	}
+}
+
+func TestGreedyHeapMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	densities := [][2]int{{9, 10}, {1, 2}, {1, 8}}
+	for n := 0; n <= 12; n++ {
+		for _, dn := range densities {
+			on := densityTable(rng, n, dn[0], dn[1])
+			for _, dc := range []*Table{nil, densityTable(rng, n, 1, 4)} {
+				_, heapPC := on.primeCover(dc)
+				_, scanPC := on.primeCover(dc)
+				if heapPC == nil {
+					continue
+				}
+				heapPC.greedy()
+				scanPC.greedyScan()
+				for pi := range heapPC.selected {
+					if heapPC.selected[pi] != scanPC.selected[pi] {
+						t.Fatalf("n=%d density=%d/%d dc=%v: prime %d selected %v by the heap, %v by the scan",
+							n, dn[0], dn[1], dc != nil, pi, heapPC.selected[pi], scanPC.selected[pi])
+					}
+				}
+				if heapPC.remaining != 0 {
+					t.Fatalf("n=%d: %d minterms left uncovered", n, heapPC.remaining)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkMinimalSOPDense16 covers a random dense 16-variable table,
+// about 70 000 primes: the case where a rescanning greedy step is
+// quadratic in the prime count.
+func BenchmarkMinimalSOPDense16(b *testing.B) {
+	tt := densityTable(rand.New(rand.NewSource(1)), 16, 1, 2)
+	b.Logf("%d primes", len(tt.primeKeys()))
+	for i := 0; i < b.N; i++ {
+		tt.MinimalSOP()
 	}
 }

@@ -45,12 +45,22 @@ func wordsFor(n int) int {
 func (t *Table) N() int { return t.n }
 
 // Words exposes the packed minterm bits (64 minterms per word, unused
-// high bits of the final word masked off). The returned slice aliases the
+// high bits of the final word zero). The returned slice aliases the
 // table's storage and must not be modified; it exists so callers can hash
 // a table without walking minterms one by one.
-func (t *Table) Words() []uint64 {
+func (t *Table) Words() []uint64 { return t.bits }
+
+// FromWords returns the n-variable table with the given packed minterm
+// bits, laid out as Words returns them. The words are copied and any bits
+// past 2^n cleared.
+func FromWords(n int, words []uint64) *Table {
+	t := New(n)
+	if len(words) != len(t.bits) {
+		panic(fmt.Sprintf("truth: %d words for a %d-variable table, want %d", len(words), n, len(t.bits)))
+	}
+	copy(t.bits, words)
 	t.bits[len(t.bits)-1] &= t.mask()
-	return t.bits
+	return t
 }
 
 // Size returns the number of minterms, 2^N.
@@ -94,9 +104,6 @@ func Const(n int, v bool) *Table {
 			t.bits[i] = ^uint64(0)
 		}
 		t.bits[len(t.bits)-1] &= t.mask()
-		if t.Size() < 64 {
-			t.bits[0] &= t.mask()
-		}
 	}
 	return t
 }
@@ -107,9 +114,17 @@ func Var(n, i int) *Table {
 		panic(fmt.Sprintf("truth: variable %d out of range for %d-variable table", i, n))
 	}
 	t := New(n)
-	for m := 0; m < t.Size(); m++ {
-		if m&(1<<uint(i)) != 0 {
-			t.Set(m, true)
+	if i < 6 {
+		for w := range t.bits {
+			t.bits[w] = varMasks[i]
+		}
+		t.bits[len(t.bits)-1] &= t.mask()
+		return t
+	}
+	s := 1 << uint(i-6)
+	for w := range t.bits {
+		if w&s != 0 {
+			t.bits[w] = ^uint64(0)
 		}
 	}
 	return t
@@ -122,9 +137,6 @@ func (t *Table) Not() *Table {
 		u.bits[i] = ^t.bits[i]
 	}
 	u.bits[len(u.bits)-1] &= t.mask()
-	if t.Size() < 64 {
-		u.bits[0] &= t.mask()
-	}
 	return u
 }
 
@@ -209,35 +221,92 @@ func (t *Table) Eval(assign []bool) bool {
 	return t.Get(m)
 }
 
+// varMasks[i] is the packed table of variable i within one 64-minterm word.
+var varMasks = [6]uint64{
+	0xAAAAAAAAAAAAAAAA,
+	0xCCCCCCCCCCCCCCCC,
+	0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00,
+	0xFFFF0000FFFF0000,
+	0xFFFFFFFF00000000,
+}
+
+// The primitives below work on whole words. Variable i < 6 lives inside
+// each word: its partner minterm m^2^i is an in-word shift by 2^i away and
+// varMasks[i] marks the positions where it is 1. Variable i >= 6 selects
+// words: the partner of word w is word w^2^(i-6). A table with fewer than
+// 64 minterms is masked to its 2^N valid bits on read, so bits past 2^N
+// never reach a result.
+
 // Cofactor returns the cofactor with respect to variable i fixed at value v.
 // The result still has N variables but no longer depends on variable i.
 func (t *Table) Cofactor(i int, v bool) *Table {
+	t.checkVar(i)
 	u := New(t.n)
-	step := 1 << uint(i)
-	for m := 0; m < t.Size(); m++ {
-		src := m
-		if v {
-			src = m | step
-		} else {
-			src = m &^ step
+	if i < 6 {
+		k, m, valid := uint(1)<<uint(i), varMasks[i], t.mask()
+		for w, a := range t.bits {
+			a &= valid
+			if v {
+				a &= m
+				u.bits[w] = a | a>>k
+			} else {
+				a &^= m
+				u.bits[w] = a | a<<k
+			}
 		}
-		u.Set(m, t.Get(src))
+		return u
+	}
+	s := 1 << uint(i-6)
+	for w := range t.bits {
+		if w&s == 0 {
+			src := t.bits[w]
+			if v {
+				src = t.bits[w|s]
+			}
+			u.bits[w], u.bits[w|s] = src, src
+		}
 	}
 	return u
 }
 
-// DependsOn reports whether the function depends on variable i.
+// DependsOn reports whether the function depends on variable i: whether
+// some minterm and its partner across i differ.
 func (t *Table) DependsOn(i int) bool {
-	return !t.Cofactor(i, false).Equal(t.Cofactor(i, true))
+	t.checkVar(i)
+	if i < 6 {
+		k, m, valid := uint(1)<<uint(i), varMasks[i], t.mask()
+		for _, a := range t.bits {
+			a &= valid
+			if (a^a>>k)&^m != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	s := 1 << uint(i-6)
+	for w := range t.bits {
+		if w&s == 0 && t.bits[w] != t.bits[w|s] {
+			return true
+		}
+	}
+	return false
 }
 
 // Support returns the indices of variables the function truly depends on.
 func (t *Table) Support() []int {
-	var s []int
+	var dep uint32
 	for i := 0; i < t.n; i++ {
 		if t.DependsOn(i) {
-			s = append(s, i)
+			dep |= 1 << uint(i)
 		}
+	}
+	if dep == 0 {
+		return nil
+	}
+	s := make([]int, 0, bits.OnesCount32(dep))
+	for ; dep != 0; dep &= dep - 1 {
+		s = append(s, bits.TrailingZeros32(dep))
 	}
 	return s
 }
@@ -267,32 +336,46 @@ func (u Unateness) String() string {
 	return "unknown"
 }
 
-// implies reports whether the ON-set of t is a subset of the ON-set of u.
-func (t *Table) implies(u *Table) bool {
-	for i := range t.bits {
-		if t.bits[i]&^u.bits[i] != 0 {
-			return false
+// VarUnateness classifies variable i exactly via cofactor containment:
+// f is positive unate in x iff f|x=0 implies f|x=1. The two cofactors are
+// compared in place, minterm against partner, without building either.
+func (t *Table) VarUnateness(i int) Unateness {
+	t.checkVar(i)
+	// fall collects minterms where f|x=0 is 1 and f|x=1 is 0, rise the
+	// reverse; either one nonzero breaks one containment.
+	var fall, rise uint64
+	if i < 6 {
+		k, m, valid := uint(1)<<uint(i), varMasks[i], t.mask()
+		for _, a := range t.bits {
+			a &= valid
+			lo, hi := a&^m, a>>k&^m
+			fall |= lo &^ hi
+			rise |= hi &^ lo
+			if fall != 0 && rise != 0 {
+				return Binate
+			}
+		}
+	} else {
+		s := 1 << uint(i-6)
+		for w := range t.bits {
+			if w&s != 0 {
+				continue
+			}
+			lo, hi := t.bits[w], t.bits[w|s]
+			fall |= lo &^ hi
+			rise |= hi &^ lo
+			if fall != 0 && rise != 0 {
+				return Binate
+			}
 		}
 	}
-	return true
-}
-
-// VarUnateness classifies variable i exactly via cofactor containment:
-// f is positive unate in x iff f|x=0 implies f|x=1.
-func (t *Table) VarUnateness(i int) Unateness {
-	f0 := t.Cofactor(i, false)
-	f1 := t.Cofactor(i, true)
-	le := f0.implies(f1)
-	ge := f1.implies(f0)
 	switch {
-	case le && ge:
+	case fall == 0 && rise == 0:
 		return Independent
-	case le:
+	case fall == 0:
 		return PosUnate
-	case ge:
-		return NegUnate
 	default:
-		return Binate
+		return NegUnate
 	}
 }
 
@@ -307,58 +390,144 @@ func (t *Table) IsUnate() bool {
 	return true
 }
 
-// FromCover builds the table of a cover.
+func (t *Table) checkVar(i int) {
+	if i < 0 || i >= t.n {
+		panic(fmt.Sprintf("truth: variable %d out of range for %d-variable table", i, t.n))
+	}
+}
+
+// FromCover builds the table of a cover. Each cube is a subcube of the
+// minterm space: its literals on variables below 6 give one in-word mask,
+// and its don't-cares on variables 6 and up enumerate the words the mask
+// is ORed into.
 func FromCover(f logic.Cover) *Table {
 	t := New(f.N)
-	assign := make([]bool, f.N)
-	for m := 0; m < t.Size(); m++ {
-		for i := 0; i < f.N; i++ {
-			assign[i] = m&(1<<uint(i)) != 0
+	valid := t.mask()
+	for _, c := range f.Cubes {
+		var values, dcs uint32
+		for i, p := range c {
+			switch p {
+			case logic.Pos:
+				values |= 1 << uint(i)
+			case logic.Neg:
+			default:
+				dcs |= 1 << uint(i)
+			}
 		}
-		if f.Eval(assign) {
-			t.Set(m, true)
+		low := inWordMask(values, dcs, t.n) & valid
+		hiV, hiD := int32(values>>6), int32(dcs>>6)
+		for sub := hiD; ; sub = (sub - 1) & hiD {
+			t.bits[hiV|sub] |= low
+			if sub == 0 {
+				break
+			}
 		}
 	}
 	return t
 }
 
+// inWordMask returns the minterms, within one word, of the cube with the
+// given values and don't-care mask over n variables; only its literals on
+// variables below 6 constrain the in-word position.
+func inWordMask(values, dcs uint32, n int) uint64 {
+	low := ^uint64(0)
+	for i := 0; i < n && i < 6; i++ {
+		switch {
+		case dcs>>uint(i)&1 != 0:
+		case values>>uint(i)&1 != 0:
+			low &= varMasks[i]
+		default:
+			low &^= varMasks[i]
+		}
+	}
+	return low
+}
+
 // Project returns the function re-expressed over only the given variables,
 // which must include the true support. The k-th variable of the result is
 // vars[k] of the original.
+//
+// A copy of the table has its variables swapped until vars[k] sits at
+// position k; every variable left above len(vars) is then outside the
+// support, so the result is the copy's first 2^len(vars) minterms.
 func (t *Table) Project(vars []int) *Table {
-	for _, s := range t.Support() {
-		found := false
-		for _, v := range vars {
-			if v == s {
-				found = true
-				break
-			}
+	var keep uint32
+	for _, v := range vars {
+		if v < 0 || v >= t.n || keep>>uint(v)&1 != 0 {
+			panic(fmt.Sprintf("truth: Project variable %d out of range or repeated", v))
 		}
-		if !found {
-			panic(fmt.Sprintf("truth: Project drops support variable %d", s))
+		keep |= 1 << uint(v)
+	}
+	for i := 0; i < t.n; i++ {
+		if keep>>uint(i)&1 == 0 && t.DependsOn(i) {
+			panic(fmt.Sprintf("truth: Project drops support variable %d", i))
 		}
 	}
-	u := New(len(vars))
-	for m := 0; m < u.Size(); m++ {
-		src := 0
-		for k, v := range vars {
-			if m&(1<<uint(k)) != 0 {
-				src |= 1 << uint(v)
+	u := t.Clone()
+	u.bits[len(u.bits)-1] &= t.mask()
+	// at[p] is the original variable now at position p; pos is its inverse.
+	var at, pos [MaxVars]int
+	for i := 0; i < t.n; i++ {
+		at[i], pos[i] = i, i
+	}
+	for k, v := range vars {
+		// Positions below k hold vars[:k], so v sits at k or above.
+		if p := pos[v]; p != k {
+			u.swapVars(k, p)
+			at[k], at[p] = v, at[k]
+			pos[v], pos[at[p]] = k, p
+		}
+	}
+	return FromWords(len(vars), u.bits[:wordsFor(len(vars))])
+}
+
+// swapVars exchanges variables i < j in place: the minterms with x_i = 1,
+// x_j = 0 trade values with their partners with x_i = 0, x_j = 1.
+func (t *Table) swapVars(i, j int) {
+	switch {
+	case j < 6:
+		// Both in-word: the x_i=1, x_j=0 positions move up by d.
+		d := uint(1)<<uint(j) - uint(1)<<uint(i)
+		up := varMasks[i] &^ varMasks[j]
+		for w, a := range t.bits {
+			t.bits[w] = a&^(up|up<<d) | (a&up)<<d | (a>>d)&up
+		}
+	case i < 6:
+		// x_i in-word, x_j across words: word w has x_j = 0, w|s has 1.
+		k, m, s := uint(1)<<uint(i), varMasks[i], 1<<uint(j-6)
+		for w := range t.bits {
+			if w&s == 0 {
+				a, b := t.bits[w], t.bits[w|s]
+				t.bits[w], t.bits[w|s] = a&^m|(b&^m)<<k, b&m|(a&m)>>k
 			}
 		}
-		u.Set(m, t.Get(src))
+	default:
+		si, sj := 1<<uint(i-6), 1<<uint(j-6)
+		for w := range t.bits {
+			if w&si != 0 && w&sj == 0 {
+				t.bits[w], t.bits[w^si^sj] = t.bits[w^si^sj], t.bits[w]
+			}
+		}
 	}
-	return u
 }
 
 // SubstituteNeg returns the function with variable i replaced by its
 // complement (the phase-substitution used to put unate functions in
-// positive form).
+// positive form): every minterm trades values with its partner across i.
 func (t *Table) SubstituteNeg(i int) *Table {
+	t.checkVar(i)
 	u := New(t.n)
-	step := 1 << uint(i)
-	for m := 0; m < t.Size(); m++ {
-		u.Set(m, t.Get(m^step))
+	if i < 6 {
+		k, m, valid := uint(1)<<uint(i), varMasks[i], t.mask()
+		for w, a := range t.bits {
+			a &= valid
+			u.bits[w] = (a&m)>>k | (a&^m)<<k
+		}
+		return u
+	}
+	s := 1 << uint(i-6)
+	for w := range t.bits {
+		u.bits[w] = t.bits[w^s]
 	}
 	return u
 }
