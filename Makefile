@@ -6,9 +6,12 @@ GO ?= go
 
 all: build test
 
+# build also vets the perfbench module (its own go.mod), which compiles
+# against the library's exported entry points.
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
 
 # fmtcheck fails if any Go source is not gofmt-clean. It names the source
 # directories rather than "." so the module cache under .bench_build/ is
@@ -18,6 +21,7 @@ fmtcheck:
 
 test:
 	$(GO) test ./...
+	$(GO) -C perfbench test ./...
 
 race:
 	$(GO) test -race ./internal/truth/ ./internal/core/ ./internal/sim/ ./internal/opt/ ./internal/expt/ ./internal/service/ ./internal/fsim/ ./internal/resyn/ ./internal/store/ ./internal/cluster/

@@ -21,7 +21,6 @@ import (
 	"tels/internal/core"
 	"tels/internal/expt"
 	"tels/internal/fsim"
-	"tels/internal/ilp"
 	"tels/internal/logic"
 	"tels/internal/mcnc"
 	"tels/internal/opt"
@@ -180,10 +179,10 @@ func BenchmarkTiming(b *testing.B) {
 func BenchmarkThresholdCheck(b *testing.B) {
 	f := truth.Var(3, 0).And(truth.Var(3, 1).Not()).
 		Or(truth.Var(3, 0).And(truth.Var(3, 2).Not()))
-	var solver ilp.Solver
+	var chk core.Checker
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := core.CheckThreshold(f, 0, 1, &solver); !ok {
+		if _, ok := chk.Check(f, 0, 1, 0); !ok {
 			b.Fatal("not threshold")
 		}
 	}
@@ -203,10 +202,10 @@ func BenchmarkThresholdCheckWide(b *testing.B) {
 		}
 		f.Set(m, sum >= 19)
 	}
-	var solver ilp.Solver
+	var chk core.Checker
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := core.CheckThreshold(f, 0, 1, &solver); !ok {
+		if _, ok := chk.Check(f, 0, 1, 0); !ok {
 			b.Fatal("not threshold")
 		}
 	}

@@ -19,15 +19,17 @@
 //	                          and cold-start recovery time vs journal size
 //	telsbench cluster         sweep fan-out scaling across 1/2/4 in-process
 //	                          telsd peers (synthetic per-point delay)
+//	telsbench tenants         solo vs fair admission latency of a light
+//	                          tenant beside a flooding one
 //	telsbench thresh          threshold check, cold vs deployed (UNSAT cache)
 //	                          wall-clock on the widest MCNC nodes
 //	telsbench all             everything above (except sweep, resyn, store,
-//	                          cluster, thresh)
+//	                          cluster, tenants, thresh)
 //
 // The -quick flag shrinks the Monte-Carlo grids and skips the largest
 // benchmark (i10) for a fast smoke run. The -json flag replaces the
-// rendered tables of table1, fig10, fig11, fig12, resyn, store, and
-// cluster with a machine-readable JSON document on stdout
+// rendered tables of table1, fig10, fig11, fig12, resyn, store, cluster,
+// tenants, and thresh with a machine-readable JSON document on stdout
 // (BENCH_fig11.json, BENCH_resyn.json, BENCH_store.json, and
 // BENCH_cluster.json in the repo root are such
 // baselines, regenerated with `telsbench -quick -json fig11` and
@@ -61,7 +63,7 @@ func main() {
 		trials  = flag.Int("trials", 10, "Monte-Carlo disturbances per circuit (fig11/fig12)")
 		seed    = flag.Int64("seed", 1, "experiment RNG seed")
 		csvDir  = flag.String("csv", "", "also write plottable CSV files into this directory")
-		jsonOut = flag.Bool("json", false, "emit JSON instead of tables (table1, fig10, fig11, fig12)")
+		jsonOut = flag.Bool("json", false, "emit JSON instead of tables (table1, fig10, fig11, fig12, resyn, store, cluster, tenants, thresh)")
 		quiet   = flag.Bool("q", false, "suppress informational diagnostics")
 	)
 	flag.Parse()
@@ -102,7 +104,6 @@ func run(cmd string, fanin int, quick bool, trials int, seed int64, csvDir strin
 		}
 		return f.Close()
 	}
-	_ = emit
 	switch cmd {
 	case "table1", "fig10", "fig11", "fig12", "resyn", "store", "cluster", "tenants", "thresh":
 	default:
@@ -163,7 +164,7 @@ func run(cmd string, fanin int, quick bool, trials int, seed int64, csvDir strin
 		}
 		return nil
 	default:
-		return fmt.Errorf("unknown command %q (want table1, fig10, fig11, fig12, timing, ablation, heuristics, weights, seeds, unate, sweep, resyn, store, cluster, tenants, or all)", cmd)
+		return fmt.Errorf("unknown command %q (want table1, fig10, fig11, fig12, timing, ablation, heuristics, weights, seeds, unate, sweep, resyn, store, cluster, tenants, thresh, or all)", cmd)
 	}
 }
 

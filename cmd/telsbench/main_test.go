@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+	"unicode"
+)
 
 func TestQuickCommands(t *testing.T) {
 	// Exercise every experiment path end to end in quick mode; the
@@ -8,7 +12,7 @@ func TestQuickCommands(t *testing.T) {
 	// repository benchmarks.
 	for _, cmd := range []string{
 		"table1", "fig10", "fig11", "fig12", "timing",
-		"ablation", "heuristics", "weights", "seeds", "unate",
+		"ablation", "heuristics", "weights", "seeds", "unate", "thresh",
 	} {
 		if err := run(cmd, 3, true, 2, 1, t.TempDir(), false); err != nil {
 			t.Fatalf("%s: %v", cmd, err)
@@ -32,8 +36,25 @@ func TestJSONCommands(t *testing.T) {
 }
 
 func TestUnknownCommand(t *testing.T) {
-	if err := run("wat", 3, true, 1, 1, "", false); err == nil {
+	err := run("wat", 3, true, 1, 1, "", false)
+	if err == nil {
 		t.Fatal("unknown command accepted")
+	}
+	// The message names every command the dispatcher accepts.
+	named := make(map[string]bool)
+	for _, w := range strings.FieldsFunc(err.Error(), func(r rune) bool {
+		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
+	}) {
+		named[w] = true
+	}
+	for _, cmd := range []string{
+		"table1", "fig10", "fig11", "fig12", "timing", "ablation",
+		"heuristics", "unate", "weights", "seeds", "sweep", "resyn",
+		"store", "cluster", "tenants", "thresh", "all",
+	} {
+		if !named[cmd] {
+			t.Errorf("unknown-command message does not name %q: %v", cmd, err)
+		}
 	}
 }
 

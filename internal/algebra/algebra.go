@@ -161,18 +161,6 @@ func cubeKey(c Cube) string {
 	return string(b)
 }
 
-func cubeEqual(c, d Cube) bool {
-	if len(c) != len(d) {
-		return false
-	}
-	for i := range c {
-		if c[i] != d[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // CommonCube returns the largest cube dividing every cube of e (the
 // literals common to all cubes). Nil if e is empty or has no common
 // literal.

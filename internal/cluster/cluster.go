@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"net/http"
 	"time"
 )
 
@@ -14,8 +13,6 @@ type Config struct {
 	// Peers is the static ring membership (every peer must be started
 	// with the same list).
 	Peers []string
-	// VNodes is the virtual-node count per peer (0 = DefaultVNodes).
-	VNodes int
 
 	// FillTimeout bounds one cache-fill lookup on the owner peer
 	// (0 = 500ms). Fills are an optimization: a slow owner must never
@@ -29,12 +26,6 @@ type Config struct {
 	RetryBase time.Duration
 	RetryMax  time.Duration
 
-	// HedgeQuantile is the latency quantile a remote request must
-	// exceed before a local hedge is launched (0 = 0.95).
-	HedgeQuantile float64
-	// HedgeMultiplier scales the quantile into the hedge delay (0 = 3):
-	// hedge after 3× the p95 of recent remote latencies.
-	HedgeMultiplier float64
 	// HedgeMin and HedgeMax clamp the hedge delay (0 = 100ms / 10s).
 	// Until enough latency samples exist the delay is HedgeMax, so cold
 	// starts don't duplicate work on a guess.
@@ -45,9 +36,6 @@ type Config struct {
 	// breaker for Cooldown (0 = 3 / 2s).
 	FailThreshold int
 	Cooldown      time.Duration
-
-	// HTTPClient overrides the transport's client (tests).
-	HTTPClient *http.Client
 
 	// AuthToken is the shared cluster bearer token attached to every
 	// peer call (telsd -cluster-key). Empty sends no credentials — an
@@ -71,12 +59,6 @@ func (c Config) withDefaults() Config {
 	if c.RetryMax <= 0 {
 		c.RetryMax = 400 * time.Millisecond
 	}
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile > 1 {
-		c.HedgeQuantile = 0.95
-	}
-	if c.HedgeMultiplier <= 0 {
-		c.HedgeMultiplier = 3
-	}
 	if c.HedgeMin <= 0 {
 		c.HedgeMin = 100 * time.Millisecond
 	}
@@ -99,11 +81,11 @@ type Cluster struct {
 // New validates the configuration and builds the cluster handle.
 func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
-	ring, err := NewRing(cfg.Self, cfg.Peers, cfg.VNodes)
+	ring, err := NewRing(cfg.Self, cfg.Peers)
 	if err != nil {
 		return nil, err
 	}
-	tr := NewTransport(cfg.HTTPClient)
+	tr := NewTransport()
 	tr.Auth = cfg.AuthToken
 	return &Cluster{
 		cfg:       cfg,
@@ -136,16 +118,22 @@ func (c *Cluster) Available(addr string) bool { return c.health.Available(addr) 
 // FillTimeout is the cache-fill lookup bound.
 func (c *Cluster) FillTimeout() time.Duration { return c.cfg.FillTimeout }
 
+// hedgeQuantile and hedgeMultiplier set HedgeDelay's policy.
+const (
+	hedgeQuantile   = 0.95
+	hedgeMultiplier = 3
+)
+
 // HedgeDelay is how long a remote request may run before a local hedge
-// is launched: HedgeMultiplier × the HedgeQuantile of recent remote
-// latencies, clamped to [HedgeMin, HedgeMax]; HedgeMax until the
-// latency window has enough samples.
+// is launched: 3× the p95 of recent remote latencies, clamped to
+// [HedgeMin, HedgeMax]; HedgeMax until the latency window has enough
+// samples.
 func (c *Cluster) HedgeDelay() time.Duration {
-	p, ok := c.latency.Percentile(c.cfg.HedgeQuantile)
+	p, ok := c.latency.Percentile(hedgeQuantile)
 	if !ok {
 		return c.cfg.HedgeMax
 	}
-	d := time.Duration(float64(p) * c.cfg.HedgeMultiplier)
+	d := time.Duration(float64(p) * hedgeMultiplier)
 	if d < c.cfg.HedgeMin {
 		d = c.cfg.HedgeMin
 	}

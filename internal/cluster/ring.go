@@ -28,10 +28,10 @@ import (
 	"strconv"
 )
 
-// DefaultVNodes is the number of virtual nodes per peer when the
-// configuration leaves it zero. 64 points per peer keeps the maximum
-// per-peer share within a few percent of uniform for small fleets.
-const DefaultVNodes = 64
+// vnodes is the number of virtual nodes per peer. 64 points per peer
+// keeps the maximum per-peer share within a few percent of uniform for
+// small fleets.
+const vnodes = 64
 
 // ringPoint is one virtual node: a position on the 64-bit hash circle
 // owned by a peer.
@@ -45,8 +45,7 @@ type ringPoint struct {
 // Owner is a pure function of the digest that all peers agree on.
 type Ring struct {
 	self   string
-	peers  []string // sorted, distinct
-	vnodes int
+	peers  []string    // sorted, distinct
 	points []ringPoint // sorted by hash
 }
 
@@ -61,14 +60,10 @@ func hash64(s string) uint64 {
 }
 
 // NewRing builds the ring. self must be one of peers; peers must be
-// non-empty, distinct, non-blank strings. vnodes ≤ 0 takes
-// DefaultVNodes.
-func NewRing(self string, peers []string, vnodes int) (*Ring, error) {
+// non-empty, distinct, non-blank strings.
+func NewRing(self string, peers []string) (*Ring, error) {
 	if len(peers) == 0 {
 		return nil, fmt.Errorf("cluster: empty peer list")
-	}
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
 	}
 	sorted := append([]string(nil), peers...)
 	sort.Strings(sorted)
@@ -88,7 +83,6 @@ func NewRing(self string, peers []string, vnodes int) (*Ring, error) {
 	r := &Ring{
 		self:   self,
 		peers:  sorted,
-		vnodes: vnodes,
 		points: make([]ringPoint, 0, len(sorted)*vnodes),
 	}
 	for _, p := range sorted {
@@ -142,5 +136,5 @@ func (r *Ring) Without(peer, newSelf string) (*Ring, error) {
 	if len(kept) == len(r.peers) {
 		return nil, fmt.Errorf("cluster: peer %q not on the ring", peer)
 	}
-	return NewRing(newSelf, kept, r.vnodes)
+	return NewRing(newSelf, kept)
 }

@@ -24,11 +24,11 @@ func TestNewRingValidation(t *testing.T) {
 		{"self missing", "c", []string{"a", "b"}},
 	}
 	for _, tc := range cases {
-		if _, err := NewRing(tc.self, tc.peers, 0); err == nil {
+		if _, err := NewRing(tc.self, tc.peers); err == nil {
 			t.Errorf("%s: NewRing accepted invalid input", tc.name)
 		}
 	}
-	if _, err := NewRing("a", []string{"a"}, 0); err != nil {
+	if _, err := NewRing("a", []string{"a"}); err != nil {
 		t.Fatalf("single-peer ring rejected: %v", err)
 	}
 }
@@ -37,7 +37,7 @@ func TestRingOwnerAgreesAcrossPeers(t *testing.T) {
 	peers := []string{"h1:1", "h2:2", "h3:3"}
 	rings := make([]*Ring, len(peers))
 	for i, p := range peers {
-		r, err := NewRing(p, peers, 0)
+		r, err := NewRing(p, peers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestRingOwnerAgreesAcrossPeers(t *testing.T) {
 
 func TestRingDistribution(t *testing.T) {
 	peers := []string{"h1:1", "h2:2", "h3:3", "h4:4"}
-	r, err := NewRing(peers[0], peers, 0)
+	r, err := NewRing(peers[0], peers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestRingDistribution(t *testing.T) {
 // everything else stays put, so the surviving peers' caches stay warm.
 func TestRingRebalanceOnRemoval(t *testing.T) {
 	peers := []string{"h1:1", "h2:2", "h3:3", "h4:4"}
-	before, err := NewRing("h1:1", peers, 0)
+	before, err := NewRing("h1:1", peers)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,17 +55,14 @@ func (t *Transport) authorize(req *http.Request) {
 	}
 }
 
-// NewTransport wraps the HTTP client (nil → a dedicated client with
-// sane connection pooling; the default client's shared pool would let
-// an unrelated slow download starve cluster traffic).
-func NewTransport(c *http.Client) *Transport {
-	if c == nil {
-		c = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 16,
-			IdleConnTimeout:     60 * time.Second,
-		}}
-	}
-	return &Transport{client: c}
+// NewTransport builds a transport on a dedicated HTTP client with sane
+// connection pooling (the default client's shared pool would let an
+// unrelated slow download starve cluster traffic).
+func NewTransport() *Transport {
+	return &Transport{client: &http.Client{Transport: &http.Transport{
+		MaxIdleConnsPerHost: 16,
+		IdleConnTimeout:     60 * time.Second,
+	}}}
 }
 
 func peerURL(addr, path string) string {

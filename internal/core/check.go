@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 
-	"tels/internal/ilp"
 	"tels/internal/logic"
 	"tels/internal/simplex"
 	"tels/internal/truth"
@@ -17,52 +16,11 @@ type WeightVector struct {
 	T       int
 }
 
-// CheckThreshold decides whether the function tt — which must be unate and
-// depend on all of its variables — is a threshold function under the given
-// defect tolerances, and if so returns an integer weight–threshold vector
-// minimizing Σ|wᵢ| + T′ where T′ is the threshold of the positive-unate
-// form. This is the ILP formulation of the paper's Fig. 6:
-//
-// The function is first put in positive-unate form by substituting
-// negative-phase variables (§IV). With all weights nonnegative, an
-// assignment of ⟨w;T⟩ satisfies all 2^l minterm constraints iff it
-// satisfies one constraint per cube of a cover of f (the cube's minimal
-// minterm) and one per cube of a cover of f̄ (the cube's maximal minterm):
-//
-//	ON:  Σ_{i ∈ lits(C)} wᵢ ≥ T + δon      for every cube C of f
-//	OFF: Σ_{i ∈ dc(C)}  wᵢ ≤ T − δoff      for every cube C of f̄
-//
-// Soundness: any minterm of an ON cube has a superset of its literals at 1,
-// and weights are nonnegative, so its sum dominates the cube constraint;
-// symmetrically for OFF cubes. Completeness: the cube constraints are
-// themselves minterm constraints. Hence this system is exact for any
-// covers of f and f̄, prime or not (redundant cubes only add redundant
-// rows). The strict "<" of Eq. 1 becomes "≤ T − δoff" over the integers,
-// matching the paper's worked example ⟨2,1,1;3⟩ which satisfies
-// w₂+w₃ = 2 = T − δoff with equality.
-//
-// The limit solver mirrors §V-E: when the branch-and-bound budget is
-// exhausted the function is declared non-threshold and the caller splits.
-func CheckThreshold(tt *truth.Table, deltaOn, deltaOff int, solver *ilp.Solver) (WeightVector, bool) {
-	return CheckThresholdBounded(tt, deltaOn, deltaOff, 0, solver)
-}
-
-// CheckThresholdBounded is CheckThreshold with an additional bound on the
-// magnitude of every weight (and the positive-form threshold): RTD peak
-// currents scale with the weight, so physical designs cap the ratio
-// between the largest and unit weight. maxWeight ≤ 0 means unbounded.
-// Functions needing larger weights are declared non-threshold, which
-// makes the synthesizer split them into smaller gates.
-func CheckThresholdBounded(tt *truth.Table, deltaOn, deltaOff, maxWeight int, solver *ilp.Solver) (WeightVector, bool) {
-	c := Checker{ILP: *solver}
-	return c.Check(tt, deltaOn, deltaOff, maxWeight)
-}
-
 // checkSystem is one threshold check in positive-unate form. The ON/OFF
 // covers are derived only by problem(): exact prime generation over 2ⁿ
-// minterms dwarfs the solve itself on wide functions, and the
-// UNSAT-certificate cache is keyed on pos alone, so a cache hit never
-// pays for them.
+// minterms dwarfs the solve itself on wide functions, and the checker's
+// proven-UNSAT results are keyed on pos alone, so a hit never pays for
+// them.
 type checkSystem struct {
 	n       int
 	flipped []bool       // variables substituted to reach positive-unate form
@@ -105,8 +63,8 @@ func buildCheckSystem(tt *truth.Table, deltaOn, deltaOff, maxWeight int) (*check
 }
 
 // problem derives the minimal ON and OFF covers and builds the
-// simplex/ILP formulation. Row order matches the original
-// CheckThresholdBounded exactly, so branch-and-bound traversal — and
+// simplex/ILP formulation of Checker.Check. Row order matches the
+// original check exactly, so branch-and-bound traversal — and
 // therefore the returned vector — is bit-identical to the historical
 // behaviour.
 func (sys *checkSystem) problem() *simplex.Problem {
@@ -173,7 +131,7 @@ func (sys *checkSystem) vector(x []int) WeightVector {
 
 // digest is a canonical key of the check instance: the positive-unate
 // table bits (identical across input phase flips) plus every parameter
-// that influences the verdict. It keys the proven-UNSAT cache.
+// that influences the verdict. It keys a checker's proven-UNSAT results.
 func (sys *checkSystem) digest() [32]byte {
 	h := sha256.New()
 	var hdr [4 * 8]byte

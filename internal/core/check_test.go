@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"tels/internal/ilp"
 	"tels/internal/truth"
 )
 
@@ -12,8 +11,8 @@ func TestPaperWorkedExample(t *testing.T) {
 	// §V-B: f = x1!x2 + x1!x3 has vector <2,-1,-1;1> with δon=0, δoff=1.
 	f := truth.Var(3, 0).And(truth.Var(3, 1).Not()).
 		Or(truth.Var(3, 0).And(truth.Var(3, 2).Not()))
-	var solver ilp.Solver
-	v, ok := CheckThreshold(f, 0, 1, &solver)
+	var chk Checker
+	v, ok := chk.Check(f, 0, 1, 0)
 	if !ok {
 		t.Fatal("f should be threshold")
 	}
@@ -29,8 +28,8 @@ func TestPaperPositiveForm(t *testing.T) {
 	// g = x1y2 + x1y3 (positive form) has vector <2,1,1;3>.
 	g := truth.Var(3, 0).And(truth.Var(3, 1)).
 		Or(truth.Var(3, 0).And(truth.Var(3, 2)))
-	var solver ilp.Solver
-	v, ok := CheckThreshold(g, 0, 1, &solver)
+	var chk Checker
+	v, ok := chk.Check(g, 0, 1, 0)
 	if !ok {
 		t.Fatal("g should be threshold")
 	}
@@ -43,8 +42,8 @@ func TestNonThreshold2of4(t *testing.T) {
 	// f = x1x2 + x3x4 is the canonical non-threshold unate function.
 	f := truth.Var(4, 0).And(truth.Var(4, 1)).
 		Or(truth.Var(4, 2).And(truth.Var(4, 3)))
-	var solver ilp.Solver
-	if _, ok := CheckThreshold(f, 0, 1, &solver); ok {
+	var chk Checker
+	if _, ok := chk.Check(f, 0, 1, 0); ok {
 		t.Fatal("x1x2+x3x4 must not be threshold")
 	}
 	if IsThresholdLP(f) {
@@ -54,8 +53,8 @@ func TestNonThreshold2of4(t *testing.T) {
 
 func TestBinateRejected(t *testing.T) {
 	x := truth.Var(2, 0).Xor(truth.Var(2, 1))
-	var solver ilp.Solver
-	if _, ok := CheckThreshold(x, 0, 1, &solver); ok {
+	var chk Checker
+	if _, ok := chk.Check(x, 0, 1, 0); ok {
 		t.Fatal("xor must not be threshold")
 	}
 	if IsThresholdLP(x) {
@@ -64,7 +63,7 @@ func TestBinateRejected(t *testing.T) {
 }
 
 func TestSimpleGatesAreThreshold(t *testing.T) {
-	var solver ilp.Solver
+	var chk Checker
 	cases := []struct {
 		name string
 		fn   *truth.Table
@@ -80,7 +79,7 @@ func TestSimpleGatesAreThreshold(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for deltaOn := 0; deltaOn <= 2; deltaOn++ {
-			v, ok := CheckThreshold(tc.fn, deltaOn, 1, &solver)
+			v, ok := chk.Check(tc.fn, deltaOn, 1, 0)
 			if !ok {
 				t.Errorf("%s (δon=%d): not threshold", tc.name, deltaOn)
 				continue
@@ -98,8 +97,8 @@ func majority3() *truth.Table {
 }
 
 func TestMajorityWeights(t *testing.T) {
-	var solver ilp.Solver
-	v, ok := CheckThreshold(majority3(), 0, 1, &solver)
+	var chk Checker
+	v, ok := chk.Check(majority3(), 0, 1, 0)
 	if !ok {
 		t.Fatal("majority must be threshold")
 	}
@@ -116,7 +115,7 @@ func TestMajorityWeights(t *testing.T) {
 // Exhaustive agreement with the LP separability oracle on every function
 // of up to 4 variables that is unate with full support.
 func TestCheckAgainstOracleExhaustive(t *testing.T) {
-	var solver ilp.Solver
+	var chk Checker
 	for n := 1; n <= 4; n++ {
 		size := 1 << uint(n)
 		total := 1 << uint(size)
@@ -141,9 +140,9 @@ func TestCheckAgainstOracleExhaustive(t *testing.T) {
 				continue
 			}
 			want := IsThresholdLP(tt)
-			v, got := CheckThreshold(tt, 0, 1, &solver)
+			v, got := chk.Check(tt, 0, 1, 0)
 			if got != want {
-				t.Fatalf("n=%d code=%x: CheckThreshold=%v oracle=%v", n, code, got, want)
+				t.Fatalf("n=%d code=%x: Check=%v oracle=%v", n, code, got, want)
 			}
 			if got && !VerifyVector(tt, v, 0, 1) {
 				t.Fatalf("n=%d code=%x: vector %v;%d fails verification", n, code, v.Weights, v.T)
@@ -154,7 +153,7 @@ func TestCheckAgainstOracleExhaustive(t *testing.T) {
 
 // Random 5- and 6-variable unate functions against the oracle.
 func TestCheckAgainstOracleRandom(t *testing.T) {
-	var solver ilp.Solver
+	var chk Checker
 	rng := rand.New(rand.NewSource(55))
 	for iter := 0; iter < 150; iter++ {
 		n := 5 + rng.Intn(2)
@@ -166,9 +165,9 @@ func TestCheckAgainstOracleRandom(t *testing.T) {
 			continue
 		}
 		want := IsThresholdLP(tt)
-		v, got := CheckThreshold(tt, 0, 1, &solver)
+		v, got := chk.Check(tt, 0, 1, 0)
 		if got != want {
-			t.Fatalf("iter %d: CheckThreshold=%v oracle=%v (f=%s)", iter, got, want, tt)
+			t.Fatalf("iter %d: Check=%v oracle=%v (f=%s)", iter, got, want, tt)
 		}
 		if got && !VerifyVector(tt, v, 0, 1) {
 			t.Fatalf("iter %d: bad vector", iter)
@@ -204,11 +203,11 @@ func randomUnate(rng *rand.Rand, n int) *truth.Table {
 // Defect-tolerance margins: vectors found with larger δon must keep larger
 // separation, and area must not decrease.
 func TestDefectToleranceMargins(t *testing.T) {
-	var solver ilp.Solver
+	var chk Checker
 	f := majority3()
 	prevArea := 0
 	for deltaOn := 0; deltaOn <= 3; deltaOn++ {
-		v, ok := CheckThreshold(f, deltaOn, 1, &solver)
+		v, ok := chk.Check(f, deltaOn, 1, 0)
 		if !ok {
 			t.Fatalf("δon=%d: not threshold", deltaOn)
 		}
@@ -287,7 +286,7 @@ func TestTheorem1Property(t *testing.T) {
 }
 
 func TestTheorem2Constructive(t *testing.T) {
-	var solver ilp.Solver
+	var chk Checker
 	rng := rand.New(rand.NewSource(88))
 	checked := 0
 	for iter := 0; iter < 300 && checked < 50; iter++ {
@@ -307,7 +306,7 @@ func TestTheorem2Constructive(t *testing.T) {
 		if !pos {
 			continue
 		}
-		v, ok := CheckThreshold(f, 0, 1, &solver)
+		v, ok := chk.Check(f, 0, 1, 0)
 		if !ok {
 			continue
 		}
@@ -322,7 +321,7 @@ func TestTheorem2Constructive(t *testing.T) {
 			t.Fatalf("Theorem 2 constructive vector fails: f=%s v=%v;%d", f, v.Weights, v.T)
 		}
 		// And the ILP agrees h is threshold.
-		if _, ok := CheckThreshold(h, 0, 1, &solver); !ok {
+		if _, ok := chk.Check(h, 0, 1, 0); !ok {
 			t.Fatalf("ILP says f∨x not threshold for threshold f=%s", f)
 		}
 	}
@@ -335,8 +334,8 @@ func TestTheorem2PaperExample(t *testing.T) {
 	// §IV: f = x1!x2 is threshold with <1,-1;1> (pos form <1,1;2>);
 	// h = x1!x2 + x3 is threshold with <1,-1,2;1>.
 	h := truth.Var(3, 0).And(truth.Var(3, 1).Not()).Or(truth.Var(3, 2))
-	var solver ilp.Solver
-	v, ok := CheckThreshold(h, 0, 1, &solver)
+	var chk Checker
+	v, ok := chk.Check(h, 0, 1, 0)
 	if !ok {
 		t.Fatal("x1!x2+x3 should be threshold")
 	}

@@ -2,9 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"tels/internal/ilp"
+	"tels/internal/mcnc"
+	"tels/internal/opt"
 	"tels/internal/truth"
 )
 
@@ -30,20 +33,19 @@ func TestPortfolioIdentityRandom(t *testing.T) {
 	}
 }
 
-// The proven-UNSAT cache must change timing only, never verdicts, and
-// must register hits on repeated rejections.
-func TestUnsatCacheTransparent(t *testing.T) {
-	ResetUnsatCache()
-	defer ResetUnsatCache()
-
-	// x0·x1 + x2·x3 is unate with full support but not threshold.
-	n := 4
-	tt := truth.New(n)
+// twoPairs is x0·x1 + x2·x3: unate with full support but not threshold.
+func twoPairs() *truth.Table {
+	tt := truth.New(4)
 	for m := 0; m < tt.Size(); m++ {
-		a := m&1 != 0 && m&2 != 0
-		b := m&4 != 0 && m&8 != 0
-		tt.Set(m, a || b)
+		tt.Set(m, (m&1 != 0 && m&2 != 0) || (m&4 != 0 && m&8 != 0))
 	}
+	return tt
+}
+
+// A checker's proven-UNSAT results must change timing only, never
+// verdicts, and must register hits on repeated rejections.
+func TestUnsatCacheTransparent(t *testing.T) {
+	tt := twoPairs()
 	if IsThresholdLP(tt) {
 		t.Fatal("test function unexpectedly threshold")
 	}
@@ -79,12 +81,84 @@ func TestUnsatCacheTransparent(t *testing.T) {
 	}
 }
 
-// A tiny ILP budget must surface as a budget bailout (declared
-// non-threshold, nothing cached), never as a cached UNSAT certificate.
-func TestBudgetBailoutNotCached(t *testing.T) {
-	ResetUnsatCache()
-	defer ResetUnsatCache()
+// A rejection proved by one checker is a hit for that checker only: a
+// second checker proves it again, so runs share no check state.
+func TestUnsatResultsPerChecker(t *testing.T) {
+	tt := twoPairs()
+	var first, second Checker
+	hits := func(c *Checker) int64 {
+		t.Helper()
+		before := SnapshotCheckCounters().UnsatCacheHits
+		if _, ok := c.Check(tt, 0, 1, 0); ok {
+			t.Fatal("expected non-threshold")
+		}
+		return SnapshotCheckCounters().UnsatCacheHits - before
+	}
+	if h := hits(&first); h != 0 {
+		t.Fatalf("first checker, first check: %d hits, want 0", h)
+	}
+	if h := hits(&first); h != 1 {
+		t.Fatalf("first checker, repeat: %d hits, want 1", h)
+	}
+	if h := hits(&second); h != 0 {
+		t.Fatalf("second checker answered from the first one's results (%d hits)", h)
+	}
+	if h := hits(&second); h != 1 {
+		t.Fatalf("second checker, repeat: %d hits, want 1", h)
+	}
+}
 
+// Two ψ = 8 runs at once share no check state: each produces the network
+// of a run done alone, and together they register exactly twice its
+// UNSAT hits. Under -race any shared mutable state between them shows.
+func TestSynthesizeConcurrentRuns(t *testing.T) {
+	o := DefaultOptions()
+	o.Fanin = 8
+	run := func() (string, error) {
+		tn, _, err := Synthesize(opt.Algebraic(mcnc.Build("comp")), o)
+		if err != nil {
+			return "", err
+		}
+		return tn.String(), nil
+	}
+	before := SnapshotCheckCounters().UnsatCacheHits
+	want, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo := SnapshotCheckCounters().UnsatCacheHits - before
+	if solo == 0 {
+		t.Fatal("test premise broken: comp at ψ = 8 registers no UNSAT hits")
+	}
+
+	before = SnapshotCheckCounters().UnsatCacheHits
+	var wg sync.WaitGroup
+	got := make([]string, 2)
+	errs := make([]error, 2)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = run()
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] != want {
+			t.Fatalf("concurrent run %d differs from the solo run", i)
+		}
+	}
+	if both := SnapshotCheckCounters().UnsatCacheHits - before; both != 2*solo {
+		t.Fatalf("two concurrent runs registered %d UNSAT hits, want 2×%d", both, solo)
+	}
+}
+
+// A tiny ILP budget must surface as a budget bailout (declared
+// non-threshold, nothing stored), never as a proven UNSAT result.
+func TestBudgetBailoutNotCached(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tiny := Checker{ILP: ilp.Solver{MaxNodes: 1}}
 	full := Checker{}
@@ -106,8 +180,18 @@ func TestBudgetBailoutNotCached(t *testing.T) {
 		if ok {
 			t.Fatal("a budget bailout must report non-threshold")
 		}
-		// The bailout must not have poisoned the UNSAT cache: with the
-		// full budget the verdict must match the LP separability oracle.
+		// The bailout must not have entered the checker's UNSAT
+		// results: the same checker solves again and bails out again.
+		again := SnapshotCheckCounters()
+		if _, ok := tiny.Check(tt, 0, 1, 0); ok {
+			t.Fatal("repeated bailout must report non-threshold")
+		}
+		after := SnapshotCheckCounters()
+		if after.UnsatCacheHits != again.UnsatCacheHits || after.BudgetBailouts == again.BudgetBailouts {
+			t.Fatalf("repeated check on the tiny budget was answered from stored results: %+v → %+v", again, after)
+		}
+		// With the full budget the verdict matches the LP separability
+		// oracle.
 		_, got := full.Check(tt, 0, 1, 0)
 		if want := IsThresholdLP(tt); got != want {
 			t.Fatalf("after bailout: full-budget=%v oracle=%v", got, want)
@@ -143,17 +227,10 @@ func TestPortfolioIdentityExhaustive(t *testing.T) {
 }
 
 // The process-wide counters move as documented: every check that
-// reaches the ILP or the cache counts once, a repeated rejection counts
+// reaches the ILP or the checker's stored results counts once, a repeated rejection counts
 // as a cache hit, and the deprecated race fields stay zero.
 func TestPortfolioCounters(t *testing.T) {
-	ResetUnsatCache()
-	defer ResetUnsatCache()
-
-	// x0·x1 + x2·x3 is unate with full support but not threshold.
-	tt := truth.New(4)
-	for m := 0; m < tt.Size(); m++ {
-		tt.Set(m, (m&1 != 0 && m&2 != 0) || (m&4 != 0 && m&8 != 0))
-	}
+	tt := twoPairs()
 	before := SnapshotCheckCounters()
 	var c Checker
 	for i := 0; i < 3; i++ {
@@ -180,14 +257,11 @@ func TestPortfolioCounters(t *testing.T) {
 }
 
 // TestPBRefutationDirect solves the raw check system of x0·x1 + x2·x3
-// with the ILP, bypassing the Checker and its cache: the rejection must
-// be a proven infeasibility, the only kind of verdict the UNSAT cache
-// may store.
+// with the ILP, bypassing the Checker and its stored results: the
+// rejection must be a proven infeasibility, the only kind of verdict a
+// checker may store.
 func TestPBRefutationDirect(t *testing.T) {
-	tt := truth.New(4)
-	for m := 0; m < tt.Size(); m++ {
-		tt.Set(m, (m&1 != 0 && m&2 != 0) || (m&4 != 0 && m&8 != 0))
-	}
+	tt := twoPairs()
 	sys, ok := buildCheckSystem(tt, 0, 1, 0)
 	if !ok {
 		t.Fatal("buildCheckSystem rejected a unate function")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tels/internal/core"
-	"tels/internal/ilp"
 	"tels/internal/logic"
 	"tels/internal/network"
 	"tels/internal/truth"
@@ -30,13 +29,13 @@ func ExampleSynthesize() {
 	// f = [T=2] +1*x +1*y +1*z
 }
 
-// ExampleCheckThreshold reproduces the paper's §V-B worked example:
+// ExampleChecker_Check reproduces the paper's §V-B worked example:
 // f = x1·x̄2 + x1·x̄3 has the weight–threshold vector ⟨2,−1,−1;1⟩.
-func ExampleCheckThreshold() {
+func ExampleChecker_Check() {
 	f := truth.Var(3, 0).And(truth.Var(3, 1).Not()).
 		Or(truth.Var(3, 0).And(truth.Var(3, 2).Not()))
-	var solver ilp.Solver
-	v, ok := core.CheckThreshold(f, 0, 1, &solver)
+	var chk core.Checker
+	v, ok := chk.Check(f, 0, 1, 0)
 	fmt.Println(ok, v.Weights, v.T)
 	// Output: true [2 -1 -1] 1
 }

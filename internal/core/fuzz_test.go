@@ -45,8 +45,8 @@ func FuzzParseTLN(f *testing.F) {
 // independent oracles: the LP separability test when weights are
 // unbounded, and an exhaustive search over every weight vector within
 // the cap when one is set (n ≤ 4). On SAT the vector must realize the
-// function within the cap, and the UNSAT cache must never change an
-// answer.
+// function within the cap, and a checker's proven-UNSAT results must
+// never change an answer.
 func FuzzCheck(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(0), uint8(1), uint8(0))
 	f.Add(int64(7), uint8(5), uint8(1), uint8(2), uint8(0))
@@ -75,7 +75,7 @@ func FuzzCheck(f *testing.F) {
 func refereeCheck(t *testing.T, tt *truth.Table, don, doff, maxW int) {
 	t.Helper()
 	n := tt.N()
-	cold := Checker{NoCache: true}
+	var cold Checker
 	v, ok := cold.Check(tt, don, doff, maxW)
 	if maxW == 0 {
 		if want := IsThresholdLP(tt); ok != want {
@@ -102,13 +102,10 @@ func refereeCheck(t *testing.T, tt *truth.Table, don, doff, maxW int) {
 		}
 	}
 
-	// Twice, so a rejected instance is answered from the cache.
-	var cached Checker
-	for i := 0; i < 2; i++ {
-		cv, cok := cached.Check(tt, don, doff, maxW)
-		if cok != ok || !reflect.DeepEqual(cv, v) {
-			t.Fatalf("cached checker %v;%v, cold %v;%v (f=%s)", cv, cok, v, ok, tt)
-		}
+	// Again on the same checker, so a rejected instance is answered
+	// from its proven-UNSAT results.
+	if cv, cok := cold.Check(tt, don, doff, maxW); cok != ok || !reflect.DeepEqual(cv, v) {
+		t.Fatalf("repeated check %v;%v, cold %v;%v (f=%s)", cv, cok, v, ok, tt)
 	}
 }
 

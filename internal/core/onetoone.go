@@ -26,7 +26,7 @@ func OneToOne(src *network.Network, o Options) (*Network, error) {
 	for _, in := range dec.Inputs() {
 		out.AddInput(dec.NetName(in))
 	}
-	chk := o.Checker()
+	var chk Checker
 	order, err := dec.TopoNets()
 	if err != nil {
 		return nil, err

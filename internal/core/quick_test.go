@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"tels/internal/ilp"
 	"tels/internal/truth"
 )
 
@@ -66,10 +65,10 @@ func (f unateFn) table() *truth.Table {
 	return tt
 }
 
-// Property: whenever CheckThreshold reports a vector, that vector realizes
+// Property: whenever Checker.Check reports a vector, that vector realizes
 // the function exactly with the required δ margins.
 func TestQuickCheckThresholdSound(t *testing.T) {
-	var solver ilp.Solver
+	var chk Checker
 	prop := func(f unateFn) bool {
 		tt := f.table()
 		if isConst, _ := tt.IsConst(); isConst {
@@ -80,7 +79,7 @@ func TestQuickCheckThresholdSound(t *testing.T) {
 			reduced := tt.Project(sup)
 			tt = reduced
 		}
-		v, ok := CheckThreshold(tt, 0, 1, &solver)
+		v, ok := chk.Check(tt, 0, 1, 0)
 		if !ok {
 			// Non-threshold verdicts are validated against the LP oracle
 			// elsewhere; here soundness of positives is the property.
@@ -96,7 +95,7 @@ func TestQuickCheckThresholdSound(t *testing.T) {
 // Property: the ILP objective never beats the LP relaxation and the
 // returned weights of a positive-unate function are nonnegative.
 func TestQuickPositiveUnateWeights(t *testing.T) {
-	var solver ilp.Solver
+	var chk Checker
 	prop := func(f unateFn) bool {
 		pos := f
 		pos.Phases = make([]bool, f.N) // force all positive phases
@@ -107,7 +106,7 @@ func TestQuickPositiveUnateWeights(t *testing.T) {
 		if len(tt.Support()) != tt.N() {
 			tt = tt.Project(tt.Support())
 		}
-		v, ok := CheckThreshold(tt, 0, 1, &solver)
+		v, ok := chk.Check(tt, 0, 1, 0)
 		if !ok {
 			return true
 		}
@@ -157,7 +156,7 @@ func TestQuickTheorem1(t *testing.T) {
 // Property: the weight vector of a threshold function scales — doubling
 // every weight and the threshold (plus margin slack) still realizes it.
 func TestQuickVectorScaling(t *testing.T) {
-	var solver ilp.Solver
+	var chk Checker
 	prop := func(f unateFn) bool {
 		tt := f.table()
 		if isConst, _ := tt.IsConst(); isConst {
@@ -166,7 +165,7 @@ func TestQuickVectorScaling(t *testing.T) {
 		if len(tt.Support()) != tt.N() {
 			tt = tt.Project(tt.Support())
 		}
-		v, ok := CheckThreshold(tt, 0, 1, &solver)
+		v, ok := chk.Check(tt, 0, 1, 0)
 		if !ok {
 			return true
 		}

@@ -28,9 +28,6 @@ type Options struct {
 	// Seed drives the random tie-break between equally frequent split
 	// variables (§V-C condition 4).
 	Seed int64
-	// MaxILPNodes bounds the branch-and-bound budget per threshold check;
-	// zero selects the ilp package default.
-	MaxILPNodes int
 	// MaxWeight bounds |wᵢ| of every gate input (0 = unbounded): RTD peak
 	// currents scale with the weight, so physical designs cap the ratio
 	// to the unit RTD. Functions needing larger weights are split.
@@ -165,7 +162,6 @@ func Synthesize(src *network.Network, o Options) (*Network, SynthStats, error) {
 		fanout: make(map[netcore.Net]bool),
 		done:   make(map[string]bool),
 		rng:    rand.New(rand.NewSource(o.Seed)),
-		chk:    o.Checker(),
 	}
 	for _, n := range cw.InternalNets() {
 		if cw.NetFanoutCount(n) > 1 {

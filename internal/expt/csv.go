@@ -93,22 +93,3 @@ func WriteFig12CSV(w io.Writer, v float64, points []Fig12Point) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// WriteWeightSweepCSV emits the weight-bound sweep (0 = unbounded).
-func WriteWeightSweepCSV(w io.Writer, points []WeightPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"max_weight", "gates", "levels", "area"}); err != nil {
-		return err
-	}
-	for _, p := range points {
-		rec := []string{
-			strconv.Itoa(p.MaxWeight), strconv.Itoa(p.Gates),
-			strconv.Itoa(p.Levels), strconv.Itoa(p.Area),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

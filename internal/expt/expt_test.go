@@ -236,11 +236,4 @@ func TestCSVWriters(t *testing.T) {
 	if !strings.Contains(sb.String(), "2,0.80,0.5000,100,1.5000") {
 		t.Fatalf("fig12 csv wrong:\n%s", sb.String())
 	}
-	sb.Reset()
-	if err := WriteWeightSweepCSV(&sb, []WeightPoint{{MaxWeight: 0, Gates: 5, Levels: 2, Area: 11}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "0,5,2,11") {
-		t.Fatalf("weights csv wrong:\n%s", sb.String())
-	}
 }

@@ -18,17 +18,17 @@ import (
 // widest first, checked under the same Fig. 6 cube system the synthesis
 // core builds. Two configurations are timed per benchmark:
 //
-//	cold      Checker{NoCache: true}: every check pays cover
-//	          construction and a fresh branch-and-bound solve.
-//	deployed  the checker as synthesis runs it: the same ILP behind the
-//	          UNSAT-certificate cache (reset before every timed pass, so
-//	          the speedup is earned within one pass over the workload,
-//	          exactly as one synthesis run would).
+//	cold      a fresh Checker per check: every check pays the digest,
+//	          cover construction and a branch-and-bound solve.
+//	deployed  the checker as synthesis runs it: one Checker per timed
+//	          pass, whose proven-UNSAT results answer repeated
+//	          rejections, so the speedup is earned within one pass over
+//	          the workload, exactly as one synthesis run would.
 //
 // Instances are deliberately NOT deduplicated: array-style benchmarks
 // (comparator stages, adder slices) genuinely instantiate the same wide
 // node function many times, and re-deciding those repeats is precisely
-// the per-node hot path the certificate cache removes.
+// the per-node hot path the proven-UNSAT results remove.
 
 // threshConfigs are the margin/cap points each instance is checked under:
 // the flow default (δon=0, δoff=1), a hardened margin (δon=1), and an
@@ -98,20 +98,23 @@ func HarvestThreshNodes(name string, minVars, maxVars, limit int) ([]ThreshInsta
 }
 
 // threshPass times iters full checking passes over the instances and
-// returns the mean per-pass wall clock. The cache is emptied at the top
-// of every pass, so each iteration is one cold synthesis-run equivalent —
-// repetition only stretches the timed region (sub-millisecond benchmarks
-// would otherwise drown in scheduler noise), it never lets certificates
-// leak across passes.
-func threshPass(chk core.Checker, insts []ThreshInstance, iters int) time.Duration {
+// returns the mean per-pass wall clock. Every pass builds a new checker
+// (cold: every check does), so each iteration is one cold synthesis-run
+// equivalent — repetition only stretches the timed region
+// (sub-millisecond benchmarks would otherwise drown in scheduler noise),
+// it never lets certificates leak across passes.
+func threshPass(cold bool, insts []ThreshInstance, iters int) time.Duration {
 	if iters < 1 {
 		iters = 1
 	}
 	t0 := time.Now()
 	for it := 0; it < iters; it++ {
-		core.ResetUnsatCache()
+		var chk core.Checker
 		for _, inst := range insts {
 			for _, cfg := range threshConfigs {
+				if cold {
+					chk = core.Checker{}
+				}
 				chk.Check(inst.TT, cfg.DeltaOn, cfg.DeltaOff, cfg.MaxW)
 			}
 		}
@@ -131,7 +134,6 @@ func ThreshBench(names []string, minVars, maxVars, limit, reps int) ([]ThreshRow
 	if reps < 1 {
 		reps = 1
 	}
-	cold, deployed := core.Checker{NoCache: true}, core.Checker{}
 	rows := make([]ThreshRow, 0, len(names))
 	for _, name := range names {
 		insts, err := HarvestThreshNodes(name, minVars, maxVars, limit)
@@ -150,7 +152,8 @@ func ThreshBench(names []string, minVars, maxVars, limit, reps int) ([]ThreshRow
 			distinct[inst.TT.String()] = true
 			for _, cfg := range threshConfigs {
 				row.Checks++
-				if _, ok := cold.Check(inst.TT, cfg.DeltaOn, cfg.DeltaOff, cfg.MaxW); ok {
+				var chk core.Checker
+				if _, ok := chk.Check(inst.TT, cfg.DeltaOn, cfg.DeltaOff, cfg.MaxW); ok {
 					row.SatChecks++
 				}
 			}
@@ -161,7 +164,7 @@ func ThreshBench(names []string, minVars, maxVars, limit, reps int) ([]ThreshRow
 		// spans at least minTimedRegion; both configurations use the same
 		// count so they share the measurement discipline.
 		iters := 1
-		if calib := threshPass(cold, insts, 1); calib < minTimedRegion {
+		if calib := threshPass(true, insts, 1); calib < minTimedRegion {
 			iters = int(minTimedRegion/calib) + 1
 			if iters > 64 {
 				iters = 64
@@ -169,10 +172,10 @@ func ThreshBench(names []string, minVars, maxVars, limit, reps int) ([]ThreshRow
 		}
 		var bestCold, bestDeployed time.Duration
 		for rep := 0; rep < reps; rep++ {
-			if d := threshPass(cold, insts, iters); rep == 0 || d < bestCold {
+			if d := threshPass(true, insts, iters); rep == 0 || d < bestCold {
 				bestCold = d
 			}
-			if d := threshPass(deployed, insts, iters); rep == 0 || d < bestDeployed {
+			if d := threshPass(false, insts, iters); rep == 0 || d < bestDeployed {
 				bestDeployed = d
 			}
 		}
@@ -183,7 +186,6 @@ func ThreshBench(names []string, minVars, maxVars, limit, reps int) ([]ThreshRow
 		}
 		rows = append(rows, row)
 	}
-	core.ResetUnsatCache()
 	return rows, nil
 }
 

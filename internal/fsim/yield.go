@@ -22,8 +22,6 @@ type YieldConfig struct {
 	// failure rate; sampling stops once the Wilson interval is at least
 	// this tight (default 0.02).
 	HalfWidth float64
-	// Z is the normal quantile of the interval (default 1.96 ≈ 95%).
-	Z float64
 	// Samples is the random-vector count for networks wider than
 	// ExhaustiveInputs (default DefaultSamples).
 	Samples int
@@ -43,9 +41,6 @@ func (c YieldConfig) withDefaults() YieldConfig {
 	}
 	if c.HalfWidth <= 0 {
 		c.HalfWidth = 0.02
-	}
-	if c.Z <= 0 {
-		c.Z = 1.96
 	}
 	if c.Samples <= 0 {
 		c.Samples = DefaultSamples
@@ -80,6 +75,9 @@ type YieldReport struct {
 	Vectors      int          `json:"vectors"`
 	Critical     []GateImpact `json:"critical,omitempty"`
 }
+
+// yieldZ is the normal quantile of the yield confidence interval (95%).
+const yieldZ = 1.96
 
 // wilson returns the Wilson score interval for fails successes in n
 // trials at normal quantile z.
@@ -289,7 +287,7 @@ func (s *YieldSession) estimate(tsim *ThreshSim, model DefectModel, cfg YieldCon
 		if failedTrial {
 			rep.Failures++
 		}
-		lo, hi := wilson(rep.Failures, rep.Trials, cfg.Z)
+		lo, hi := wilson(rep.Failures, rep.Trials, yieldZ)
 		if rep.Trials >= cfg.MinTrials && (hi-lo)/2 <= cfg.HalfWidth {
 			rep.EarlyStopped = rep.Trials < cfg.MaxTrials
 			break
@@ -298,7 +296,7 @@ func (s *YieldSession) estimate(tsim *ThreshSim, model DefectModel, cfg YieldCon
 
 	rep.FailureRate = float64(rep.Failures) / float64(rep.Trials)
 	rep.Yield = 1 - rep.FailureRate
-	rep.Lo, rep.Hi = wilson(rep.Failures, rep.Trials, cfg.Z)
+	rep.Lo, rep.Hi = wilson(rep.Failures, rep.Trials, yieldZ)
 	for gi, g := range gates {
 		if blamed[gi] == 0 && flipped[gi] == 0 {
 			continue

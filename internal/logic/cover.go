@@ -381,22 +381,6 @@ func (f Cover) Or(g Cover) Cover {
 	return out
 }
 
-// And returns the conjunction of two covers (pairwise cube intersection).
-func (f Cover) And(g Cover) Cover {
-	if f.N != g.N {
-		panic("logic: And of covers with different variable counts")
-	}
-	out := NewCover(f.N)
-	for _, c := range f.Cubes {
-		for _, d := range g.Cubes {
-			if x, ok := c.Intersect(d); ok {
-				out.Cubes = append(out.Cubes, x)
-			}
-		}
-	}
-	return out.SCC()
-}
-
 // Equivalent reports whether two covers denote the same function, via two
 // tautology checks of (f' + g) and (f + g').
 func (f Cover) Equivalent(g Cover) bool {

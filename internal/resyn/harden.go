@@ -57,12 +57,13 @@ func gateTruth(g *core.Gate) *truth.Table {
 }
 
 // memoKey is the content address of one (function, δon) synthesis under
-// the loop's synthesis knobs. The exact=false line is the retired
-// exact-ILP knob, kept so that existing keys do not move.
+// the loop's synthesis knobs. The exact=false and maxilp=0 lines are the
+// retired exact-ILP and node-budget knobs, kept so that existing keys do
+// not move.
 func memoKey(tt *truth.Table, don int, o core.Options) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "resyn/v1\nn=%d\ndon=%d\ndoff=%d\nmaxw=%d\nfanin=%d\nexact=false\nmaxilp=%d\nseed=%d\nbits=",
-		tt.N(), don, o.DeltaOff, o.MaxWeight, o.Fanin, o.MaxILPNodes, o.Seed)
+	fmt.Fprintf(h, "resyn/v1\nn=%d\ndon=%d\ndoff=%d\nmaxw=%d\nfanin=%d\nexact=false\nmaxilp=0\nseed=%d\nbits=",
+		tt.N(), don, o.DeltaOff, o.MaxWeight, o.Fanin, o.Seed)
 	b := make([]byte, tt.Size())
 	for m := 0; m < tt.Size(); m++ {
 		if tt.Get(m) {
@@ -149,7 +150,7 @@ func synthesizeFragment(tt *truth.Table, don int, o core.Options) (*core.Network
 		return frag, nil
 	}
 
-	chk := o.Checker()
+	var chk core.Checker
 	if vec, ok := chk.Check(tt, don, o.DeltaOff, o.MaxWeight); ok {
 		inputs := make([]string, tt.N())
 		for i := range inputs {

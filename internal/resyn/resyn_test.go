@@ -7,7 +7,6 @@ import (
 
 	"tels/internal/core"
 	"tels/internal/fsim"
-	"tels/internal/ilp"
 	"tels/internal/logic"
 	"tels/internal/network"
 )
@@ -73,11 +72,11 @@ func TestDeriveReplacementDecomposeFallback(t *testing.T) {
 	o.MaxWeight = 2
 
 	tt := gateTruth(g)
-	solver := &ilp.Solver{}
-	if _, ok := core.CheckThreshold(tt, 1, o.DeltaOff, solver); !ok {
+	var chk core.Checker
+	if _, ok := chk.Check(tt, 1, o.DeltaOff, 0); !ok {
 		t.Fatal("test premise broken: function should be threshold without the cap")
 	}
-	if _, ok := core.CheckThresholdBounded(tt, 1, o.DeltaOff, o.MaxWeight, solver); ok {
+	if _, ok := chk.Check(tt, 1, o.DeltaOff, o.MaxWeight); ok {
 		t.Fatal("test premise broken: δon=1 should be infeasible under max weight 2")
 	}
 

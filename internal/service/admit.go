@@ -3,7 +3,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -355,16 +354,4 @@ func (aq *admitQueue) stats() map[string]TenantStats {
 		}
 	}
 	return out
-}
-
-// tenantNames returns the names seen so far, sorted (metrics ordering).
-func (aq *admitQueue) tenantNames() []string {
-	aq.mu.Lock()
-	defer aq.mu.Unlock()
-	names := make([]string, 0, len(aq.tenants))
-	for name := range aq.tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

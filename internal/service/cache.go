@@ -33,8 +33,10 @@ func Digest(req Request) (string, error) {
 	h := sha256.New()
 	o := req.Options
 	fmt.Fprintf(h, "tels/v1\nscript=%s\nmapper=%s\nverify=%t\n", req.Script, req.Mapper, !req.SkipVerify)
-	fmt.Fprintf(h, "fanin=%d\ndon=%d\ndoff=%d\nseed=%d\nmaxilp=%d\nexact=%t\nmaxw=%d\nnocollapse=%t\nnotheorem2=%t\nsplit=%d\n",
-		o.Fanin, o.DeltaOn, o.DeltaOff, o.Seed, o.MaxILPNodes, req.Exact, o.MaxWeight, o.NoCollapse, o.NoTheorem2, o.Split)
+	// maxilp=0 is the retired ILP node-budget knob, kept so that
+	// existing digests do not move.
+	fmt.Fprintf(h, "fanin=%d\ndon=%d\ndoff=%d\nseed=%d\nmaxilp=0\nexact=%t\nmaxw=%d\nnocollapse=%t\nnotheorem2=%t\nsplit=%d\n",
+		o.Fanin, o.DeltaOn, o.DeltaOff, o.Seed, req.Exact, o.MaxWeight, o.NoCollapse, o.NoTheorem2, o.Split)
 	// Per-node margin overrides, in sorted order. Only written when
 	// present so pre-override digests stay stable.
 	if len(o.DeltaOnOverrides) > 0 {

@@ -25,8 +25,6 @@ type Client struct {
 	// APIKey, when set, is sent as "Authorization: Bearer <key>" on
 	// every request. Leave empty against an open (keyless) daemon.
 	APIKey string
-	// HTTPClient defaults to http.DefaultClient.
-	HTTPClient *http.Client
 	// PollInterval is Wait's initial poll spacing (default 50 ms); each
 	// subsequent poll backs off exponentially toward PollMaxInterval.
 	PollInterval time.Duration
@@ -84,13 +82,6 @@ func IsForbidden(err error) bool { return errHasCode(err, CodeForbidden) }
 
 // IsOverloaded reports whether err is a 503 overloaded rejection.
 func IsOverloaded(err error) bool { return errHasCode(err, CodeOverloaded) }
-
-func (c *Client) http() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return http.DefaultClient
-}
 
 func (c *Client) url(path string) string {
 	return strings.TrimRight(c.BaseURL, "/") + path
@@ -309,7 +300,7 @@ func (c *Client) watchStream(ctx context.Context, id string, observe func(JobEve
 	}
 	req.Header.Set("Accept", "text/event-stream")
 	c.authorize(req)
-	resp, err := c.http().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return Job{}, false, nil
 	}
@@ -362,7 +353,7 @@ func (c *Client) TLN(ctx context.Context, id string) (string, error) {
 		return "", err
 	}
 	c.authorize(req)
-	resp, err := c.http().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return "", err
 	}
@@ -401,7 +392,7 @@ func (c *Client) Metrics(ctx context.Context) (map[string]int64, error) {
 
 func (c *Client) doJSON(req *http.Request, wantStatus int, out any) error {
 	c.authorize(req)
-	resp, err := c.http().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}

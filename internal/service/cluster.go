@@ -248,21 +248,15 @@ func (m *Manager) AcceptResult(digest string, res Result) {
 	m.metrics.cacheEvictions.Add(int64(evicted))
 }
 
-// ComputeSync runs one request to completion on the local pool and
-// returns the terminal job snapshot. It backs the peer-to-peer compute
-// endpoint: the job is internal (absent from the public table and the
-// journal), a full queue fails fast with ErrQueueFull so the calling
-// peer can back off or steal, and cancelling ctx — the caller hanging
-// up — cancels the job and releases its worker. It is ComputeSyncAs
-// for the default tenant.
-func (m *Manager) ComputeSync(ctx context.Context, req Request) (Job, error) {
-	return m.ComputeSyncAs(ctx, DefaultTenant, req)
-}
-
-// ComputeSyncAs is ComputeSync with the originating tenant attached:
-// fanned-out work is scheduled under the tenant that submitted the
-// sweep on the coordinating peer, so weighted-fair admission holds
-// fleet-wide, not just where the submission landed.
+// ComputeSyncAs runs one request to completion on the local pool under
+// the originating tenant and returns the terminal job snapshot. It backs
+// the peer-to-peer compute endpoint: the job is internal (absent from
+// the public table and the journal), a full queue fails fast with
+// ErrQueueFull so the calling peer can back off or steal, and cancelling
+// ctx — the caller hanging up — cancels the job and releases its worker.
+// Fanned-out work is scheduled under the tenant that submitted the sweep
+// on the coordinating peer, so weighted-fair admission holds fleet-wide,
+// not just where the submission landed.
 func (m *Manager) ComputeSyncAs(ctx context.Context, tenant string, req Request) (Job, error) {
 	if err := req.Normalize(); err != nil {
 		return Job{}, err

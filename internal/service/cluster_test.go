@@ -364,7 +364,7 @@ func TestComputeEndpointCancelsOnDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := cluster.NewTransport(nil)
+	tr := cluster.NewTransport()
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {

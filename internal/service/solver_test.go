@@ -55,7 +55,7 @@ func TestSolverMetricsExported(t *testing.T) {
 }
 
 // f = a·b + c·d is unate but not threshold, so with fanin 4 its first
-// check is a proven rejection that the UNSAT cache keeps.
+// check is a proven rejection that the run's checker keeps.
 const rejectTestBlif = `.model reject
 .inputs a b c d
 .outputs f
@@ -65,15 +65,14 @@ const rejectTestBlif = `.model reject
 .end
 `
 
-// TestSolverModeTransparent runs the same job with the proven-UNSAT
-// cache cold and then warm: the warm run answers repeated rejections
-// from the cache, and the job digest, network and area must not change.
+// TestSolverModeTransparent runs the same job on two managers, one after
+// the other. Every run builds its own checker, so the second job starts
+// as cold as the first: it registers the same UNSAT hit count, and the
+// job digest, network and area do not change.
 func TestSolverModeTransparent(t *testing.T) {
-	core.ResetUnsatCache()
-	defer core.ResetUnsatCache()
 	var digests, tlns []string
-	var areas []int
-	for run, name := range []string{"cold", "warm"} {
+	var areas, hits []int64
+	for _, name := range []string{"first", "second"} {
 		m := newTestManager(t, Config{Workers: 2})
 		hitsBefore := m.MetricsSnapshot()["unsat_core_hits"]
 		job, err := m.Submit(Request{BLIF: rejectTestBlif, Options: core.Options{Fanin: 4}})
@@ -87,20 +86,21 @@ func TestSolverModeTransparent(t *testing.T) {
 		if done.State != StateDone {
 			t.Fatalf("%s cache: state %s (%s)", name, done.State, done.Error)
 		}
-		if run == 1 && m.MetricsSnapshot()["unsat_core_hits"] == hitsBefore {
-			t.Fatal("warm run registered no unsat cache hits")
-		}
+		hits = append(hits, m.MetricsSnapshot()["unsat_core_hits"]-hitsBefore)
 		digests = append(digests, done.Digest)
 		tlns = append(tlns, done.Result.TLN)
-		areas = append(areas, done.Result.Stats.Area)
+		areas = append(areas, int64(done.Result.Stats.Area))
+	}
+	if hits[1] != hits[0] {
+		t.Fatalf("second job registered %d unsat hits, first %d: check state leaked across jobs", hits[1], hits[0])
 	}
 	if digests[1] != digests[0] {
-		t.Fatalf("warm cache changed the job digest: %s vs %s", digests[1], digests[0])
+		t.Fatalf("second job changed the digest: %s vs %s", digests[1], digests[0])
 	}
 	if tlns[1] != tlns[0] {
-		t.Fatalf("warm cache changed the network:\n%s\nvs\n%s", tlns[1], tlns[0])
+		t.Fatalf("second job changed the network:\n%s\nvs\n%s", tlns[1], tlns[0])
 	}
 	if areas[1] != areas[0] {
-		t.Fatalf("warm cache changed the area: %d vs %d", areas[1], areas[0])
+		t.Fatalf("second job changed the area: %d vs %d", areas[1], areas[0])
 	}
 }
