@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmtcheck test race benchsmoke sweepsmoke resynsmoke storesmoke clustersmoke apismoke netsmoke perfsmoke cover bench fuzz experiments examples serve ci clean
+.PHONY: all build fmtcheck test race benchsmoke sweepsmoke resynsmoke storesmoke clustersmoke apismoke netsmoke paperfigs perfsmoke cover bench fuzz experiments examples serve ci clean
 
 all: build test
 
@@ -85,6 +85,18 @@ netsmoke:
 	$(GO) test -race -count=1 ./internal/netcore/
 	$(GO) test -race -count=1 -short -run 'TestCorpusGolden' ./internal/expt/
 
+# paperfigs regenerates the paper's reproduced results (Table I and
+# Figs. 10-12) into a temp dir and fails unless every CSV matches its
+# committed copy under results_csv/ byte for byte.
+paperfigs:
+	@d=$$(mktemp -d); s=0; \
+	$(GO) build -o $$d/telsbench ./cmd/telsbench || s=1; \
+	for f in table1 fig10 fig11 fig12; do \
+		[ $$s = 0 ] || break; \
+		$$d/telsbench -q -csv $$d $$f > /dev/null && cmp $$d/$$f.csv results_csv/$$f.csv || s=1; \
+	done; \
+	rm -rf $$d; exit $$s
+
 # perfsmoke runs the corpus benchmark workload once, traced, and fails
 # unless every job was proved correct, none failed, and the per-pass
 # replay matched the scripts (a divergence silently drops the per-layer
@@ -102,7 +114,7 @@ serve:
 	$(GO) run ./cmd/telsd -addr $(ADDR)
 
 # ci is the exact gate GitHub Actions runs.
-ci: build fmtcheck test race benchsmoke sweepsmoke resynsmoke storesmoke clustersmoke apismoke netsmoke perfsmoke
+ci: build fmtcheck test race benchsmoke sweepsmoke resynsmoke storesmoke clustersmoke apismoke netsmoke paperfigs perfsmoke
 
 cover:
 	$(GO) test -cover ./internal/... ./cmd/...

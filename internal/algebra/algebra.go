@@ -359,21 +359,6 @@ func Kernels(e Expr) []Kernel {
 	return out
 }
 
-// Level0 reports whether the kernel expression has no kernels other than
-// itself (no literal appears in two or more of its cubes).
-func Level0(k Expr) bool {
-	count := make(map[Lit]int)
-	for _, c := range k {
-		for _, l := range c {
-			count[l]++
-			if count[l] >= 2 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 func exprKey(e Expr) string {
 	keys := make([]string, len(e))
 	for i, c := range e {

@@ -215,15 +215,6 @@ func TestKernelsAreQuotients(t *testing.T) {
 	}
 }
 
-func TestLevel0(t *testing.T) {
-	if !Level0(expr(4, "1---", "-1--")) {
-		t.Fatal("a+b should be level 0")
-	}
-	if Level0(expr(4, "11--", "1-1-")) {
-		t.Fatal("ab+ac is not level 0 (a repeats)")
-	}
-}
-
 func TestVars(t *testing.T) {
 	e := expr(5, "1---0", "-1---")
 	got := e.Vars()

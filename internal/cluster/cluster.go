@@ -173,15 +173,10 @@ func (c *Cluster) Push(ctx context.Context, addr, digest string, result []byte) 
 // failures with jittered exponential backoff. Successful calls feed the
 // hedge-delay latency window. The returned bytes are the terminal Job
 // JSON; an ErrUnavailable return means the peer is down or saturated
-// and the caller should steal the work back locally. It is ComputeAs
-// without a tenant attribution.
-func (c *Cluster) Compute(ctx context.Context, addr string, request []byte) ([]byte, error) {
-	return c.ComputeAs(ctx, addr, "", request)
-}
-
-// ComputeAs is Compute with the originating tenant propagated to the
-// serving peer, so per-tenant admission holds fleet-wide.
-func (c *Cluster) ComputeAs(ctx context.Context, addr, tenant string, request []byte) ([]byte, error) {
+// and the caller should steal the work back locally. The originating
+// tenant (empty for none) is propagated to the serving peer, so
+// per-tenant admission holds fleet-wide.
+func (c *Cluster) Compute(ctx context.Context, addr, tenant string, request []byte) ([]byte, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if !c.health.Available(addr) {
@@ -192,7 +187,7 @@ func (c *Cluster) ComputeAs(ctx context.Context, addr, tenant string, request []
 		}
 		c.health.Begin(addr)
 		start := time.Now()
-		data, err := c.transport.ComputeAs(ctx, addr, tenant, request)
+		data, err := c.transport.Compute(ctx, addr, tenant, request)
 		// A queue-full answer proves the peer is alive; only failures to
 		// answer at all count toward tripping its breaker.
 		c.health.End(addr, err != nil && !errors.Is(err, ErrBusy))

@@ -74,7 +74,7 @@ func TestComputeRetriesTransientThenSucceeds(t *testing.T) {
 	c := twoPeerCluster(t, addr, Config{
 		Retries: 2, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond,
 	})
-	data, err := c.Compute(context.Background(), addr, []byte(`{}`))
+	data, err := c.Compute(context.Background(), addr, "", []byte(`{}`))
 	if err != nil {
 		t.Fatalf("Compute: %v", err)
 	}
@@ -96,7 +96,7 @@ func TestComputeExhaustsRetriesOnDeadPeer(t *testing.T) {
 		Retries: 1, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond,
 		FailThreshold: 2, Cooldown: time.Minute,
 	})
-	if _, err := c.Compute(context.Background(), addr, []byte(`{}`)); !errors.Is(err, ErrUnavailable) {
+	if _, err := c.Compute(context.Background(), addr, "", []byte(`{}`)); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
 	}
 	// Two failed attempts tripped the breaker; further calls short-circuit.
@@ -121,7 +121,7 @@ func TestComputeBusyDoesNotTripBreaker(t *testing.T) {
 	// Far more consecutive queue-full answers than the threshold: each
 	// steers the caller to steal, none may mark the live peer dead.
 	for i := 0; i < 5; i++ {
-		if _, err := c.Compute(context.Background(), addr, []byte(`{}`)); !errors.Is(err, ErrUnavailable) {
+		if _, err := c.Compute(context.Background(), addr, "", []byte(`{}`)); !errors.Is(err, ErrUnavailable) {
 			t.Fatalf("call %d: err = %v, want ErrUnavailable", i, err)
 		}
 	}
@@ -144,7 +144,7 @@ func TestComputeRejectedNotRetried(t *testing.T) {
 		w.Write([]byte(`{"error":{"code":"invalid_request","message":"bad spec"}}`))
 	})
 	c := twoPeerCluster(t, addr, Config{Retries: 3, RetryBase: time.Millisecond})
-	_, err := c.Compute(context.Background(), addr, []byte(`{}`))
+	_, err := c.Compute(context.Background(), addr, "", []byte(`{}`))
 	if err == nil || errors.Is(err, ErrUnavailable) {
 		t.Fatalf("err = %v, want a permanent rejection", err)
 	}
@@ -166,7 +166,7 @@ func TestComputeHonorsContextDuringBackoff(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Compute(ctx, addr, []byte(`{}`))
+		_, err := c.Compute(ctx, addr, "", []byte(`{}`))
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the first attempt fail and enter backoff

@@ -141,15 +141,10 @@ func (t *Transport) PutResult(ctx context.Context, addr, digest string, result [
 // service's internal Request JSON, the response the terminal Job JSON.
 // The request is synchronous on purpose — cancelling ctx tears down the
 // connection, which the serving peer observes and cancels the job, so a
-// hedge loser releases the remote worker instead of leaking it. It is
-// ComputeAs without a tenant attribution.
-func (t *Transport) Compute(ctx context.Context, addr string, request []byte) ([]byte, error) {
-	return t.ComputeAs(ctx, addr, "", request)
-}
-
-// ComputeAs is Compute with the originating tenant attached via
-// TenantHeader, so per-tenant admission holds on the serving peer.
-func (t *Transport) ComputeAs(ctx context.Context, addr, tenant string, request []byte) ([]byte, error) {
+// hedge loser releases the remote worker instead of leaking it. A
+// non-empty tenant is attached via TenantHeader, so per-tenant admission
+// holds on the serving peer.
+func (t *Transport) Compute(ctx context.Context, addr, tenant string, request []byte) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peerURL(addr, "/v1/cluster/compute"), bytes.NewReader(request))
 	if err != nil {
 		return nil, err

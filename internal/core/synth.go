@@ -15,7 +15,9 @@ type Options struct {
 	// Fanin is the fanin restriction ψ on every threshold gate (≥ 2).
 	Fanin int
 	// DeltaOn and DeltaOff are the defect tolerances of Eq. 1. The paper's
-	// defaults are δon = 0 and δoff = 1.
+	// defaults are δon = 0 and δoff = 1. DeltaOff must be at least 1: at
+	// 0 the OFF rows (Σ ≤ T − δoff) meet the ON rows at Σ = T and every
+	// check's optimum is w = 0, T = 0.
 	DeltaOn  int
 	DeltaOff int
 	// DeltaOnOverrides raises (or lowers) the ON-set separation margin for
@@ -92,8 +94,11 @@ func (o *Options) validate() error {
 		return fmt.Errorf("core: fanin restriction %d exceeds the %d-variable engine limit",
 			o.Fanin, truth.MaxVars)
 	}
-	if o.DeltaOn < 0 || o.DeltaOff < 0 {
-		return fmt.Errorf("core: negative defect tolerance (δon=%d, δoff=%d)", o.DeltaOn, o.DeltaOff)
+	if o.DeltaOn < 0 {
+		return fmt.Errorf("core: negative defect tolerance δon=%d", o.DeltaOn)
+	}
+	if o.DeltaOff < 1 {
+		return fmt.Errorf("core: defect tolerance δoff=%d < 1 (OFF rows would meet the ON rows at Σ = T)", o.DeltaOff)
 	}
 	maxDon := o.DeltaOn
 	for name, don := range o.DeltaOnOverrides {

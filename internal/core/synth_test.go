@@ -332,6 +332,13 @@ func TestOptionsValidation(t *testing.T) {
 	if _, _, err := Synthesize(nw, Options{Fanin: 100}); err == nil {
 		t.Fatal("huge ψ must be rejected")
 	}
+	// At δoff = 0 every check's optimum is the all-zero gate.
+	if _, _, err := Synthesize(nw, Options{Fanin: 3}); err == nil {
+		t.Fatal("δoff=0 must be rejected")
+	}
+	if _, err := OneToOne(nw, Options{Fanin: 3}); err == nil {
+		t.Fatal("δoff=0 must be rejected by the one-to-one mapper")
+	}
 }
 
 func randomNet(rng *rand.Rand, inputs, gates int) *network.Network {

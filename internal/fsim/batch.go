@@ -161,20 +161,6 @@ func (b *Batch) columns(names []string) ([]int, error) {
 	return cols, nil
 }
 
-// Differs reports whether two packed output sets (shaped [output][word])
-// disagree on any valid lane, with early exit on the first differing word.
-func (b *Batch) Differs(a, c [][]uint64) bool {
-	for o := range a {
-		ao, co := a[o], c[o]
-		for wi := range b.mask {
-			if (ao[wi]^co[wi])&b.mask[wi] != 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // FirstDiff locates the lowest (vector, output) pair where the two packed
 // output sets disagree.
 func (b *Batch) FirstDiff(a, c [][]uint64) (vec, out int, found bool) {

@@ -151,3 +151,22 @@ func TestYieldSessionConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyCleanNamesCounterexample: a clean mismatch names the first
+// differing output and the input assignment it differs on, with both
+// values.
+func TestVerifyCleanNamesCounterexample(t *testing.T) {
+	nw, tn := andPair(t)
+	sess, err := NewYieldSession(nw, tn, YieldConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.VerifyClean(tn); err != nil {
+		t.Fatal(err)
+	}
+	tn.Gates[0].T = 1 // now an OR: vector 1 (a=1, b=0) is the first to differ
+	const want = "fsim: output f mismatches on map[a:true b:false]: boolean=false threshold=true"
+	if err := sess.VerifyClean(tn); err == nil || err.Error() != want {
+		t.Fatalf("VerifyClean = %v, want %q", err, want)
+	}
+}

@@ -153,10 +153,12 @@ func NewYieldSession(nw *network.Network, tn *core.Network, cfg YieldConfig) (*Y
 func (s *YieldSession) Vectors() int { return s.batch.Len() }
 
 // VerifyClean checks that tn computes the session's golden outputs on
-// every batch vector under exact weights (no defects). The re-synthesis
-// loop runs this after splicing hardened gates as a cheap functional
-// safety net: a replacement that changed the logic would otherwise
-// surface only as a collapsed yield estimate.
+// every batch vector under exact weights (no defects), naming the first
+// differing output and its input assignment. It is sim.Equivalent's
+// simulation check, and the re-synthesis loop runs it after splicing
+// hardened gates as a cheap functional safety net: a replacement that
+// changed the logic would otherwise surface only as a collapsed yield
+// estimate.
 func (s *YieldSession) VerifyClean(tn *core.Network) error {
 	if len(tn.Outputs) != len(s.golden) {
 		return fmt.Errorf("fsim: network has %d outputs, session golden has %d",
@@ -166,17 +168,13 @@ func (s *YieldSession) VerifyClean(tn *core.Network) error {
 	if err != nil {
 		return err
 	}
-	out, err := tsim.Eval(s.batch)
+	got, err := tsim.Eval(s.batch)
 	if err != nil {
 		return err
 	}
-	for o := range out {
-		for wi := range s.batch.mask {
-			if diff := (out[o][wi] ^ s.golden[o][wi]) & s.batch.mask[wi]; diff != 0 {
-				return fmt.Errorf("fsim: clean mismatch on output %s (word %d)",
-					tn.Outputs[o], wi)
-			}
-		}
+	if vec, o, bad := s.batch.FirstDiff(s.golden, got); bad {
+		return fmt.Errorf("fsim: output %s mismatches on %v: boolean=%v threshold=%v",
+			tn.Outputs[o], s.batch.Assignment(vec), Bit(s.golden[o], vec), Bit(got[o], vec))
 	}
 	return nil
 }

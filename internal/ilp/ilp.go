@@ -14,7 +14,6 @@
 package ilp
 
 import (
-	"context"
 	"math"
 
 	"tels/internal/simplex"
@@ -28,7 +27,7 @@ const (
 	Optimal    Status = iota // integer optimum found (see Result.LimitHit)
 	Infeasible               // no integer solution exists — the tree was exhausted
 	Unbounded                // relaxation unbounded below
-	Limit                    // budget exhausted (or context cancelled) before any solution
+	Limit                    // budget exhausted before any solution
 )
 
 func (s Status) String() string {
@@ -51,11 +50,10 @@ type Result struct {
 	X         []int // integer solution (valid when Status == Optimal)
 	Objective float64
 	Nodes     int // branch-and-bound nodes explored
-	// LimitHit reports that the node budget ran out (or the context was
-	// cancelled) before the tree was exhausted. An Optimal result with
-	// LimitHit set is an incumbent, not a proven optimum; an Infeasible
-	// status is never reported with LimitHit (unproven infeasibility is
-	// Limit instead).
+	// LimitHit reports that the node budget ran out before the tree was
+	// exhausted. An Optimal result with LimitHit set is an incumbent, not
+	// a proven optimum; an Infeasible status is never reported with
+	// LimitHit (unproven infeasibility is Limit instead).
 	LimitHit bool
 }
 
@@ -81,13 +79,6 @@ const intTol = 1e-6
 
 // Solve minimizes p.C·x subject to p.A x ≤ p.B, x ≥ 0, x integer.
 func (s *Solver) Solve(p *simplex.Problem) Result {
-	return s.SolveContext(context.Background(), p)
-}
-
-// SolveContext is Solve with cooperative cancellation: when ctx is
-// cancelled mid-search the solver stops at the next node and reports the
-// partial outcome with LimitHit set.
-func (s *Solver) SolveContext(ctx context.Context, p *simplex.Problem) Result {
 	maxNodes := s.MaxNodes
 	if maxNodes == 0 {
 		maxNodes = DefaultMaxNodes
@@ -95,7 +86,6 @@ func (s *Solver) SolveContext(ctx context.Context, p *simplex.Problem) Result {
 	b := &bnb{
 		best:     math.Inf(1),
 		maxNodes: maxNodes,
-		done:     ctx.Done(),
 	}
 	b.explore(p)
 	switch {
@@ -117,24 +107,12 @@ type bnb struct {
 	maxNodes  int
 	hitLimit  bool
 	unbounded bool
-	done      <-chan struct{}
 }
 
 func (b *bnb) explore(p *simplex.Problem) {
 	if b.nodes >= b.maxNodes {
 		b.hitLimit = true
 		return
-	}
-	// Cancellation check every few nodes: a select per node is cheap
-	// relative to one simplex solve, and a cancelled solve must release
-	// its CPU quickly.
-	if b.nodes&7 == 0 && b.done != nil {
-		select {
-		case <-b.done:
-			b.hitLimit = true
-			return
-		default:
-		}
 	}
 	b.nodes++
 	res := simplex.Solve(p)

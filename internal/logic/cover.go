@@ -222,18 +222,6 @@ func (f Cover) Support() []int {
 	return vars
 }
 
-// IsSyntacticallyUnate reports whether no variable appears in both phases
-// in the cover as written. A function with a syntactically unate cover is
-// unate; the converse does not hold for redundant covers.
-func (f Cover) IsSyntacticallyUnate() bool {
-	for _, u := range f.Usage() {
-		if u.Pos > 0 && u.Neg > 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // mostBinate returns the index of the variable appearing in both phases in
 // the largest number of cubes, or -1 if the cover is syntactically unate.
 func (f Cover) mostBinate() int {

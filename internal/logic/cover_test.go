@@ -150,12 +150,6 @@ func TestUsageAndSupport(t *testing.T) {
 	if len(sup) != 2 || sup[0] != 0 || sup[1] != 2 {
 		t.Errorf("Support = %v, want [0 2]", sup)
 	}
-	if f.IsSyntacticallyUnate() {
-		t.Error("cover is binate in var 0")
-	}
-	if !MustCover("1-0", "-10").IsSyntacticallyUnate() {
-		t.Error("cover should be syntactically unate")
-	}
 }
 
 func TestMinterms(t *testing.T) {

@@ -129,24 +129,6 @@ func (c Cube) Contains(d Cube) bool {
 	return true
 }
 
-// Intersect returns the cube covering exactly the minterms common to c and
-// d, and reports whether that intersection is non-empty. Two cubes have an
-// empty intersection iff they conflict (opposite phases) at some position.
-func (c Cube) Intersect(d Cube) (Cube, bool) {
-	out := make(Cube, len(c))
-	for i := range c {
-		switch {
-		case c[i] == DC:
-			out[i] = d[i]
-		case d[i] == DC || c[i] == d[i]:
-			out[i] = c[i]
-		default:
-			return nil, false
-		}
-	}
-	return out, true
-}
-
 // Distance returns the number of positions at which c and d require
 // opposite phases. Distance 0 means the cubes intersect.
 func (c Cube) Distance(d Cube) int {

@@ -58,19 +58,6 @@ func TestCubeContains(t *testing.T) {
 	}
 }
 
-func TestCubeIntersect(t *testing.T) {
-	a := MustParseCube("1--")
-	b := MustParseCube("-0-")
-	x, ok := a.Intersect(b)
-	if !ok || x.String() != "10-" {
-		t.Fatalf("Intersect(1--, -0-) = %v, %v", x, ok)
-	}
-	c := MustParseCube("0--")
-	if _, ok := a.Intersect(c); ok {
-		t.Fatal("Intersect(1--, 0--) should be empty")
-	}
-}
-
 func TestCubeDistance(t *testing.T) {
 	if d := MustParseCube("10-").Distance(MustParseCube("01-")); d != 2 {
 		t.Fatalf("Distance = %d, want 2", d)
@@ -104,36 +91,6 @@ func TestCubeCofactor(t *testing.T) {
 	}
 	if _, ok := c.Cofactor(0, Neg); ok {
 		t.Fatal("Cofactor(0, Neg) of cube 1-0 should be empty")
-	}
-}
-
-// Property: intersection covers exactly the common minterms.
-func TestCubeIntersectProperty(t *testing.T) {
-	f := func(aRaw, bRaw [5]uint8) bool {
-		a, b := make(Cube, 5), make(Cube, 5)
-		for i := 0; i < 5; i++ {
-			a[i] = Phase(aRaw[i] % 3)
-			b[i] = Phase(bRaw[i] % 3)
-		}
-		x, ok := a.Intersect(b)
-		assign := make([]bool, 5)
-		for m := 0; m < 32; m++ {
-			for i := 0; i < 5; i++ {
-				assign[i] = m&(1<<uint(i)) != 0
-			}
-			want := a.Eval(assign) && b.Eval(assign)
-			var got bool
-			if ok {
-				got = x.Eval(assign)
-			}
-			if got != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

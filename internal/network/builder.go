@@ -81,17 +81,6 @@ func (b *Builder) Nand(name string, ins ...*Node) *Node {
 	return b.gate(name, ins, cv)
 }
 
-// Nor adds a NOR gate over the fanins.
-func (b *Builder) Nor(name string, ins ...*Node) *Node {
-	c := logic.NewCube(len(ins))
-	for i := range ins {
-		c[i] = logic.Neg
-	}
-	cv := logic.NewCover(len(ins))
-	cv.AddCube(c)
-	return b.gate(name, ins, cv)
-}
-
 // Mux2 adds a 2:1 multiplexer: sel ? a1 : a0.
 func (b *Builder) Mux2(name string, sel, a0, a1 *Node) *Node {
 	// f = !sel*a0 + sel*a1 over (sel, a0, a1).

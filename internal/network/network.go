@@ -5,7 +5,6 @@ package network
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"tels/internal/logic"
@@ -240,18 +239,6 @@ func (nw *Network) FanoutCounts() map[*Node]int {
 	return counts
 }
 
-// FanoutNodes returns the set of internal nodes with more than one fanout
-// reference — the shared nodes that collapsing must preserve.
-func (nw *Network) FanoutNodes() map[*Node]bool {
-	out := make(map[*Node]bool)
-	for n, c := range nw.FanoutCounts() {
-		if n.Kind == Internal && c > 1 {
-			out[n] = true
-		}
-	}
-	return out
-}
-
 // Levels returns each node's level (primary inputs at 0, every internal
 // node one more than its deepest fanin) and the network depth.
 func (nw *Network) Levels() (map[*Node]int, int) {
@@ -370,25 +357,6 @@ func (nw *Network) LocalFunction(n *Node, support []*Node) (*truth.Table, error)
 	return tt, nil
 }
 
-// ReplaceNode substitutes node old with node repl in every fanin list and
-// in the output list, then removes old from the network. old and repl must
-// both belong to the network.
-func (nw *Network) ReplaceNode(old, repl *Node) {
-	for _, n := range nw.order {
-		for i, f := range n.Fanins {
-			if f == old {
-				n.Fanins[i] = repl
-			}
-		}
-	}
-	for i, o := range nw.Outputs {
-		if o == old {
-			nw.Outputs[i] = repl
-		}
-	}
-	nw.remove(old)
-}
-
 func (nw *Network) remove(n *Node) {
 	delete(nw.nodes, n.Name)
 	// Freeing base_i re-opens a hole below the cached next suffix; drop the
@@ -491,14 +459,4 @@ func (nw *Network) Stats() Stats {
 		Levels:   depth,
 		Literals: lits,
 	}
-}
-
-// SortedNodeNames returns all node names sorted, for deterministic output.
-func (nw *Network) SortedNodeNames() []string {
-	names := make([]string, 0, len(nw.nodes))
-	for name := range nw.nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -91,18 +91,19 @@ func TestEvalMissingInput(t *testing.T) {
 
 func TestFanout(t *testing.T) {
 	nw, _ := buildExample()
-	shared := nw.FanoutNodes()
-	// In Fig 2(a) no internal node fans out twice; make n3 shared by
-	// adding a second consumer.
-	if len(shared) != 0 {
-		t.Fatalf("unexpected shared nodes: %v", shared)
+	// In Fig 2(a) no internal node fans out twice; make n3 and n2 shared
+	// by adding a second consumer.
+	for n, c := range nw.FanoutCounts() {
+		if n.Kind == Internal && c > 1 {
+			t.Fatalf("unexpected shared node %s (%d fanouts)", n.Name, c)
+		}
 	}
 	b := &Builder{Net: nw}
 	extra := b.And("extra", nw.Node("n3"), nw.Node("n2"))
 	nw.MarkOutput(extra)
-	shared = nw.FanoutNodes()
-	if !shared[nw.Node("n3")] || !shared[nw.Node("n2")] {
-		t.Fatalf("n3 and n2 should be shared: %v", shared)
+	counts := nw.FanoutCounts()
+	if counts[nw.Node("n3")] != 2 || counts[nw.Node("n2")] != 2 {
+		t.Fatalf("n3 and n2 should fan out twice: n3=%d n2=%d", counts[nw.Node("n3")], counts[nw.Node("n2")])
 	}
 }
 
@@ -178,29 +179,6 @@ func TestRemoveDangling(t *testing.T) {
 	}
 }
 
-func TestReplaceNode(t *testing.T) {
-	nw, _ := buildExample()
-	n4 := nw.Node("n4")
-	b := &Builder{Net: nw}
-	repl := b.And("n4b", nw.Node("x1"), nw.Node("x2"), nw.Node("x3"))
-	nw.ReplaceNode(n4, repl)
-	if nw.Node("n4") != nil {
-		t.Fatal("old node still present")
-	}
-	found := false
-	for _, f := range nw.Node("n3").Fanins {
-		if f == repl {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("replacement not wired into n3")
-	}
-	if err := nw.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBuilderGates(t *testing.T) {
 	b := NewBuilder("gates")
 	a := b.Input("a")
@@ -214,7 +192,6 @@ func TestBuilderGates(t *testing.T) {
 		{b.Xor("xor", a, c), func(x, y bool) bool { return x != y }},
 		{b.Xnor("xnor", a, c), func(x, y bool) bool { return x == y }},
 		{b.Nand("nand", a, c), func(x, y bool) bool { return !(x && y) }},
-		{b.Nor("nor", a, c), func(x, y bool) bool { return !(x || y) }},
 	}
 	for _, tc := range cases {
 		b.Output(tc.node)

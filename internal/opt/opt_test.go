@@ -103,7 +103,8 @@ func TestSweepBuffersAndConstants(t *testing.T) {
 
 	out, removed := runCore(b.Net, SweepCore)
 	if out.Node("buf") != nil || out.Node("inv") != nil || out.Node("one") != nil {
-		t.Fatalf("sweep left wires/constants: %v", out.SortedNodeNames())
+		t.Fatalf("sweep left wires/constants: buf=%v inv=%v one=%v",
+			out.Node("buf") != nil, out.Node("inv") != nil, out.Node("one") != nil)
 	}
 	if removed != 3 {
 		t.Fatalf("SweepCore returned %d, want 3 (buf, inv, one)", removed)
@@ -202,9 +203,12 @@ func TestExtractSharedKernel(t *testing.T) {
 	}
 	equivalentOnAll(t, nw, out)
 	// The divisor must be shared: some new node fans out to both y1 and y2.
-	shared := out.FanoutNodes()
-	if len(shared) == 0 {
-		t.Fatalf("no shared node created: %v", out.SortedNodeNames())
+	shared := false
+	for n, c := range out.FanoutCounts() {
+		shared = shared || (n.Kind == network.Internal && c > 1)
+	}
+	if !shared {
+		t.Fatal("no shared node created")
 	}
 }
 

@@ -127,44 +127,49 @@ func (e SubmitEnvelope) decodeSpec() (Request, error) {
 	if len(e.Spec) == 0 {
 		return Request{}, fmt.Errorf("service: submission has no spec")
 	}
+	var req Request
 	switch kind {
 	case "synth":
 		var s SynthSpec
 		if err := json.Unmarshal(e.Spec, &s); err != nil {
 			return Request{}, fmt.Errorf("service: decode synth spec: %w", err)
 		}
-		return s.request(), nil
+		req = s.request()
 	case "yield":
 		var s YieldJobSpec
 		if err := json.Unmarshal(e.Spec, &s); err != nil {
 			return Request{}, fmt.Errorf("service: decode yield spec: %w", err)
 		}
-		req := s.SynthSpec.request()
+		req = s.SynthSpec.request()
 		req.Kind = "yield"
 		req.Yield = s.Yield
-		return req, nil
 	case "sweep":
 		var s SweepJobSpec
 		if err := json.Unmarshal(e.Spec, &s); err != nil {
 			return Request{}, fmt.Errorf("service: decode sweep spec: %w", err)
 		}
-		req := s.SynthSpec.request()
+		req = s.SynthSpec.request()
 		req.Kind = "sweep"
 		req.Yield = s.Yield
 		req.Sweep = s.Sweep
-		return req, nil
 	case "resyn":
 		var s ResynJobSpec
 		if err := json.Unmarshal(e.Spec, &s); err != nil {
 			return Request{}, fmt.Errorf("service: decode resyn spec: %w", err)
 		}
-		req := s.SynthSpec.request()
+		req = s.SynthSpec.request()
 		req.Kind = "resyn"
 		req.Yield = s.Yield
 		req.Resyn = s.Resyn
-		return req, nil
+	default:
+		return Request{}, fmt.Errorf("service: unknown job kind %q (want synth, yield, sweep, or resyn)", kind)
 	}
-	return Request{}, fmt.Errorf("service: unknown job kind %q (want synth, yield, sweep, or resyn)", kind)
+	// An absent delta_off is already the default 1, so a smaller value
+	// was sent explicitly; Normalize would otherwise rewrite 0 to 1.
+	if req.Options.DeltaOff < 1 {
+		return Request{}, fmt.Errorf("service: delta_off %d < 1", req.Options.DeltaOff)
+	}
+	return req, nil
 }
 
 // Error codes of the uniform JSON error envelope. Every error response

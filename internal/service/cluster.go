@@ -141,7 +141,7 @@ func (m *Manager) remotePoint(ctx context.Context, j *jobRecord, px *prefix, p S
 	defer rcancel()
 	remoteCh := make(chan pointOutcome, 1)
 	go func() {
-		data, err := cl.ComputeAs(rctx, owner, j.tenant, body)
+		data, err := cl.Compute(rctx, owner, j.tenant, body)
 		if err != nil {
 			remoteCh <- pointOutcome{nil, err}
 			return

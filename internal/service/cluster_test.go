@@ -368,7 +368,7 @@ func TestComputeEndpointCancelsOnDisconnect(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := tr.Compute(ctx, strings.TrimPrefix(srv.URL, "http://"), body)
+		_, err := tr.Compute(ctx, strings.TrimPrefix(srv.URL, "http://"), "", body)
 		errCh <- err
 	}()
 	select {

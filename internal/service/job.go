@@ -330,15 +330,29 @@ func (r *Request) Normalize() error {
 	if r.Options.Fanin == 0 {
 		r.Options.Fanin = core.DefaultOptions().Fanin
 	}
-	// δoff=0 makes the ON (Σ ≥ T+δon) and OFF (Σ ≤ T−δoff) constraints
-	// overlap at Σ=T, which the "fire iff Σ ≥ T" evaluator resolves as
-	// ON — synthesized networks can then fail verification. Normalize to
-	// the paper's default δoff=1, matching the cmd/tels -doff default.
+	// A zero-valued Go Request means the paper's default δoff = 1, as
+	// the cmd/tels -doff default does; the wire refuses an explicit 0
+	// (decodeSpec), which core rejects.
 	if r.Options.DeltaOff == 0 {
 		r.Options.DeltaOff = 1
 	}
 	if r.Timeout < 0 {
 		return fmt.Errorf("service: negative timeout")
+	}
+	// Refuse options synthesis would reject (ψ out of range, a weight cap
+	// below δon+δoff, ...) at submit, before they take a worker. A sweep
+	// synthesizes once per grid δon, so each of those is checked too.
+	if err := r.Options.Validate(); err != nil {
+		return err
+	}
+	if r.Kind == "sweep" {
+		for _, don := range r.Sweep.DeltaOns {
+			o := r.Options
+			o.DeltaOn = don
+			if err := o.Validate(); err != nil {
+				return fmt.Errorf("service: sweep delta_on %d: %w", don, err)
+			}
+		}
 	}
 	return nil
 }

@@ -348,6 +348,11 @@ func TestV1SweepHTTP(t *testing.T) {
 	}
 }
 
+// synthSpec is a synth submission of testBlif with extra spec fields.
+func synthSpec(fields string) string {
+	return `{"kind":"synth","spec":{"blif":` + string(mustJSON(testBlif)) + `,` + fields + `}}`
+}
+
 // TestV1ErrorEnvelope checks every error path returns the uniform
 // {"error": {"code", "message"}} body with the right code.
 func TestV1ErrorEnvelope(t *testing.T) {
@@ -369,6 +374,13 @@ func TestV1ErrorEnvelope(t *testing.T) {
 		{"unknown kind", http.MethodPost, "/v1/jobs", `{"kind":"wat","spec":{}}`, http.StatusBadRequest, CodeInvalidRequest},
 		{"missing spec", http.MethodPost, "/v1/jobs", `{"kind":"synth"}`, http.StatusBadRequest, CodeInvalidRequest},
 		{"invalid spec", http.MethodPost, "/v1/jobs", `{"kind":"synth","spec":{"blif":""}}`, http.StatusBadRequest, CodeInvalidRequest},
+		// Options core would reject are refused at submit, not on a worker.
+		{"delta_off 0", http.MethodPost, "/v1/jobs", synthSpec(`"delta_off":0`), http.StatusBadRequest, CodeInvalidRequest},
+		{"sweep delta_off 0", http.MethodPost, "/v1/jobs", `{"kind":"sweep","spec":{"blif":` + string(mustJSON(testBlif)) + `,"delta_off":0,"sweep":{"vs":[0.8]}}}`, http.StatusBadRequest, CodeInvalidRequest},
+		{"fanin 1", http.MethodPost, "/v1/jobs", synthSpec(`"fanin":1`), http.StatusBadRequest, CodeInvalidRequest},
+		{"fanin 40", http.MethodPost, "/v1/jobs", synthSpec(`"fanin":40`), http.StatusBadRequest, CodeInvalidRequest},
+		{"max_weight below margins", http.MethodPost, "/v1/jobs", synthSpec(`"delta_on":2,"max_weight":2`), http.StatusBadRequest, CodeInvalidRequest},
+		{"sweep delta_on above max_weight", http.MethodPost, "/v1/jobs", `{"kind":"sweep","spec":{"blif":` + string(mustJSON(testBlif)) + `,"max_weight":2,"sweep":{"vs":[0.8],"delta_ons":[0,3]}}}`, http.StatusBadRequest, CodeInvalidRequest},
 		{"legacy unknown job", http.MethodGet, "/jobs/nope", "", http.StatusNotFound, CodeNotFound},
 	}
 	for _, tc := range cases {

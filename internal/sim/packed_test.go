@@ -59,6 +59,16 @@ func wideOrPair(t *testing.T) Pair {
 	return Pair{Name: "wideor", Bool: nw, Threshold: tn}
 }
 
+// inputNames returns the Boolean network's primary-input names in order,
+// the columns of the batch the oracles sweep.
+func inputNames(nw *network.Network) []string {
+	names := make([]string, len(nw.Inputs))
+	for i, in := range nw.Inputs {
+		names[i] = in.Name
+	}
+	return names
+}
+
 // scalarFails is the one-vector-at-a-time reference for one disturbance:
 // whether the threshold network, every gate's weights offset by noise
 // (aligned with TopoGates; nil = exact weights), computes a wrong output
@@ -191,7 +201,8 @@ func TestEquivalentPackedAgreesWithScalar(t *testing.T) {
 
 // TestEquivalentWideGate: a gate wider than any fire table compiles for
 // fsim, and Equivalent checks it exhaustively — accepting the 14-input OR
-// and locating the mismatch once its threshold is raised to 3.
+// and naming the output and input assignment of the first mismatch once
+// its threshold is raised to 3.
 func TestEquivalentWideGate(t *testing.T) {
 	pair := wideOrPair(t)
 	if _, err := fsim.CompileThresh(pair.Threshold); err != nil {
@@ -201,8 +212,10 @@ func TestEquivalentWideGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	pair.Threshold.Gates[0].T = 3
+	// Vector 1 (x0 alone) is the first the raised threshold rejects.
 	err := Equivalent(pair.Bool, pair.Threshold, 1)
-	if err == nil || !strings.Contains(err.Error(), "mismatches") {
+	if err == nil || !strings.Contains(err.Error(), "output f mismatches on map[x0:true x1:false x10:false") ||
+		!strings.HasSuffix(err.Error(), "]: boolean=true threshold=false") {
 		t.Fatalf("T=3 accepted or unlocated: %v", err)
 	}
 }

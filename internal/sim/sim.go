@@ -4,18 +4,19 @@
 // simulated with disturbed weights w' = w + v·U(−0.5, 0.5) and counted as
 // failed if any input vector produces a wrong output.
 //
-// Both Equivalent's simulation sweep and FailureRate's Monte-Carlo inner
-// loop run word-parallel through internal/fsim, 64 vectors per machine
-// word, on the vectors fsim.Vectors picks (all of them up to
-// fsim.ExhaustiveInputs inputs, a random sample beyond), for threshold
-// gates of any fanin. The map-based reference evaluators
+// Both checks are one golden comparison, fsim.YieldSession: Equivalent
+// is its clean check (VerifyClean) and FailureRate runs its Monte-Carlo
+// trial loop (Estimate) under the §VI-C weight variation. The session
+// packs the vectors fsim.Vectors picks (all of them up to
+// fsim.ExhaustiveInputs inputs, a random sample beyond), evaluates the
+// golden outputs once and sweeps them 64 vectors per machine word, for
+// threshold gates of any fanin. The map-based reference evaluators
 // (network.Network.EvalOutputs, core.Gate.EvalPerturbed) are the test
 // oracle this package's tests pin those results to.
 package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 
@@ -24,15 +25,6 @@ import (
 	"tels/internal/network"
 )
 
-// inputNames returns the Boolean network's primary-input names in order.
-func inputNames(nw *network.Network) []string {
-	names := make([]string, len(nw.Inputs))
-	for i, in := range nw.Inputs {
-		names[i] = in.Name
-	}
-	return names
-}
-
 // Equivalent checks that the threshold network computes the same outputs
 // as the Boolean network on all vectors (or a random sample for wide
 // networks). It returns a descriptive error on the first mismatch.
@@ -40,29 +32,11 @@ func Equivalent(nw *network.Network, tn *core.Network, seed int64) error {
 	if err := sameOutputs(nw, tn); err != nil {
 		return err
 	}
-	bsim, err := fsim.CompileBool(nw)
+	sess, err := fsim.NewYieldSession(nw, tn, fsim.YieldConfig{Seed: seed})
 	if err != nil {
 		return err
 	}
-	tsim, err := fsim.CompileThresh(tn)
-	if err != nil {
-		return err
-	}
-	batch := fsim.Vectors(inputNames(nw), fsim.DefaultSamples, rand.New(rand.NewSource(seed)))
-	want, err := bsim.Eval(batch)
-	if err != nil {
-		return err
-	}
-	got, err := tsim.Eval(batch)
-	if err != nil {
-		return err
-	}
-	if vec, out, bad := batch.FirstDiff(want, got); bad {
-		in := batch.Assignment(vec)
-		return fmt.Errorf("sim: output %s mismatches on %v: boolean=%v threshold=%v",
-			nw.Outputs[out].Name, in, fsim.Bit(want[out], vec), fsim.Bit(got[out], vec))
-	}
-	return nil
+	return sess.VerifyClean(tn)
 }
 
 // FailureRateConfig controls a Monte-Carlo failure-rate measurement.
@@ -82,9 +56,6 @@ type FailureRateConfig struct {
 func FailureRate(pairs []Pair, v float64, cfg FailureRateConfig) (float64, error) {
 	if cfg.Trials <= 0 {
 		cfg.Trials = 10
-	}
-	if cfg.Samples <= 0 {
-		cfg.Samples = fsim.DefaultSamples
 	}
 	if len(pairs) == 0 {
 		return 0, fmt.Errorf("sim: no trials")
@@ -124,41 +95,22 @@ func FailureRate(pairs []Pair, v float64, cfg FailureRateConfig) (float64, error
 // pairSeed is the seed of pair i's private RNG stream.
 func pairSeed(seed int64, i int) int64 { return seed + 1_000_003*int64(i) }
 
-// pairFailures is the Fig. 11/12 inner loop for one circuit: the golden
-// outputs are evaluated once, then each disturbance (drawn after the
-// vectors from the same stream) re-derives the gate fire tables and
-// sweeps all vectors 64 lanes at a time.
+// pairFailures is the Fig. 11/12 inner loop for one circuit: exactly
+// cfg.Trials weight disturbances (no early stop), each counted as failed
+// if any vector gives a wrong output. The session and the estimate must
+// share the seed: Estimate then replays the sampled-vector draws, so the
+// disturbances continue the seed stream right after the vectors.
 func pairFailures(pair Pair, v float64, cfg FailureRateConfig, seed int64) (int, error) {
-	bsim, err := fsim.CompileBool(pair.Bool)
+	sess, err := fsim.NewYieldSession(pair.Bool, pair.Threshold, fsim.YieldConfig{Samples: cfg.Samples, Seed: seed})
 	if err != nil {
 		return 0, err
 	}
-	tsim, err := fsim.CompileThresh(pair.Threshold)
+	rep, err := sess.Estimate(fsim.WeightVariation{V: v},
+		fsim.YieldConfig{MinTrials: cfg.Trials, MaxTrials: cfg.Trials, Seed: seed})
 	if err != nil {
 		return 0, err
 	}
-	rng := rand.New(rand.NewSource(seed))
-	batch := fsim.Vectors(inputNames(pair.Bool), cfg.Samples, rng)
-	ref, err := bsim.Eval(batch)
-	if err != nil {
-		return 0, err
-	}
-	golden := make([][]uint64, len(ref))
-	for o := range ref {
-		golden[o] = append([]uint64(nil), ref[o]...)
-	}
-	model := fsim.WeightVariation{V: v}
-	failed := 0
-	for trial := 0; trial < cfg.Trials; trial++ {
-		got, err := tsim.EvalDefect(batch, model.Draw(tsim, rng), nil)
-		if err != nil {
-			return 0, err
-		}
-		if batch.Differs(golden, got) {
-			failed++
-		}
-	}
-	return failed, nil
+	return rep.Failures, nil
 }
 
 // Pair couples a Boolean reference network with its synthesized threshold
