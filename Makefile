@@ -98,13 +98,14 @@ paperfigs:
 	rm -rf $$d; exit $$s
 
 # perfsmoke runs the corpus benchmark workload once, traced, and fails
-# unless every job was proved correct, none failed, and the per-pass
-# replay matched the scripts (a divergence silently drops the per-layer
-# figures).
+# unless every job was proved correct, none failed, the per-pass replay
+# matched the scripts (a divergence silently drops the per-layer
+# figures), and every benchmark synthesized the same from BLIF text as
+# from memory (a parser or writer that reorders nets drifts).
 perfsmoke:
 	@mkdir -p .bench_build
 	bash perfbench/run.sh --workload corpus --seed 1 --seconds 1 --trace 1 > .bench_build/perfsmoke.json
-	@for want in '"correct":true' '"failed":0,' '"opt.replay_diverged":{"value":0,'; do \
+	@for want in '"correct":true' '"failed":0,' '"opt.replay_diverged":{"value":0,' '"blif.golden_drift":{"value":0,'; do \
 		grep -qF "$$want" .bench_build/perfsmoke.json || { echo "perfsmoke: $$want not in .bench_build/perfsmoke.json"; exit 1; }; \
 	done
 

@@ -388,16 +388,9 @@ func yield(golden, impl string, o options) error {
 	if g.boolean == nil || i.threshold == nil {
 		return fmt.Errorf("yield needs a BLIF golden network and a .tln implementation")
 	}
-	var model fsim.DefectModel
-	switch o.model {
-	case "weight":
-		model = fsim.WeightVariation{V: o.v}
-	case "drift":
-		model = fsim.ThresholdDrift{V: o.v}
-	case "stuck":
-		model = fsim.StuckAt{P: o.p}
-	default:
-		return fmt.Errorf("unknown defect model %q (want weight, drift, or stuck)", o.model)
+	model, err := service.YieldSpec{Model: o.model, V: o.v, P: o.p}.DefectModel()
+	if err != nil {
+		return err
 	}
 	rep, err := fsim.EstimateYield(g.boolean, i.threshold, model, fsim.YieldConfig{
 		MaxTrials: o.maxTrials,

@@ -112,6 +112,17 @@ func TestYieldCommand(t *testing.T) {
 	if err := run("yield", []string{golden, impl}, o); err == nil {
 		t.Fatal("unknown defect model accepted")
 	}
+	// The ranges telsd refuses at submit are refused here too.
+	o = opts()
+	o.v = -1
+	if err := run("yield", []string{golden, impl}, o); err == nil {
+		t.Fatal("negative -v accepted")
+	}
+	o = opts()
+	o.model, o.p = "stuck", 2
+	if err := run("yield", []string{golden, impl}, o); err == nil {
+		t.Fatal("-p above 1 accepted")
+	}
 }
 
 func TestDotCommand(t *testing.T) {

@@ -2,13 +2,18 @@
 // subset used for combinational networks: .model, .inputs, .outputs,
 // .names (single-output cover) and .end. This is the interchange format of
 // SIS and of the MCNC benchmark suite the paper evaluates on.
+//
+// A parsed network keeps the file's order: inputs as listed, then each
+// .names in the order the file defines it. Write emits internal nets in
+// topological order, the order Clone gives, so writing a network and
+// parsing the text back yields Clone's network net for net, and a flow
+// that reads BLIF text synthesizes what the in-memory flow does.
 package blif
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"tels/internal/logic"
@@ -156,6 +161,8 @@ func (p *parser) parse() (*netcore.Network, error) {
 	return build(name, inputs, outputs, names)
 }
 
+// build creates the inputs, then one net per .names in file order, then
+// marks the outputs.
 func build(name string, inputs, outputs []string, names []rawNames) (*netcore.Network, error) {
 	nw := netcore.New(name)
 	for _, in := range inputs {
@@ -177,9 +184,7 @@ func build(name string, inputs, outputs []string, names []rawNames) (*netcore.Ne
 		byOutput[out] = rn
 	}
 
-	// Signals are defined depth-first from the outputs, so every net's
-	// fanins exist before the net itself. This creation order fixes the
-	// net order every later pass and writer follows.
+	// A fanin defined further down the file is created on its first use.
 	building := make(map[string]bool)
 	var define func(sig string) (netcore.Net, error)
 	define = func(sig string) (netcore.Net, error) {
@@ -212,24 +217,17 @@ func build(name string, inputs, outputs []string, names []rawNames) (*netcore.Ne
 		return nw.AddNode(sig, fanins, cover), nil
 	}
 
+	for _, rn := range names {
+		if _, err := define(rn.signals[len(rn.signals)-1]); err != nil {
+			return nil, err
+		}
+	}
 	for _, out := range outputs {
 		n, err := define(out)
 		if err != nil {
 			return nil, err
 		}
 		nw.MarkOutput(n)
-	}
-	// Define any leftover named signals so round-trips preserve them, in
-	// name order so the arena layout is deterministic.
-	leftover := make([]string, 0, len(byOutput))
-	for sig := range byOutput {
-		leftover = append(leftover, sig)
-	}
-	sort.Strings(leftover)
-	for _, sig := range leftover {
-		if _, err := define(sig); err != nil {
-			return nil, err
-		}
 	}
 	if err := nw.Validate(); err != nil {
 		return nil, err
@@ -274,47 +272,17 @@ func parseCover(rn rawNames, faninCount int) (logic.Cover, error) {
 	return cover, nil
 }
 
-// Write emits the network as BLIF.
+// Write emits the network as BLIF, internal nets in topological order:
+// it is WriteCore on the arena form of nw. A cyclic network is an error.
 func Write(w io.Writer, nw *network.Network) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, ".model %s\n", nw.Name)
-	fmt.Fprintf(bw, ".inputs")
-	for _, in := range nw.Inputs {
-		fmt.Fprintf(bw, " %s", in.Name)
-	}
-	fmt.Fprintln(bw)
-	fmt.Fprintf(bw, ".outputs")
-	for _, o := range nw.Outputs {
-		fmt.Fprintf(bw, " %s", o.Name)
-	}
-	fmt.Fprintln(bw)
-	order, err := nw.TopoSort()
-	if err != nil {
+	if _, err := nw.TopoSort(); err != nil {
 		return err
 	}
-	for _, n := range order {
-		if n.Kind != network.Internal {
-			continue
-		}
-		fmt.Fprintf(bw, ".names")
-		for _, f := range n.Fanins {
-			fmt.Fprintf(bw, " %s", f.Name)
-		}
-		fmt.Fprintf(bw, " %s\n", n.Name)
-		for _, c := range n.Cover.Cubes {
-			if len(c) == 0 {
-				fmt.Fprintln(bw, "1")
-			} else {
-				fmt.Fprintf(bw, "%s 1\n", c)
-			}
-		}
-	}
-	fmt.Fprintln(bw, ".end")
-	return bw.Flush()
+	return WriteCore(w, netcore.FromNetwork(nw))
 }
 
-// WriteCore emits the arena-backed network as BLIF, without converting to
-// the pointer representation first.
+// WriteCore emits the arena-backed network as BLIF, internal nets in
+// topological order with roots visited in creation order.
 func WriteCore(w io.Writer, nw *netcore.Network) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, ".model %s\n", nw.Name)

@@ -1,9 +1,11 @@
 package blif
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"tels/internal/mcnc"
 	"tels/internal/network"
 )
 
@@ -203,5 +205,95 @@ func TestWritePreservesSharedStructure(t *testing.T) {
 	}
 	if back.GateCount() != 3 {
 		t.Fatalf("gates = %d, want 3", back.GateCount())
+	}
+}
+
+// layout renders everything the passes observe of nw: its name, each net
+// in creation order with its fanins and cover as written, and the output
+// list.
+func layout(nw *network.Network) []string {
+	lines := []string{".model " + nw.Name}
+	for _, n := range nw.Nodes() {
+		line := n.Name
+		if n.Kind == network.Internal {
+			for _, f := range n.Fanins {
+				line += " " + f.Name
+			}
+			line += fmt.Sprintf(" : %d/%d %s", n.Cover.N, len(n.Cover.Cubes), n.Cover)
+		}
+		lines = append(lines, line)
+	}
+	outs := ".outputs"
+	for _, o := range nw.Outputs {
+		outs += " " + o.Name
+	}
+	return append(lines, outs)
+}
+
+// sameLayout describes the first difference between the layouts of want
+// and got, or returns "" if there is none.
+func sameLayout(want, got *network.Network) string {
+	a, b := layout(want), layout(got)
+	for i := 0; i < len(a) || i < len(b); i++ {
+		var x, y string
+		if i < len(a) {
+			x = a[i]
+		}
+		if i < len(b) {
+			y = b[i]
+		}
+		if x != y {
+			return fmt.Sprintf("line %d: got %q, want %q", i, y, x)
+		}
+	}
+	return ""
+}
+
+// TestRoundTripKeepsCloneOrder writes every benchmark and parses it back:
+// the result must be Clone's network net for net, so a flow that reads
+// BLIF text synthesizes what the in-memory flow synthesizes.
+func TestRoundTripKeepsCloneOrder(t *testing.T) {
+	for _, bm := range mcnc.All() {
+		src := bm.Build()
+		text, err := WriteString(src)
+		if err != nil {
+			t.Fatalf("%s: %v", bm.Name, err)
+		}
+		back, err := ParseString(text)
+		if err != nil {
+			t.Fatalf("%s: %v", bm.Name, err)
+		}
+		if msg := sameLayout(src.Clone(), back); msg != "" {
+			t.Errorf("%s: %s", bm.Name, msg)
+		}
+	}
+}
+
+// TestParseKeepsFileOrder pins that nets are created in the order the
+// file defines them, not depth-first from the outputs, and that a fanin
+// defined further down is created on its first use.
+func TestParseKeepsFileOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name, text string
+		want       []string
+	}{
+		{"topological", ".model m\n.inputs a b c\n.outputs y z\n" +
+			".names b c p\n11 1\n.names a b q\n11 1\n.names a q y\n11 1\n.names p c z\n1- 1\n.end",
+			[]string{"a", "b", "c", "p", "q", "y", "z"}},
+		{"forward reference", ".model m\n.inputs a b\n.outputs y\n" +
+			".names u a y\n11 1\n.names b t u\n01 1\n.names a t\n0 1\n.end",
+			[]string{"a", "b", "t", "u", "y"}},
+	} {
+		nw, err := ParseString(tc.text)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var got []string
+		for _, n := range nw.Nodes() {
+			got = append(got, n.Name)
+		}
+		if strings.Join(got, " ") != strings.Join(tc.want, " ") {
+			t.Errorf("%s: creation order %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }

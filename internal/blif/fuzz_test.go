@@ -6,9 +6,10 @@ import (
 )
 
 // FuzzParse checks that the BLIF parser never panics and that anything it
-// accepts survives a write/re-parse round trip with identical structure
-// counts. Run with `go test -fuzz FuzzParse ./internal/blif` to explore;
-// the seeds below run as regular tests.
+// accepts survives a write/re-parse round trip as Clone's network: same
+// nets in the same order, with the same fanins, covers and outputs. Run
+// with `go test -fuzz FuzzParse ./internal/blif` to explore; the seeds
+// below run as regular tests.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"",
@@ -24,6 +25,7 @@ func FuzzParse(f *testing.F) {
 		"# only a comment",
 		".model m\n.inputs a\n.outputs y\n.names y\n1\n.end",
 		".model m\n.inputs a b\n.outputs y\n.names b a\n0 1\n.names a y\n1 1\n.end",
+		".model m\n.inputs a b\n.outputs y t\n.names t a y\n11 1\n.names b t\n0 1\n.end",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -41,12 +43,8 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("serialized network failed to re-parse: %v\n%s", err, text)
 		}
-		if back.GateCount() != nw.GateCount() ||
-			len(back.Inputs) != len(nw.Inputs) ||
-			len(back.Outputs) != len(nw.Outputs) {
-			t.Fatalf("round trip changed shape: %d/%d/%d -> %d/%d/%d",
-				nw.GateCount(), len(nw.Inputs), len(nw.Outputs),
-				back.GateCount(), len(back.Inputs), len(back.Outputs))
+		if msg := sameLayout(nw.Clone(), back); msg != "" {
+			t.Fatalf("round trip is not Clone: %s\n%s", msg, text)
 		}
 	})
 }

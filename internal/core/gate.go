@@ -23,6 +23,16 @@ type Gate struct {
 	T       int
 }
 
+// ConstGate is the zero-input gate for a constant: T = −δon fires on
+// every vector (Σ = 0 ≥ T with margin δon), while T = δoff never fires
+// (Σ = 0 ≤ T − δoff).
+func ConstGate(name string, value bool, don, doff int) *Gate {
+	if value {
+		return &Gate{Name: name, T: -don}
+	}
+	return &Gate{Name: name, T: doff}
+}
+
 // Eval computes the gate output for the given input values.
 func (g *Gate) Eval(in []bool) bool {
 	sum := 0

@@ -40,14 +40,7 @@ func OneToOne(src *network.Network, o Options) (*Network, error) {
 		cv := dec.NetCover(n)
 		tt := truth.FromCover(cv)
 		if isConst, v := tt.IsConst(); isConst {
-			t := o.DeltaOff
-			if t < 1 {
-				t = 1
-			}
-			if v {
-				t = -don
-			}
-			if err := out.AddGate(&Gate{Name: name, T: t}); err != nil {
+			if err := out.AddGate(ConstGate(name, v, don, o.DeltaOff)); err != nil {
 				return nil, err
 			}
 			continue

@@ -254,7 +254,7 @@ func (s *synthesizer) synthFunction(name string, tt *truth.Table, support []netc
 	tt, support = reduceSupport(tt, support)
 
 	if isConst, v := tt.IsConst(); isConst {
-		return s.emitConstGate(name, v)
+		return s.out.AddGate(ConstGate(name, v, s.don, s.o.DeltaOff))
 	}
 
 	// Node collapsing (Fig. 4): substitute non-fanout internal support
@@ -266,7 +266,7 @@ func (s *synthesizer) synthFunction(name string, tt *truth.Table, support []netc
 	// Collapsing composes exact cone functions; a cone such as x*!x can
 	// reduce to a constant here even though the node cover was not.
 	if isConst, v := tt.IsConst(); isConst {
-		return s.emitConstGate(name, v)
+		return s.out.AddGate(ConstGate(name, v, s.don, s.o.DeltaOff))
 	}
 
 	// Classify unateness exactly.
@@ -290,19 +290,6 @@ func (s *synthesizer) synthFunction(name string, tt *truth.Table, support []netc
 		}
 	}
 	return s.unateSplit(name, tt, support)
-}
-
-// emitConstGate emits a zero-input gate: T = −δon fires on every vector
-// (Σ = 0 ≥ T with margin δon), while any threshold above δoff never fires.
-func (s *synthesizer) emitConstGate(name string, value bool) error {
-	t := s.o.DeltaOff
-	if t < 1 {
-		t = 1
-	}
-	if value {
-		t = -s.don
-	}
-	return s.out.AddGate(&Gate{Name: name, T: t})
 }
 
 // emitGate creates the LTG and schedules its support nets.

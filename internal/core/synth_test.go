@@ -257,6 +257,23 @@ func TestSynthesizeConstantOutputs(t *testing.T) {
 	}
 }
 
+// TestConstGateMargins pins the constant-gate rule every mapper uses: the
+// zero-input sum 0 clears the ON margin for constant 1 and the OFF
+// margin for constant 0.
+func TestConstGateMargins(t *testing.T) {
+	for don := 0; don <= 3; don++ {
+		for doff := 1; doff <= 3; doff++ {
+			one, zero := ConstGate("c", true, don, doff), ConstGate("c", false, don, doff)
+			if !one.Eval(nil) || 0 < one.T+don {
+				t.Errorf("δon=%d δoff=%d: constant 1 has T=%d", don, doff, one.T)
+			}
+			if zero.Eval(nil) || 0 > zero.T-doff {
+				t.Errorf("δon=%d δoff=%d: constant 0 has T=%d", don, doff, zero.T)
+			}
+		}
+	}
+}
+
 func TestSynthesizePIOutput(t *testing.T) {
 	nw := network.New("pipo")
 	a := nw.AddInput("a")

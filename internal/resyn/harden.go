@@ -57,12 +57,10 @@ func gateTruth(g *core.Gate) *truth.Table {
 }
 
 // memoKey is the content address of one (function, δon) synthesis under
-// the loop's synthesis knobs. The exact=false and maxilp=0 lines are the
-// retired exact-ILP and node-budget knobs, kept so that existing keys do
-// not move.
+// the loop's synthesis knobs.
 func memoKey(tt *truth.Table, don int, o core.Options) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "resyn/v1\nn=%d\ndon=%d\ndoff=%d\nmaxw=%d\nfanin=%d\nexact=false\nmaxilp=0\nseed=%d\nbits=",
+	fmt.Fprintf(h, "resyn/v1\nn=%d\ndon=%d\ndoff=%d\nmaxw=%d\nfanin=%d\nseed=%d\nbits=",
 		tt.N(), don, o.DeltaOff, o.MaxWeight, o.Fanin, o.Seed)
 	b := make([]byte, tt.Size())
 	for m := 0; m < tt.Size(); m++ {
@@ -136,14 +134,7 @@ func synthesizeFragment(tt *truth.Table, don int, o core.Options) (*core.Network
 	}
 
 	if isConst, v := tt.IsConst(); isConst {
-		t := o.DeltaOff
-		if t < 1 {
-			t = 1
-		}
-		if v {
-			t = -don
-		}
-		if err := frag.AddGate(&core.Gate{Name: repOutput, T: t}); err != nil {
+		if err := frag.AddGate(core.ConstGate(repOutput, v, don, o.DeltaOff)); err != nil {
 			return nil, err
 		}
 		frag.MarkOutput(repOutput)

@@ -33,18 +33,14 @@ import (
 // defaults the CLI uses (ψ=3, δon=0, δoff=1, algebraic script, tels
 // mapper, verification on).
 type SynthSpec struct {
-	BLIF     string `json:"blif"`
-	Script   string `json:"script,omitempty"`
-	Mapper   string `json:"mapper,omitempty"`
-	Fanin    int    `json:"fanin,omitempty"`
-	DeltaOn  *int   `json:"delta_on,omitempty"`
-	DeltaOff *int   `json:"delta_off,omitempty"`
-	Seed     int64  `json:"seed,omitempty"`
-	// Exact is deprecated and has no effect: every threshold check uses
-	// the float simplex. It is still accepted and still feeds the request
-	// digest, so existing digests do not move; it goes in a later release.
-	Exact     bool `json:"exact,omitempty"`
-	MaxWeight int  `json:"max_weight,omitempty"`
+	BLIF      string `json:"blif"`
+	Script    string `json:"script,omitempty"`
+	Mapper    string `json:"mapper,omitempty"`
+	Fanin     int    `json:"fanin,omitempty"`
+	DeltaOn   *int   `json:"delta_on,omitempty"`
+	DeltaOff  *int   `json:"delta_off,omitempty"`
+	Seed      int64  `json:"seed,omitempty"`
+	MaxWeight int    `json:"max_weight,omitempty"`
 	// SkipVerify disables the equivalence check.
 	SkipVerify bool `json:"skip_verify,omitempty"`
 	// TimeoutMS bounds the job's run time in milliseconds (0 = server
@@ -71,7 +67,6 @@ func (s SynthSpec) request() Request {
 		Script:     s.Script,
 		Mapper:     s.Mapper,
 		Options:    o,
-		Exact:      s.Exact,
 		SkipVerify: s.SkipVerify,
 		Timeout:    time.Duration(s.TimeoutMS) * time.Millisecond,
 	}
@@ -201,6 +196,22 @@ type APIError struct {
 // under 1 MiB of BLIF.
 const maxBodyBytes = 8 << 20
 
+// readRequestBody reads a request body of at most maxBodyBytes. On
+// failure it answers 400 (unreadable) or 413 (too large) and returns
+// false.
+func readRequestBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("read body: %w", err))
+		return nil, false
+	}
+	if len(body) > maxBodyBytes {
+		writeError(w, http.StatusRequestEntityTooLarge, CodeTooLarge, fmt.Errorf("body exceeds %d bytes", maxBodyBytes))
+		return nil, false
+	}
+	return body, true
+}
+
 // NewHandler exposes the manager as a JSON-over-HTTP API:
 //
 //	POST   /v1/jobs             submit a job (kind-tagged SubmitEnvelope) → Job
@@ -249,13 +260,8 @@ func NewHandler(m *Manager) http.Handler {
 	}
 
 	submit := func(w http.ResponseWriter, r *http.Request, decode func([]byte) (Request, error)) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("read body: %w", err))
-			return
-		}
-		if len(body) > maxBodyBytes {
-			writeError(w, http.StatusRequestEntityTooLarge, CodeTooLarge, fmt.Errorf("body exceeds %d bytes", maxBodyBytes))
+		body, ok := readRequestBody(w, r)
+		if !ok {
 			return
 		}
 		req, err := decode(body)
@@ -444,13 +450,8 @@ func NewHandler(m *Manager) http.Handler {
 		writeJSON(w, http.StatusOK, res)
 	}
 	clusterPut := func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("read body: %w", err))
-			return
-		}
-		if len(body) > maxBodyBytes {
-			writeError(w, http.StatusRequestEntityTooLarge, CodeTooLarge, fmt.Errorf("body exceeds %d bytes", maxBodyBytes))
+		body, ok := readRequestBody(w, r)
+		if !ok {
 			return
 		}
 		var res Result
@@ -462,13 +463,8 @@ func NewHandler(m *Manager) http.Handler {
 		w.WriteHeader(http.StatusNoContent)
 	}
 	clusterCompute := func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("read body: %w", err))
-			return
-		}
-		if len(body) > maxBodyBytes {
-			writeError(w, http.StatusRequestEntityTooLarge, CodeTooLarge, fmt.Errorf("body exceeds %d bytes", maxBodyBytes))
+		body, ok := readRequestBody(w, r)
+		if !ok {
 			return
 		}
 		var req Request

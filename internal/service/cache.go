@@ -17,9 +17,8 @@ import (
 // order within a line, and comments don't fragment the cache) together
 // with a fixed-order encoding of every synthesis knob that can change the
 // output. Identical digests always yield identical threshold networks.
-// The canonicalization round-trips through the arena representation
-// without building a pointer network; the emitted text — and therefore
-// every existing digest — is unchanged.
+// The canonical text keeps the file's definition order, because the
+// optimization scripts, and so the results, depend on it.
 func Digest(req Request) (string, error) {
 	nc, err := blif.ParseCoreString(req.BLIF)
 	if err != nil {
@@ -33,10 +32,8 @@ func Digest(req Request) (string, error) {
 	h := sha256.New()
 	o := req.Options
 	fmt.Fprintf(h, "tels/v1\nscript=%s\nmapper=%s\nverify=%t\n", req.Script, req.Mapper, !req.SkipVerify)
-	// maxilp=0 is the retired ILP node-budget knob, kept so that
-	// existing digests do not move.
-	fmt.Fprintf(h, "fanin=%d\ndon=%d\ndoff=%d\nseed=%d\nmaxilp=0\nexact=%t\nmaxw=%d\nnocollapse=%t\nnotheorem2=%t\nsplit=%d\n",
-		o.Fanin, o.DeltaOn, o.DeltaOff, o.Seed, req.Exact, o.MaxWeight, o.NoCollapse, o.NoTheorem2, o.Split)
+	fmt.Fprintf(h, "fanin=%d\ndon=%d\ndoff=%d\nseed=%d\nmaxw=%d\nnocollapse=%t\nnotheorem2=%t\nsplit=%d\n",
+		o.Fanin, o.DeltaOn, o.DeltaOff, o.Seed, o.MaxWeight, o.NoCollapse, o.NoTheorem2, o.Split)
 	// Per-node margin overrides, in sorted order. Only written when
 	// present so pre-override digests stay stable.
 	if len(o.DeltaOnOverrides) > 0 {

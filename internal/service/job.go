@@ -74,8 +74,15 @@ type YieldSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 }
 
-// DefectModel instantiates the configured fsim model.
+// DefectModel instantiates the configured fsim model. It refuses a
+// negative V and a P outside [0, 1], whichever model is named.
 func (y YieldSpec) DefectModel() (fsim.DefectModel, error) {
+	if y.V < 0 {
+		return nil, fmt.Errorf("service: negative yield v %g", y.V)
+	}
+	if y.P < 0 || y.P > 1 {
+		return nil, fmt.Errorf("service: yield p %g outside [0, 1]", y.P)
+	}
 	switch y.Model {
 	case "weight":
 		return fsim.WeightVariation{V: y.V}, nil
@@ -239,9 +246,6 @@ type Request struct {
 	Mapper string `json:"mapper,omitempty"`
 	// Options configure the threshold synthesis core.
 	Options core.Options `json:"options"`
-	// Exact carries the deprecated SynthSpec.Exact into the digest only;
-	// it changes nothing else.
-	Exact bool `json:"exact,omitempty"`
 	// Verify runs the BDD/simulation equivalence check. Defaults to on;
 	// SkipVerify turns it off (named so the zero value keeps the check).
 	SkipVerify bool `json:"skip_verify,omitempty"`
@@ -288,12 +292,6 @@ func (r *Request) Normalize() error {
 		}
 		if r.Yield.MaxTrials < 0 || r.Yield.HalfWidth < 0 {
 			return fmt.Errorf("service: negative yield bounds")
-		}
-		if r.Yield.V < 0 {
-			return fmt.Errorf("service: negative yield v %g", r.Yield.V)
-		}
-		if r.Yield.P < 0 || r.Yield.P > 1 {
-			return fmt.Errorf("service: yield p %g outside [0, 1]", r.Yield.P)
 		}
 		if r.Yield.MaxTrials > MaxYieldTrials {
 			return fmt.Errorf("service: max_trials %d exceeds %d", r.Yield.MaxTrials, MaxYieldTrials)

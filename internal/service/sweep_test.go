@@ -360,6 +360,7 @@ func TestV1ErrorEnvelope(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(m))
 	defer srv.Close()
 
+	huge := strings.Repeat(" ", maxBodyBytes+1)
 	cases := []struct {
 		name       string
 		method     string
@@ -369,6 +370,9 @@ func TestV1ErrorEnvelope(t *testing.T) {
 		wantCode   string
 	}{
 		{"unknown job", http.MethodGet, "/v1/jobs/nope", "", http.StatusNotFound, CodeNotFound},
+		{"oversized submit", http.MethodPost, "/v1/jobs", huge, http.StatusRequestEntityTooLarge, CodeTooLarge},
+		{"oversized result push", http.MethodPut, "/v1/cluster/result/d", huge, http.StatusRequestEntityTooLarge, CodeTooLarge},
+		{"oversized compute", http.MethodPost, "/v1/cluster/compute", huge, http.StatusRequestEntityTooLarge, CodeTooLarge},
 		{"unknown route", http.MethodGet, "/v2/anything", "", http.StatusNotFound, CodeNotFound},
 		{"malformed body", http.MethodPost, "/v1/jobs", "{not json", http.StatusBadRequest, CodeInvalidRequest},
 		{"unknown kind", http.MethodPost, "/v1/jobs", `{"kind":"wat","spec":{}}`, http.StatusBadRequest, CodeInvalidRequest},

@@ -512,7 +512,9 @@ func TestRestartPreservesTenantOwnershipAndQuota(t *testing.T) {
 
 	st2 := openTestStore(t, dir)
 	t.Cleanup(func() { st2.Close() })
-	m2 := New(Config{Workers: 1, Store: st2, Auth: auth})
+	// The delay holds the replayed job, so it cannot finish and free the
+	// slot before the over-quota submit below.
+	m2 := New(Config{Workers: 1, Store: st2, Auth: auth, ExecDelay: time.Second})
 	t.Cleanup(m2.Close)
 	back, ok := m2.Get(job.ID)
 	if !ok {
