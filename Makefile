@@ -134,6 +134,7 @@ fuzz:
 	$(GO) test -fuzz FuzzWeakDiv -fuzztime 30s ./internal/algebra/
 	$(GO) test -fuzz FuzzThreshSim -fuzztime 30s ./internal/fsim/
 	$(GO) test -fuzz FuzzTechDecomp -fuzztime 30s ./internal/opt/
+	$(GO) test -fuzz FuzzFlow -fuzztime 30s ./internal/expt/
 
 experiments:
 	$(GO) run ./cmd/telsbench all

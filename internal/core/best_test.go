@@ -119,3 +119,33 @@ func TestMergeKeepsOutputs(t *testing.T) {
 		t.Fatal("an output gate was removed")
 	}
 }
+
+// TestMergeFollowsReplacementChain: a (kept) absorbs b, then loses to the
+// output gate y in the same round; b's fanout must reach y, not the
+// deleted a.
+func TestMergeFollowsReplacementChain(t *testing.T) {
+	tn := NewNetwork("mc")
+	tn.AddInput("x")
+	gates := []*Gate{
+		{Name: "a", Inputs: []string{"x"}, Weights: []int{1}, T: 1},
+		{Name: "b", Inputs: []string{"x"}, Weights: []int{1}, T: 1},
+		{Name: "y", Inputs: []string{"x"}, Weights: []int{1}, T: 1},
+		{Name: "z", Inputs: []string{"b"}, Weights: []int{-1}, T: 0},
+	}
+	for _, g := range gates {
+		if err := tn.AddGate(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tn.MarkOutput("y")
+	tn.MarkOutput("z")
+	if got := tn.MergeDuplicates(); got != 2 {
+		t.Fatalf("merged %d gates, want 2", got)
+	}
+	if err := tn.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if in := tn.Gate("z").Inputs[0]; in != "y" {
+		t.Fatalf("z reads %s, want y", in)
+	}
+}

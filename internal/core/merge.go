@@ -54,7 +54,9 @@ func (tn *Network) MergeDuplicates() int {
 				continue
 			}
 			for i, in := range g.Inputs {
-				if to, ok := replace[in]; ok {
+				// A keeper can lose to a later output gate in the same
+				// round (a→b, then b→output), so follow the chain.
+				for to, ok := replace[in]; ok; to, ok = replace[to] {
 					g.Inputs[i] = to
 				}
 			}
