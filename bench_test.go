@@ -23,6 +23,7 @@ import (
 	"tels/internal/fsim"
 	"tels/internal/logic"
 	"tels/internal/mcnc"
+	"tels/internal/netcore"
 	"tels/internal/opt"
 	"tels/internal/sim"
 	"tels/internal/simplex"
@@ -88,8 +89,12 @@ func BenchmarkFig11(b *testing.B) {
 func BenchmarkFig11Inner(b *testing.B) {
 	const vectors, v = 512, 0.8
 	for _, name := range expt.DefectSet()[:5] {
-		src := mcnc.Build(name)
-		tn, _, err := core.Synthesize(opt.Algebraic(src), core.DefaultOptions())
+		src := netcore.FromNetwork(mcnc.Build(name))
+		alg, err := opt.Run("algebraic", src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tn, _, err := core.Map("tels", alg, core.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -103,9 +108,9 @@ func BenchmarkFig11Inner(b *testing.B) {
 				b.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(1))
-			names := make([]string, len(src.Inputs))
-			for i, in := range src.Inputs {
-				names[i] = in.Name
+			names := make([]string, len(src.Inputs()))
+			for i, in := range src.Inputs() {
+				names[i] = src.NetName(in)
 			}
 			batch := fsim.Random(names, vectors, rng)
 			golden, err := bsim.Eval(batch)
@@ -305,9 +310,10 @@ func BenchmarkSimulation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	nc := netcore.FromNetwork(src)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sim.Equivalent(src, tn, 1); err != nil {
+		if err := sim.Equivalent(nc, tn, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"tels/internal/blif"
 	"tels/internal/cli"
 	"tels/internal/mcnc"
+	"tels/internal/netcore"
 )
 
 func main() {
@@ -49,9 +50,9 @@ func run(t *cli.Tool, list bool, dir string, args []string) error {
 		if !ok {
 			return fmt.Errorf("unknown benchmark %q", name)
 		}
-		nw := bm.Build()
+		nw := netcore.FromNetwork(bm.Build())
 		if dir == "" {
-			if err := blif.Write(os.Stdout, nw); err != nil {
+			if err := blif.WriteCore(os.Stdout, nw); err != nil {
 				return err
 			}
 			continue
@@ -64,7 +65,7 @@ func run(t *cli.Tool, list bool, dir string, args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := blif.Write(f, nw); err != nil {
+		if err := blif.WriteCore(f, nw); err != nil {
 			f.Close()
 			return err
 		}

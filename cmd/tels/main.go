@@ -25,7 +25,6 @@ import (
 	"tels/internal/blif"
 	"tels/internal/cli"
 	"tels/internal/core"
-	"tels/internal/network"
 	"tels/internal/opt"
 	"tels/internal/rtd"
 	"tels/internal/service"
@@ -70,6 +69,12 @@ func main() {
 }
 
 func run(t *cli.Tool, cfg config) error {
+	if err := opt.CheckScript(cfg.script); err != nil {
+		return err
+	}
+	if err := core.CheckMapper(cfg.mapper); err != nil {
+		return err
+	}
 	var in io.Reader = os.Stdin
 	srcName := "<stdin>"
 	if len(cfg.args) > 1 {
@@ -93,43 +98,26 @@ func run(t *cli.Tool, cfg config) error {
 
 // runLocal executes the whole flow in-process.
 func runLocal(t *cli.Tool, cfg config, in io.Reader, srcName string) error {
-	src, err := blif.Parse(in)
+	src, err := blif.ParseCore(in)
 	if err != nil {
 		return fmt.Errorf("%s: %w", srcName, err)
 	}
-
-	var optimized *network.Network
-	switch cfg.script {
-	case "algebraic":
-		optimized = opt.Algebraic(src)
-	case "boolean":
-		optimized = opt.Boolean(src)
-	case "none":
-		optimized = src.Clone()
-	default:
-		return fmt.Errorf("unknown script %q (want algebraic, boolean, or none)", cfg.script)
+	optimized, err := opt.Run(cfg.script, src)
+	if err != nil {
+		return err
 	}
 
 	o := core.Options{Fanin: cfg.fanin, DeltaOn: cfg.deltaOn, DeltaOff: cfg.deltaOff,
 		Seed: cfg.seed, MaxWeight: cfg.maxWeight}
 	ccBefore := core.SnapshotCheckCounters()
-	var tn *core.Network
-	var stats core.SynthStats
-	switch cfg.mapper {
-	case "tels":
-		tn, stats, err = core.Synthesize(optimized, o)
-	case "one2one":
-		tn, err = core.OneToOne(optimized, o)
-	default:
-		return fmt.Errorf("unknown mapper %q (want tels or one2one)", cfg.mapper)
-	}
+	tn, stats, err := core.Map(cfg.mapper, optimized, o)
 	if err != nil {
 		return err
 	}
 
 	verifyMode := sim.Proved
 	if cfg.verify {
-		res, err := sim.Prove(src, tn, 1)
+		res, err := sim.ProveCore(src, tn, 1)
 		if err != nil {
 			return fmt.Errorf("verification failed: %w", err)
 		}

@@ -52,7 +52,7 @@ import (
 	"tels/internal/cli"
 	"tels/internal/core"
 	"tels/internal/fsim"
-	"tels/internal/network"
+	"tels/internal/netcore"
 	"tels/internal/service"
 	"tels/internal/sim"
 )
@@ -127,7 +127,7 @@ func main() {
 
 // loaded is a network in either representation.
 type loaded struct {
-	boolean   *network.Network
+	boolean   *netcore.Network
 	threshold *core.Network
 }
 
@@ -144,7 +144,7 @@ func load(path string) (loaded, error) {
 		}
 		return loaded{threshold: tn}, nil
 	}
-	nw, err := blif.Parse(f)
+	nw, err := blif.ParseCore(f)
 	if err != nil {
 		return loaded{}, fmt.Errorf("%s: %w", path, err)
 	}
@@ -260,43 +260,48 @@ func info(path string) error {
 	return nil
 }
 
+// simulate prints n random vectors and the network's outputs on them.
 func simulate(path string, n int, seed int64) error {
 	l, err := load(path)
 	if err != nil {
 		return err
 	}
-	var inputs []string
-	var outputs []string
-	evalFn := func(in map[string]bool) ([]bool, error) { return nil, nil }
-	if l.boolean != nil {
-		for _, in := range l.boolean.Inputs {
-			inputs = append(inputs, in.Name)
+	var inputs, outputs []string
+	var eval func(*fsim.Batch) ([][]uint64, error)
+	if nw := l.boolean; nw != nil {
+		for _, in := range nw.Inputs() {
+			inputs = append(inputs, nw.NetName(in))
 		}
-		for _, o := range l.boolean.Outputs {
-			outputs = append(outputs, o.Name)
+		for _, o := range nw.Outputs() {
+			outputs = append(outputs, nw.NetName(o))
 		}
-		evalFn = l.boolean.EvalOutputs
-	} else {
-		inputs = l.threshold.Inputs
-		outputs = l.threshold.Outputs
-		evalFn = l.threshold.EvalOutputs
-	}
-	rng := rand.New(rand.NewSource(seed))
-	fmt.Printf("%s -> %s\n", strings.Join(inputs, " "), strings.Join(outputs, " "))
-	for i := 0; i < n; i++ {
-		in := make(map[string]bool, len(inputs))
-		var inBits, outBits strings.Builder
-		for _, name := range inputs {
-			val := rng.Intn(2) == 1
-			in[name] = val
-			inBits.WriteByte(bit(val))
-		}
-		out, err := evalFn(in)
+		bs, err := fsim.CompileBool(nw)
 		if err != nil {
 			return err
 		}
-		for _, val := range out {
-			outBits.WriteByte(bit(val))
+		eval = bs.Eval
+	} else {
+		inputs, outputs = l.threshold.Inputs, l.threshold.Outputs
+		ts, err := fsim.CompileThresh(l.threshold)
+		if err != nil {
+			return err
+		}
+		eval = ts.Eval
+	}
+	batch := fsim.Random(inputs, n, rand.New(rand.NewSource(seed)))
+	out, err := eval(batch)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%s -> %s\n", strings.Join(inputs, " "), strings.Join(outputs, " "))
+	for v := 0; v < n; v++ {
+		var inBits, outBits strings.Builder
+		in := batch.Assignment(v)
+		for _, name := range inputs {
+			inBits.WriteByte(bit(in[name]))
+		}
+		for o := range out {
+			outBits.WriteByte(bit(fsim.Bit(out[o], v)))
 		}
 		fmt.Printf("%s -> %s\n", inBits.String(), outBits.String())
 	}
@@ -322,7 +327,7 @@ func compare(golden, impl string, seed int64) error {
 	if g.boolean == nil || i.threshold == nil {
 		return fmt.Errorf("compare needs a BLIF golden network and a .tln implementation")
 	}
-	res, err := sim.Prove(g.boolean, i.threshold, seed)
+	res, err := sim.ProveCore(g.boolean, i.threshold, seed)
 	if err != nil {
 		return err
 	}

@@ -11,17 +11,24 @@ import (
 
 	"tels/internal/core"
 	"tels/internal/mcnc"
+	"tels/internal/netcore"
 	"tels/internal/opt"
 	"tels/internal/sim"
 )
 
 func main() {
-	src := mcnc.Build("comp8") // 8-bit magnitude comparator
+	src := netcore.FromNetwork(mcnc.Build("comp8")) // 8-bit magnitude comparator
 	fmt.Printf("Source: %s — %d inputs, %d outputs, %d nodes\n\n",
-		src.Name, len(src.Inputs), len(src.Outputs), src.GateCount())
+		src.Name, len(src.Inputs()), len(src.Outputs()), src.GateCount())
 
-	boolNet := opt.Boolean(src)
-	algNet := opt.Algebraic(src)
+	boolNet, err := opt.Run("boolean", src)
+	if err != nil {
+		log.Fatal(err)
+	}
+	algNet, err := opt.Run("algebraic", src)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("script.boolean:   %d nodes, %d literals\n",
 		boolNet.GateCount(), boolNet.Stats().Literals)
 	fmt.Printf("script.algebraic: %d nodes, %d literals\n\n",
@@ -31,11 +38,11 @@ func main() {
 	fmt.Println("-------+--------------------+-------------------")
 	for psi := 3; psi <= 8; psi++ {
 		o := core.Options{Fanin: psi, DeltaOn: 0, DeltaOff: 1}
-		oneToOne, err := core.OneToOne(boolNet, o)
+		oneToOne, _, err := core.Map("one2one", boolNet, o)
 		if err != nil {
 			log.Fatal(err)
 		}
-		tels, _, err := core.Synthesize(algNet, o)
+		tels, _, err := core.Map("tels", algNet, o)
 		if err != nil {
 			log.Fatal(err)
 		}

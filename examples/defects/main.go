@@ -10,14 +10,18 @@ import (
 
 	"tels/internal/core"
 	"tels/internal/mcnc"
+	"tels/internal/netcore"
 	"tels/internal/opt"
 	"tels/internal/sim"
 )
 
 func main() {
-	src := mcnc.Build("cm85a") // 4-bit comparator with enable
-	alg := opt.Algebraic(src)
-	fmt.Printf("Circuit: %s (%d inputs, %d outputs)\n\n", src.Name, len(src.Inputs), len(src.Outputs))
+	src := netcore.FromNetwork(mcnc.Build("cm85a")) // 4-bit comparator with enable
+	alg, err := opt.Run("algebraic", src)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("Circuit: %s (%d inputs, %d outputs)\n\n", src.Name, len(src.Inputs()), len(src.Outputs()))
 
 	vs := []float64{0.0, 0.4, 0.8, 1.2, 1.6, 2.0}
 	fmt.Printf("%5s |", "v")
@@ -29,7 +33,7 @@ func main() {
 	areas := make([]int, 4)
 	pairs := make([]sim.Pair, 4)
 	for don := 0; don <= 3; don++ {
-		tn, _, err := core.Synthesize(alg, core.Options{Fanin: 3, DeltaOn: don, DeltaOff: 1})
+		tn, _, err := core.Map("tels", alg, core.Options{Fanin: 3, DeltaOn: don, DeltaOff: 1})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -30,15 +30,18 @@ const source = `
 `
 
 func main() {
-	src, err := blif.ParseString(source)
+	src, err := blif.ParseCoreString(source)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("Parsed %s: %d inputs, %d outputs, %d nodes\n",
-		src.Name, len(src.Inputs), len(src.Outputs), src.GateCount())
+		src.Name, len(src.Inputs()), len(src.Outputs()), src.GateCount())
 
-	alg := opt.Algebraic(src)
-	tn, _, err := core.Synthesize(alg, core.DefaultOptions())
+	alg, err := opt.Run("algebraic", src)
+	if err != nil {
+		log.Fatal(err)
+	}
+	tn, _, err := core.Map("tels", alg, core.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +64,7 @@ func main() {
 	fmt.Println("\nRound trip through .tln verified against the BLIF source.")
 
 	// And the original network re-emitted as BLIF for other tools.
-	blifText, err := blif.WriteString(alg)
+	blifText, err := blif.WriteCoreString(alg)
 	if err != nil {
 		log.Fatal(err)
 	}

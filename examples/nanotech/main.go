@@ -9,19 +9,23 @@ import (
 
 	"tels/internal/core"
 	"tels/internal/mcnc"
+	"tels/internal/netcore"
 	"tels/internal/opt"
 	"tels/internal/rtd"
 	"tels/internal/sim"
 )
 
 func main() {
-	src := mcnc.Build("adder4")
-	alg := opt.Algebraic(src)
-	tn, _, err := core.Synthesize(alg, core.DefaultOptions())
+	src := netcore.FromNetwork(mcnc.Build("adder4"))
+	alg, err := opt.Run("algebraic", src)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := sim.Prove(src, tn, 1); err != nil {
+	tn, _, err := core.Map("tels", alg, core.DefaultOptions())
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := sim.ProveCore(src, tn, 1); err != nil {
 		log.Fatal(err)
 	}
 

@@ -8,6 +8,7 @@ import (
 	"log"
 
 	"tels/internal/core"
+	"tels/internal/netcore"
 	"tels/internal/network"
 	"tels/internal/sim"
 )
@@ -27,12 +28,13 @@ func main() {
 	n2 := b.And("n2", x[6], x[7])
 	b.Output(b.Or("f", n1, n2))
 
-	boolStats := b.Net.Stats()
+	src := netcore.FromNetwork(b.Net)
+	boolStats := src.Stats()
 	fmt.Printf("Boolean network: %d gates, %d levels\n", boolStats.Gates, boolStats.Levels)
 
 	// Synthesize with the paper's Fig. 2(b) setting: fanin restriction 4,
 	// defect tolerances δon = 0 and δoff = 1.
-	tn, stats, err := core.Synthesize(b.Net, core.Options{Fanin: 4, DeltaOn: 0, DeltaOff: 1})
+	tn, stats, err := core.Map("tels", src, core.Options{Fanin: 4, DeltaOn: 0, DeltaOff: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,7 +49,7 @@ func main() {
 		fmt.Printf("  %s\n", g)
 	}
 
-	if err := sim.Equivalent(b.Net, tn, 1); err != nil {
+	if err := sim.Equivalent(src, tn, 1); err != nil {
 		log.Fatalf("verification failed: %v", err)
 	}
 	fmt.Println("\nVerified: threshold network matches the Boolean network on all 128 input vectors.")

@@ -228,7 +228,11 @@ func TestCoverBDD(t *testing.T) {
 		fanins[i] = mustVar(t, m, i)
 	}
 	cover := logic.MustCover("1-0", "01-")
-	f, err := coverBDD(m, cover, fanins)
+	var phases []logic.Phase
+	for _, c := range cover.Cubes {
+		phases = append(phases, c...)
+	}
+	f, err := coverBDD(m, phases, len(cover.Cubes), 3, fanins)
 	if err != nil {
 		t.Fatal(err)
 	}

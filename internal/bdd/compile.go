@@ -5,39 +5,39 @@ import (
 
 	"tels/internal/core"
 	"tels/internal/logic"
-	"tels/internal/network"
+	"tels/internal/netcore"
 )
 
 // VarOrder returns a variable order for the network's primary inputs:
 // a depth-first walk from the outputs records each input at first visit,
 // which interleaves structurally related inputs (e.g. the a/b bits of a
 // comparator) — the classic static ordering heuristic.
-func VarOrder(nw *network.Network) map[string]int {
+func VarOrder(nw *netcore.Network) map[string]int {
 	order := make(map[string]int)
-	visited := make(map[*network.Node]bool)
-	var walk func(n *network.Node)
-	walk = func(n *network.Node) {
+	visited := make(map[netcore.Net]bool)
+	var walk func(n netcore.Net)
+	walk = func(n netcore.Net) {
 		if visited[n] {
 			return
 		}
 		visited[n] = true
-		if n.Kind == network.Input {
-			if _, ok := order[n.Name]; !ok {
-				order[n.Name] = len(order)
+		if nw.NetKind(n) == netcore.NetInput {
+			if _, ok := order[nw.NetName(n)]; !ok {
+				order[nw.NetName(n)] = len(order)
 			}
 			return
 		}
-		for _, f := range n.Fanins {
+		for _, f := range nw.NetFanins(n) {
 			walk(f)
 		}
 	}
-	for _, o := range nw.Outputs {
+	for _, o := range nw.Outputs() {
 		walk(o)
 	}
 	// Inputs not in any output cone still need levels.
-	for _, in := range nw.Inputs {
-		if _, ok := order[in.Name]; !ok {
-			order[in.Name] = len(order)
+	for _, in := range nw.Inputs() {
+		if _, ok := order[nw.NetName(in)]; !ok {
+			order[nw.NetName(in)] = len(order)
 		}
 	}
 	return order
@@ -45,12 +45,12 @@ func VarOrder(nw *network.Network) map[string]int {
 
 // CompileBoolean builds one BDD per primary output of the Boolean network
 // under the given input-name-to-level order.
-func CompileBoolean(m *Manager, nw *network.Network, varLevel map[string]int) ([]Ref, error) {
-	refs := make(map[*network.Node]Ref)
-	for _, in := range nw.Inputs {
-		level, ok := varLevel[in.Name]
+func CompileBoolean(m *Manager, nw *netcore.Network, varLevel map[string]int) ([]Ref, error) {
+	refs := make(map[netcore.Net]Ref)
+	for _, in := range nw.Inputs() {
+		level, ok := varLevel[nw.NetName(in)]
 		if !ok {
-			return nil, fmt.Errorf("bdd: no level for input %s", in.Name)
+			return nil, fmt.Errorf("bdd: no level for input %s", nw.NetName(in))
 		}
 		v, err := m.Var(level)
 		if err != nil {
@@ -58,37 +58,39 @@ func CompileBoolean(m *Manager, nw *network.Network, varLevel map[string]int) ([
 		}
 		refs[in] = v
 	}
-	order, err := nw.TopoSort()
+	order, err := nw.TopoNets()
 	if err != nil {
 		return nil, err
 	}
 	for _, n := range order {
-		if n.Kind != network.Internal {
+		if nw.NetKind(n) != netcore.NetFunc {
 			continue
 		}
-		fanins := make([]Ref, len(n.Fanins))
-		for i, f := range n.Fanins {
-			fanins[i] = refs[f]
+		fanins := make([]Ref, 0, len(nw.NetFanins(n)))
+		for _, f := range nw.NetFanins(n) {
+			fanins = append(fanins, refs[f])
 		}
-		r, err := coverBDD(m, n.Cover, fanins)
+		phases, nCubes, width := nw.NetCubes(n)
+		r, err := coverBDD(m, phases, nCubes, width, fanins)
 		if err != nil {
 			return nil, err
 		}
 		refs[n] = r
 	}
-	out := make([]Ref, len(nw.Outputs))
-	for i, o := range nw.Outputs {
+	out := make([]Ref, len(nw.Outputs()))
+	for i, o := range nw.Outputs() {
 		out[i] = refs[o]
 	}
 	return out, nil
 }
 
-// coverBDD builds the OR-of-cubes function over the fanin BDDs.
-func coverBDD(m *Manager, cover logic.Cover, fanins []Ref) (Ref, error) {
+// coverBDD builds the OR-of-cubes function over the fanin BDDs; the cover
+// is the net's phase slab, nCubes rows of width phases.
+func coverBDD(m *Manager, phases []logic.Phase, nCubes, width int, fanins []Ref) (Ref, error) {
 	result := False
-	for _, cube := range cover.Cubes {
+	for c := 0; c < nCubes; c++ {
 		term := True
-		for i, ph := range cube {
+		for i, ph := range phases[c*width : (c+1)*width] {
 			var lit Ref
 			var err error
 			switch ph {

@@ -5,6 +5,7 @@ import (
 
 	"tels/internal/core"
 	"tels/internal/logic"
+	"tels/internal/netcore"
 	"tels/internal/network"
 )
 
@@ -24,7 +25,7 @@ func buildComparator2() *network.Network {
 
 func TestVarOrderInterleaves(t *testing.T) {
 	nw := buildComparator2()
-	order := VarOrder(nw)
+	order := VarOrder(netcore.FromNetwork(nw))
 	if len(order) != 4 {
 		t.Fatalf("order covers %d inputs, want 4", len(order))
 	}
@@ -40,7 +41,7 @@ func TestVarOrderCoversUnusedInputs(t *testing.T) {
 	nw.AddInput("unused")
 	y := nw.AddNode("y", []*network.Node{a}, logic.MustCover("1"))
 	nw.MarkOutput(y)
-	order := VarOrder(nw)
+	order := VarOrder(netcore.FromNetwork(nw))
 	if len(order) != 2 {
 		t.Fatalf("order = %v, want both inputs", order)
 	}
@@ -48,9 +49,10 @@ func TestVarOrderCoversUnusedInputs(t *testing.T) {
 
 func TestCompileBooleanMatchesEval(t *testing.T) {
 	nw := buildComparator2()
-	order := VarOrder(nw)
+	nc := netcore.FromNetwork(nw)
+	order := VarOrder(nc)
 	m := New(len(order), 0)
-	outs, err := CompileBoolean(m, nw, order)
+	outs, err := CompileBoolean(m, nc, order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +80,7 @@ func TestCompileBooleanMatchesEval(t *testing.T) {
 func TestCompileBooleanMissingLevel(t *testing.T) {
 	nw := buildComparator2()
 	m := New(1, 0)
-	if _, err := CompileBoolean(m, nw, map[string]int{"a0": 0}); err == nil {
+	if _, err := CompileBoolean(m, netcore.FromNetwork(nw), map[string]int{"a0": 0}); err == nil {
 		t.Fatal("missing input level accepted")
 	}
 }

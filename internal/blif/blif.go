@@ -4,7 +4,7 @@
 // SIS and of the MCNC benchmark suite the paper evaluates on.
 //
 // A parsed network keeps the file's order: inputs as listed, then each
-// .names in the order the file defines it. Write emits internal nets in
+// .names in the order the file defines it. WriteCore emits internal nets in
 // topological order, the order Clone gives, so writing a network and
 // parsing the text back yields Clone's network net for net, and a flow
 // that reads BLIF text synthesizes what the in-memory flow does.
@@ -18,25 +18,7 @@ import (
 
 	"tels/internal/logic"
 	"tels/internal/netcore"
-	"tels/internal/network"
 )
-
-// Parse reads one .model from r and builds the corresponding network.
-// The cover data is assembled directly in the arena-backed netcore
-// representation and converted at the boundary; use ParseCore to keep
-// the arena form.
-func Parse(r io.Reader) (*network.Network, error) {
-	nc, err := ParseCore(r)
-	if err != nil {
-		return nil, err
-	}
-	return nc.ToNetwork(), nil
-}
-
-// ParseString is Parse on a string.
-func ParseString(s string) (*network.Network, error) {
-	return Parse(strings.NewReader(s))
-}
 
 // ParseCore reads one .model from r and builds the netcore network, each
 // cover stored as written.
@@ -272,15 +254,6 @@ func parseCover(rn rawNames, faninCount int) (logic.Cover, error) {
 	return cover, nil
 }
 
-// Write emits the network as BLIF, internal nets in topological order:
-// it is WriteCore on the arena form of nw. A cyclic network is an error.
-func Write(w io.Writer, nw *network.Network) error {
-	if _, err := nw.TopoSort(); err != nil {
-		return err
-	}
-	return WriteCore(w, netcore.FromNetwork(nw))
-}
-
 // WriteCore emits the arena-backed network as BLIF, internal nets in
 // topological order with roots visited in creation order.
 func WriteCore(w io.Writer, nw *netcore.Network) error {
@@ -321,10 +294,10 @@ func WriteCore(w io.Writer, nw *netcore.Network) error {
 	return bw.Flush()
 }
 
-// WriteString renders the network as a BLIF string.
-func WriteString(nw *network.Network) (string, error) {
+// WriteCoreString is WriteCore to a string.
+func WriteCoreString(nw *netcore.Network) (string, error) {
 	var sb strings.Builder
-	if err := Write(&sb, nw); err != nil {
+	if err := WriteCore(&sb, nw); err != nil {
 		return "", err
 	}
 	return sb.String(), nil

@@ -5,39 +5,6 @@ import (
 	"testing"
 )
 
-func TestSynthesizeBestNeverWorse(t *testing.T) {
-	nw := fig2a()
-	for _, psi := range []int{2, 3, 4, 5} {
-		o := Options{Fanin: psi, DeltaOn: 0, DeltaOff: 1}
-		best, telsWon, err := SynthesizeBest(nw, o)
-		if err != nil {
-			t.Fatalf("ψ=%d: %v", psi, err)
-		}
-		oneToOne, err := OneToOne(nw, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if best.GateCount() > oneToOne.GateCount() {
-			t.Fatalf("ψ=%d: best %d gates worse than one-to-one %d",
-				psi, best.GateCount(), oneToOne.GateCount())
-		}
-		checkEquivalent(t, nw, best)
-		_ = telsWon
-	}
-}
-
-func TestSynthesizeBestReportsWinner(t *testing.T) {
-	nw := fig2a()
-	best, telsWon, err := SynthesizeBest(nw, Options{Fanin: 4, DeltaOn: 0, DeltaOff: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// On the motivational example TELS wins decisively (3 vs 7 gates).
-	if !telsWon {
-		t.Fatalf("TELS should win on fig2a (best has %d gates)", best.GateCount())
-	}
-}
-
 func TestWriteDot(t *testing.T) {
 	tn := sampleTN(t)
 	var sb strings.Builder

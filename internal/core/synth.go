@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"tels/internal/netcore"
-	"tels/internal/network"
 	"tels/internal/opt"
 	"tels/internal/truth"
 )
@@ -139,23 +139,57 @@ type SynthStats struct {
 // small even when the input network has wide nodes.
 const maxSupport = 12
 
-// Synthesize converts the Boolean network into a functionally equivalent
+// mappers names every mapping from a Boolean network to a threshold
+// network: "tels" is the paper's synthesis (Fig. 3) and "one2one" its
+// §VI-A baseline. It is the one list of mapper names: Map, CheckMapper
+// and every caller that takes a name from a user go through it.
+var mappers = []struct {
+	name string
+	run  func(*netcore.Network, Options) (*Network, SynthStats, error)
+}{
+	{"tels", synthesize},
+	{"one2one", oneToOne},
+}
+
+// Map maps the Boolean network to a threshold network with the named
+// mapper. nw is not modified. Only "tels" reports SynthStats.
+func Map(mapper string, nw *netcore.Network, o Options) (*Network, SynthStats, error) {
+	for _, m := range mappers {
+		if m.name == mapper {
+			return m.run(nw, o)
+		}
+	}
+	return nil, SynthStats{}, CheckMapper(mapper)
+}
+
+// CheckMapper reports an error unless Map knows the mapper name.
+func CheckMapper(mapper string) error {
+	names := make([]string, len(mappers))
+	for i, m := range mappers {
+		if m.name == mapper {
+			return nil
+		}
+		names[i] = m.name
+	}
+	return fmt.Errorf("unknown mapper %q (want %s)", mapper, strings.Join(names, ", "))
+}
+
+// synthesize converts the Boolean network into a functionally equivalent
 // threshold network per the paper's methodology (Fig. 3): every primary
 // output is collapsed, checked, and recursively split until all nodes are
 // threshold gates. Fanout nodes of the source network are preserved.
 //
-// The source is converted into the arena-backed netcore representation
-// and structurally pre-decomposed there; all cone reads (local functions,
-// fanins, fanout counts) run against the slab, and the word-parallel
-// NetLocalTT replaces the per-node cone walk.
-func Synthesize(src *network.Network, o Options) (*Network, SynthStats, error) {
+// It works on a Clone of src, structurally pre-decomposed; all cone
+// reads (local functions, fanins, fanout counts) run against the slab,
+// and the word-parallel NetLocalTT replaces the per-node cone walk.
+func synthesize(src *netcore.Network, o Options) (*Network, SynthStats, error) {
 	if err := o.validate(); err != nil {
 		return nil, SynthStats{}, err
 	}
 	if err := src.Validate(); err != nil {
 		return nil, SynthStats{}, err
 	}
-	cw := netcore.FromNetwork(src.Clone())
+	cw := src.Clone()
 	// Nets wider than the truth-table engine are structurally split
 	// first; the algorithm itself enforces ψ on the result.
 	opt.DecomposeLargeCore(cw, maxSupport-2)
@@ -163,7 +197,7 @@ func Synthesize(src *network.Network, o Options) (*Network, SynthStats, error) {
 	s := &synthesizer{
 		o:      o,
 		src:    cw,
-		out:    NewNetwork(src.Name),
+		out:    NewNetwork(cw.Name),
 		fanout: make(map[netcore.Net]bool),
 		done:   make(map[string]bool),
 		rng:    rand.New(rand.NewSource(o.Seed)),

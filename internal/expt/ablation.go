@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"tels/internal/core"
-	"tels/internal/mcnc"
-	"tels/internal/opt"
 	"tels/internal/sim"
 )
 
@@ -35,17 +33,15 @@ func Ablation(names []string, base core.Options) ([]AblationRow, error) {
 	}
 	rows := make([]AblationRow, 0, len(names))
 	for _, name := range names {
-		bm, ok := mcnc.Get(name)
-		if !ok {
-			return nil, fmt.Errorf("expt: unknown benchmark %q", name)
+		src, alg, err := scripted(name, "algebraic")
+		if err != nil {
+			return nil, err
 		}
-		src := bm.Build()
-		alg := opt.Algebraic(src)
 		row := AblationRow{Name: name}
 		for _, v := range variants {
 			o := base
 			v.set(&o)
-			tn, _, err := core.Synthesize(alg, o)
+			tn, _, err := core.Map("tels", alg, o)
 			if err != nil {
 				return nil, fmt.Errorf("expt: %s ablation: %w", name, err)
 			}

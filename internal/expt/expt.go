@@ -11,7 +11,7 @@ import (
 
 	"tels/internal/core"
 	"tels/internal/mcnc"
-	"tels/internal/network"
+	"tels/internal/netcore"
 	"tels/internal/opt"
 	"tels/internal/sim"
 )
@@ -20,12 +20,12 @@ import (
 // script.boolean → one-to-one mapping, and script.algebraic → TELS.
 type Flow struct {
 	Name      string
-	Source    *network.Network
-	Algebraic *network.Network
+	Source    *netcore.Network
+	Algebraic *netcore.Network
 	OneToOne  *core.Network
 	TELS      *core.Network
 	Stats     core.SynthStats
-	// FactorTime (the algebraic script) and SynthTime (core.Synthesize)
+	// FactorTime (the algebraic script) and SynthTime (the TELS mapper)
 	// split the TELS flow per §VI-A's timing claim.
 	FactorTime time.Duration
 	SynthTime  time.Duration
@@ -33,26 +33,26 @@ type Flow struct {
 
 // RunFlow executes both pipelines on the named benchmark.
 func RunFlow(name string, o core.Options) (*Flow, error) {
-	bm, ok := mcnc.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("expt: unknown benchmark %q", name)
-	}
-	src := bm.Build()
-
 	// The §VI-A split times the TELS flow only: its factoring step is
 	// the algebraic script, so the one-to-one baseline's Boolean script
 	// runs outside the clock.
-	boolNet := opt.Boolean(src)
+	src, boolNet, err := scripted(name, "boolean")
+	if err != nil {
+		return nil, err
+	}
 	t0 := time.Now()
-	algNet := opt.Algebraic(src)
+	algNet, err := opt.Run("algebraic", src)
+	if err != nil {
+		return nil, err
+	}
 	factorTime := time.Since(t0)
 
-	oneToOne, err := core.OneToOne(boolNet, o)
+	oneToOne, _, err := core.Map("one2one", boolNet, o)
 	if err != nil {
 		return nil, fmt.Errorf("expt: %s one-to-one: %w", name, err)
 	}
 	t1 := time.Now()
-	tels, stats, err := core.Synthesize(algNet, o)
+	tels, stats, err := core.Map("tels", algNet, o)
 	if err != nil {
 		return nil, fmt.Errorf("expt: %s TELS: %w", name, err)
 	}
@@ -75,10 +75,10 @@ func RunFlow(name string, o core.Options) (*Flow, error) {
 // (strengthening the paper's "all the synthesized networks were simulated
 // for functional correctness" into a formal check where possible).
 func (f *Flow) Verify(seed int64) error {
-	if _, err := sim.Prove(f.Source, f.OneToOne, seed); err != nil {
+	if _, err := sim.ProveCore(f.Source, f.OneToOne, seed); err != nil {
 		return fmt.Errorf("one-to-one: %w", err)
 	}
-	if _, err := sim.Prove(f.Source, f.TELS, seed); err != nil {
+	if _, err := sim.ProveCore(f.Source, f.TELS, seed); err != nil {
 		return fmt.Errorf("TELS: %w", err)
 	}
 	return nil
@@ -262,13 +262,11 @@ func synthPairs(names []string, deltaOn int, seed int64) ([]sim.Pair, error) {
 	pairs := make([]sim.Pair, len(names))
 	err := forEachIndexed(len(names), 0, func(i int) error {
 		name := names[i]
-		bm, ok := mcnc.Get(name)
-		if !ok {
-			return fmt.Errorf("expt: unknown benchmark %q", name)
+		src, alg, err := scripted(name, "algebraic")
+		if err != nil {
+			return err
 		}
-		src := bm.Build()
-		alg := opt.Algebraic(src)
-		tn, _, err := core.Synthesize(alg, core.Options{
+		tn, _, err := core.Map("tels", alg, core.Options{
 			Fanin: 3, DeltaOn: deltaOn, DeltaOff: 1, Seed: seed,
 		})
 		if err != nil {
@@ -313,4 +311,16 @@ func Timing(names []string, o core.Options) ([]TimingRow, error) {
 		})
 	}
 	return rows, nil
+}
+
+// scripted returns the named benchmark as a netcore network together with
+// its optimization by the named script.
+func scripted(name, script string) (src, optimized *netcore.Network, err error) {
+	bm, ok := mcnc.Get(name)
+	if !ok {
+		return nil, nil, fmt.Errorf("expt: unknown benchmark %q", name)
+	}
+	src = netcore.FromNetwork(bm.Build())
+	optimized, err = opt.Run(script, src)
+	return src, optimized, err
 }

@@ -33,7 +33,10 @@ var flowOptions = []core.Options{
 
 // FuzzFlow runs BLIF → script → mapper → .tln on small random networks
 // and referees every result: each .tln must parse back to the same text
-// and be proved equivalent to the source network by sim.Prove.
+// and be proved equivalent to the source network by sim.ProveCore, and
+// the pointer-network bridges perfbench calls (blif.ParseString,
+// opt.Algebraic/Boolean, core.Synthesize/OneToOne) must give the same
+// bytes as the arena flow (opt.Run, core.Map).
 //
 // The bytes decode into a network as flowBLIF describes. The committed
 // seeds under testdata/fuzz/FuzzFlow run as regular tests; run
@@ -58,16 +61,28 @@ func TestFlowSmallFunctions(t *testing.T) {
 // checkFlow runs text through every pipeline under every option set.
 func checkFlow(t *testing.T, text string) {
 	t.Helper()
-	src, err := blif.ParseString(text)
+	src, err := blif.ParseCoreString(text)
 	if err != nil {
 		t.Fatalf("generated BLIF does not parse: %v\n%s", err, text)
+	}
+	ptr, err := blif.ParseString(text)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, p := range flowPipelines {
 		for _, o := range flowOptions {
 			at := fmt.Sprintf("%s→%s ψ=%d δon=%d maxw=%d", p.script, p.mapper, o.Fanin, o.DeltaOn, o.MaxWeight)
-			tln, err := flowTLN(src, p.script, p.mapper, o)
+			optimized, err := opt.Run(p.script, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tn, _, err := core.Map(p.mapper, optimized, o)
 			if err != nil {
 				t.Fatalf("%s: %v\n%s", at, err, text)
+			}
+			tln := tn.String()
+			if bridged, err := bridgeTLN(ptr, p.script, p.mapper, o); err != nil || bridged != tln {
+				t.Fatalf("%s: pointer bridges gave %v\n%s\narena flow gave\n%s", at, err, bridged, tln)
 			}
 			back, err := core.ParseTLNString(tln)
 			if err != nil {
@@ -76,15 +91,16 @@ func checkFlow(t *testing.T, text string) {
 			if back.String() != tln {
 				t.Fatalf("%s: .tln round trip changed the text\n%s\nbecame\n%s", at, tln, back)
 			}
-			if _, err := sim.Prove(src, back, 1); err != nil {
+			if _, err := sim.ProveCore(src, back, 1); err != nil {
 				t.Fatalf("%s: %v\n%s\n%s", at, err, text, tln)
 			}
 		}
 	}
 }
 
-// flowTLN runs one pipeline on src and returns the .tln text.
-func flowTLN(src *network.Network, script, mapper string, o core.Options) (string, error) {
+// bridgeTLN runs one pipeline through the pointer-network entry points
+// perfbench/adapter.go calls, as it does, and returns the .tln text.
+func bridgeTLN(src *network.Network, script, mapper string, o core.Options) (string, error) {
 	var optimized *network.Network
 	switch script {
 	case "algebraic":

@@ -11,7 +11,6 @@ import (
 	"tels/internal/blif"
 	"tels/internal/core"
 	"tels/internal/mcnc"
-	"tels/internal/network"
 	"tels/internal/opt"
 )
 
@@ -35,16 +34,7 @@ func TestCorpusGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	type pipeline struct {
-		script string // "", "algebraic", "boolean"
-		mapper string // "tels", "one2one"
-	}
-	pipelines := []pipeline{
-		{"", "tels"},
-		{"algebraic", "tels"},
-		{"boolean", "tels"},
-		{"boolean", "one2one"},
-	}
+	pipelines := flowPipelines
 	var manifest []string
 	for _, bm := range mcnc.All() {
 		bm := bm
@@ -57,29 +47,16 @@ func TestCorpusGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			src, err := blif.ParseString(text)
+			src, err := blif.ParseCoreString(text)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, p := range pipelines {
-				var optimized *network.Network
-				switch p.script {
-				case "algebraic":
-					optimized = opt.Algebraic(src)
-				case "boolean":
-					optimized = opt.Boolean(src)
-				default:
-					optimized = src.Clone()
+				optimized, err := opt.Run(p.script, src)
+				if err != nil {
+					t.Fatal(err)
 				}
-				o := core.DefaultOptions()
-				var tn *core.Network
-				var err error
-				switch p.mapper {
-				case "one2one":
-					tn, err = core.OneToOne(optimized, o)
-				default:
-					tn, _, err = core.Synthesize(optimized, o)
-				}
+				tn, _, err := core.Map(p.mapper, optimized, core.DefaultOptions())
 				if err != nil {
 					t.Fatalf("%s/%s: %v", p.script, p.mapper, err)
 				}
@@ -87,7 +64,7 @@ func TestCorpusGolden(t *testing.T) {
 				got := fmt.Sprintf("# gates=%d levels=%d area=%d\n%s",
 					st.Gates, st.Levels, st.Area, tn.String())
 				script := p.script
-				if script == "" {
+				if script == "none" {
 					script = "raw"
 				}
 				file := filepath.Join(dir, fmt.Sprintf("%s.%s.%s.tln", bm.Name, script, p.mapper))

@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"tels/internal/core"
-	"tels/internal/mcnc"
-	"tels/internal/opt"
 	"tels/internal/sim"
 )
 
@@ -24,21 +22,19 @@ type HeuristicRow struct {
 func Heuristics(names []string, base core.Options) ([]HeuristicRow, error) {
 	rows := make([]HeuristicRow, 0, len(names))
 	for _, name := range names {
-		bm, ok := mcnc.Get(name)
-		if !ok {
-			return nil, fmt.Errorf("expt: unknown benchmark %q", name)
+		src, alg, err := scripted(name, "algebraic")
+		if err != nil {
+			return nil, err
 		}
-		src := bm.Build()
-		alg := opt.Algebraic(src)
 		row := HeuristicRow{Name: name}
 		for _, strat := range []core.SplitStrategy{core.SplitFrequency, core.SplitBalanced, core.SplitRandom} {
 			o := base
 			o.Split = strat
-			tn, _, err := core.Synthesize(alg, o)
+			tn, _, err := core.Map("tels", alg, o)
 			if err != nil {
 				return nil, fmt.Errorf("expt: %s (%s split): %w", name, strat, err)
 			}
-			if _, err := sim.Prove(src, tn, 1); err != nil {
+			if _, err := sim.ProveCore(src, tn, 1); err != nil {
 				return nil, fmt.Errorf("expt: %s (%s split) failed verification: %w", name, strat, err)
 			}
 			switch strat {

@@ -6,8 +6,6 @@ import (
 	"strings"
 
 	"tels/internal/core"
-	"tels/internal/mcnc"
-	"tels/internal/opt"
 	"tels/internal/sim"
 )
 
@@ -28,22 +26,20 @@ type SeedStats struct {
 // verified. A small spread means the heuristic is robust to its random
 // component.
 func SeedSweep(name string, n int, base core.Options) (SeedStats, error) {
-	bm, ok := mcnc.Get(name)
-	if !ok {
-		return SeedStats{}, fmt.Errorf("expt: unknown benchmark %q", name)
+	src, alg, err := scripted(name, "algebraic")
+	if err != nil {
+		return SeedStats{}, err
 	}
-	src := bm.Build()
-	alg := opt.Algebraic(src)
 	gates := make([]int, 0, n)
 	stats := SeedStats{Name: name, Seeds: n, MinLvl: 1 << 30}
 	for seed := 0; seed < n; seed++ {
 		o := base
 		o.Seed = int64(seed)
-		tn, _, err := core.Synthesize(alg, o)
+		tn, _, err := core.Map("tels", alg, o)
 		if err != nil {
 			return SeedStats{}, fmt.Errorf("expt: %s (seed %d): %w", name, seed, err)
 		}
-		if _, err := sim.Prove(src, tn, 1); err != nil {
+		if _, err := sim.ProveCore(src, tn, 1); err != nil {
 			return SeedStats{}, fmt.Errorf("expt: %s (seed %d) failed verification: %w", name, seed, err)
 		}
 		s := tn.Stats()

@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"tels/internal/core"
-	"tels/internal/mcnc"
-	"tels/internal/opt"
 	"tels/internal/truth"
 )
 
@@ -68,19 +66,19 @@ type ThreshRow struct {
 // exponential in the width), widest first, at most limit of them
 // (0 = no limit). Repeated functions are kept — see the file comment.
 func HarvestThreshNodes(name string, minVars, maxVars, limit int) ([]ThreshInstance, error) {
-	bm, ok := mcnc.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("expt: unknown benchmark %q", name)
+	_, nw, err := scripted(name, "algebraic")
+	if err != nil {
+		return nil, err
 	}
-	nw := opt.Algebraic(bm.Build())
 	var out []ThreshInstance
-	for _, n := range nw.InternalNodes() {
-		if len(n.Fanins) < minVars || len(n.Fanins) > maxVars {
+	for _, n := range nw.InternalNets() {
+		fanins := nw.NetFanins(n)
+		if len(fanins) < minVars || len(fanins) > maxVars {
 			continue
 		}
-		tt, err := nw.LocalFunction(n, n.Fanins)
+		tt, err := nw.NetLocalTT(n, fanins)
 		if err != nil {
-			return nil, fmt.Errorf("expt: %s/%s: %w", name, n.Name, err)
+			return nil, fmt.Errorf("expt: %s/%s: %w", name, nw.NetName(n), err)
 		}
 		if konst, _ := tt.IsConst(); konst {
 			continue
@@ -88,7 +86,7 @@ func HarvestThreshNodes(name string, minVars, maxVars, limit int) ([]ThreshInsta
 		if len(tt.Support()) != tt.N() || !tt.IsUnate() {
 			continue
 		}
-		out = append(out, ThreshInstance{Bench: name, Node: n.Name, TT: tt})
+		out = append(out, ThreshInstance{Bench: name, Node: nw.NetName(n), TT: tt})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].TT.N() > out[j].TT.N() })
 	if limit > 0 && len(out) > limit {

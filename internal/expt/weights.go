@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"tels/internal/core"
-	"tels/internal/mcnc"
-	"tels/internal/opt"
 	"tels/internal/sim"
 )
 
@@ -23,21 +21,19 @@ type WeightPoint struct {
 // weight bounds (RTD peak-current ratios), verifying each result. Bounds
 // of 0 mean unbounded.
 func WeightSweep(name string, bounds []int, base core.Options) ([]WeightPoint, error) {
-	bm, ok := mcnc.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("expt: unknown benchmark %q", name)
+	src, alg, err := scripted(name, "algebraic")
+	if err != nil {
+		return nil, err
 	}
-	src := bm.Build()
-	alg := opt.Algebraic(src)
 	out := make([]WeightPoint, 0, len(bounds))
 	for _, w := range bounds {
 		o := base
 		o.MaxWeight = w
-		tn, _, err := core.Synthesize(alg, o)
+		tn, _, err := core.Map("tels", alg, o)
 		if err != nil {
 			return nil, fmt.Errorf("expt: %s (maxw=%d): %w", name, w, err)
 		}
-		if _, err := sim.Prove(src, tn, 1); err != nil {
+		if _, err := sim.ProveCore(src, tn, 1); err != nil {
 			return nil, fmt.Errorf("expt: %s (maxw=%d) failed verification: %w", name, w, err)
 		}
 		s := tn.Stats()

@@ -2,7 +2,7 @@ package fsim
 
 import (
 	"tels/internal/logic"
-	"tels/internal/network"
+	"tels/internal/netcore"
 )
 
 // boolLit is one literal of a compiled cube: the value slot of the fanin
@@ -35,41 +35,43 @@ type BoolSim struct {
 }
 
 // CompileBool flattens the network into slot-addressed packed-cover form.
-func CompileBool(nw *network.Network) (*BoolSim, error) {
-	order, err := nw.TopoSort()
+func CompileBool(nw *netcore.Network) (*BoolSim, error) {
+	order, err := nw.TopoNets()
 	if err != nil {
 		return nil, err
 	}
 	s := &BoolSim{}
-	slot := make(map[*network.Node]int, len(order))
+	slot := make(map[netcore.Net]int, len(order))
 	for _, n := range order {
 		slot[n] = len(slot)
 	}
 	s.vals = make([]uint64, len(slot))
-	for _, in := range nw.Inputs {
-		s.inputs = append(s.inputs, in.Name)
+	for _, in := range nw.Inputs() {
+		s.inputs = append(s.inputs, nw.NetName(in))
 		s.inSlots = append(s.inSlots, slot[in])
 	}
 	for _, n := range order {
-		if n.Kind != network.Internal {
+		if nw.NetKind(n) != netcore.NetFunc {
 			continue
 		}
 		bn := boolNode{slot: slot[n]}
-		for _, c := range n.Cover.Cubes {
-			cube := make(boolCube, 0, len(c))
-			for i, p := range c {
+		fanins := nw.NetFanins(n)
+		phases, nCubes, width := nw.NetCubes(n)
+		for c := 0; c < nCubes; c++ {
+			cube := make(boolCube, 0, width)
+			for i, p := range phases[c*width : (c+1)*width] {
 				switch p {
 				case logic.Pos:
-					cube = append(cube, boolLit{slot: slot[n.Fanins[i]]})
+					cube = append(cube, boolLit{slot: slot[fanins[i]]})
 				case logic.Neg:
-					cube = append(cube, boolLit{slot: slot[n.Fanins[i]], inv: ^uint64(0)})
+					cube = append(cube, boolLit{slot: slot[fanins[i]], inv: ^uint64(0)})
 				}
 			}
 			bn.cubes = append(bn.cubes, cube)
 		}
 		s.nodes = append(s.nodes, bn)
 	}
-	for _, o := range nw.Outputs {
+	for _, o := range nw.Outputs() {
 		s.outSlots = append(s.outSlots, slot[o])
 	}
 	s.out = make([][]uint64, len(s.outSlots))

@@ -7,6 +7,7 @@ import (
 
 	"tels/internal/core"
 	"tels/internal/logic"
+	"tels/internal/netcore"
 	"tels/internal/network"
 )
 
@@ -158,7 +159,7 @@ func TestPackedBoolMatchesScalar(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(8)
 		nw := randomBoolNet(rng, n)
-		sim, err := CompileBool(nw)
+		sim, err := CompileBool(netcore.FromNetwork(nw))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,16 +8,16 @@ import (
 
 	"tels/internal/core"
 	"tels/internal/logic"
-	"tels/internal/network"
+	"tels/internal/netcore"
 )
 
 // wideAndPair builds an n-input AND tree (n > ExhaustiveInputs exercises
 // the randomly sampled batch path) as both network kinds.
-func wideAndPair(t *testing.T, n int) (*network.Network, *core.Network) {
+func wideAndPair(t *testing.T, n int) (*netcore.Network, *core.Network) {
 	t.Helper()
-	nw := network.New("wide")
+	nw := netcore.New("wide")
 	tn := core.NewNetwork("wide")
-	var half [2][]*network.Node
+	var half [2][]netcore.Net
 	var names [2][]string
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("x%d", i)
@@ -25,7 +25,7 @@ func wideAndPair(t *testing.T, n int) (*network.Network, *core.Network) {
 		tn.AddInput(name)
 		names[i%2] = append(names[i%2], name)
 	}
-	var tops []*network.Node
+	var tops []netcore.Net
 	for h := 0; h < 2; h++ {
 		cube := make([]byte, len(half[h]))
 		for i := range cube {

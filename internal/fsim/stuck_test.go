@@ -7,7 +7,7 @@ import (
 
 	"tels/internal/core"
 	"tels/internal/logic"
-	"tels/internal/network"
+	"tels/internal/netcore"
 )
 
 // andOrPair builds a two-output netlist whose blame ranking under
@@ -17,12 +17,12 @@ import (
 // first in topological order, so it takes the blame on every lane it
 // flips; g_or is only blamed on lanes g_and leaves clean (expected 1 per
 // trial). The ranking must therefore come out [g_and, g_or].
-func andOrPair(t *testing.T) (*network.Network, *core.Network) {
+func andOrPair(t *testing.T) (*netcore.Network, *core.Network) {
 	t.Helper()
-	nw := network.New("pair")
+	nw := netcore.New("pair")
 	a, b := nw.AddInput("a"), nw.AddInput("b")
-	ga := nw.AddNode("g_and", []*network.Node{a, b}, logic.MustCover("11"))
-	go_ := nw.AddNode("g_or", []*network.Node{a, b}, logic.MustCover("1-", "-1"))
+	ga := nw.AddNode("g_and", []netcore.Net{a, b}, logic.MustCover("11"))
+	go_ := nw.AddNode("g_or", []netcore.Net{a, b}, logic.MustCover("1-", "-1"))
 	nw.MarkOutput(ga)
 	nw.MarkOutput(go_)
 	tn := core.NewNetwork("pair")
@@ -131,10 +131,10 @@ func (m *alternateStuck) Draw(s *ThreshSim, _ *rand.Rand) *Defect {
 // "alpha" before "zeta" — even though "zeta" comes first topologically,
 // and the report must serialize to identical bytes on every run.
 func TestCriticalTieBreakByName(t *testing.T) {
-	nw := network.New("tie")
+	nw := netcore.New("tie")
 	a, b := nw.AddInput("a"), nw.AddInput("b")
-	z := nw.AddNode("zeta", []*network.Node{a}, logic.MustCover("1"))
-	al := nw.AddNode("alpha", []*network.Node{b}, logic.MustCover("1"))
+	z := nw.AddNode("zeta", []netcore.Net{a}, logic.MustCover("1"))
+	al := nw.AddNode("alpha", []netcore.Net{b}, logic.MustCover("1"))
 	nw.MarkOutput(z)
 	nw.MarkOutput(al)
 	tn := core.NewNetwork("tie")

@@ -8,7 +8,7 @@ import (
 	"sort"
 
 	"tels/internal/core"
-	"tels/internal/network"
+	"tels/internal/netcore"
 )
 
 // YieldConfig controls a Monte-Carlo yield measurement.
@@ -121,7 +121,7 @@ type YieldSession struct {
 // vectors from the cfg.Seed stream for wide networks) and records the
 // golden Boolean outputs. Only cfg.Samples and cfg.Seed are read; the
 // trial knobs are per-Estimate.
-func NewYieldSession(nw *network.Network, tn *core.Network, cfg YieldConfig) (*YieldSession, error) {
+func NewYieldSession(nw *netcore.Network, tn *core.Network, cfg YieldConfig) (*YieldSession, error) {
 	cfg = cfg.withDefaults()
 	bsim, err := CompileBool(nw)
 	if err != nil {
@@ -132,9 +132,9 @@ func NewYieldSession(nw *network.Network, tn *core.Network, cfg YieldConfig) (*Y
 	if _, err := CompileThresh(tn); err != nil {
 		return nil, err
 	}
-	inputs := make([]string, len(nw.Inputs))
-	for i, in := range nw.Inputs {
-		inputs[i] = in.Name
+	inputs := make([]string, len(nw.Inputs()))
+	for i, in := range nw.Inputs() {
+		inputs[i] = nw.NetName(in)
 	}
 	s := &YieldSession{tn: tn, seed: cfg.Seed}
 	s.batch = Vectors(inputs, cfg.Samples, rand.New(rand.NewSource(cfg.Seed)))
@@ -226,7 +226,7 @@ func (s *YieldSession) EstimateFor(tn *core.Network, model DefectModel, cfg Yiel
 // topological flip. Callers measuring many points of the same pair
 // should build a YieldSession instead, which packs the batch and golden
 // reference once.
-func EstimateYield(nw *network.Network, tn *core.Network, model DefectModel, cfg YieldConfig) (*YieldReport, error) {
+func EstimateYield(nw *netcore.Network, tn *core.Network, model DefectModel, cfg YieldConfig) (*YieldReport, error) {
 	s, err := NewYieldSession(nw, tn, cfg)
 	if err != nil {
 		return nil, err

@@ -5,15 +5,15 @@ import (
 
 	"tels/internal/core"
 	"tels/internal/logic"
-	"tels/internal/network"
+	"tels/internal/netcore"
 )
 
 // andPair builds a 2-input AND as both a Boolean and a threshold network.
-func andPair(t *testing.T) (*network.Network, *core.Network) {
+func andPair(t *testing.T) (*netcore.Network, *core.Network) {
 	t.Helper()
-	nw := network.New("and")
+	nw := netcore.New("and")
 	a, b := nw.AddInput("a"), nw.AddInput("b")
-	f := nw.AddNode("f", []*network.Node{a, b}, logic.MustCover("11"))
+	f := nw.AddNode("f", []netcore.Net{a, b}, logic.MustCover("11"))
 	nw.MarkOutput(f)
 	tn := core.NewNetwork("and")
 	tn.AddInput("a")

@@ -13,8 +13,9 @@ import (
 // a pointer network built alongside it, and after every step checks that
 // the two agree: Validate passes, NetFanoutCount equals FanoutCounts,
 // ToNetwork reproduces the pointer network (names, creation order, fanins,
-// covers, outputs), and every output's NetLocalTT over the primary inputs
-// equals LocalFunction.
+// covers, outputs), Clone equals the pointer network's Clone net for net,
+// and every output's NetLocalTT over the primary inputs equals
+// LocalFunction.
 //
 // Each ops byte is one step: the low two bits pick AddNode (named by
 // FreshName), SetFunction, MarkOutput or RemoveDangling; the high six bits
@@ -105,6 +106,9 @@ func checkNetOps(t *testing.T, at string, nc *Network, pw *network.Network) {
 	}
 	if msg := sameNetwork(pw, nc.ToNetwork()); msg != "" {
 		t.Fatalf("%s: ToNetwork: %s", at, msg)
+	}
+	if msg := sameNets(FromNetwork(nc.ToNetwork().Clone()), nc.Clone()); msg != "" {
+		t.Fatalf("%s: Clone: %s", at, msg)
 	}
 	for _, o := range nc.Outputs() {
 		got, err := nc.NetLocalTT(o, nc.Inputs())

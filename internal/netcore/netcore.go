@@ -167,17 +167,24 @@ func (nw *Network) newFuncNet(name string) Net {
 // cover, as written, onto the slabs and counts one reference per fanin
 // position.
 func (nw *Network) bindFunction(n Net, fanins []Net, cover logic.Cover) {
+	nw.bindFanins(n, fanins)
+	r := &nw.nets[n]
+	r.coverOff = int32(len(nw.phases))
+	r.nCubes = int32(len(cover.Cubes))
+	for _, c := range cover.Cubes {
+		nw.phases = append(nw.phases, c...)
+	}
+}
+
+// bindFanins copies net n's fanin list onto the slab and counts one
+// reference per position.
+func (nw *Network) bindFanins(n Net, fanins []Net) {
 	r := &nw.nets[n]
 	r.faninOff = int32(len(nw.netFan))
 	r.nFanin = int32(len(fanins))
 	nw.netFan = append(nw.netFan, fanins...)
 	for _, f := range fanins {
 		nw.nets[f].refs++
-	}
-	r.coverOff = int32(len(nw.phases))
-	r.nCubes = int32(len(cover.Cubes))
-	for _, c := range cover.Cubes {
-		nw.phases = append(nw.phases, c...)
 	}
 }
 
@@ -373,4 +380,96 @@ func (nw *Network) Validate() error {
 		return fmt.Errorf("netcore %s: no primary outputs", nw.Name)
 	}
 	return nil
+}
+
+// Clone returns a copy of the network in normal order: the inputs, then
+// the live internal nets in TopoNets order, then each output marked once.
+// Dead nets are dropped. It is the order the pointer network's Clone
+// gives, the one the optimization scripts and the synthesizer start from.
+func (nw *Network) Clone() *Network {
+	out := New(nw.Name)
+	mapping := make([]Net, len(nw.nets))
+	for _, in := range nw.inputs {
+		mapping[in] = out.AddInput(nw.nets[in].name)
+	}
+	order, err := nw.TopoNets()
+	if err != nil {
+		panic(fmt.Sprintf("netcore: Clone(%s): %v", nw.Name, err))
+	}
+	var fanins []Net
+	for _, n := range order {
+		if nw.nets[n].kind != NetFunc {
+			continue
+		}
+		fanins = fanins[:0]
+		for _, f := range nw.NetFanins(n) {
+			fanins = append(fanins, mapping[f])
+		}
+		m := out.newFuncNet(nw.nets[n].name)
+		out.bindFanins(m, fanins)
+		phases, nCubes, _ := nw.NetCubes(n)
+		r := &out.nets[m]
+		r.coverOff = int32(len(out.phases))
+		r.nCubes = int32(nCubes)
+		out.phases = append(out.phases, phases...)
+		mapping[n] = m
+	}
+	for _, o := range nw.outputs {
+		out.MarkOutput(mapping[o])
+	}
+	return out
+}
+
+// Levels returns each net's level, indexed by Net (primary inputs and
+// dead nets at 0, an internal net one more than its deepest fanin), and
+// the network depth.
+func (nw *Network) Levels() ([]int, int) {
+	order, err := nw.TopoNets()
+	if err != nil {
+		panic(err)
+	}
+	levels := make([]int, len(nw.nets))
+	depth := 0
+	for _, n := range order {
+		if nw.nets[n].kind != NetFunc {
+			continue
+		}
+		l := 0
+		for _, f := range nw.NetFanins(n) {
+			l = max(l, levels[f]+1)
+		}
+		levels[n] = l
+		depth = max(depth, l)
+	}
+	return levels, depth
+}
+
+// Stats summarizes a network for reporting.
+type Stats struct {
+	Inputs   int
+	Outputs  int
+	Gates    int
+	Levels   int
+	Literals int
+}
+
+// Stats computes summary statistics.
+func (nw *Network) Stats() Stats {
+	_, depth := nw.Levels()
+	lits := 0
+	for _, n := range nw.InternalNets() {
+		phases, _, _ := nw.NetCubes(n)
+		for _, p := range phases {
+			if p != logic.DC {
+				lits++
+			}
+		}
+	}
+	return Stats{
+		Inputs:   len(nw.inputs),
+		Outputs:  len(nw.outputs),
+		Gates:    nw.funcNets,
+		Levels:   depth,
+		Literals: lits,
+	}
 }

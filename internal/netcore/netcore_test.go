@@ -368,3 +368,71 @@ func sameNetwork(want, got *network.Network) string {
 	}
 	return ""
 }
+
+// sameNets compares two arena networks net for net: live nets in creation
+// order with their names, kinds, fanins and covers, then the output list.
+// It returns "" when they agree.
+func sameNets(want, got *Network) string {
+	a, b := want.Nets(), got.Nets()
+	if len(a) != len(b) {
+		return fmt.Sprintf("net count %d, want %d", len(b), len(a))
+	}
+	for i := range a {
+		wn, gn := want.NetName(a[i]), got.NetName(b[i])
+		if wn != gn || want.NetKind(a[i]) != got.NetKind(b[i]) {
+			return fmt.Sprintf("creation order diverged at %d: %s/%d, want %s/%d",
+				i, gn, got.NetKind(b[i]), wn, want.NetKind(a[i]))
+		}
+		wf, gf := want.NetFanins(a[i]), got.NetFanins(b[i])
+		if len(wf) != len(gf) {
+			return fmt.Sprintf("net %s: %d fanins, want %d", wn, len(gf), len(wf))
+		}
+		for j := range wf {
+			if want.NetName(wf[j]) != got.NetName(gf[j]) {
+				return fmt.Sprintf("net %s: fanin %d is %s, want %s", wn, j, got.NetName(gf[j]), want.NetName(wf[j]))
+			}
+		}
+		if wc, gc := want.NetCover(a[i]), got.NetCover(b[i]); wc.N != gc.N || wc.String() != gc.String() {
+			return fmt.Sprintf("net %s: cover %q, want %q", wn, gc, wc)
+		}
+	}
+	wo, goo := want.Outputs(), got.Outputs()
+	if len(wo) != len(goo) {
+		return fmt.Sprintf("%d outputs, want %d", len(goo), len(wo))
+	}
+	for i := range wo {
+		if want.NetName(wo[i]) != got.NetName(goo[i]) {
+			return fmt.Sprintf("output %d is %s, want %s", i, got.NetName(goo[i]), want.NetName(wo[i]))
+		}
+	}
+	return ""
+}
+
+// TestStatsAndLevels pins Stats and Levels on the paper's Fig. 2(a)
+// network: seven gates, depth five counting the inverter.
+func TestStatsAndLevels(t *testing.T) {
+	nw := New("fig2a")
+	x := make([]Net, 8)
+	for i := 1; i <= 7; i++ {
+		x[i] = nw.AddInput(fmt.Sprintf("x%d", i))
+	}
+	and2 := cover(2, cube(logic.Pos, logic.Pos))
+	or2 := cover(2, cube(logic.Pos, logic.DC), cube(logic.DC, logic.Pos))
+	n4 := nw.AddNode("n4", []Net{x[1], x[2], x[3]}, cover(3, cube(logic.Pos, logic.Pos, logic.Pos)))
+	inv := nw.AddNode("inv", []Net{x[1]}, cover(1, cube(logic.Neg)))
+	n5 := nw.AddNode("n5", []Net{inv, x[4]}, and2)
+	n3 := nw.AddNode("n3", []Net{n4, n5}, or2)
+	n1 := nw.AddNode("n1", []Net{n3, x[5]}, and2)
+	n2 := nw.AddNode("n2", []Net{x[6], x[7]}, and2)
+	f := nw.AddNode("f", []Net{n1, n2}, or2)
+	nw.MarkOutput(f)
+	levels, depth := nw.Levels()
+	if depth != 5 || levels[f] != 5 || levels[inv] != 1 || levels[x[1]] != 0 {
+		t.Fatalf("depth %d, level(f) %d, level(inv) %d, level(x1) %d; want 5, 5, 1, 0",
+			depth, levels[f], levels[inv], levels[x[1]])
+	}
+	want := Stats{Inputs: 7, Outputs: 1, Gates: 7, Levels: 5, Literals: 14}
+	if s := nw.Stats(); s != want {
+		t.Fatalf("Stats = %+v, want %+v", s, want)
+	}
+}

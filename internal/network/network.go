@@ -38,10 +38,8 @@ type Network struct {
 	Inputs  []*Node
 	Outputs []*Node
 
-	internalCount  int     // live internal nodes, for O(1) GateCount
-	internals      []*Node // cached InternalNodes view, rebuilt when stale
-	internalsStale bool
-	suffix         map[string]int // FreshName next-suffix cache per base
+	internalCount int            // live internal nodes, for O(1) GateCount
+	suffix        map[string]int // FreshName next-suffix cache per base
 }
 
 // New returns an empty network with the given name.
@@ -71,7 +69,6 @@ func (nw *Network) AddNode(name string, fanins []*Node, cover logic.Cover) *Node
 	nw.nodes[name] = n
 	nw.order = append(nw.order, n)
 	nw.internalCount++
-	nw.internalsStale = true
 	return n
 }
 
@@ -87,7 +84,6 @@ func (nw *Network) AddShell(name string) *Node {
 	nw.nodes[name] = n
 	nw.order = append(nw.order, n)
 	nw.internalCount++
-	nw.internalsStale = true
 	return n
 }
 
@@ -122,27 +118,6 @@ func (nw *Network) Node(name string) *Node { return nw.nodes[name] }
 
 // Nodes returns all nodes in creation order.
 func (nw *Network) Nodes() []*Node { return nw.order }
-
-// InternalNodes returns the internal nodes in creation order. The view is
-// cached and rebuilt only after node additions or removals; callers must
-// treat it as read-only (mutating passes already do — they rewrite node
-// functions, not the returned slice).
-func (nw *Network) InternalNodes() []*Node {
-	if nw.internalsStale || nw.internals == nil {
-		// Always a fresh slice: holders of the previous view keep a
-		// consistent snapshot, exactly as with the old allocate-per-call
-		// behaviour.
-		out := make([]*Node, 0, nw.internalCount)
-		for _, n := range nw.order {
-			if n.Kind == Internal {
-				out = append(out, n)
-			}
-		}
-		nw.internals = out
-		nw.internalsStale = false
-	}
-	return nw.internals
-}
 
 // GateCount returns the number of internal nodes in O(1).
 func (nw *Network) GateCount() int { return nw.internalCount }
@@ -237,34 +212,6 @@ func (nw *Network) FanoutCounts() map[*Node]int {
 		counts[o]++
 	}
 	return counts
-}
-
-// Levels returns each node's level (primary inputs at 0, every internal
-// node one more than its deepest fanin) and the network depth.
-func (nw *Network) Levels() (map[*Node]int, int) {
-	order, err := nw.TopoSort()
-	if err != nil {
-		panic(err)
-	}
-	levels := make(map[*Node]int, len(order))
-	depth := 0
-	for _, n := range order {
-		if n.Kind == Input {
-			levels[n] = 0
-			continue
-		}
-		l := 0
-		for _, f := range n.Fanins {
-			if levels[f]+1 > l {
-				l = levels[f] + 1
-			}
-		}
-		levels[n] = l
-		if l > depth {
-			depth = l
-		}
-	}
-	return levels, depth
 }
 
 // Eval computes the value of every node under the given input assignment.
@@ -380,7 +327,6 @@ func (nw *Network) remove(n *Node) {
 	} else {
 		nw.internalCount--
 	}
-	nw.internalsStale = true
 }
 
 // RemoveDangling deletes internal nodes with no fanouts that are not
@@ -434,29 +380,4 @@ func (nw *Network) Clone() *Network {
 		out.MarkOutput(mapping[o])
 	}
 	return out
-}
-
-// Stats summarizes a network for reporting.
-type Stats struct {
-	Inputs   int
-	Outputs  int
-	Gates    int
-	Levels   int
-	Literals int
-}
-
-// Stats computes summary statistics.
-func (nw *Network) Stats() Stats {
-	_, depth := nw.Levels()
-	lits := 0
-	for _, n := range nw.InternalNodes() {
-		lits += n.Cover.LiteralCount()
-	}
-	return Stats{
-		Inputs:   len(nw.Inputs),
-		Outputs:  len(nw.Outputs),
-		Gates:    nw.GateCount(),
-		Levels:   depth,
-		Literals: lits,
-	}
 }

@@ -45,20 +45,6 @@ func TestBuildAndValidate(t *testing.T) {
 	}
 }
 
-func TestLevels(t *testing.T) {
-	nw, f := buildExample()
-	levels, depth := nw.Levels()
-	if depth != 5 {
-		t.Fatalf("depth = %d, want 5 (including the inverter)", depth)
-	}
-	if levels[f] != 5 {
-		t.Fatalf("level(f) = %d, want 5", levels[f])
-	}
-	if levels[nw.Node("inv")] != 1 {
-		t.Fatalf("level(inv) = %d, want 1", levels[nw.Node("inv")])
-	}
-}
-
 func TestEval(t *testing.T) {
 	nw, _ := buildExample()
 	// f = (x1x2x3 + !x1x4)x5 + x6x7
@@ -237,16 +223,5 @@ func TestFreshName(t *testing.T) {
 	nw.AddInput("a_0")
 	if got := nw.FreshName("a"); got != "a_1" {
 		t.Fatalf("FreshName(a) = %q", got)
-	}
-}
-
-func TestStats(t *testing.T) {
-	nw, _ := buildExample()
-	s := nw.Stats()
-	if s.Gates != 7 || s.Levels != 5 || s.Inputs != 7 || s.Outputs != 1 {
-		t.Fatalf("Stats = %+v", s)
-	}
-	if s.Literals == 0 {
-		t.Fatal("Literals should be nonzero")
 	}
 }

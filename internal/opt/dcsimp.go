@@ -3,7 +3,6 @@ package opt
 import (
 	"tels/internal/logic"
 	"tels/internal/netcore"
-	"tels/internal/network"
 	"tels/internal/truth"
 )
 
@@ -94,16 +93,6 @@ func simplifySDC(nw *netcore.Network) int {
 		nw.RemoveDangling()
 	}
 	return changed
-}
-
-// SimplifyFull runs SimplifyFullCore on a pointer network in place. It
-// stays only until the next benchmark change: perfbench/adapter.go times
-// it.
-func SimplifyFull(nw *network.Network) int {
-	cw := netcore.FromNetwork(nw)
-	n := SimplifyFullCore(cw)
-	*nw = *cw.ToNetwork()
-	return n
 }
 
 // coneSupports returns each net's transitive-fanin primary inputs, or nil

@@ -7,7 +7,6 @@ import (
 	"tels/internal/algebra"
 	"tels/internal/logic"
 	"tels/internal/netcore"
-	"tels/internal/network"
 )
 
 // Extraction tuning knobs. Kernel enumeration is exponential in the worst
@@ -36,15 +35,6 @@ func ExtractCore(nw *netcore.Network) int {
 		extracted += n
 	}
 	return extracted
-}
-
-// Extract runs ExtractCore on a pointer network in place. It stays only
-// until the next benchmark change: perfbench/adapter.go times it.
-func Extract(nw *network.Network) int {
-	cw := netcore.FromNetwork(nw)
-	n := ExtractCore(cw)
-	*nw = *cw.ToNetwork()
-	return n
 }
 
 // divisorCover converts a global-space expression into a cover over an

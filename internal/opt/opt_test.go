@@ -317,12 +317,12 @@ func checkDecomposeLarge(t *testing.T, nw *network.Network, k int) {
 		t.Fatal(err)
 	}
 	out := cw.ToNetwork()
-	for _, n := range out.InternalNodes() {
+	for _, n := range out.Nodes() {
 		if len(n.Fanins) > k {
 			t.Fatalf("k=%d: node %s still has %d fanins", k, n.Name, len(n.Fanins))
 		}
 	}
-	for _, n := range nw.InternalNodes() {
+	for _, n := range nw.Nodes() {
 		if len(n.Fanins) <= k {
 			continue
 		}
@@ -412,8 +412,8 @@ func TestAlgebraicReducesLiterals(t *testing.T) {
 	nw.MarkOutput(y1)
 	nw.MarkOutput(y2)
 	alg := Algebraic(nw)
-	before := nw.Stats().Literals
-	after := alg.Stats().Literals
+	before := netcore.FromNetwork(nw).Stats().Literals
+	after := netcore.FromNetwork(alg).Stats().Literals
 	if after >= before {
 		t.Fatalf("literals %d -> %d, expected reduction", before, after)
 	}

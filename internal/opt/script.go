@@ -6,21 +6,55 @@
 package opt
 
 import (
+	"fmt"
+	"strings"
+
 	"tels/internal/netcore"
-	"tels/internal/network"
 )
 
-// The script pipelines run every pass on the arena-backed netcore
-// representation: the caller's network is cloned (which also normalizes
-// creation order), converted once on the way in and once on the way out.
+// scripts names every optimization script the flow can run before
+// mapping. It is the one list of script names: Run, CheckScript and
+// every caller that takes a name from a user go through it.
+var scripts = []struct {
+	name string
+	run  func(*netcore.Network)
+}{
+	{"algebraic", algebraic},
+	{"boolean", boolean},
+	{"none", func(*netcore.Network) {}},
+}
 
-// Algebraic runs the equivalent of SIS's script.algebraic on a copy of the
-// network: structural cleanup, exact node simplification, a round of
-// low-value elimination to expose larger divisors, greedy algebraic
-// extraction, and a final cleanup. The result is the algebraically-
-// factored multi-level network that threshold synthesis consumes.
-func Algebraic(nw *network.Network) *network.Network {
-	cw := netcore.FromNetwork(nw.Clone())
+// Run runs the named script on a copy of nw (netcore's Clone, which also
+// normalizes creation order) and returns the copy.
+func Run(script string, nw *netcore.Network) (*netcore.Network, error) {
+	for _, s := range scripts {
+		if s.name == script {
+			out := nw.Clone()
+			s.run(out)
+			return out, nil
+		}
+	}
+	return nil, CheckScript(script)
+}
+
+// CheckScript reports an error unless Run knows the script name.
+func CheckScript(script string) error {
+	names := make([]string, len(scripts))
+	for i, s := range scripts {
+		if s.name == script {
+			return nil
+		}
+		names[i] = s.name
+	}
+	return fmt.Errorf("unknown script %q (want %s)", script, strings.Join(names, ", "))
+}
+
+// algebraic is SIS's script.algebraic: structural cleanup, exact node
+// simplification, a round of low-value elimination to expose larger
+// divisors, greedy algebraic extraction, and a final cleanup. The result
+// is the algebraically-factored multi-level network that threshold
+// synthesis consumes.
+func algebraic(cw *netcore.Network) {
 	SweepCore(cw)
 	SimplifyNodesCore(cw)
 	EliminateCore(cw, 0)
@@ -30,19 +64,17 @@ func Algebraic(nw *network.Network) *network.Network {
 	SweepCore(cw)
 	SimplifyNodesCore(cw)
 	SweepCore(cw)
-	return cw.ToNetwork()
 }
 
-// Boolean runs the equivalent of SIS's script.boolean: like Algebraic but
-// with a more aggressive eliminate/simplify schedule, approximating the
-// Boolean (don't-care based) simplification of the original script with
-// repeated exact local minimization. Like the SIS script, it finishes
-// with an eliminate pass that re-forms medium-sized nodes — two-level
+// boolean is SIS's script.boolean: like algebraic but with a more
+// aggressive eliminate/simplify schedule, approximating the Boolean
+// (don't-care based) simplification of the original script with repeated
+// exact local minimization. Like the SIS script, it finishes with an
+// eliminate pass that re-forms medium-sized nodes — two-level
 // minimization works better on them, and it is this final shape that
 // makes the one-to-one baseline sensitive to the fanin restriction
 // (Fig. 10). The paper derives its one-to-one baseline from this script.
-func Boolean(nw *network.Network) *network.Network {
-	cw := netcore.FromNetwork(nw.Clone())
+func boolean(cw *netcore.Network) {
 	SweepCore(cw)
 	SimplifyNodesCore(cw)
 	EliminateCore(cw, 2)
@@ -61,5 +93,4 @@ func Boolean(nw *network.Network) *network.Network {
 	EliminateCore(cw, 25)
 	SimplifyNodesCore(cw)
 	SweepCore(cw)
-	return cw.ToNetwork()
 }

@@ -6,7 +6,7 @@ import (
 	"fmt"
 
 	"tels/internal/core"
-	"tels/internal/network"
+	"tels/internal/netcore"
 	"tels/internal/truth"
 )
 
@@ -84,7 +84,7 @@ type replacement struct {
 
 // deriveReplacement re-derives the gate's weight–threshold vector at the
 // elevated margin don, falling back to re-decomposing the gate's function
-// through core.Synthesize (driven by the per-node δon override path) when
+// through the TELS mapper (driven by the per-node δon override path) when
 // no single-gate vector exists at that margin under the weight bound.
 func deriveReplacement(g *core.Gate, don int, o core.Options, memo Memo) (*replacement, error) {
 	if len(g.Inputs) > truth.MaxVars {
@@ -157,17 +157,16 @@ func synthesizeFragment(tt *truth.Table, don int, o core.Options) (*core.Network
 	// No vector at this margin (weight bound or ILP budget): re-decompose
 	// the cone through the synthesizer, raising only this node's margin
 	// via the per-node override so every emitted part gate carries don.
-	src := network.New("resyn")
-	fanins := make([]*network.Node, tt.N())
+	src := netcore.New("resyn")
+	fanins := make([]netcore.Net, tt.N())
 	for i := range fanins {
 		fanins[i] = src.AddInput(repInput(i))
 	}
-	node := src.AddNode(repOutput, fanins, tt.MinimalSOP())
-	src.MarkOutput(node)
+	src.MarkOutput(src.AddNode(repOutput, fanins, tt.MinimalSOP()))
 
 	so := o
 	so.DeltaOnOverrides = map[string]int{repOutput: don}
-	sub, _, err := core.Synthesize(src, so)
+	sub, _, err := core.Map("tels", src, so)
 	if err != nil {
 		return nil, fmt.Errorf("resyn: re-decomposition at δon=%d: %w", don, err)
 	}

@@ -18,7 +18,7 @@ import (
 
 	"tels/internal/core"
 	"tels/internal/fsim"
-	"tels/internal/network"
+	"tels/internal/netcore"
 )
 
 // Stop reasons reported in Report.Stop.
@@ -143,7 +143,7 @@ type Report struct {
 // Run executes the selective re-synthesis loop on tn against the golden
 // Boolean network. tn is not mutated; the hardened result is
 // Report.Network.
-func Run(ctx context.Context, golden *network.Network, tn *core.Network, cfg Config) (*Report, error) {
+func Run(ctx context.Context, golden *netcore.Network, tn *core.Network, cfg Config) (*Report, error) {
 	if golden == nil || tn == nil {
 		return nil, errors.New("resyn: nil network")
 	}

@@ -8,23 +8,23 @@ import (
 	"tels/internal/core"
 	"tels/internal/fsim"
 	"tels/internal/logic"
-	"tels/internal/network"
+	"tels/internal/netcore"
 )
 
 // aoi builds f = (a AND b) OR (c AND d) as a Boolean network plus its
 // δon=0 threshold implementation, a three-gate circuit with enough
 // structure for blame to move between gates as the loop hardens them.
-func aoi(t *testing.T) (*network.Network, *core.Network) {
+func aoi(t *testing.T) (*netcore.Network, *core.Network) {
 	t.Helper()
-	nw := network.New("aoi")
+	nw := netcore.New("aoi")
 	a, b := nw.AddInput("a"), nw.AddInput("b")
 	c, d := nw.AddInput("c"), nw.AddInput("d")
-	g1 := nw.AddNode("g1", []*network.Node{a, b}, logic.MustCover("11"))
-	g2 := nw.AddNode("g2", []*network.Node{c, d}, logic.MustCover("11"))
-	f := nw.AddNode("f", []*network.Node{g1, g2}, logic.MustCover("1-", "-1"))
+	g1 := nw.AddNode("g1", []netcore.Net{a, b}, logic.MustCover("11"))
+	g2 := nw.AddNode("g2", []netcore.Net{c, d}, logic.MustCover("11"))
+	f := nw.AddNode("f", []netcore.Net{g1, g2}, logic.MustCover("1-", "-1"))
 	nw.MarkOutput(f)
 
-	tn, _, err := core.Synthesize(nw, core.DefaultOptions())
+	tn, _, err := core.Map("tels", nw, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"tels/internal/blif"
@@ -24,11 +23,10 @@ func Digest(req Request) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("service: parse blif: %w", err)
 	}
-	var sb strings.Builder
-	if err := blif.WriteCore(&sb, nc); err != nil {
+	canon, err := blif.WriteCoreString(nc)
+	if err != nil {
 		return "", fmt.Errorf("service: canonicalize blif: %w", err)
 	}
-	canon := sb.String()
 	h := sha256.New()
 	o := req.Options
 	fmt.Fprintf(h, "tels/v1\nscript=%s\nmapper=%s\nverify=%t\n", req.Script, req.Mapper, !req.SkipVerify)

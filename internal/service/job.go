@@ -12,6 +12,7 @@ import (
 
 	"tels/internal/core"
 	"tels/internal/fsim"
+	"tels/internal/opt"
 	"tels/internal/resyn"
 )
 
@@ -312,18 +313,14 @@ func (r *Request) Normalize() error {
 	if r.Script == "" {
 		r.Script = "algebraic"
 	}
-	switch r.Script {
-	case "algebraic", "boolean", "none":
-	default:
-		return fmt.Errorf("service: unknown script %q (want algebraic, boolean, or none)", r.Script)
+	if err := opt.CheckScript(r.Script); err != nil {
+		return fmt.Errorf("service: %w", err)
 	}
 	if r.Mapper == "" {
 		r.Mapper = "tels"
 	}
-	switch r.Mapper {
-	case "tels", "one2one":
-	default:
-		return fmt.Errorf("service: unknown mapper %q (want tels or one2one)", r.Mapper)
+	if err := core.CheckMapper(r.Mapper); err != nil {
+		return fmt.Errorf("service: %w", err)
 	}
 	if r.Options.Fanin == 0 {
 		r.Options.Fanin = core.DefaultOptions().Fanin

@@ -82,7 +82,7 @@ func (m *Manager) resynRunner(j *jobRecord) func(context.Context, Request) (Resu
 		if err != nil {
 			return Result{}, fmt.Errorf("service: resyn baseline: %w", err)
 		}
-		golden, err := blif.ParseString(req.BLIF)
+		golden, err := blif.ParseCoreString(req.BLIF)
 		if err != nil {
 			return Result{}, fmt.Errorf("service: parse blif: %w", err)
 		}

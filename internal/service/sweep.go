@@ -185,7 +185,7 @@ fan:
 // sweepPrefixes synthesizes (or cache-loads) one prefix per distinct δon
 // in grid order and builds the shared yield session for each.
 func (m *Manager) sweepPrefixes(ctx context.Context, j *jobRecord, points []SweepPoint) (map[int]*prefix, error) {
-	golden, err := blif.ParseString(j.req.BLIF)
+	golden, err := blif.ParseCoreString(j.req.BLIF)
 	if err != nil {
 		return nil, fmt.Errorf("service: parse blif: %w", err)
 	}

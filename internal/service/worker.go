@@ -8,7 +8,6 @@ import (
 	"tels/internal/blif"
 	"tels/internal/core"
 	"tels/internal/fsim"
-	"tels/internal/network"
 	"tels/internal/opt"
 	"tels/internal/sim"
 )
@@ -49,7 +48,7 @@ func runBounded(ctx context.Context, req Request) (Result, error) {
 func runPipeline(ctx context.Context, req Request) (Result, error) {
 	var st StageTimes
 	t := time.Now()
-	src, err := blif.ParseString(req.BLIF)
+	src, err := blif.ParseCoreString(req.BLIF)
 	st.Parse = time.Since(t)
 	if err != nil {
 		return Result{}, fmt.Errorf("service: parse: %w", err)
@@ -59,29 +58,17 @@ func runPipeline(ctx context.Context, req Request) (Result, error) {
 	}
 
 	t = time.Now()
-	var optimized *network.Network
-	switch req.Script {
-	case "algebraic":
-		optimized = opt.Algebraic(src)
-	case "boolean":
-		optimized = opt.Boolean(src)
-	default:
-		optimized = src.Clone()
-	}
+	optimized, err := opt.Run(req.Script, src)
 	st.Optimize = time.Since(t)
+	if err != nil {
+		return Result{}, err
+	}
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
 
 	t = time.Now()
-	var tn *core.Network
-	var synthStats core.SynthStats
-	switch req.Mapper {
-	case "one2one":
-		tn, err = core.OneToOne(optimized, req.Options)
-	default:
-		tn, synthStats, err = core.Synthesize(optimized, req.Options)
-	}
+	tn, synthStats, err := core.Map(req.Mapper, optimized, req.Options)
 	st.Synthesize = time.Since(t)
 	if err != nil {
 		return Result{}, err
@@ -93,7 +80,7 @@ func runPipeline(ctx context.Context, req Request) (Result, error) {
 	verified := "skipped"
 	if !req.SkipVerify {
 		t = time.Now()
-		proof, err := sim.Prove(src, tn, 1)
+		proof, err := sim.ProveCore(src, tn, 1)
 		st.Verify = time.Since(t)
 		if err != nil {
 			return Result{}, fmt.Errorf("service: verification failed: %w", err)

@@ -3,24 +3,26 @@ package sim_test
 import (
 	"fmt"
 
+	"tels/internal/blif"
 	"tels/internal/core"
-	"tels/internal/network"
 	"tels/internal/sim"
 )
 
-// ExampleProve synthesizes a small network and proves the threshold
+// ExampleProveCore synthesizes a small network and proves the threshold
 // implementation equivalent with a BDD.
-func ExampleProve() {
-	b := network.NewBuilder("demo")
-	x, y, z := b.Input("x"), b.Input("y"), b.Input("z")
-	b.Output(b.Or("f", b.And("g", x, y), z))
-
-	tn, _, err := core.Synthesize(b.Net, core.DefaultOptions())
+func ExampleProveCore() {
+	src, err := blif.ParseCoreString(".model demo\n.inputs x y z\n.outputs f\n" +
+		".names x y g\n11 1\n.names g z f\n1- 1\n-1 1\n.end\n")
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	res, err := sim.Prove(b.Net, tn, 1)
+	tn, _, err := core.Map("tels", src, core.DefaultOptions())
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	res, err := sim.ProveCore(src, tn, 1)
 	fmt.Println(res, err)
 	// Output: proved <nil>
 }

@@ -10,7 +10,7 @@ import (
 	"tels/internal/fsim"
 	"tels/internal/logic"
 	"tels/internal/mcnc"
-	"tels/internal/network"
+	"tels/internal/netcore"
 	"tels/internal/opt"
 )
 
@@ -25,7 +25,7 @@ func synthPair(t *testing.T, name string, deltaOn int) Pair {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Pair{Name: name, Bool: src, Threshold: tn}
+	return Pair{Name: name, Bool: netcore.FromNetwork(src), Threshold: tn}
 }
 
 // wideOrPair is a 14-input OR and its single 14-input threshold gate
@@ -34,8 +34,8 @@ func synthPair(t *testing.T, name string, deltaOn int) Pair {
 func wideOrPair(t *testing.T) Pair {
 	t.Helper()
 	const n = fsim.ExhaustiveInputs
-	nw := network.New("wideor")
-	fanins := make([]*network.Node, n)
+	nw := netcore.New("wideor")
+	fanins := make([]netcore.Net, n)
 	cubes := make([]string, n)
 	for i := 0; i < n; i++ {
 		fanins[i] = nw.AddInput(fmt.Sprintf("x%d", i))
@@ -61,10 +61,10 @@ func wideOrPair(t *testing.T) Pair {
 
 // inputNames returns the Boolean network's primary-input names in order,
 // the columns of the batch the oracles sweep.
-func inputNames(nw *network.Network) []string {
-	names := make([]string, len(nw.Inputs))
-	for i, in := range nw.Inputs {
-		names[i] = in.Name
+func inputNames(nw *netcore.Network) []string {
+	names := make([]string, len(nw.Inputs()))
+	for i, in := range nw.Inputs() {
+		names[i] = nw.NetName(in)
 	}
 	return names
 }
@@ -77,9 +77,10 @@ func inputNames(nw *network.Network) []string {
 func scalarFails(t *testing.T, pair Pair, batch *fsim.Batch, order []*core.Gate, noise [][]float64) bool {
 	t.Helper()
 	var buf []bool
+	golden := pair.Bool.ToNetwork()
 	for m := 0; m < batch.Len(); m++ {
 		in := batch.Assignment(m)
-		want, err := pair.Bool.EvalOutputs(in)
+		want, err := golden.EvalOutputs(in)
 		if err != nil {
 			t.Fatal(err)
 		}

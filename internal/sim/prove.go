@@ -6,7 +6,7 @@ import (
 
 	"tels/internal/bdd"
 	"tels/internal/core"
-	"tels/internal/network"
+	"tels/internal/netcore"
 )
 
 // ProveResult reports how an equivalence check was discharged.
@@ -25,14 +25,14 @@ func (r ProveResult) String() string {
 	return "simulated"
 }
 
-// Prove establishes functional equivalence of the Boolean network and the
+// ProveCore establishes functional equivalence of the Boolean network and the
 // threshold network. It first attempts an exact proof by compiling both
 // into one BDD manager (shared variable order from a structural DFS) and
 // comparing the output functions for structural identity. Networks whose
 // cones exceed the node budget fall back to Equivalent (exhaustive or
 // sampled simulation). On inequivalence the error carries a concrete
 // counterexample when the proof path found one.
-func Prove(nw *network.Network, tn *core.Network, seed int64) (ProveResult, error) {
+func ProveCore(nw *netcore.Network, tn *core.Network, seed int64) (ProveResult, error) {
 	err := proveBDD(nw, tn)
 	if errors.Is(err, bdd.ErrNodeLimit) {
 		return Simulated, Equivalent(nw, tn, seed)
@@ -43,21 +43,21 @@ func Prove(nw *network.Network, tn *core.Network, seed int64) (ProveResult, erro
 // sameOutputs checks that the threshold network has the Boolean network's
 // outputs, by name and in order. Both checks compare outputs by position,
 // so a renamed port must not pass.
-func sameOutputs(nw *network.Network, tn *core.Network) error {
-	if len(nw.Outputs) != len(tn.Outputs) {
+func sameOutputs(nw *netcore.Network, tn *core.Network) error {
+	if len(nw.Outputs()) != len(tn.Outputs) {
 		return fmt.Errorf("sim: output counts differ: %d vs %d",
-			len(nw.Outputs), len(tn.Outputs))
+			len(nw.Outputs()), len(tn.Outputs))
 	}
-	for i, o := range nw.Outputs {
-		if o.Name != tn.Outputs[i] {
+	for i, o := range nw.Outputs() {
+		if nw.NetName(o) != tn.Outputs[i] {
 			return fmt.Errorf("sim: output %d is %s in the threshold network, want %s",
-				i, tn.Outputs[i], o.Name)
+				i, tn.Outputs[i], nw.NetName(o))
 		}
 	}
 	return nil
 }
 
-func proveBDD(nw *network.Network, tn *core.Network) error {
+func proveBDD(nw *netcore.Network, tn *core.Network) error {
 	if err := sameOutputs(nw, tn); err != nil {
 		return err
 	}
@@ -89,7 +89,7 @@ func proveBDD(nw *network.Network, tn *core.Network) error {
 			cex[levelName[level]] = v
 		}
 		return fmt.Errorf("sim: output %s differs; counterexample %v",
-			nw.Outputs[i].Name, cex)
+			nw.NetName(nw.Outputs()[i]), cex)
 	}
 	return nil
 }

@@ -11,7 +11,7 @@ import (
 
 func TestProveSmall(t *testing.T) {
 	p := buildPair(t, 0)
-	res, err := Prove(p.Bool, p.Threshold, 1)
+	res, err := ProveCore(p.Bool, p.Threshold, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestProveSmall(t *testing.T) {
 func TestProveFindsCounterexample(t *testing.T) {
 	p := buildPair(t, 0)
 	p.Threshold.Gates[0].T += 100
-	_, err := Prove(p.Bool, p.Threshold, 1)
+	_, err := ProveCore(p.Bool, p.Threshold, 1)
 	if err == nil {
 		t.Fatal("corrupted network proved equivalent")
 	}
@@ -104,7 +104,7 @@ func TestProveChecksOutputNames(t *testing.T) {
 	} {
 		p := buildPair(t, 0)
 		tc.edit(p.Threshold)
-		_, proveErr := Prove(p.Bool, p.Threshold, 1)
+		_, proveErr := ProveCore(p.Bool, p.Threshold, 1)
 		for check, err := range map[string]error{"Prove": proveErr, "Equivalent": Equivalent(p.Bool, p.Threshold, 1)} {
 			switch {
 			case tc.wantErr == "" && err != nil:

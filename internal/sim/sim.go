@@ -22,13 +22,13 @@ import (
 
 	"tels/internal/core"
 	"tels/internal/fsim"
-	"tels/internal/network"
+	"tels/internal/netcore"
 )
 
 // Equivalent checks that the threshold network computes the same outputs
 // as the Boolean network on all vectors (or a random sample for wide
 // networks). It returns a descriptive error on the first mismatch.
-func Equivalent(nw *network.Network, tn *core.Network, seed int64) error {
+func Equivalent(nw *netcore.Network, tn *core.Network, seed int64) error {
 	if err := sameOutputs(nw, tn); err != nil {
 		return err
 	}
@@ -117,6 +117,6 @@ func pairFailures(pair Pair, v float64, cfg FailureRateConfig, seed int64) (int,
 // implementation.
 type Pair struct {
 	Name      string
-	Bool      *network.Network
+	Bool      *netcore.Network
 	Threshold *core.Network
 }

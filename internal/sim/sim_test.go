@@ -5,6 +5,7 @@ import (
 
 	"tels/internal/core"
 	"tels/internal/logic"
+	"tels/internal/netcore"
 	"tels/internal/network"
 )
 
@@ -28,7 +29,7 @@ func buildPair(t *testing.T, deltaOn int) Pair {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Pair{Name: "pairnet", Bool: b.Net, Threshold: tn}
+	return Pair{Name: "pairnet", Bool: netcore.FromNetwork(b.Net), Threshold: tn}
 }
 
 func TestEquivalentAccepts(t *testing.T) {
