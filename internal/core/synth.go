@@ -97,6 +97,9 @@ func (o *Options) validate() error {
 	if o.DeltaOn < 0 {
 		return fmt.Errorf("core: negative defect tolerance δon=%d", o.DeltaOn)
 	}
+	if o.MaxWeight < 0 {
+		return fmt.Errorf("core: negative max weight %d (0 means unbounded)", o.MaxWeight)
+	}
 	if o.DeltaOff < 1 {
 		return fmt.Errorf("core: defect tolerance δoff=%d < 1 (OFF rows would meet the ON rows at Σ = T)", o.DeltaOff)
 	}

@@ -356,6 +356,15 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := OneToOne(nw, Options{Fanin: 3}); err == nil {
 		t.Fatal("δoff=0 must be rejected by the one-to-one mapper")
 	}
+	// A negative cap is refused for what it is, not as a cap below δon+δoff.
+	for _, err := range []error{
+		(&Options{Fanin: 3, DeltaOff: 1, MaxWeight: -1}).Validate(),
+		func() error { _, err := OneToOne(nw, Options{Fanin: 3, DeltaOff: 1, MaxWeight: -1}); return err }(),
+	} {
+		if err == nil || err.Error() != "core: negative max weight -1 (0 means unbounded)" {
+			t.Fatalf("MaxWeight -1: got %v", err)
+		}
+	}
 }
 
 func randomNet(rng *rand.Rand, inputs, gates int) *network.Network {

@@ -384,6 +384,7 @@ func TestV1ErrorEnvelope(t *testing.T) {
 		{"fanin 1", http.MethodPost, "/v1/jobs", synthSpec(`"fanin":1`), http.StatusBadRequest, CodeInvalidRequest},
 		{"fanin 40", http.MethodPost, "/v1/jobs", synthSpec(`"fanin":40`), http.StatusBadRequest, CodeInvalidRequest},
 		{"max_weight below margins", http.MethodPost, "/v1/jobs", synthSpec(`"delta_on":2,"max_weight":2`), http.StatusBadRequest, CodeInvalidRequest},
+		{"negative max_weight", http.MethodPost, "/v1/jobs", synthSpec(`"max_weight":-1`), http.StatusBadRequest, CodeInvalidRequest},
 		{"sweep delta_on above max_weight", http.MethodPost, "/v1/jobs", `{"kind":"sweep","spec":{"blif":` + string(mustJSON(testBlif)) + `,"max_weight":2,"sweep":{"vs":[0.8],"delta_ons":[0,3]}}}`, http.StatusBadRequest, CodeInvalidRequest},
 		{"legacy unknown job", http.MethodGet, "/jobs/nope", "", http.StatusNotFound, CodeNotFound},
 	}
