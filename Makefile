@@ -115,7 +115,7 @@ serve:
 	$(GO) run ./cmd/telsd -addr $(ADDR)
 
 # ci is the exact gate GitHub Actions runs.
-ci: build fmtcheck test race benchsmoke sweepsmoke resynsmoke storesmoke clustersmoke apismoke netsmoke paperfigs perfsmoke
+ci: build fmtcheck test race benchsmoke sweepsmoke resynsmoke storesmoke clustersmoke apismoke netsmoke paperfigs examples perfsmoke
 
 cover:
 	$(GO) test -cover ./internal/... ./cmd/...
@@ -139,6 +139,8 @@ fuzz:
 experiments:
 	$(GO) run ./cmd/telsbench all
 
+# examples runs the five example programs; each verifies its own results
+# and exits non-zero on a failure.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/comparator
