@@ -151,6 +151,26 @@ func load(path string) (loaded, error) {
 	return loaded{boolean: nw}, nil
 }
 
+// yieldSpec is the yield analysis the flags ask for.
+func (o options) yieldSpec() service.YieldSpec {
+	return service.YieldSpec{Model: o.model, V: o.v, P: o.p, MaxTrials: o.maxTrials, HalfWidth: o.eps, Seed: o.seed}
+}
+
+// loadPair loads the golden BLIF network and the .tln implementation
+// that cmd compares.
+func loadPair(cmd, golden, impl string) (g, i loaded, err error) {
+	if g, err = load(golden); err != nil {
+		return g, i, err
+	}
+	if i, err = load(impl); err != nil {
+		return g, i, err
+	}
+	if g.boolean == nil || i.threshold == nil {
+		err = fmt.Errorf("%s needs a BLIF golden network and a .tln implementation", cmd)
+	}
+	return g, i, err
+}
+
 func run(cmd string, args []string, o options) error {
 	switch cmd {
 	case "info":
@@ -316,16 +336,9 @@ func bit(v bool) byte {
 }
 
 func compare(golden, impl string, seed int64) error {
-	g, err := load(golden)
+	g, i, err := loadPair("compare", golden, impl)
 	if err != nil {
 		return err
-	}
-	i, err := load(impl)
-	if err != nil {
-		return err
-	}
-	if g.boolean == nil || i.threshold == nil {
-		return fmt.Errorf("compare needs a BLIF golden network and a .tln implementation")
 	}
 	res, err := sim.ProveCore(g.boolean, i.threshold, seed)
 	if err != nil {
@@ -336,16 +349,9 @@ func compare(golden, impl string, seed int64) error {
 }
 
 func perturb(golden, impl string, o options) error {
-	g, err := load(golden)
+	g, i, err := loadPair("perturb", golden, impl)
 	if err != nil {
 		return err
-	}
-	i, err := load(impl)
-	if err != nil {
-		return err
-	}
-	if g.boolean == nil || i.threshold == nil {
-		return fmt.Errorf("perturb needs a BLIF golden network and a .tln implementation")
 	}
 	rate, err := sim.FailureRate(
 		[]sim.Pair{{Name: impl, Bool: g.boolean, Threshold: i.threshold}},
@@ -382,27 +388,17 @@ func faults(impl string, o options) error {
 }
 
 func yield(golden, impl string, o options) error {
-	g, err := load(golden)
+	g, i, err := loadPair("yield", golden, impl)
 	if err != nil {
 		return err
 	}
-	i, err := load(impl)
+	model, err := o.yieldSpec().DefectModel()
 	if err != nil {
 		return err
 	}
-	if g.boolean == nil || i.threshold == nil {
-		return fmt.Errorf("yield needs a BLIF golden network and a .tln implementation")
-	}
-	model, err := service.YieldSpec{Model: o.model, V: o.v, P: o.p}.DefectModel()
-	if err != nil {
-		return err
-	}
-	rep, err := fsim.EstimateYield(g.boolean, i.threshold, model, fsim.YieldConfig{
-		MaxTrials: o.maxTrials,
-		HalfWidth: o.eps,
-		Samples:   o.n,
-		Seed:      o.seed,
-	})
+	cfg := o.yieldSpec().Trials()
+	cfg.Samples = o.n
+	rep, err := fsim.EstimateYield(g.boolean, i.threshold, model, cfg)
 	if err != nil {
 		return err
 	}
@@ -438,15 +434,8 @@ func sweep(golden string, o options) error {
 	}
 	spec := service.SweepJobSpec{
 		SynthSpec: service.SynthSpec{BLIF: string(src), Seed: o.seed},
-		Yield: service.YieldSpec{
-			Model:     o.model,
-			V:         o.v,
-			P:         o.p,
-			MaxTrials: o.maxTrials,
-			HalfWidth: o.eps,
-			Seed:      o.seed,
-		},
-		Sweep: service.SweepSpec{Vs: vs, DeltaOns: dons, Models: models, MaxInFlight: o.inflight},
+		Yield:     o.yieldSpec(),
+		Sweep:     service.SweepSpec{Vs: vs, DeltaOns: dons, Models: models, MaxInFlight: o.inflight},
 	}
 	progress := func(j service.Job) {
 		if o.quiet || j.Progress == nil {
@@ -587,14 +576,7 @@ func resynCmd(golden string, o options) error {
 	don := o.don
 	spec := service.ResynJobSpec{
 		SynthSpec: service.SynthSpec{BLIF: string(src), Seed: o.seed, DeltaOn: &don},
-		Yield: service.YieldSpec{
-			Model:     o.model,
-			V:         o.v,
-			P:         o.p,
-			MaxTrials: o.maxTrials,
-			HalfWidth: o.eps,
-			Seed:      o.seed,
-		},
+		Yield:     o.yieldSpec(),
 		Resyn: service.ResynSpec{
 			TopK:        o.topk,
 			DeltaStep:   o.dstep,

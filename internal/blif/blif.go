@@ -18,6 +18,7 @@ import (
 
 	"tels/internal/logic"
 	"tels/internal/netcore"
+	"tels/internal/network"
 )
 
 // ParseCore reads one .model from r and builds the netcore network, each
@@ -301,4 +302,22 @@ func WriteCoreString(nw *netcore.Network) (string, error) {
 		return "", err
 	}
 	return sb.String(), nil
+}
+
+// ParseString and WriteString are pointer-network bridges over the
+// arena parser and writer, kept for perfbench/adapter.go until the next
+// benchmark change.
+
+// ParseString is ParseCoreString converted to a pointer network.
+func ParseString(s string) (*network.Network, error) {
+	nc, err := ParseCoreString(s)
+	if err != nil {
+		return nil, err
+	}
+	return nc.ToNetwork(), nil
+}
+
+// WriteString is WriteCoreString on a pointer network.
+func WriteString(nw *network.Network) (string, error) {
+	return WriteCoreString(netcore.FromNetwork(nw))
 }

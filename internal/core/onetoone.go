@@ -14,12 +14,6 @@ import (
 // is replaced by one threshold gate whose weights come from the same ILP
 // used by the synthesizer.
 func oneToOne(src *netcore.Network, o Options) (*Network, SynthStats, error) {
-	if err := o.validate(); err != nil {
-		return nil, SynthStats{}, err
-	}
-	if err := src.Validate(); err != nil {
-		return nil, SynthStats{}, err
-	}
 	dec := opt.TechDecomp(src, o.Fanin)
 	out := NewNetwork(src.Name)
 	for _, in := range dec.Inputs() {

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"tels/internal/netcore"
+	"tels/internal/network"
 	"tels/internal/opt"
 	"tels/internal/truth"
 )
@@ -81,12 +82,9 @@ func DefaultOptions() Options {
 	return Options{Fanin: 3, DeltaOn: 0, DeltaOff: 1}
 }
 
-// Validate reports whether the options are self-consistent; Synthesize
-// and OneToOne run the same check, this export is for callers (e.g. the
-// re-synthesis loop) that use the knobs without going through them.
-func (o *Options) Validate() error { return o.validate() }
-
-func (o *Options) validate() error {
+// Validate reports whether the options are self-consistent. Map runs it
+// first; the re-synthesis loop and telsd's request check call it too.
+func (o *Options) Validate() error {
 	if o.Fanin < 2 {
 		return fmt.Errorf("core: fanin restriction %d < 2", o.Fanin)
 	}
@@ -142,10 +140,9 @@ type SynthStats struct {
 // small even when the input network has wide nodes.
 const maxSupport = 12
 
-// mappers names every mapping from a Boolean network to a threshold
-// network: "tels" is the paper's synthesis (Fig. 3) and "one2one" its
-// §VI-A baseline. It is the one list of mapper names: Map, CheckMapper
-// and every caller that takes a name from a user go through it.
+// mappers is the one table of mappers, by name: "tels" is the paper's
+// synthesis (Fig. 3), "one2one" its §VI-A baseline. Map and CheckMapper
+// read it.
 var mappers = []struct {
 	name string
 	run  func(*netcore.Network, Options) (*Network, SynthStats, error)
@@ -155,12 +152,20 @@ var mappers = []struct {
 }
 
 // Map maps the Boolean network to a threshold network with the named
-// mapper. nw is not modified. Only "tels" reports SynthStats.
+// mapper, after checking the options and the network. nw is not
+// modified. Only "tels" reports SynthStats.
 func Map(mapper string, nw *netcore.Network, o Options) (*Network, SynthStats, error) {
 	for _, m := range mappers {
-		if m.name == mapper {
-			return m.run(nw, o)
+		if m.name != mapper {
+			continue
 		}
+		if err := o.Validate(); err != nil {
+			return nil, SynthStats{}, err
+		}
+		if err := nw.Validate(); err != nil {
+			return nil, SynthStats{}, err
+		}
+		return m.run(nw, o)
 	}
 	return nil, SynthStats{}, CheckMapper(mapper)
 }
@@ -177,6 +182,20 @@ func CheckMapper(mapper string) error {
 	return fmt.Errorf("unknown mapper %q (want %s)", mapper, strings.Join(names, ", "))
 }
 
+// Synthesize and OneToOne are pointer-network bridges over Map, kept for
+// perfbench/adapter.go until the next benchmark change.
+
+// Synthesize maps a pointer network with "tels".
+func Synthesize(src *network.Network, o Options) (*Network, SynthStats, error) {
+	return Map("tels", netcore.FromNetwork(src), o)
+}
+
+// OneToOne maps a pointer network with "one2one".
+func OneToOne(src *network.Network, o Options) (*Network, error) {
+	tn, _, err := Map("one2one", netcore.FromNetwork(src), o)
+	return tn, err
+}
+
 // synthesize converts the Boolean network into a functionally equivalent
 // threshold network per the paper's methodology (Fig. 3): every primary
 // output is collapsed, checked, and recursively split until all nodes are
@@ -186,12 +205,6 @@ func CheckMapper(mapper string) error {
 // reads (local functions, fanins, fanout counts) run against the slab,
 // and the word-parallel NetLocalTT replaces the per-node cone walk.
 func synthesize(src *netcore.Network, o Options) (*Network, SynthStats, error) {
-	if err := o.validate(); err != nil {
-		return nil, SynthStats{}, err
-	}
-	if err := src.Validate(); err != nil {
-		return nil, SynthStats{}, err
-	}
 	cw := src.Clone()
 	// Nets wider than the truth-table engine are structurally split
 	// first; the algorithm itself enforces ψ on the result.

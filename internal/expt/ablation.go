@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"tels/internal/core"
-	"tels/internal/sim"
 )
 
 // AblationRow measures how much of TELS's quality comes from each design
@@ -18,39 +17,20 @@ type AblationRow struct {
 	Neither    core.Stats // both disabled
 }
 
-// Ablation synthesizes each benchmark four ways, verifying every variant
-// by simulation.
+// Ablation synthesizes each benchmark four ways, proving every variant
+// against its source.
 func Ablation(names []string, base core.Options) ([]AblationRow, error) {
-	variants := []struct {
-		set func(*core.Options)
-		get func(*AblationRow) *core.Stats
-	}{
-		{func(o *core.Options) {}, func(r *AblationRow) *core.Stats { return &r.Full }},
-		{func(o *core.Options) { o.NoCollapse = true }, func(r *AblationRow) *core.Stats { return &r.NoCollapse }},
-		{func(o *core.Options) { o.NoTheorem2 = true }, func(r *AblationRow) *core.Stats { return &r.NoTheorem2 }},
-		{func(o *core.Options) { o.NoCollapse = true; o.NoTheorem2 = true },
-			func(r *AblationRow) *core.Stats { return &r.Neither }},
-	}
 	rows := make([]AblationRow, 0, len(names))
 	for _, name := range names {
-		src, alg, err := scripted(name, "algebraic")
+		// Variant bit 0 disables collapsing, bit 1 the Theorem-2 merge.
+		s, err := synthVariants(name, base, 4, func(i int, o *core.Options) {
+			o.NoCollapse = o.NoCollapse || i&1 != 0
+			o.NoTheorem2 = o.NoTheorem2 || i&2 != 0
+		})
 		if err != nil {
 			return nil, err
 		}
-		row := AblationRow{Name: name}
-		for _, v := range variants {
-			o := base
-			v.set(&o)
-			tn, _, err := core.Map("tels", alg, o)
-			if err != nil {
-				return nil, fmt.Errorf("expt: %s ablation: %w", name, err)
-			}
-			if err := sim.Equivalent(src, tn, 1); err != nil {
-				return nil, fmt.Errorf("expt: %s ablation variant failed simulation: %w", name, err)
-			}
-			*v.get(&row) = tn.Stats()
-		}
-		rows = append(rows, row)
+		rows = append(rows, AblationRow{Name: name, Full: s[0], NoCollapse: s[1], NoTheorem2: s[2], Neither: s[3]})
 	}
 	return rows, nil
 }

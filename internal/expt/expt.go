@@ -19,12 +19,11 @@ import (
 // Flow bundles the two synthesis pipelines of §VI-A for one benchmark:
 // script.boolean → one-to-one mapping, and script.algebraic → TELS.
 type Flow struct {
-	Name      string
-	Source    *netcore.Network
-	Algebraic *netcore.Network
-	OneToOne  *core.Network
-	TELS      *core.Network
-	Stats     core.SynthStats
+	Name     string
+	Source   *netcore.Network
+	OneToOne *core.Network
+	TELS     *core.Network
+	Stats    core.SynthStats
 	// FactorTime (the algebraic script) and SynthTime (the TELS mapper)
 	// split the TELS flow per §VI-A's timing claim.
 	FactorTime time.Duration
@@ -61,7 +60,6 @@ func RunFlow(name string, o core.Options) (*Flow, error) {
 	return &Flow{
 		Name:       name,
 		Source:     src,
-		Algebraic:  algNet,
 		OneToOne:   oneToOne,
 		TELS:       tels,
 		Stats:      stats,
@@ -323,4 +321,28 @@ func scripted(name, script string) (src, optimized *netcore.Network, err error) 
 	src = netcore.FromNetwork(bm.Build())
 	optimized, err = opt.Run(script, src)
 	return src, optimized, err
+}
+
+// synthVariants maps the named benchmark's algebraic network with TELS
+// once per variant of base (edit sets variant i), proves every result
+// against the source, and returns their statistics in variant order.
+func synthVariants(name string, base core.Options, n int, edit func(i int, o *core.Options)) ([]core.Stats, error) {
+	src, alg, err := scripted(name, "algebraic")
+	if err != nil {
+		return nil, err
+	}
+	stats := make([]core.Stats, n)
+	for i := range stats {
+		o := base
+		edit(i, &o)
+		tn, _, err := core.Map("tels", alg, o)
+		if err == nil {
+			_, err = sim.ProveCore(src, tn, 1)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("expt: %s (variant %d): %w", name, i, err)
+		}
+		stats[i] = tn.Stats()
+	}
+	return stats, nil
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"tels/internal/core"
-	"tels/internal/sim"
 )
 
 // HeuristicRow compares the splitting strategies (§VII conjectures better
@@ -20,33 +19,14 @@ type HeuristicRow struct {
 // Heuristics synthesizes each benchmark under every splitting strategy,
 // verifying all results.
 func Heuristics(names []string, base core.Options) ([]HeuristicRow, error) {
+	strategies := []core.SplitStrategy{core.SplitFrequency, core.SplitBalanced, core.SplitRandom}
 	rows := make([]HeuristicRow, 0, len(names))
 	for _, name := range names {
-		src, alg, err := scripted(name, "algebraic")
+		s, err := synthVariants(name, base, len(strategies), func(i int, o *core.Options) { o.Split = strategies[i] })
 		if err != nil {
 			return nil, err
 		}
-		row := HeuristicRow{Name: name}
-		for _, strat := range []core.SplitStrategy{core.SplitFrequency, core.SplitBalanced, core.SplitRandom} {
-			o := base
-			o.Split = strat
-			tn, _, err := core.Map("tels", alg, o)
-			if err != nil {
-				return nil, fmt.Errorf("expt: %s (%s split): %w", name, strat, err)
-			}
-			if _, err := sim.ProveCore(src, tn, 1); err != nil {
-				return nil, fmt.Errorf("expt: %s (%s split) failed verification: %w", name, strat, err)
-			}
-			switch strat {
-			case core.SplitFrequency:
-				row.Frequency = tn.Stats()
-			case core.SplitBalanced:
-				row.Balanced = tn.Stats()
-			case core.SplitRandom:
-				row.Random = tn.Stats()
-			}
-		}
-		rows = append(rows, row)
+		rows = append(rows, HeuristicRow{Name: name, Frequency: s[0], Balanced: s[1], Random: s[2]})
 	}
 	return rows, nil
 }

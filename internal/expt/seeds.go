@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"tels/internal/core"
-	"tels/internal/sim"
 )
 
 // SeedStats summarizes how the §V-C random tie-break affects result
@@ -26,30 +25,16 @@ type SeedStats struct {
 // verified. A small spread means the heuristic is robust to its random
 // component.
 func SeedSweep(name string, n int, base core.Options) (SeedStats, error) {
-	src, alg, err := scripted(name, "algebraic")
+	results, err := synthVariants(name, base, n, func(i int, o *core.Options) { o.Seed = int64(i) })
 	if err != nil {
 		return SeedStats{}, err
 	}
 	gates := make([]int, 0, n)
 	stats := SeedStats{Name: name, Seeds: n, MinLvl: 1 << 30}
-	for seed := 0; seed < n; seed++ {
-		o := base
-		o.Seed = int64(seed)
-		tn, _, err := core.Map("tels", alg, o)
-		if err != nil {
-			return SeedStats{}, fmt.Errorf("expt: %s (seed %d): %w", name, seed, err)
-		}
-		if _, err := sim.ProveCore(src, tn, 1); err != nil {
-			return SeedStats{}, fmt.Errorf("expt: %s (seed %d) failed verification: %w", name, seed, err)
-		}
-		s := tn.Stats()
+	for _, s := range results {
 		gates = append(gates, s.Gates)
-		if s.Levels < stats.MinLvl {
-			stats.MinLvl = s.Levels
-		}
-		if s.Levels > stats.MaxLvl {
-			stats.MaxLvl = s.Levels
-		}
+		stats.MinLvl = min(stats.MinLvl, s.Levels)
+		stats.MaxLvl = max(stats.MaxLvl, s.Levels)
 	}
 	sort.Ints(gates)
 	stats.MinG = gates[0]

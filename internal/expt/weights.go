@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"tels/internal/core"
-	"tels/internal/sim"
 )
 
 // WeightPoint is one sample of the weight-bound sweep: how the gate count
@@ -21,23 +20,13 @@ type WeightPoint struct {
 // weight bounds (RTD peak-current ratios), verifying each result. Bounds
 // of 0 mean unbounded.
 func WeightSweep(name string, bounds []int, base core.Options) ([]WeightPoint, error) {
-	src, alg, err := scripted(name, "algebraic")
+	results, err := synthVariants(name, base, len(bounds), func(i int, o *core.Options) { o.MaxWeight = bounds[i] })
 	if err != nil {
 		return nil, err
 	}
-	out := make([]WeightPoint, 0, len(bounds))
-	for _, w := range bounds {
-		o := base
-		o.MaxWeight = w
-		tn, _, err := core.Map("tels", alg, o)
-		if err != nil {
-			return nil, fmt.Errorf("expt: %s (maxw=%d): %w", name, w, err)
-		}
-		if _, err := sim.ProveCore(src, tn, 1); err != nil {
-			return nil, fmt.Errorf("expt: %s (maxw=%d) failed verification: %w", name, w, err)
-		}
-		s := tn.Stats()
-		out = append(out, WeightPoint{MaxWeight: w, Gates: s.Gates, Levels: s.Levels, Area: s.Area})
+	out := make([]WeightPoint, len(bounds))
+	for i, s := range results {
+		out[i] = WeightPoint{MaxWeight: bounds[i], Gates: s.Gates, Levels: s.Levels, Area: s.Area}
 	}
 	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"tels/internal/netcore"
 	"tels/internal/network"
 )
 
@@ -24,7 +25,7 @@ func TestRegistryComplete(t *testing.T) {
 func TestAllBenchmarksValidate(t *testing.T) {
 	for _, bm := range All() {
 		nw := bm.Build()
-		if err := nw.Validate(); err != nil {
+		if err := netcore.FromNetwork(nw).Validate(); err != nil {
 			t.Errorf("%s: %v", bm.Name, err)
 		}
 		if nw.Name != bm.Name {

@@ -167,24 +167,17 @@ func (nw *Network) newFuncNet(name string) Net {
 // cover, as written, onto the slabs and counts one reference per fanin
 // position.
 func (nw *Network) bindFunction(n Net, fanins []Net, cover logic.Cover) {
-	nw.bindFanins(n, fanins)
-	r := &nw.nets[n]
-	r.coverOff = int32(len(nw.phases))
-	r.nCubes = int32(len(cover.Cubes))
-	for _, c := range cover.Cubes {
-		nw.phases = append(nw.phases, c...)
-	}
-}
-
-// bindFanins copies net n's fanin list onto the slab and counts one
-// reference per position.
-func (nw *Network) bindFanins(n Net, fanins []Net) {
 	r := &nw.nets[n]
 	r.faninOff = int32(len(nw.netFan))
 	r.nFanin = int32(len(fanins))
 	nw.netFan = append(nw.netFan, fanins...)
 	for _, f := range fanins {
 		nw.nets[f].refs++
+	}
+	r.coverOff = int32(len(nw.phases))
+	r.nCubes = int32(len(cover.Cubes))
+	for _, c := range cover.Cubes {
+		nw.phases = append(nw.phases, c...)
 	}
 }
 
@@ -405,14 +398,7 @@ func (nw *Network) Clone() *Network {
 		for _, f := range nw.NetFanins(n) {
 			fanins = append(fanins, mapping[f])
 		}
-		m := out.newFuncNet(nw.nets[n].name)
-		out.bindFanins(m, fanins)
-		phases, nCubes, _ := nw.NetCubes(n)
-		r := &out.nets[m]
-		r.coverOff = int32(len(out.phases))
-		r.nCubes = int32(nCubes)
-		out.phases = append(out.phases, phases...)
-		mapping[n] = m
+		mapping[n] = out.AddNode(nw.nets[n].name, fanins, nw.NetCover(n))
 	}
 	for _, o := range nw.outputs {
 		out.MarkOutput(mapping[o])
@@ -458,12 +444,7 @@ func (nw *Network) Stats() Stats {
 	_, depth := nw.Levels()
 	lits := 0
 	for _, n := range nw.InternalNets() {
-		phases, _, _ := nw.NetCubes(n)
-		for _, p := range phases {
-			if p != logic.DC {
-				lits++
-			}
-		}
+		lits += nw.NetCover(n).LiteralCount()
 	}
 	return Stats{
 		Inputs:   len(nw.inputs),

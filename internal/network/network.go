@@ -175,29 +175,6 @@ func (nw *Network) TopoSort() ([]*Node, error) {
 	return out, nil
 }
 
-// Validate checks structural sanity: acyclicity, fanins present in the
-// network, cover arity, and that outputs exist.
-func (nw *Network) Validate() error {
-	if _, err := nw.TopoSort(); err != nil {
-		return err
-	}
-	for _, n := range nw.order {
-		if n.Kind == Internal && n.Cover.N != len(n.Fanins) {
-			return fmt.Errorf("network %s: node %s cover arity %d != fanin count %d",
-				nw.Name, n.Name, n.Cover.N, len(n.Fanins))
-		}
-		for _, f := range n.Fanins {
-			if nw.nodes[f.Name] != f {
-				return fmt.Errorf("network %s: node %s has foreign fanin %s", nw.Name, n.Name, f.Name)
-			}
-		}
-	}
-	if len(nw.Outputs) == 0 {
-		return fmt.Errorf("network %s: no primary outputs", nw.Name)
-	}
-	return nil
-}
-
 // FanoutCounts returns, for every node, how many internal nodes reference
 // it as a fanin (multiple references from one node count once per position)
 // plus one per primary-output marking.

@@ -34,7 +34,7 @@ func namef(p string, i int) string {
 
 func TestBuildAndValidate(t *testing.T) {
 	nw, _ := buildExample()
-	if err := nw.Validate(); err != nil {
+	if _, err := nw.TopoSort(); err != nil {
 		t.Fatal(err)
 	}
 	if got := nw.GateCount(); got != 7 {
@@ -128,7 +128,7 @@ func TestLocalFunction(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	nw, _ := buildExample()
 	cp := nw.Clone()
-	if err := cp.Validate(); err != nil {
+	if _, err := cp.TopoSort(); err != nil {
 		t.Fatal(err)
 	}
 	if cp.GateCount() != nw.GateCount() || len(cp.Inputs) != len(nw.Inputs) {

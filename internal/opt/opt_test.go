@@ -218,7 +218,7 @@ func TestExtractPreservesFunction(t *testing.T) {
 		nw := randomNetwork(rng, 6, 8)
 		out, _ := runCore(nw, ExtractCore)
 		equivalentOnAll(t, nw, out)
-		if err := out.Validate(); err != nil {
+		if err := netcore.FromNetwork(out).Validate(); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
 	}
@@ -377,12 +377,12 @@ func TestScriptsPreserveFunction(t *testing.T) {
 	nw := fig2a()
 	alg := Algebraic(nw)
 	equivalentOnAll(t, nw, alg)
-	if err := alg.Validate(); err != nil {
+	if err := netcore.FromNetwork(alg).Validate(); err != nil {
 		t.Fatal(err)
 	}
 	boo := Boolean(nw)
 	equivalentOnAll(t, nw, boo)
-	if err := boo.Validate(); err != nil {
+	if err := netcore.FromNetwork(boo).Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -504,7 +504,7 @@ func TestResubPreservesFunction(t *testing.T) {
 		ref := nw.Clone()
 		out, _ := runCore(nw, ResubCore)
 		equivalentOnAll(t, ref, out)
-		if err := out.Validate(); err != nil {
+		if err := netcore.FromNetwork(out).Validate(); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
 	}
@@ -523,7 +523,7 @@ func TestResubNoCycles(t *testing.T) {
 	nw.MarkOutput(n2)
 	nw.MarkOutput(n3)
 	out, _ := runCore(nw, ResubCore)
-	if err := out.Validate(); err != nil {
+	if err := netcore.FromNetwork(out).Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -600,7 +600,7 @@ func TestSimplifyDCPreservesNetworkFunction(t *testing.T) {
 		nw := randomNetwork(rng, 6, 10)
 		out, _ := runCore(nw, simplifySDC)
 		equivalentOnAll(t, nw, out)
-		if err := out.Validate(); err != nil {
+		if err := netcore.FromNetwork(out).Validate(); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
 	}
@@ -640,7 +640,7 @@ func TestSimplifyFullPreservesFunction(t *testing.T) {
 		nw := randomNetwork(rng, 6, 9)
 		out, _ := runCore(nw, SimplifyFullCore)
 		equivalentOnAll(t, nw, out)
-		if err := out.Validate(); err != nil {
+		if err := netcore.FromNetwork(out).Validate(); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
 	}

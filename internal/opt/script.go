@@ -10,11 +10,11 @@ import (
 	"strings"
 
 	"tels/internal/netcore"
+	"tels/internal/network"
 )
 
-// scripts names every optimization script the flow can run before
-// mapping. It is the one list of script names: Run, CheckScript and
-// every caller that takes a name from a user go through it.
+// scripts is the one table of optimization scripts, by name; Run and
+// CheckScript read it.
 var scripts = []struct {
 	name string
 	run  func(*netcore.Network)
@@ -93,4 +93,34 @@ func boolean(cw *netcore.Network) {
 	EliminateCore(cw, 25)
 	SimplifyNodesCore(cw)
 	SweepCore(cw)
+}
+
+// Algebraic, Boolean, Extract and SimplifyFull are pointer-network
+// bridges over the arena scripts and passes, kept for
+// perfbench/adapter.go until the next benchmark change.
+
+// Algebraic runs script.algebraic on a pointer network.
+func Algebraic(nw *network.Network) *network.Network { return runPointer("algebraic", nw) }
+
+// Boolean runs script.boolean on a pointer network.
+func Boolean(nw *network.Network) *network.Network { return runPointer("boolean", nw) }
+
+// runPointer runs a known script on a pointer network.
+func runPointer(script string, nw *network.Network) *network.Network {
+	out, _ := Run(script, netcore.FromNetwork(nw))
+	return out.ToNetwork()
+}
+
+// Extract runs ExtractCore on a pointer network in place.
+func Extract(nw *network.Network) int { return inPlace(nw, ExtractCore) }
+
+// SimplifyFull runs SimplifyFullCore on a pointer network in place.
+func SimplifyFull(nw *network.Network) int { return inPlace(nw, SimplifyFullCore) }
+
+// inPlace runs an arena pass on a copy of nw and writes the result back.
+func inPlace(nw *network.Network, pass func(*netcore.Network) int) int {
+	cw := netcore.FromNetwork(nw)
+	n := pass(cw)
+	*nw = *cw.ToNetwork()
+	return n
 }

@@ -75,6 +75,11 @@ type YieldSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 }
 
+// Trials is the spec's Monte-Carlo budget as an fsim configuration.
+func (y YieldSpec) Trials() fsim.YieldConfig {
+	return fsim.YieldConfig{MaxTrials: y.MaxTrials, HalfWidth: y.HalfWidth, Seed: y.Seed}
+}
+
 // DefectModel instantiates the configured fsim model. It refuses a
 // negative V and a P outside [0, 1], whichever model is named.
 func (y YieldSpec) DefectModel() (fsim.DefectModel, error) {

@@ -7,7 +7,6 @@ import (
 
 	"tels/internal/blif"
 	"tels/internal/core"
-	"tels/internal/fsim"
 	"tels/internal/resyn"
 )
 
@@ -96,12 +95,8 @@ func (m *Manager) resynRunner(j *jobRecord) func(context.Context, Request) (Resu
 		}
 
 		cfg := resyn.Config{
-			Model: model,
-			Yield: fsim.YieldConfig{
-				MaxTrials: req.Yield.MaxTrials,
-				HalfWidth: req.Yield.HalfWidth,
-				Seed:      req.Yield.Seed,
-			},
+			Model:       model,
+			Yield:       req.Yield.Trials(),
 			Synth:       req.Options,
 			TopK:        req.Resyn.TopK,
 			DeltaStep:   req.Resyn.DeltaStep,

@@ -242,11 +242,7 @@ func (m *Manager) pointRunner(px *prefix, index int) func(context.Context, Reque
 			return Result{}, err
 		}
 		t := time.Now()
-		rep, err := px.sess.Estimate(model, fsim.YieldConfig{
-			MaxTrials: req.Yield.MaxTrials,
-			HalfWidth: req.Yield.HalfWidth,
-			Seed:      req.Yield.Seed,
-		})
+		rep, err := px.sess.Estimate(model, req.Yield.Trials())
 		if err != nil {
 			return Result{}, fmt.Errorf("service: yield analysis: %w", err)
 		}

@@ -98,11 +98,7 @@ func runPipeline(ctx context.Context, req Request) (Result, error) {
 			return Result{}, err
 		}
 		t = time.Now()
-		yield, err = fsim.EstimateYield(src, tn, model, fsim.YieldConfig{
-			MaxTrials: req.Yield.MaxTrials,
-			HalfWidth: req.Yield.HalfWidth,
-			Seed:      req.Yield.Seed,
-		})
+		yield, err = fsim.EstimateYield(src, tn, model, req.Yield.Trials())
 		st.Analyze = time.Since(t)
 		if err != nil {
 			return Result{}, fmt.Errorf("service: yield analysis: %w", err)

@@ -7,6 +7,7 @@ import (
 	"tels/internal/bdd"
 	"tels/internal/core"
 	"tels/internal/netcore"
+	"tels/internal/network"
 )
 
 // ProveResult reports how an equivalence check was discharged.
@@ -25,19 +26,25 @@ func (r ProveResult) String() string {
 	return "simulated"
 }
 
-// ProveCore establishes functional equivalence of the Boolean network and the
-// threshold network. It first attempts an exact proof by compiling both
-// into one BDD manager (shared variable order from a structural DFS) and
-// comparing the output functions for structural identity. Networks whose
-// cones exceed the node budget fall back to Equivalent (exhaustive or
-// sampled simulation). On inequivalence the error carries a concrete
-// counterexample when the proof path found one.
+// ProveCore establishes functional equivalence of the Boolean network
+// and the threshold network. It first attempts an exact proof by
+// compiling both into one BDD manager (shared variable order from a
+// structural DFS) and comparing the output functions for structural
+// identity. Networks whose cones exceed the node budget fall back to
+// Equivalent (exhaustive or sampled simulation). On inequivalence the
+// error carries a concrete counterexample when the proof path found one.
 func ProveCore(nw *netcore.Network, tn *core.Network, seed int64) (ProveResult, error) {
 	err := proveBDD(nw, tn)
 	if errors.Is(err, bdd.ErrNodeLimit) {
 		return Simulated, Equivalent(nw, tn, seed)
 	}
 	return Proved, err
+}
+
+// Prove is ProveCore on a pointer network, a bridge kept for
+// perfbench/adapter.go until the next benchmark change.
+func Prove(nw *network.Network, tn *core.Network, seed int64) (ProveResult, error) {
+	return ProveCore(netcore.FromNetwork(nw), tn, seed)
 }
 
 // sameOutputs checks that the threshold network has the Boolean network's

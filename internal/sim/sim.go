@@ -4,15 +4,18 @@
 // simulated with disturbed weights w' = w + v·U(−0.5, 0.5) and counted as
 // failed if any input vector produces a wrong output.
 //
-// Both checks are one golden comparison, fsim.YieldSession: Equivalent
-// is its clean check (VerifyClean) and FailureRate runs its Monte-Carlo
-// trial loop (Estimate) under the §VI-C weight variation. The session
-// packs the vectors fsim.Vectors picks (all of them up to
-// fsim.ExhaustiveInputs inputs, a random sample beyond), evaluates the
-// golden outputs once and sweeps them 64 vectors per machine word, for
-// threshold gates of any fanin. The map-based reference evaluators
-// (network.Network.EvalOutputs, core.Gate.EvalPerturbed) are the test
-// oracle this package's tests pin those results to.
+// The source is the netcore network the flow parsed or built. ProveCore
+// proves equivalence with BDDs and falls back to Equivalent when the
+// cones outgrow the node budget. Equivalent and FailureRate are one
+// golden comparison, fsim.YieldSession: Equivalent is its clean check
+// (VerifyClean) and FailureRate runs its Monte-Carlo trial loop
+// (Estimate) under the §VI-C weight variation. The session packs the
+// vectors fsim.Vectors picks (all of them up to fsim.ExhaustiveInputs
+// inputs, a random sample beyond), evaluates the golden outputs once and
+// sweeps them 64 vectors per machine word, for threshold gates of any
+// fanin. The map-based reference evaluators (network.Network.EvalOutputs,
+// core.Gate.EvalPerturbed) are the test oracle this package's tests pin
+// those results to.
 package sim
 
 import (
