@@ -107,7 +107,7 @@ func Boolean(nw *network.Network) *network.Network { return runPointer("boolean"
 
 // runPointer runs a known script on a pointer network.
 func runPointer(script string, nw *network.Network) *network.Network {
-	out, _ := Run(script, netcore.FromNetwork(nw))
+	out, _ := Run(script, netcore.FromNetwork(nw)) // fails only on an unknown name
 	return out.ToNetwork()
 }
 
