@@ -282,6 +282,9 @@ func info(path string) error {
 
 // simulate prints n random vectors and the network's outputs on them.
 func simulate(path string, n int, seed int64) error {
+	if n < 0 {
+		return fmt.Errorf("run needs -n ≥ 0, got %d", n)
+	}
 	l, err := load(path)
 	if err != nil {
 		return err

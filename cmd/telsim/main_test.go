@@ -64,6 +64,11 @@ func TestRunCommand(t *testing.T) {
 	if err := run("run", []string{write(t, "t.blif", testBlif)}, opts()); err != nil {
 		t.Fatal(err)
 	}
+	o := opts()
+	o.n = -1
+	if err := run("run", []string{write(t, "t.blif", testBlif)}, o); err == nil {
+		t.Fatal("run accepted -n -1")
+	}
 }
 
 func TestCompareCommand(t *testing.T) {
