@@ -120,7 +120,6 @@ func SimplifyFull(nw *network.Network) int { return inPlace(nw, SimplifyFullCore
 // inPlace runs an arena pass on a copy of nw and writes the result back.
 func inPlace(nw *network.Network, pass func(*netcore.Network) int) int {
 	cw := netcore.FromNetwork(nw)
-	n := pass(cw)
-	*nw = *cw.ToNetwork()
-	return n
+	defer func() { *nw = *cw.ToNetwork() }()
+	return pass(cw)
 }
