@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
 // MergeDuplicates structurally hashes the network's gates and merges
 // those with identical inputs, weights and threshold, rewiring fanouts to
@@ -24,11 +21,12 @@ func (tn *Network) MergeDuplicates() int {
 		}
 		replace := make(map[string]string)
 		seen := make(map[string]*Gate)
+		var key []byte
 		for _, g := range order {
-			key := gateKey(g)
-			prev, ok := seen[key]
+			key = appendGateKey(key[:0], g)
+			prev, ok := seen[string(key)]
 			if !ok {
-				seen[key] = g
+				seen[string(key)] = g
 				continue
 			}
 			// Prefer keeping a gate whose name is a primary output; if
@@ -36,7 +34,7 @@ func (tn *Network) MergeDuplicates() int {
 			victim, keeper := g, prev
 			if outputs[g.Name] && !outputs[prev.Name] {
 				victim, keeper = prev, g
-				seen[key] = g
+				seen[string(key)] = g
 			}
 			if outputs[victim.Name] {
 				continue
@@ -66,13 +64,14 @@ func (tn *Network) MergeDuplicates() int {
 	}
 }
 
-// gateKey is a structural hash of a gate's function (inputs are order-
-// sensitive, which is fine: synthesis emits deterministic orders).
-func gateKey(g *Gate) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "T%d", g.T)
+// appendGateKey appends a structural key of a gate's function to b:
+// "T<t>" and then "|<w>*<input>" per input. Inputs are order-sensitive,
+// which is fine: synthesis emits deterministic orders.
+func appendGateKey(b []byte, g *Gate) []byte {
+	b = strconv.AppendInt(append(b, 'T'), int64(g.T), 10)
 	for i, in := range g.Inputs {
-		fmt.Fprintf(&b, "|%d*%s", g.Weights[i], in)
+		b = strconv.AppendInt(append(b, '|'), int64(g.Weights[i]), 10)
+		b = append(append(b, '*'), in...)
 	}
-	return b.String()
+	return b
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -114,5 +116,32 @@ func TestMergeFollowsReplacementChain(t *testing.T) {
 	}
 	if in := tn.Gate("z").Inputs[0]; in != "y" {
 		t.Fatalf("z reads %s, want y", in)
+	}
+}
+
+// gateKeyRef is the key text built with fmt: appendGateKey must write the
+// same bytes.
+func gateKeyRef(g *Gate) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "T%d", g.T)
+	for i, in := range g.Inputs {
+		fmt.Fprintf(&b, "|%d*%s", g.Weights[i], in)
+	}
+	return b.String()
+}
+
+func TestGateKeyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	var buf []byte
+	for iter := 0; iter < 500; iter++ {
+		g := &Gate{Name: "g", T: rng.Intn(41) - 20}
+		for k := rng.Intn(6); k > 0; k-- {
+			g.Inputs = append(g.Inputs, fmt.Sprintf("n%d", rng.Intn(1000)))
+			g.Weights = append(g.Weights, rng.Intn(2001)-1000)
+		}
+		buf = appendGateKey(buf[:0], g)
+		if got, want := string(buf), gateKeyRef(g); got != want {
+			t.Fatalf("appendGateKey = %q, want %q", got, want)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package logic
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -93,32 +92,6 @@ func (f Cover) String() string {
 		parts[i] = c.String()
 	}
 	return strings.Join(parts, " + ")
-}
-
-// Expr renders the cover as a human-readable expression using the supplied
-// variable names, e.g. "a*!b + c".
-func (f Cover) Expr(names []string) string {
-	if f.IsZero() {
-		return "0"
-	}
-	var terms []string
-	for _, c := range f.Cubes {
-		if c.IsUniverse() {
-			terms = append(terms, "1")
-			continue
-		}
-		var lits []string
-		for i, p := range c {
-			switch p {
-			case Pos:
-				lits = append(lits, names[i])
-			case Neg:
-				lits = append(lits, "!"+names[i])
-			}
-		}
-		terms = append(terms, strings.Join(lits, "*"))
-	}
-	return strings.Join(terms, " + ")
 }
 
 // Eval evaluates the cover on a complete assignment.
@@ -378,33 +351,4 @@ func (f Cover) Equivalent(g Cover) bool {
 	fImpliesG := f.Complement().Or(g)
 	gImpliesF := g.Complement().Or(f)
 	return fImpliesG.Tautology() && gImpliesF.Tautology()
-}
-
-// Minterms returns the sorted list of minterm indices covered by f.
-// Intended for small N (it enumerates 2^N assignments).
-func (f Cover) Minterms() []int {
-	if f.N > 24 {
-		panic("logic: Minterms on cover with more than 24 variables")
-	}
-	var out []int
-	assign := make([]bool, f.N)
-	for m := 0; m < 1<<uint(f.N); m++ {
-		for i := 0; i < f.N; i++ {
-			assign[i] = m&(1<<uint(i)) != 0
-		}
-		if f.Eval(assign) {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// Canonical returns a deterministic, sorted, SCC-reduced copy of the cover,
-// useful for comparing covers structurally in tests.
-func (f Cover) Canonical() Cover {
-	g := f.SCC()
-	sort.Slice(g.Cubes, func(i, j int) bool {
-		return g.Cubes[i].String() < g.Cubes[j].String()
-	})
-	return g
 }

@@ -160,18 +160,6 @@ func TestMinterms(t *testing.T) {
 	}
 }
 
-func TestExpr(t *testing.T) {
-	f := MustCover("10", "-1")
-	got := f.Expr([]string{"a", "b"})
-	want := "a*!b + b"
-	if got != want {
-		t.Fatalf("Expr = %q, want %q", got, want)
-	}
-	if Zero(2).Expr([]string{"a", "b"}) != "0" {
-		t.Fatal("Expr of empty cover should be 0")
-	}
-}
-
 func TestQuickEquivalentSelf(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	f := func(seed int64) bool {
@@ -183,4 +171,20 @@ func TestQuickEquivalentSelf(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Minterms returns the sorted list of minterm indices covered by f, by
+// enumerating all 2^N assignments.
+func (f Cover) Minterms() []int {
+	var out []int
+	assign := make([]bool, f.N)
+	for m := 0; m < 1<<uint(f.N); m++ {
+		for i := 0; i < f.N; i++ {
+			assign[i] = m&(1<<uint(i)) != 0
+		}
+		if f.Eval(assign) {
+			out = append(out, m)
+		}
+	}
+	return out
 }

@@ -68,16 +68,6 @@ func ParseCube(s string) (Cube, error) {
 	return c, nil
 }
 
-// MustParseCube is ParseCube that panics on malformed input. It is intended
-// for tests and package-internal literals.
-func MustParseCube(s string) Cube {
-	c, err := ParseCube(s)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // String renders the cube in positional notation, e.g. "1-0".
 func (c Cube) String() string {
 	var b strings.Builder

@@ -119,3 +119,12 @@ func TestCubeContainsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// MustParseCube is ParseCube that panics on malformed input.
+func MustParseCube(s string) Cube {
+	c, err := ParseCube(s)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}

@@ -83,7 +83,8 @@ func bruteReduce(f Cover) Cover {
 }
 
 // FuzzCover checks Complement, Minimize, REDUCE, Tautology, Cofactor and
-// SCC against brute-force evaluation on every minterm.
+// SCC against brute-force evaluation on every minterm, and Minimize's
+// unate shortcut against the espresso loop.
 func FuzzCover(f *testing.F) {
 	f.Add([]byte{3, 1, 1, 2, 0, 2, 1})
 	f.Add([]byte{2, 2, 2})
@@ -146,6 +147,23 @@ func FuzzCover(f *testing.F) {
 				}
 			}
 		}
+
+		// The same cubes with every literal of a variable in the phase of
+		// its first literal are syntactically unate: Minimize must return
+		// what the espresso loop it skips returns.
+		unate := fn.Clone()
+		for v := 0; v < n; v++ {
+			first := DC
+			for _, c := range unate.Cubes {
+				if first == DC {
+					first = c[v]
+				}
+				if c[v] != DC {
+					c[v] = first
+				}
+			}
+		}
+		checkUnateShortcut(t, unate)
 
 		if got, want := fn.reduce(), bruteReduce(fn); got.String() != want.String() {
 			t.Fatalf("%v: reduce = %v, want %v", fn, got, want)

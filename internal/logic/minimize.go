@@ -15,11 +15,24 @@ const MinimizeMaxComplement = 512
 // no cube is redundant, running the espresso loop EXPAND → IRREDUNDANT →
 // REDUCE → EXPAND → IRREDUNDANT. The result is a local optimum, not a
 // guaranteed minimum cover.
+//
+// A syntactically unate cover is returned right after single-cube
+// containment: with no cube inside another, its cubes are exactly the
+// primes of the function, each one essential (Brayton et al. 1984), so
+// the loop would return them unchanged, at the cost of a complement.
 func (f Cover) Minimize() Cover {
 	g := f.SCC()
-	if len(g.Cubes) <= 1 {
-		return g
+	if g.mostBinate() < 0 {
+		return g // at most one cube, or syntactically unate
 	}
+	return g.espresso()
+}
+
+// espresso runs the espresso loop on an SCC'd cover of at least two
+// cubes, keeping the better of the first and second EXPAND/IRREDUNDANT
+// passes; a cover whose OFF-set passes MinimizeMaxComplement cubes is
+// returned as it is.
+func (g Cover) espresso() Cover {
 	off := g.Complement()
 	if len(off.Cubes) > MinimizeMaxComplement {
 		return g

@@ -136,3 +136,71 @@ func TestMinimizeEspressoLoopNoWorse(t *testing.T) {
 		}
 	}
 }
+
+// randomUnateCover returns up to maxCubes random cubes over n variables in
+// which each variable keeps one phase, positive or negative, or is left
+// out: a syntactically unate cover.
+func randomUnateCover(rng *rand.Rand, n, maxCubes int) Cover {
+	phase := make([]Phase, n)
+	for i := range phase {
+		phase[i] = [3]Phase{Pos, Neg, DC}[rng.Intn(3)]
+	}
+	f := NewCover(n)
+	den := 2 + rng.Intn(3)
+	for c := 1 + rng.Intn(maxCubes); c > 0; c-- {
+		cube := NewCube(n)
+		for i, p := range phase {
+			if rng.Intn(den) == 0 {
+				cube[i] = p
+			}
+		}
+		f.AddCube(cube)
+	}
+	return f
+}
+
+// checkUnateShortcut checks Minimize on a syntactically unate cover
+// against the full espresso loop it skips: the same cubes in the same
+// order.
+func checkUnateShortcut(t *testing.T, f Cover) {
+	t.Helper()
+	g := f.SCC()
+	if g.mostBinate() >= 0 {
+		t.Fatalf("%v is not syntactically unate", f)
+	}
+	want := g
+	if len(g.Cubes) > 1 {
+		want = g.espresso()
+	}
+	if got := f.Minimize(); got.N != want.N || got.String() != want.String() {
+		t.Fatalf("Minimize(%v) = %v, the espresso loop gives %v", f, got, want)
+	}
+}
+
+func TestMinimizeUnateShortcut(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for iter := 0; iter < 3000; iter++ {
+		checkUnateShortcut(t, randomUnateCover(rng, 1+rng.Intn(9), 1+rng.Intn(12)))
+	}
+}
+
+// TestMinimizeUnateAllocs bounds the allocations of Minimize on a
+// 21-variable, 35-cube positive-unate cover, the shape of the wide nodes
+// the boolean script minimizes. The shortcut allocates for SCC and one
+// usage count; the espresso loop, which builds the complement, allocates
+// thousands of times more.
+func TestMinimizeUnateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	f := NewCover(21)
+	for len(f.Cubes) < 35 {
+		c := NewCube(21)
+		for _, i := range rng.Perm(21)[:2+rng.Intn(4)] {
+			c[i] = Pos
+		}
+		f.AddCube(c)
+		f = f.SCC()
+	}
+	if allocs := testing.AllocsPerRun(5, func() { f.Minimize() }); allocs > 64 {
+		t.Fatalf("Minimize on a 35-cube unate cover allocates %.0f times, want at most 64", allocs)
+	}
+}

@@ -8,25 +8,16 @@ import (
 	"tels/internal/logic"
 )
 
-// Primes returns all prime implicants of the function as cubes over its N
-// variables, sorted by Cube.String.
-//
-// The primes are generated on the packed table words. For each don't-care
-// mask D, S[D] is the bitset of positions m (the D bits of m clear) whose
-// cube (m, D) is an implicant; S[∅] is the table itself. Two cubes of S[D]
-// merge across a free variable j exactly when m and its j-partner m^2^j
-// are both in S[D], so S[D∪{j}] is S[D] & partner_j(S[D]) on the positions
-// with bit j clear, and a cube is prime when no free j merges it.
-// partner_j is an in-word shift by 2^j for j < 6 and a word swap for
-// j ≥ 6. Each D is visited once, depth first from D minus its highest
-// variable, and only the nonzero words of S[D] are touched, so a sparse
-// table costs in proportion to its ON-set rather than to 2^N.
-func (t *Table) Primes() []logic.Cube {
-	keys := t.primeKeys()
-	backing := make([]logic.Phase, len(keys)*t.n)
+// decodeKeys returns the cubes of prime keys over n variables, in key
+// order, on one shared backing; nil for no keys.
+func decodeKeys(n int, keys []uint64) []logic.Cube {
+	if len(keys) == 0 {
+		return nil
+	}
+	backing := make([]logic.Phase, len(keys)*n)
 	out := make([]logic.Cube, len(keys))
 	for i, k := range keys {
-		c := logic.Cube(backing[i*t.n : (i+1)*t.n : (i+1)*t.n])
+		c := logic.Cube(backing[i*n : (i+1)*n : (i+1)*n])
 		decodeKey(k, c)
 		out[i] = c
 	}
@@ -68,6 +59,17 @@ func decodeKey(k uint64, c logic.Cube) {
 }
 
 // primeKeys returns the prime keys of the function in ascending order.
+//
+// The primes are generated on the packed table words. For each don't-care
+// mask D, S[D] is the bitset of positions m (the D bits of m clear) whose
+// cube (m, D) is an implicant; S[∅] is the table itself. Two cubes of S[D]
+// merge across a free variable j exactly when m and its j-partner m^2^j
+// are both in S[D], so S[D∪{j}] is S[D] & partner_j(S[D]) on the positions
+// with bit j clear, and a cube is prime when no free j merges it.
+// partner_j is an in-word shift by 2^j for j < 6 and a word swap for
+// j ≥ 6. Each D is visited once, depth first from D minus its highest
+// variable, and only the nonzero words of S[D] are touched, so a sparse
+// table costs in proportion to its ON-set rather than to 2^N.
 func (t *Table) primeKeys() []uint64 {
 	g := primeGen{n: t.n}
 	g.sets[0] = make([]uint64, len(t.bits))
@@ -175,12 +177,28 @@ func (t *Table) MinimalSOP() logic.Cover {
 // on the dc minterms — the classical two-level use of satisfiability
 // don't-cares. A nil dc behaves like MinimalSOP.
 //
-// The covering step works on packed minterm bitsets: each prime keeps its
-// words of the ON-set it must cover, essential primes are those holding a
-// minterm no other prime covers, and each greedy step takes the
+// With a nil dc, a unate function takes an exact shortcut: its only
+// irredundant prime cover is the set of all its primes, one per extremal
+// true point (see unatePrimeKeys), so no covering problem is built. The
+// cubes and their order are those of the general route.
+//
+// Otherwise the covering step works on packed minterm bitsets: each prime
+// keeps its words of the ON-set it must cover, essential primes are those
+// holding a minterm no other prime covers, and each greedy step takes the
 // lowest-index prime with the most uncovered minterms, counted by
 // popcount.
 func (t *Table) MinimalSOPWithDC(dc *Table) logic.Cover {
+	if dc == nil {
+		if keys, ok := t.unatePrimeKeys(); ok {
+			return logic.Cover{N: t.n, Cubes: decodeKeys(t.n, keys)}
+		}
+	}
+	return t.greedySOP(dc)
+}
+
+// greedySOP is MinimalSOPWithDC on any function: all primes of t|dc, the
+// essential ones, then greedy picks.
+func (t *Table) greedySOP(dc *Table) logic.Cover {
 	keys, pc := t.primeCover(dc)
 	cover := logic.NewCover(t.n)
 	if pc == nil {
@@ -195,6 +213,77 @@ func (t *Table) MinimalSOPWithDC(dc *Table) logic.Cover {
 		}
 	}
 	return cover
+}
+
+// unatePrimeKeys returns the prime keys of a unate function in ascending
+// order, or false once it meets a binate variable.
+//
+// Call a variable's value inactive when raising the function's input
+// there from it cannot turn the function off: 0 for a positive-unate or
+// independent variable, 1 for a negative-unate one. Every prime of a
+// unate function is the cube of the active values of one extremal true
+// point: a true point whose neighbour towards each variable's inactive
+// value is false (a minimal true point, after flipping the negative
+// variables). The point alone lies in that prime and in no other, so
+// every prime is essential and the greedy cover takes them all.
+//
+// The extremal points are the table with, for each variable, the points
+// whose inactive-side partner is true cleared: one shifted AND-NOT per
+// variable, in-word under varMasks[i] for i < 6, over word pairs for
+// i ≥ 6.
+func (t *Table) unatePrimeKeys() ([]uint64, bool) {
+	var pos, neg uint32 // the positive- and negative-unate variables
+	for i := 0; i < t.n; i++ {
+		switch t.VarUnateness(i) {
+		case Binate:
+			return nil, false
+		case PosUnate:
+			pos |= 1 << uint(i)
+		case NegUnate:
+			neg |= 1 << uint(i)
+		}
+	}
+	valid := t.mask()
+	ext := make([]uint64, len(t.bits))
+	for w, a := range t.bits {
+		ext[w] = a & valid
+	}
+	for i := 0; i < t.n; i++ {
+		up := neg>>uint(i)&1 == 0 // inactive value 0: drop 1-side points
+		if i < 6 {
+			k, m := uint(1)<<uint(i), varMasks[i]
+			for w, a := range t.bits {
+				a &= valid
+				if up {
+					ext[w] &^= a << k & m
+				} else {
+					ext[w] &^= a >> k &^ m
+				}
+			}
+			continue
+		}
+		s := 1 << uint(i-6)
+		for w := range ext {
+			if (w&s != 0) == up {
+				ext[w] &^= t.bits[w^s]
+			}
+		}
+	}
+	count := 0
+	for _, x := range ext {
+		count += bits.OnesCount64(x)
+	}
+	all := uint32(1)<<uint(t.n) - 1
+	keys := make([]uint64, 0, count)
+	for w, x := range ext {
+		for ; x != 0; x &= x - 1 {
+			p := uint32(w)<<6 | uint32(bits.TrailingZeros64(x))
+			active := p&pos | ^p&neg
+			keys = append(keys, primeKey(t.n, p, all&^active))
+		}
+	}
+	slices.Sort(keys)
+	return keys, true
 }
 
 // primeCover is the covering problem of one MinimalSOPWithDC call. Prime

@@ -10,6 +10,10 @@ import (
 	"tels/internal/logic"
 )
 
+// Primes returns all prime implicants of the function as cubes over its N
+// variables, sorted by Cube.String: the primes of primeKeys, decoded.
+func (t *Table) Primes() []logic.Cube { return decodeKeys(t.n, t.primeKeys()) }
+
 // primesQM is the reference prime generator: Quine–McCluskey iterative
 // merging over explicit minterm cubes, with cubes packed into uint64 keys
 // (values | dcs<<32) and bucketed by DC mask and ones count so only cubes
@@ -291,6 +295,85 @@ func FuzzPrimes(f *testing.F) {
 	})
 }
 
+// randomUnateTable returns a unate table over n variables: an OR of up to
+// eight random cubes in which each variable keeps one phase, positive or
+// negative, or is left out, so the table has independent variables too.
+func randomUnateTable(rng *rand.Rand, n int) *Table {
+	phase := make([]logic.Phase, n)
+	for i := range phase {
+		phase[i] = [3]logic.Phase{logic.Pos, logic.Neg, logic.DC}[rng.Intn(3)]
+	}
+	cv := logic.NewCover(n)
+	den := 2 + rng.Intn(3)
+	for c := rng.Intn(9); c > 0; c-- {
+		cube := logic.NewCube(n)
+		for i, p := range phase {
+			if rng.Intn(den) == 0 {
+				cube[i] = p
+			}
+		}
+		cv.AddCube(cube)
+	}
+	return FromCover(cv)
+}
+
+// checkUnateRoute checks the unate shortcut of MinimalSOPWithDC against
+// the general route: it declines exactly on binate tables, and otherwise
+// returns the general route's cover, the same cubes in the same order.
+func checkUnateRoute(t *testing.T, name string, tt *Table) {
+	t.Helper()
+	_, ok := tt.unatePrimeKeys()
+	if unate := tt.IsUnate(); ok != unate {
+		t.Fatalf("%s: unate shortcut taken = %v on a table with IsUnate = %v (%s)", name, ok, unate, tt)
+	}
+	got, want := tt.MinimalSOPWithDC(nil), tt.greedySOP(nil)
+	if got.N != want.N || len(got.Cubes) != len(want.Cubes) || (got.Cubes == nil) != (want.Cubes == nil) {
+		t.Fatalf("%s: cover %d/%v, want %d/%v (%s)", name, got.N, got.Cubes, want.N, want.Cubes, tt)
+	}
+	if i := sameCubes(got.Cubes, want.Cubes); i >= 0 {
+		t.Fatalf("%s: cover differs at cube %d:\n got  %v\n want %v (%s)", name, i, got.Cubes, want.Cubes, tt)
+	}
+}
+
+// TestUnateRouteAllSmallTables runs the unate shortcut on every function
+// of at most four variables.
+func TestUnateRouteAllSmallTables(t *testing.T) {
+	unate := 0
+	for n := 0; n <= 4; n++ {
+		tt := New(n)
+		for f := 0; f < 1<<uint(tt.Size()); f++ {
+			tt.bits[0] = uint64(f)
+			checkUnateRoute(t, fmt.Sprintf("n=%d f=%#x", n, f), tt)
+			if tt.IsUnate() {
+				unate++
+			}
+		}
+	}
+	// 2 + 4 + 14 + 104 + 2 170 unate functions of 0..4 variables.
+	if unate != 2294 {
+		t.Fatalf("%d unate tables of at most four variables, want 2294", unate)
+	}
+}
+
+// TestUnateRouteRandom runs the unate shortcut on random unate tables of
+// up to eleven variables in mixed phases, and on their stale-bit copies.
+func TestUnateRouteRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for iter := 0; iter < 3000; iter++ {
+		n := rng.Intn(12)
+		tt := randomUnateTable(rng, n)
+		if !tt.IsUnate() {
+			t.Fatalf("iter %d: randomUnateTable gave a binate table %s", iter, tt)
+		}
+		name := fmt.Sprintf("iter %d n=%d", iter, n)
+		checkUnateRoute(t, name, tt)
+		if n < 6 {
+			stale(tt)
+			checkUnateRoute(t, name+" stale", tt)
+		}
+	}
+}
+
 func TestPrimesXor(t *testing.T) {
 	x := Var(2, 0).Xor(Var(2, 1))
 	primes := x.Primes()
@@ -525,6 +608,56 @@ func TestGreedyHeapMatchesScan(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkPrimes measures prime generation per table shape: N variables
+// × ON-set density (dense 2/3, sparse 1/64, sparse 1/1024), plus a unate
+// table (an OR of N random three-literal cubes, even variables positive and
+// odd ones negative), whose primes are also read off its extremal true
+// points by the unate shortcut (unate/extremal). Dense N=16 is left out:
+// it has over a hundred thousand primes.
+func BenchmarkPrimes(b *testing.B) {
+	densities := []struct {
+		name     string
+		num, den int
+	}{{"dense", 2, 3}, {"sparse64", 1, 64}, {"sparse1024", 1, 1024}}
+	for _, n := range []int{4, 8, 10, 12, 16} {
+		for _, d := range densities {
+			if n == 16 && d.name == "dense" {
+				continue
+			}
+			b.Run(fmt.Sprintf("n=%d/%s", n, d.name), func(b *testing.B) {
+				f := densityTable(rand.New(rand.NewSource(5)), n, d.num, d.den)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					primesSink = f.Primes()
+				}
+			})
+		}
+		rng := rand.New(rand.NewSource(5))
+		cv := logic.NewCover(n)
+		for c := 0; c < n; c++ {
+			cube := logic.NewCube(n)
+			for _, i := range rng.Perm(n)[:3] {
+				cube[i] = [2]logic.Phase{logic.Pos, logic.Neg}[i%2]
+			}
+			cv.AddCube(cube)
+		}
+		f := FromCover(cv)
+		b.Run(fmt.Sprintf("n=%d/unate", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				primesSink = f.Primes()
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/unate/extremal", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				keys, _ := f.unatePrimeKeys()
+				primesSink = decodeKeys(n, keys)
+			}
+		})
+	}
+}
+
+var primesSink []logic.Cube
 
 // BenchmarkMinimalSOPDense16 covers a random dense 16-variable table,
 // about 70 000 primes: the case where a rescanning greedy step is

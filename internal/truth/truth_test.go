@@ -237,7 +237,9 @@ func TestPrimitivesMatchReference(t *testing.T) {
 }
 
 // FuzzTable checks every word-parallel primitive against the per-minterm
-// reference on tables of up to 10 variables. The first byte picks N; the
+// reference on tables of up to 10 variables, and the unate shortcut of
+// MinimalSOPWithDC against the general route (checkUnateRoute) on the
+// table and on a unate table built from the cover. The first byte picks N; the
 // second holds flags (bit 0: set the stale bits past 2^N of a table with
 // fewer than 64 minterms; bit 1: add the universal cube to the cover); the
 // third picks which non-support variables join the Project argument and
@@ -300,6 +302,26 @@ func FuzzTable(f *testing.F) {
 			cv.AddCube(cube)
 		}
 		checkTable(t, fmt.Sprintf("FromCover(%v)", cv.Cubes), FromCover(cv), fromCoverRef(cv))
+
+		// The table is seldom unate; the cover with every literal of
+		// variable i in one phase, negative where pick has bit i%8, always
+		// is.
+		checkUnateRoute(t, "table", tt)
+		ucv := logic.NewCover(n)
+		for _, c := range cv.Cubes {
+			u := c.Clone()
+			for i, p := range u {
+				if p != logic.DC {
+					u[i] = [2]logic.Phase{logic.Pos, logic.Neg}[pick>>uint(i%8)&1]
+				}
+			}
+			ucv.AddCube(u)
+		}
+		unate := FromCover(ucv)
+		if flags&1 != 0 {
+			stale(unate)
+		}
+		checkUnateRoute(t, fmt.Sprintf("unate cover %v", ucv.Cubes), unate)
 	})
 }
 
