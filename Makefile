@@ -124,17 +124,17 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 fuzz:
-	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/blif/
-	$(GO) test -fuzz FuzzNetOps -fuzztime 30s ./internal/netcore/
-	$(GO) test -fuzz FuzzParseTLN -fuzztime 30s ./internal/core/
-	$(GO) test -fuzz FuzzCheck -fuzztime 30s ./internal/core/
-	$(GO) test -fuzz FuzzPrimes -fuzztime 30s ./internal/truth/
-	$(GO) test -fuzz FuzzTable -fuzztime 30s ./internal/truth/
-	$(GO) test -fuzz FuzzCover -fuzztime 30s ./internal/logic/
-	$(GO) test -fuzz FuzzWeakDiv -fuzztime 30s ./internal/algebra/
-	$(GO) test -fuzz FuzzThreshSim -fuzztime 30s ./internal/fsim/
-	$(GO) test -fuzz FuzzTechDecomp -fuzztime 30s ./internal/opt/
-	$(GO) test -fuzz FuzzFlow -fuzztime 30s ./internal/expt/
+	$(GO) test -fuzz FuzzParse -fuzztime 30s -fuzzminimizetime 100x ./internal/blif/
+	$(GO) test -fuzz FuzzNetOps -fuzztime 30s -fuzzminimizetime 100x ./internal/netcore/
+	$(GO) test -fuzz FuzzParseTLN -fuzztime 30s -fuzzminimizetime 100x ./internal/core/
+	$(GO) test -fuzz FuzzCheck -fuzztime 30s -fuzzminimizetime 100x ./internal/core/
+	$(GO) test -fuzz FuzzPrimes -fuzztime 30s -fuzzminimizetime 100x ./internal/truth/
+	$(GO) test -fuzz FuzzTable -fuzztime 30s -fuzzminimizetime 100x ./internal/truth/
+	$(GO) test -fuzz FuzzCover -fuzztime 30s -fuzzminimizetime 100x ./internal/logic/
+	$(GO) test -fuzz FuzzWeakDiv -fuzztime 30s -fuzzminimizetime 100x ./internal/algebra/
+	$(GO) test -fuzz FuzzThreshSim -fuzztime 30s -fuzzminimizetime 100x ./internal/fsim/
+	$(GO) test -fuzz FuzzTechDecomp -fuzztime 30s -fuzzminimizetime 100x ./internal/opt/
+	$(GO) test -fuzz FuzzFlow -fuzztime 30s -fuzzminimizetime 100x ./internal/expt/
 
 experiments:
 	$(GO) run ./cmd/telsbench all

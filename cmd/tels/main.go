@@ -221,10 +221,7 @@ func writeOutputs(t *cli.Tool, cfg config, tn *core.Network) error {
 	}
 
 	if cfg.rtdOut != "" {
-		nl, err := rtd.Map(tn)
-		if err != nil {
-			return err
-		}
+		nl := rtd.Map(tn)
 		f, err := os.Create(cfg.rtdOut)
 		if err != nil {
 			return err

@@ -29,10 +29,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	nl, err := rtd.Map(tn)
-	if err != nil {
-		log.Fatal(err)
-	}
+	nl := rtd.Map(tn)
 	s := nl.Stats()
 	fmt.Printf("Circuit: %s\n", src.Name)
 	fmt.Printf("Threshold network: %d LTGs, %d levels\n", tn.GateCount(), func() int {

@@ -295,7 +295,7 @@ func Kernels(e Expr) []Kernel {
 	var out []Kernel
 
 	add := func(coK Cube, k Expr) {
-		key := exprKey(k)
+		key := ExprKey(k)
 		if seen[key] {
 			return
 		}
@@ -359,7 +359,9 @@ func Kernels(e Expr) []Kernel {
 	return out
 }
 
-func exprKey(e Expr) string {
+// ExprKey encodes an expression as a string map key that is the same for
+// every cube order: the sorted cube keys, each closed by 0xff.
+func ExprKey(e Expr) string {
 	keys := make([]string, len(e))
 	for i, c := range e {
 		keys[i] = cubeKey(c)
@@ -375,7 +377,7 @@ func exprKey(e Expr) string {
 
 // Equal reports whether two expressions are the same cube set.
 func Equal(a, b Expr) bool {
-	return exprKey(a) == exprKey(b)
+	return ExprKey(a) == ExprKey(b)
 }
 
 // Vars returns the sorted variable indices used by the expression.

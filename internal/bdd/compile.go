@@ -140,18 +140,10 @@ func CompileThreshold(m *Manager, tn *core.Network, varLevel map[string]int) ([]
 		}
 		refs[in] = v
 	}
-	order, err := tn.TopoGates()
-	if err != nil {
-		return nil, err
-	}
-	for _, g := range order {
+	for _, g := range tn.Gates {
 		fanins := make([]Ref, len(g.Inputs))
 		for i, in := range g.Inputs {
-			r, ok := refs[in]
-			if !ok {
-				return nil, fmt.Errorf("bdd: gate %s input %s is undriven", g.Name, in)
-			}
-			fanins[i] = r
+			fanins[i] = refs[in]
 		}
 		r, err := m.Threshold(fanins, g.Weights, g.T)
 		if err != nil {

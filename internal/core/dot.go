@@ -22,11 +22,7 @@ func WriteDot(w io.Writer, tn *Network) error {
 	for _, o := range tn.Outputs {
 		outputs[o] = true
 	}
-	order, err := tn.TopoGates()
-	if err != nil {
-		return err
-	}
-	for _, g := range order {
+	for _, g := range tn.Gates {
 		shape := "box"
 		if outputs[g.Name] {
 			shape = "doubleoctagon"

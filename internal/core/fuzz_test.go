@@ -9,8 +9,9 @@ import (
 	"tels/internal/truth"
 )
 
-// FuzzParseTLN checks that the .tln parser never panics and that accepted
-// networks round trip.
+// FuzzParseTLN checks that the .tln parser never panics, that accepted
+// networks have topological Gates, and that they print the same bytes
+// after a round trip.
 func FuzzParseTLN(f *testing.F) {
 	seeds := []string{
 		"",
@@ -22,6 +23,10 @@ func FuzzParseTLN(f *testing.F) {
 		".tnet\n.end",
 		"# comment\n.tnet c\n.inputs a\n.outputs a\n.end",
 		".tnet t\n.inputs a\n.outputs f\n.gate f = [T=1] +1*\n.end",
+		".tnet t\n.inputs a b\n.outputs f\n.gate f = [T=1] +1*g -1*b\n.gate g = [T=2] +1*a +1*b\n.end",
+		".tnet t\n.inputs a\n.outputs f\n.gate f = [T=1] +1*g\n.gate g = [T=1] +1*f\n.end",
+		".outputs a\n.gate a = [T=1]\n.inputs a\n",
+		".inputs a a\n.outputs a\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -31,12 +36,25 @@ func FuzzParseTLN(f *testing.F) {
 		if err != nil {
 			return
 		}
-		back, err := ParseTLNString(tn.String())
-		if err != nil {
-			t.Fatalf("accepted network failed to re-parse: %v\n%s", err, tn)
+		seen := make(map[string]bool, len(tn.Inputs)+len(tn.Gates))
+		for _, in := range tn.Inputs {
+			seen[in] = true
 		}
-		if len(back.Gates) != len(tn.Gates) || len(back.Inputs) != len(tn.Inputs) {
-			t.Fatalf("round trip changed shape")
+		for _, g := range tn.Gates {
+			for _, in := range g.Inputs {
+				if !seen[in] {
+					t.Fatalf("gate %s reads %s, not an input or earlier gate\n%s", g.Name, in, tn)
+				}
+			}
+			seen[g.Name] = true
+		}
+		text := tn.String()
+		back, err := ParseTLNString(text)
+		if err != nil {
+			t.Fatalf("accepted network failed to re-parse: %v\n%s", err, text)
+		}
+		if again := back.String(); again != text {
+			t.Fatalf("round trip changed the text:\n%s\nthen\n%s", text, again)
 		}
 	})
 }

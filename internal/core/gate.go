@@ -84,47 +84,107 @@ func (g *Gate) String() string {
 }
 
 // Network is a combinational threshold network: a DAG of LTGs over named
-// primary inputs.
+// primary inputs. Gates is in topological order: every gate input is a
+// primary input or an earlier gate. AddGate and ParseTLN keep that
+// invariant, so a reader walks Gates front to back.
 type Network struct {
 	Name    string
 	Inputs  []string
 	Outputs []string
 	Gates   []*Gate
 
-	byName map[string]*Gate
+	// signals maps every input name to nil and every gate name to its gate.
+	signals map[string]*Gate
 }
 
 // NewNetwork returns an empty threshold network.
 func NewNetwork(name string) *Network {
-	return &Network{Name: name, byName: make(map[string]*Gate)}
+	return &Network{Name: name, signals: make(map[string]*Gate)}
 }
 
-// AddInput declares a primary input name.
+// AddInput declares a primary input name, which must not be declared yet.
 func (tn *Network) AddInput(name string) {
 	tn.Inputs = append(tn.Inputs, name)
+	tn.signals[name] = nil
 }
 
-// AddGate appends a gate. Names must be unique and distinct from inputs.
+// AddGate appends a gate. Its name must be new, and every gate input must
+// be a primary input or an earlier gate, so a cycle or a dangling input
+// cannot be built.
 func (tn *Network) AddGate(g *Gate) error {
+	for _, in := range g.Inputs {
+		if _, ok := tn.signals[in]; !ok {
+			return fmt.Errorf("core: gate %s reads %s, which is not an input or an earlier gate", g.Name, in)
+		}
+	}
+	return tn.appendGate(g)
+}
+
+// appendGate appends a gate without the order check. A builder that
+// emits a gate before its drivers appends through it and calls sortGates
+// once before handing the network out.
+func (tn *Network) appendGate(g *Gate) error {
 	if len(g.Inputs) != len(g.Weights) {
 		return fmt.Errorf("core: gate %s has %d inputs but %d weights",
 			g.Name, len(g.Inputs), len(g.Weights))
 	}
-	if _, dup := tn.byName[g.Name]; dup {
-		return fmt.Errorf("core: duplicate gate name %s", g.Name)
-	}
-	for _, in := range tn.Inputs {
-		if in == g.Name {
+	if prev, dup := tn.signals[g.Name]; dup {
+		if prev == nil {
 			return fmt.Errorf("core: gate %s shadows a primary input", g.Name)
 		}
+		return fmt.Errorf("core: duplicate gate name %s", g.Name)
 	}
 	tn.Gates = append(tn.Gates, g)
-	tn.byName[g.Name] = g
+	tn.signals[g.Name] = g
+	return nil
+}
+
+// sortGates puts Gates in topological order: a depth-first walk from each
+// gate in list order emits every gate after its drivers. A list that is
+// already topological stays as it is. It fails when a gate input names no
+// signal or the gates form a cycle.
+func (tn *Network) sortGates() error {
+	const (
+		active = 1
+		done   = 2
+	)
+	state := make(map[*Gate]uint8, len(tn.Gates))
+	order := make([]*Gate, 0, len(tn.Gates))
+	var visit func(g *Gate) error
+	visit = func(g *Gate) error {
+		switch state[g] {
+		case done:
+			return nil
+		case active:
+			return fmt.Errorf("core: cycle through gate %s", g.Name)
+		}
+		state[g] = active
+		for _, in := range g.Inputs {
+			d, ok := tn.signals[in]
+			if !ok {
+				return fmt.Errorf("core: signal %s is not an input or gate", in)
+			}
+			if d != nil {
+				if err := visit(d); err != nil {
+					return err
+				}
+			}
+		}
+		state[g] = done
+		order = append(order, g)
+		return nil
+	}
+	for _, g := range tn.Gates {
+		if err := visit(g); err != nil {
+			return err
+		}
+	}
+	tn.Gates = order
 	return nil
 }
 
 // Gate returns the gate driving the named signal, or nil.
-func (tn *Network) Gate(name string) *Gate { return tn.byName[name] }
+func (tn *Network) Gate(name string) *Gate { return tn.signals[name] }
 
 // MarkOutput declares a signal (gate or input) a primary output.
 func (tn *Network) MarkOutput(name string) {
@@ -159,65 +219,11 @@ func (tn *Network) MaxFanin() int {
 	return m
 }
 
-// TopoGates returns the gates in topological order (drivers first), or an
-// error when a gate input is neither a primary input nor a gate output, or
-// the network is cyclic.
-func (tn *Network) TopoGates() ([]*Gate, error) {
-	inputSet := make(map[string]bool, len(tn.Inputs))
-	for _, in := range tn.Inputs {
-		inputSet[in] = true
-	}
-	const (
-		unseen = 0
-		active = 1
-		done   = 2
-	)
-	state := make(map[string]int, len(tn.Gates))
-	out := make([]*Gate, 0, len(tn.Gates))
-	var visit func(name string) error
-	visit = func(name string) error {
-		if inputSet[name] {
-			return nil
-		}
-		g := tn.byName[name]
-		if g == nil {
-			return fmt.Errorf("core: signal %s is not an input or gate", name)
-		}
-		switch state[name] {
-		case done:
-			return nil
-		case active:
-			return fmt.Errorf("core: cycle through gate %s", name)
-		}
-		state[name] = active
-		for _, in := range g.Inputs {
-			if err := visit(in); err != nil {
-				return err
-			}
-		}
-		state[name] = done
-		out = append(out, g)
-		return nil
-	}
-	for _, g := range tn.Gates {
-		if err := visit(g.Name); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// Validate checks structural sanity including that every output is driven.
+// Validate checks that every output is an input or a gate. Gate order
+// and gate inputs need no check: AddGate and ParseTLN hold them.
 func (tn *Network) Validate() error {
-	if _, err := tn.TopoGates(); err != nil {
-		return err
-	}
-	inputSet := make(map[string]bool, len(tn.Inputs))
-	for _, in := range tn.Inputs {
-		inputSet[in] = true
-	}
 	for _, o := range tn.Outputs {
-		if !inputSet[o] && tn.byName[o] == nil {
+		if _, ok := tn.signals[o]; !ok {
 			return fmt.Errorf("core: output %s is not driven", o)
 		}
 	}
@@ -227,11 +233,7 @@ func (tn *Network) Validate() error {
 // Eval computes every signal value under the given primary-input
 // assignment and returns the map of all signal values.
 func (tn *Network) Eval(inputs map[string]bool) (map[string]bool, error) {
-	order, err := tn.TopoGates()
-	if err != nil {
-		return nil, err
-	}
-	values := make(map[string]bool, len(order)+len(tn.Inputs))
+	values := make(map[string]bool, len(tn.Gates)+len(tn.Inputs))
 	for _, in := range tn.Inputs {
 		v, ok := inputs[in]
 		if !ok {
@@ -240,7 +242,7 @@ func (tn *Network) Eval(inputs map[string]bool) (map[string]bool, error) {
 		values[in] = v
 	}
 	buf := make([]bool, 0, 16)
-	for _, g := range order {
+	for _, g := range tn.Gates {
 		buf = buf[:0]
 		for _, in := range g.Inputs {
 			buf = append(buf, values[in])
@@ -265,16 +267,12 @@ func (tn *Network) EvalOutputs(inputs map[string]bool) ([]bool, error) {
 
 // Levels returns the level of each signal (inputs at 0) and the depth.
 func (tn *Network) Levels() (map[string]int, int) {
-	order, err := tn.TopoGates()
-	if err != nil {
-		panic(err)
-	}
-	levels := make(map[string]int, len(order))
+	levels := make(map[string]int, len(tn.Gates)+len(tn.Inputs))
 	for _, in := range tn.Inputs {
 		levels[in] = 0
 	}
 	depth := 0
-	for _, g := range order {
+	for _, g := range tn.Gates {
 		l := 0
 		for _, in := range g.Inputs {
 			if levels[in]+1 > l {
@@ -308,11 +306,7 @@ func (tn *Network) String() string {
 	fmt.Fprintf(&b, ".tnet %s\n", tn.Name)
 	fmt.Fprintf(&b, ".inputs %s\n", strings.Join(tn.Inputs, " "))
 	fmt.Fprintf(&b, ".outputs %s\n", strings.Join(tn.Outputs, " "))
-	order, err := tn.TopoGates()
-	if err != nil {
-		order = tn.Gates
-	}
-	for _, g := range order {
+	for _, g := range tn.Gates {
 		fmt.Fprintf(&b, ".gate %s\n", g)
 	}
 	b.WriteString(".end\n")

@@ -2,27 +2,23 @@ package core
 
 import "strconv"
 
-// MergeDuplicates structurally hashes the network's gates and merges
+// mergeDuplicates structurally hashes the network's gates and merges
 // those with identical inputs, weights and threshold, rewiring fanouts to
 // the surviving gate. Distinct synthesis cones can emit identical split
 // gates; merging them never changes behaviour. Output names are
 // preserved: when a merged gate drives a primary output, the output-named
 // gate survives. Returns the number of gates removed.
-func (tn *Network) MergeDuplicates() int {
+func (tn *Network) mergeDuplicates() int {
 	outputs := make(map[string]bool, len(tn.Outputs))
 	for _, o := range tn.Outputs {
 		outputs[o] = true
 	}
 	removed := 0
 	for {
-		order, err := tn.TopoGates()
-		if err != nil {
-			return removed
-		}
 		replace := make(map[string]string)
 		seen := make(map[string]*Gate)
 		var key []byte
-		for _, g := range order {
+		for _, g := range tn.Gates {
 			key = appendGateKey(key[:0], g)
 			prev, ok := seen[string(key)]
 			if !ok {
@@ -47,7 +43,7 @@ func (tn *Network) MergeDuplicates() int {
 		kept := tn.Gates[:0]
 		for _, g := range tn.Gates {
 			if _, dead := replace[g.Name]; dead {
-				delete(tn.byName, g.Name)
+				delete(tn.signals, g.Name)
 				removed++
 				continue
 			}
@@ -61,6 +57,10 @@ func (tn *Network) MergeDuplicates() int {
 			kept = append(kept, g)
 		}
 		tn.Gates = kept
+		// An output-named keeper can sit after the gates it now feeds.
+		// Merging gates with equal inputs cannot close a cycle, so the
+		// re-sort cannot fail.
+		_ = tn.sortGates()
 	}
 }
 

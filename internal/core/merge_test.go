@@ -52,7 +52,7 @@ func TestMergeDuplicates(t *testing.T) {
 		}
 		before[m] = out[0]
 	}
-	if got := tn.MergeDuplicates(); got != 2 {
+	if got := tn.mergeDuplicates(); got != 2 {
 		t.Fatalf("merged %d gates, want 2 (cascading)", got)
 	}
 	if err := tn.Validate(); err != nil {
@@ -81,7 +81,7 @@ func TestMergeKeepsOutputs(t *testing.T) {
 		}
 		tn.MarkOutput(name)
 	}
-	if got := tn.MergeDuplicates(); got != 0 {
+	if got := tn.mergeDuplicates(); got != 0 {
 		t.Fatalf("merged %d output gates; both must survive", got)
 	}
 	if tn.Gate("y1") == nil || tn.Gate("y2") == nil {
@@ -108,7 +108,7 @@ func TestMergeFollowsReplacementChain(t *testing.T) {
 	}
 	tn.MarkOutput("y")
 	tn.MarkOutput("z")
-	if got := tn.MergeDuplicates(); got != 2 {
+	if got := tn.mergeDuplicates(); got != 2 {
 		t.Fatalf("merged %d gates, want 2", got)
 	}
 	if err := tn.Validate(); err != nil {

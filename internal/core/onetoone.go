@@ -54,7 +54,7 @@ func oneToOne(src *netcore.Network, o Options) (*Network, SynthStats, error) {
 	for _, o := range dec.Outputs() {
 		out.MarkOutput(dec.NetName(o))
 	}
-	out.MergeDuplicates()
+	out.mergeDuplicates()
 	if err := out.Validate(); err != nil {
 		return nil, SynthStats{}, err
 	}

@@ -90,7 +90,7 @@ func (s *synthesizer) emitPinGate(name string, pins []pin, isAnd bool) error {
 			s.enqueue(p.net)
 		}
 	}
-	if err := s.out.AddGate(&Gate{Name: name, Inputs: inputs, Weights: v.Weights, T: v.T}); err != nil {
+	if err := s.out.appendGate(&Gate{Name: name, Inputs: inputs, Weights: v.Weights, T: v.T}); err != nil {
 		return err
 	}
 	for _, p := range pins {
@@ -339,7 +339,7 @@ func (s *synthesizer) tryTheorem2(name string, base, extra logic.Cover, support 
 	if extraPin.net != netcore.InvalidNet {
 		s.enqueue(extraPin.net)
 	}
-	if err := s.out.AddGate(&Gate{Name: name, Inputs: inputs, Weights: vec.Weights, T: vec.T}); err != nil {
+	if err := s.out.appendGate(&Gate{Name: name, Inputs: inputs, Weights: vec.Weights, T: vec.T}); err != nil {
 		return err, true
 	}
 	if extraPin.part != nil {

@@ -238,9 +238,14 @@ func synthesize(src *netcore.Network, o Options) (*Network, SynthStats, error) {
 	for _, po := range cw.Outputs() {
 		s.out.MarkOutput(cw.NetName(po))
 	}
-	// Distinct cones can synthesize identical split gates; merge them.
-	s.out.MergeDuplicates()
-	if err := s.out.Validate(); err != nil {
+	// Gates were emitted parents first; order them once, then merge the
+	// identical split gates that distinct cones can synthesize.
+	err := s.out.sortGates()
+	if err == nil {
+		s.out.mergeDuplicates()
+		err = s.out.Validate()
+	}
+	if err != nil {
 		return nil, s.stats, fmt.Errorf("core: internal error, invalid output network: %w", err)
 	}
 	return s.out, s.stats, nil
@@ -304,7 +309,7 @@ func (s *synthesizer) synthFunction(name string, tt *truth.Table, support []netc
 	tt, support = reduceSupport(tt, support)
 
 	if isConst, v := tt.IsConst(); isConst {
-		return s.out.AddGate(ConstGate(name, v, s.don, s.o.DeltaOff))
+		return s.out.appendGate(ConstGate(name, v, s.don, s.o.DeltaOff))
 	}
 
 	// Node collapsing (Fig. 4): substitute non-fanout internal support
@@ -316,7 +321,7 @@ func (s *synthesizer) synthFunction(name string, tt *truth.Table, support []netc
 	// Collapsing composes exact cone functions; a cone such as x*!x can
 	// reduce to a constant here even though the node cover was not.
 	if isConst, v := tt.IsConst(); isConst {
-		return s.out.AddGate(ConstGate(name, v, s.don, s.o.DeltaOff))
+		return s.out.appendGate(ConstGate(name, v, s.don, s.o.DeltaOff))
 	}
 
 	// Classify unateness exactly.
@@ -349,7 +354,7 @@ func (s *synthesizer) emitGate(name string, v WeightVector, support []netcore.Ne
 		inputs[i] = s.src.NetName(n)
 		s.enqueue(n)
 	}
-	return s.out.AddGate(&Gate{Name: name, Inputs: inputs, Weights: v.Weights, T: v.T})
+	return s.out.appendGate(&Gate{Name: name, Inputs: inputs, Weights: v.Weights, T: v.T})
 }
 
 // collapse implements the Fig. 4 node-collapsing loop on the function

@@ -523,18 +523,43 @@ func TestNetworkErrors(t *testing.T) {
 	if err := tn.AddGate(&Gate{Name: "a", T: 1}); err == nil {
 		t.Fatal("gate shadowing input must fail")
 	}
-	if err := tn.AddGate(&Gate{Name: "g", Inputs: []string{"x"}, Weights: []int{1, 2}, T: 1}); err == nil {
+	if err := tn.AddGate(&Gate{Name: "g", Inputs: []string{"a"}, Weights: []int{1, 2}, T: 1}); err == nil {
 		t.Fatal("weight/input mismatch must fail")
 	}
-	if err := tn.AddGate(&Gate{Name: "g", Inputs: []string{"missing"}, Weights: []int{1}, T: 1}); err != nil {
+	if err := tn.AddGate(&Gate{Name: "g", Inputs: []string{"missing"}, Weights: []int{1}, T: 1}); err == nil {
+		t.Fatal("undriven gate input must fail")
+	}
+	if err := tn.AddGate(&Gate{Name: "g", Inputs: []string{"g"}, Weights: []int{1}, T: 1}); err == nil {
+		t.Fatal("a gate reading itself must fail")
+	}
+	if err := tn.AddGate(&Gate{Name: "g", Inputs: []string{"a"}, Weights: []int{1}, T: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tn.AddGate(&Gate{Name: "g", T: 1}); err == nil {
 		t.Fatal("duplicate gate must fail")
 	}
-	tn.MarkOutput("g")
+	if len(tn.Gates) != 1 {
+		t.Fatalf("refused gates were kept: %d gates", len(tn.Gates))
+	}
+	tn.MarkOutput("h")
 	if err := tn.Validate(); err == nil {
-		t.Fatal("undriven gate input must fail validation")
+		t.Fatal("undriven output must fail validation")
+	}
+}
+
+// TestAddGateRefusesForwardReference: a gate may only read inputs and
+// earlier gates, so the driver added later does not make the reader legal.
+func TestAddGateRefusesForwardReference(t *testing.T) {
+	tn := NewNetwork("fwd")
+	tn.AddInput("a")
+	if err := tn.AddGate(&Gate{Name: "f", Inputs: []string{"g"}, Weights: []int{1}, T: 1}); err == nil {
+		t.Fatal("gate reading a later gate must fail")
+	}
+	if err := tn.AddGate(&Gate{Name: "g", Inputs: []string{"a"}, Weights: []int{1}, T: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tn.AddGate(&Gate{Name: "f", Inputs: []string{"g"}, Weights: []int{1}, T: 1}); err != nil {
+		t.Fatalf("gate reading an earlier gate: %v", err)
 	}
 }
 

@@ -20,7 +20,9 @@ func WriteTLN(w io.Writer, tn *Network) error {
 	return err
 }
 
-// ParseTLN reads a threshold network in the .tln format.
+// ParseTLN reads a threshold network in the .tln format. Gate lines may
+// come in any order; the returned Gates are topological (see Network).
+// A repeated name, a cycle and an undefined gate input are errors.
 func ParseTLN(r io.Reader) (*Network, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -43,6 +45,13 @@ func ParseTLN(r io.Reader) (*Network, error) {
 			}
 		case ".inputs":
 			for _, in := range fields[1:] {
+				if g, dup := tn.signals[in]; dup {
+					what := "repeats an input"
+					if g != nil {
+						what = "names a gate"
+					}
+					return nil, fmt.Errorf("tln: line %d: input %s %s", line, in, what)
+				}
 				tn.AddInput(in)
 			}
 		case ".outputs":
@@ -54,7 +63,7 @@ func ParseTLN(r io.Reader) (*Network, error) {
 			if err != nil {
 				return nil, fmt.Errorf("tln: line %d: %v", line, err)
 			}
-			if err := tn.AddGate(g); err != nil {
+			if err := tn.appendGate(g); err != nil {
 				return nil, fmt.Errorf("tln: line %d: %v", line, err)
 			}
 		case ".end":
@@ -63,6 +72,9 @@ func ParseTLN(r io.Reader) (*Network, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if err := tn.sortGates(); err != nil {
 		return nil, err
 	}
 	if err := tn.Validate(); err != nil {

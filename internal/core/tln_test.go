@@ -72,6 +72,57 @@ func TestTLNParseErrors(t *testing.T) {
 	}
 }
 
+// TestTLNOutOfOrderGates: gate lines may come in any order; the parsed
+// Gates are topological and print as the in-order file does.
+func TestTLNOutOfOrderGates(t *testing.T) {
+	inOrder := ".tnet o\n.inputs a b\n.outputs f\n" +
+		".gate g = [T=2] +1*a +1*b\n.gate h = [T=0] -1*g\n.gate f = [T=1] +1*h +1*a\n.end\n"
+	outOfOrder := ".tnet o\n.inputs a b\n.outputs f\n" +
+		".gate f = [T=1] +1*h +1*a\n.gate h = [T=0] -1*g\n.gate g = [T=2] +1*a +1*b\n.end\n"
+	want, err := ParseTLNString(inOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ParseTLNString(outOfOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, g := range got.Gates {
+		names = append(names, g.Name)
+	}
+	if strings.Join(names, " ") != "g h f" {
+		t.Fatalf("Gates = %v, want [g h f]", names)
+	}
+	if got.String() != inOrder || want.String() != inOrder {
+		t.Fatalf("out-of-order file prints\n%s\nwant\n%s", got, inOrder)
+	}
+}
+
+func TestTLNRejectsCycle(t *testing.T) {
+	text := ".tnet c\n.inputs a\n.outputs f\n" +
+		".gate f = [T=1] +1*g +1*a\n.gate g = [T=1] +1*f\n.end\n"
+	_, err := ParseTLNString(text)
+	if err == nil || !strings.Contains(err.Error(), "cycle through gate") {
+		t.Fatalf("err = %v, want a cycle error", err)
+	}
+}
+
+// TestTLNRejectsRedeclaredInput: an input may be declared once, and not
+// under a gate's name, whichever line comes first.
+func TestTLNRejectsRedeclaredInput(t *testing.T) {
+	for _, c := range []struct{ text, want string }{
+		{".outputs a\n.gate a = [T=1]\n.inputs a\n", "tln: line 3: input a names a gate"},
+		{".inputs a a\n.outputs a\n", "tln: line 1: input a repeats an input"},
+		{".inputs a\n.outputs a\n.gate a = [T=1]\n", "tln: line 3: core: gate a shadows a primary input"},
+	} {
+		_, err := ParseTLNString(c.text)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%q: err = %v, want %q", c.text, err, c.want)
+		}
+	}
+}
+
 func TestTLNComments(t *testing.T) {
 	text := `
 # comment

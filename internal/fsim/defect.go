@@ -6,11 +6,11 @@ import (
 )
 
 // Defect is one concrete fault instance for a compiled threshold network.
-// All slices are aligned with ThreshSim.GateOrder(); nil fields mean "no
-// fault of that kind".
+// All slices are aligned with the compiled network's Gates; nil fields
+// mean "no fault of that kind".
 type Defect struct {
 	// WeightNoise adds a real offset to every weight: WeightNoise[gi][i]
-	// is added to GateOrder()[gi].Weights[i].
+	// is added to Gates[gi].Weights[i].
 	WeightNoise [][]float64
 	// ThresholdNoise drifts every gate threshold: gate gi fires when the
 	// (possibly noisy) sum reaches T + ThresholdNoise[gi].
@@ -30,7 +30,7 @@ type DefectModel interface {
 
 // WeightVariation is the paper's §VI-C Monte-Carlo disturbance: every
 // weight receives an independent V·U(−0.5, 0.5) offset. It consumes the
-// RNG gate-major, weight-minor, one Float64 per weight, in GateOrder().
+// RNG gate-major, weight-minor, one Float64 per weight, in Gates order.
 type WeightVariation struct {
 	V float64
 }
@@ -40,8 +40,8 @@ func (m WeightVariation) Name() string { return fmt.Sprintf("weight-variation v=
 
 // Draw implements DefectModel.
 func (m WeightVariation) Draw(s *ThreshSim, rng *rand.Rand) *Defect {
-	noise := make([][]float64, len(s.order))
-	for gi, g := range s.order {
+	noise := make([][]float64, len(s.tn.Gates))
+	for gi, g := range s.tn.Gates {
 		n := make([]float64, len(g.Weights))
 		for i := range n {
 			n[i] = m.V * (rng.Float64() - 0.5)
@@ -63,7 +63,7 @@ func (m ThresholdDrift) Name() string { return fmt.Sprintf("threshold-drift v=%g
 
 // Draw implements DefectModel.
 func (m ThresholdDrift) Draw(s *ThreshSim, rng *rand.Rand) *Defect {
-	drift := make([]float64, len(s.order))
+	drift := make([]float64, len(s.tn.Gates))
 	for gi := range drift {
 		drift[gi] = m.V * (rng.Float64() - 0.5)
 	}
@@ -81,7 +81,7 @@ func (m StuckAt) Name() string { return fmt.Sprintf("stuck-at p=%g", m.P) }
 
 // Draw implements DefectModel.
 func (m StuckAt) Draw(s *ThreshSim, rng *rand.Rand) *Defect {
-	stuck := make([]int8, len(s.order))
+	stuck := make([]int8, len(s.tn.Gates))
 	for gi := range stuck {
 		stuck[gi] = -1
 		if rng.Float64() < m.P {

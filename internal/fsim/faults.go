@@ -52,7 +52,7 @@ func FaultSweep(tn *core.Network, batch *Batch) (*FaultReport, error) {
 	for o := range clean {
 		golden[o] = append([]uint64(nil), clean[o]...)
 	}
-	gates := sim.GateOrder()
+	gates := tn.Gates
 	rep := &FaultReport{Vectors: batch.Len()}
 	stuck := make([]int8, len(gates))
 	for gi, g := range gates {

@@ -239,8 +239,8 @@ func TestPackedPerturbedMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		noise := make([][]float64, len(sim.GateOrder()))
-		for gi, g := range sim.GateOrder() {
+		noise := make([][]float64, len(tn.Gates))
+		for gi, g := range tn.Gates {
 			ns := make([]float64, len(g.Weights))
 			for i := range ns {
 				ns[i] = 2 * (rng.Float64() - 0.5)
@@ -267,16 +267,16 @@ func TestPackedPerturbedMatchesScalar(t *testing.T) {
 }
 
 // scalarDefect evaluates one vector under a defect gate by gate in
-// GateOrder, returning the outputs and every gate's value. It mirrors
+// Gates order, returning the outputs and every gate's value. It mirrors
 // core.Gate.EvalPerturbed's float association: weights plus noise summed
 // in ascending input order, here against T plus drift. Nil defect fields
 // mean no fault of that kind.
 func scalarDefect(s *ThreshSim, d *Defect, in map[string]bool) (outs, gates []bool) {
-	val := make(map[string]bool, len(in)+len(s.order))
+	val := make(map[string]bool, len(in)+len(s.tn.Gates))
 	for k, v := range in {
 		val[k] = v
 	}
-	for gi, g := range s.order {
+	for gi, g := range s.tn.Gates {
 		var fire bool
 		if d.Stuck != nil && d.Stuck[gi] >= 0 {
 			fire = d.Stuck[gi] == 1
@@ -319,7 +319,7 @@ func TestPackedDefectMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		order := sim.GateOrder()
+		order := tn.Gates
 		d := &Defect{
 			WeightNoise:    make([][]float64, len(order)),
 			ThresholdNoise: make([]float64, len(order)),
@@ -361,26 +361,40 @@ func TestPackedDefectMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestGateOrderIsTopoGates pins the noise-slice alignment contract:
-// GateOrder is tn.TopoGates(), the order a scalar reference walks to
-// line its noise up with a packed run.
-func TestGateOrderIsTopoGates(t *testing.T) {
+// TestTraceAlignedWithGates pins the alignment contract: Defect slices
+// and trace rows are indexed like tn.Gates. Sticking gate gi forces trace
+// row gi, and every row matches a scalar walk of tn.Gates.
+func TestTraceAlignedWithGates(t *testing.T) {
 	tn := randomThreshNet(rand.New(rand.NewSource(23)), 5)
 	sim, err := CompileThresh(tn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := tn.TopoGates()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := sim.GateOrder()
-	if len(got) != len(want) {
-		t.Fatalf("order lengths differ: %d vs %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("order[%d]: %s vs %s", i, got[i].Name, want[i].Name)
+	batch := exhaustive(tn.Inputs)
+	for gi, g := range tn.Gates {
+		for _, sv := range []int8{0, 1} {
+			stuck := make([]int8, len(tn.Gates))
+			for i := range stuck {
+				stuck[i] = -1
+			}
+			stuck[gi] = sv
+			d := &Defect{Stuck: stuck}
+			trace := makeTrace(len(tn.Gates), batch.Words())
+			if _, err := sim.EvalDefect(batch, d, trace); err != nil {
+				t.Fatal(err)
+			}
+			for m := 0; m < batch.Len(); m++ {
+				_, want := scalarDefect(sim, d, batch.Assignment(m))
+				if Bit(trace[gi], m) != (sv == 1) {
+					t.Fatalf("gate %d (%s) stuck at %d: trace row reads %v at vector %d",
+						gi, g.Name, sv, Bit(trace[gi], m), m)
+				}
+				for i := range want {
+					if Bit(trace[i], m) != want[i] {
+						t.Fatalf("gate %d stuck: trace row %d differs from the walk of tn.Gates at vector %d", gi, i, m)
+					}
+				}
+			}
 		}
 	}
 }

@@ -113,7 +113,7 @@ func FuzzThreshSim(f *testing.F) {
 			t.Fatal(err)
 		}
 		batch := exhaustive(tn.Inputs)
-		trace := makeTrace(len(sim.GateOrder()), batch.Words())
+		trace := makeTrace(len(tn.Gates), batch.Words())
 		got, err := sim.EvalDefect(batch, d, trace)
 		if err != nil {
 			t.Fatal(err)
@@ -128,7 +128,7 @@ func FuzzThreshSim(f *testing.F) {
 			for gi := range gates {
 				if Bit(trace[gi], m) != gates[gi] {
 					t.Fatalf("vector %d gate %s: trace=%v scalar=%v",
-						m, sim.GateOrder()[gi].Name, Bit(trace[gi], m), gates[gi])
+						m, tn.Gates[gi].Name, Bit(trace[gi], m), gates[gi])
 				}
 			}
 		}

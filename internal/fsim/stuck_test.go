@@ -116,7 +116,7 @@ type alternateStuck struct{ trial int }
 func (m *alternateStuck) Name() string { return "alternate-stuck" }
 
 func (m *alternateStuck) Draw(s *ThreshSim, _ *rand.Rand) *Defect {
-	stuck := make([]int8, len(s.GateOrder()))
+	stuck := make([]int8, len(s.tn.Gates))
 	for i := range stuck {
 		stuck[i] = -1
 	}

@@ -54,7 +54,6 @@ type pGate struct {
 // evaluate many batches; not safe for concurrent use.
 type ThreshSim struct {
 	tn       *core.Network
-	order    []*core.Gate
 	inputs   []string
 	inSlots  []int
 	gates    []pGate
@@ -67,23 +66,18 @@ type ThreshSim struct {
 	work []fireTable // rebuilt per perturbed/defect evaluation
 }
 
-// CompileThresh prepares the packed evaluator. The gate order is
-// tn.TopoGates(), so noise slices drawn against GateOrder() line up with
-// a topological walk of the network.
+// CompileThresh prepares the packed evaluator. Gate gi is tn.Gates[gi],
+// so noise slices are aligned with tn.Gates, which is topological.
 func CompileThresh(tn *core.Network) (*ThreshSim, error) {
-	order, err := tn.TopoGates()
-	if err != nil {
-		return nil, err
-	}
-	s := &ThreshSim{tn: tn, order: order}
-	slot := make(map[string]int, len(tn.Inputs)+len(order))
+	s := &ThreshSim{tn: tn}
+	slot := make(map[string]int, len(tn.Inputs)+len(tn.Gates))
 	for _, in := range tn.Inputs {
 		slot[in] = len(slot)
 		s.inputs = append(s.inputs, in)
 		s.inSlots = append(s.inSlots, slot[in])
 	}
 	maxFanin := 0
-	for _, g := range order {
+	for _, g := range tn.Gates {
 		if k := len(g.Inputs); k > maxFanin && k <= tableFanin {
 			maxFanin = k
 		}
@@ -91,16 +85,12 @@ func CompileThresh(tn *core.Network) (*ThreshSim, error) {
 	}
 	s.vals = make([]uint64, len(slot))
 	s.mts = make([]uint64, 1<<uint(maxFanin))
-	s.base = make([]fireTable, len(order))
-	s.work = make([]fireTable, len(order))
-	for gi, g := range order {
+	s.base = make([]fireTable, len(tn.Gates))
+	s.work = make([]fireTable, len(tn.Gates))
+	for gi, g := range tn.Gates {
 		pg := pGate{g: g, slot: slot[g.Name]}
 		for _, in := range g.Inputs {
-			is, ok := slot[in]
-			if !ok {
-				return nil, fmt.Errorf("fsim: gate %s input %s is undriven", g.Name, in)
-			}
-			pg.ins = append(pg.ins, is)
+			pg.ins = append(pg.ins, slot[in])
 		}
 		s.gates = append(s.gates, pg)
 		if len(g.Inputs) <= tableFanin {
@@ -119,10 +109,6 @@ func CompileThresh(tn *core.Network) (*ThreshSim, error) {
 	s.out = make([][]uint64, len(s.outSlots))
 	return s, nil
 }
-
-// GateOrder exposes the evaluation order; noise slices passed to
-// EvalPerturbed and Defect fields are aligned with it.
-func (s *ThreshSim) GateOrder() []*core.Gate { return s.order }
 
 // fillExactFire enumerates the gate's integer-weight truth table.
 func fillExactFire(g *core.Gate, ft *fireTable) {
@@ -183,7 +169,7 @@ func (s *ThreshSim) Eval(b *Batch) ([][]uint64, error) {
 }
 
 // EvalPerturbed computes the packed outputs with per-gate weight noise
-// (noise[gi] aligned with GateOrder()[gi].Weights), the w' = w +
+// (noise[gi] aligned with tn.Gates[gi].Weights), the w' = w +
 // v·U(−0.5,0.5) model of §VI-C.
 func (s *ThreshSim) EvalPerturbed(b *Batch, noise [][]float64) ([][]uint64, error) {
 	return s.EvalDefect(b, &Defect{WeightNoise: noise}, nil)

@@ -127,8 +127,8 @@ func NewYieldSession(nw *netcore.Network, tn *core.Network, cfg YieldConfig) (*Y
 	if err != nil {
 		return nil, err
 	}
-	// Probe the threshold side now so an undriven or cyclic network fails
-	// at session build rather than on the first point.
+	// Probe the threshold side now so an undriven output fails at
+	// session build rather than on the first point.
 	if _, err := CompileThresh(tn); err != nil {
 		return nil, err
 	}
@@ -238,7 +238,7 @@ func EstimateYield(nw *netcore.Network, tn *core.Network, model DefectModel, cfg
 // call, everything reached through s is read-only.
 func (s *YieldSession) estimate(tsim *ThreshSim, model DefectModel, cfg YieldConfig, rng *rand.Rand) (*YieldReport, error) {
 	batch, golden := s.batch, s.golden
-	gates := tsim.GateOrder()
+	gates := tsim.tn.Gates
 	cleanTrace := makeTrace(len(gates), batch.Words())
 	if _, err := tsim.EvalDefect(batch, nil, cleanTrace); err != nil {
 		return nil, err

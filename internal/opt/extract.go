@@ -85,7 +85,7 @@ func extractRound(nw *netcore.Network, serial int) int {
 			if len(k.Expr) < 2 || len(k.Expr) > extractMaxKernelCubes {
 				continue
 			}
-			key := kernelKey(k.Expr)
+			key := algebra.ExprKey(k.Expr)
 			if _, ok := cands[key]; !ok {
 				cands[key] = &candidate{expr: k.Expr, lits: litsOf(k.Expr), key: key}
 			}
@@ -107,7 +107,7 @@ func extractRound(nw *netcore.Network, serial int) int {
 			continue
 		}
 		e := algebra.Expr{algebra.Cube{pair[0], pair[1]}}
-		key := kernelKey(e)
+		key := algebra.ExprKey(e)
 		if _, ok := cands[key]; !ok {
 			cands[key] = &candidate{expr: e, lits: litsOf(e), key: key}
 		}
@@ -197,21 +197,4 @@ func extractRound(nw *netcore.Network, serial int) int {
 	}
 	nw.RemoveDangling()
 	return extracted
-}
-
-func kernelKey(e algebra.Expr) string {
-	keys := make([]string, len(e))
-	for i, c := range e {
-		b := make([]byte, 0, len(c)*3)
-		for _, l := range c {
-			b = append(b, byte(l>>16), byte(l>>8), byte(l))
-		}
-		keys[i] = string(b)
-	}
-	sort.Strings(keys)
-	out := ""
-	for _, k := range keys {
-		out += k + "\xff"
-	}
-	return out
 }

@@ -216,54 +216,37 @@ func splice(tn *core.Network, gateName string, r *replacement) (*core.Network, [
 		}
 	}
 
-	fragOrder, err := r.frag.TopoGates()
-	if err != nil {
-		return nil, nil, fmt.Errorf("resyn: malformed fragment: %w", err)
-	}
 	added := []string{gateName}
-	addFrag := func() error {
-		// Name internal gates first so forward references inside the
-		// fragment resolve regardless of order.
-		for _, fg := range fragOrder {
-			if fg.Name != repOutput {
-				rename[fg.Name] = fresh(gateName)
-				added = append(added, rename[fg.Name])
-			}
-		}
-		for _, fg := range fragOrder {
-			inputs := make([]string, len(fg.Inputs))
-			for i, in := range fg.Inputs {
-				inputs[i] = rename[in]
-			}
-			g := &core.Gate{
-				Name:    rename[fg.Name],
-				Inputs:  inputs,
-				Weights: append([]int(nil), fg.Weights...),
-				T:       fg.T,
-			}
-			if err := out.AddGate(g); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	for _, g := range tn.Gates {
-		if g.Name == gateName {
-			if err := addFrag(); err != nil {
+		if g.Name != gateName {
+			if err := out.AddGate(g); err != nil {
 				return nil, nil, err
 			}
 			continue
 		}
-		if err := out.AddGate(g); err != nil {
-			return nil, nil, err
+		// The fragment takes the gate's place. Its gates come drivers
+		// first, so each one's inputs are renamed before it is added.
+		for _, fg := range r.frag.Gates {
+			if fg.Name != repOutput {
+				rename[fg.Name] = fresh(gateName)
+				added = append(added, rename[fg.Name])
+			}
+			inputs := make([]string, len(fg.Inputs))
+			for i, in := range fg.Inputs {
+				inputs[i] = rename[in]
+			}
+			if err := out.AddGate(&core.Gate{
+				Name:    rename[fg.Name],
+				Inputs:  inputs,
+				Weights: append([]int(nil), fg.Weights...),
+				T:       fg.T,
+			}); err != nil {
+				return nil, nil, err
+			}
 		}
 	}
 	for _, o := range tn.Outputs {
 		out.MarkOutput(o)
-	}
-	if err := out.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("resyn: spliced network invalid: %w", err)
 	}
 	return out, added, nil
 }

@@ -61,18 +61,15 @@ type Netlist struct {
 	Mobiles []*Mobile
 }
 
-// Map converts the threshold network into a MOBILE netlist.
-func Map(tn *core.Network) (*Netlist, error) {
-	order, err := tn.TopoGates()
-	if err != nil {
-		return nil, err
-	}
+// Map converts the threshold network into a MOBILE netlist, one element
+// per gate in tn.Gates order, drivers first.
+func Map(tn *core.Network) *Netlist {
 	nl := &Netlist{
 		Name:    tn.Name,
 		Inputs:  append([]string(nil), tn.Inputs...),
 		Outputs: append([]string(nil), tn.Outputs...),
 	}
-	for _, g := range order {
+	for _, g := range tn.Gates {
 		m := &Mobile{Name: g.Name, Output: g.Name}
 		for i, in := range g.Inputs {
 			w := g.Weights[i]
@@ -88,7 +85,7 @@ func Map(tn *core.Network) (*Netlist, error) {
 		m.LoadPeak = 1
 		nl.Mobiles = append(nl.Mobiles, m)
 	}
-	return nl, nil
+	return nl
 }
 
 func abs(x int) int {

@@ -31,10 +31,7 @@ func sampleNetwork(t *testing.T) *core.Network {
 }
 
 func TestMapStructure(t *testing.T) {
-	nl, err := Map(sampleNetwork(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	nl := Map(sampleNetwork(t))
 	if len(nl.Mobiles) != 2 {
 		t.Fatalf("mobiles = %d, want 2", len(nl.Mobiles))
 	}
@@ -62,20 +59,14 @@ func TestMapStructure(t *testing.T) {
 
 func TestAreaMatchesEq14(t *testing.T) {
 	tn := sampleNetwork(t)
-	nl, err := Map(tn)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nl := Map(tn)
 	if got, want := nl.Stats().Area, tn.Area(); got != want {
 		t.Fatalf("mapped area = %d, network Eq.14 area = %d", got, want)
 	}
 }
 
 func TestDeviceCounts(t *testing.T) {
-	nl, err := Map(sampleNetwork(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	nl := Map(sampleNetwork(t))
 	s := nl.Stats()
 	// g1: 3 branches + 2 = 5 RTDs, 3 HFETs; f: 2 branches + 2 = 4 RTDs, 2 HFETs.
 	if s.RTDs != 9 || s.HFETs != 5 {
@@ -96,20 +87,14 @@ func TestZeroWeightSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	tn.MarkOutput("f")
-	nl, err := Map(tn)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nl := Map(tn)
 	if len(nl.Mobiles[0].Branches) != 1 {
 		t.Fatalf("zero-weight input not skipped: %+v", nl.Mobiles[0])
 	}
 }
 
 func TestWriteNetlist(t *testing.T) {
-	nl, err := Map(sampleNetwork(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	nl := Map(sampleNetwork(t))
 	text, err := nl.WriteString()
 	if err != nil {
 		t.Fatal(err)
@@ -134,10 +119,7 @@ func TestMapSynthesizedBenchmark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nl, err := Map(tn)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nl := Map(tn)
 	s := nl.Stats()
 	if s.Mobiles != tn.GateCount() {
 		t.Fatalf("mobiles %d != gates %d", s.Mobiles, tn.GateCount())
@@ -163,10 +145,7 @@ func TestNegativeThresholdDriver(t *testing.T) {
 		t.Fatal(err)
 	}
 	tn.MarkOutput("f")
-	nl, err := Map(tn)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nl := Map(tn)
 	m := nl.Mobiles[0]
 	for _, b := range m.Branches {
 		if !b.Falling || b.Weight != 1 {
@@ -188,10 +167,7 @@ func TestNegativeThresholdDriver(t *testing.T) {
 		t.Fatal(err)
 	}
 	neg.MarkOutput("f")
-	nl, err = Map(neg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nl = Map(neg)
 	if nl.Mobiles[0].DriverPeak != 1 {
 		t.Fatalf("driver peak = %d, want |T| = 1", nl.Mobiles[0].DriverPeak)
 	}
@@ -216,10 +192,7 @@ func TestMapInvertedInputsOneToOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nl, err := Map(tn)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nl := Map(tn)
 	falling, total := 0, 0
 	for gi, g := range tn.Gates {
 		m := nl.Mobiles[gi]
@@ -250,22 +223,27 @@ func TestMapInvertedInputsOneToOne(t *testing.T) {
 	}
 }
 
-// TestMapRejectsCycle: the mapper surfaces topological-order errors.
-func TestMapRejectsCycle(t *testing.T) {
-	tn := core.NewNetwork("loop")
-	tn.AddInput("a")
-	if err := tn.AddGate(&core.Gate{
-		Name: "g1", Inputs: []string{"g2", "a"}, Weights: []int{1, 1}, T: 1,
-	}); err != nil {
+// TestMapKeepsDriversFirst: a .tln that lists readers before their
+// drivers still maps to a netlist with every element after its drivers.
+func TestMapKeepsDriversFirst(t *testing.T) {
+	tn, err := core.ParseTLNString(".tnet o\n.inputs a b\n.outputs f\n" +
+		".gate f = [T=1] +1*h +1*a\n.gate h = [T=0] -1*g\n.gate g = [T=2] +1*a +1*b\n.end\n")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tn.AddGate(&core.Gate{
-		Name: "g2", Inputs: []string{"g1"}, Weights: []int{1}, T: 1,
-	}); err != nil {
-		t.Fatal(err)
+	nl := Map(tn)
+	driven := map[string]bool{"a": true, "b": true}
+	var names []string
+	for _, m := range nl.Mobiles {
+		for _, b := range m.Branches {
+			if !driven[b.Input] {
+				t.Fatalf("element %s reads %s before it is driven", m.Name, b.Input)
+			}
+		}
+		driven[m.Output] = true
+		names = append(names, m.Name)
 	}
-	tn.MarkOutput("g2")
-	if _, err := Map(tn); err == nil {
-		t.Fatal("cyclic network mapped without error")
+	if got := strings.Join(names, " "); got != "g h f" {
+		t.Fatalf("elements %s, want g h f", got)
 	}
 }

@@ -71,7 +71,7 @@ func inputNames(nw *netcore.Network) []string {
 
 // scalarFails is the one-vector-at-a-time reference for one disturbance:
 // whether the threshold network, every gate's weights offset by noise
-// (aligned with TopoGates; nil = exact weights), computes a wrong output
+// (aligned with the network's Gates; nil = exact weights), computes a wrong output
 // on any batch vector. It walks the gates through core.Gate.EvalPerturbed
 // and takes the golden outputs from network.Network.EvalOutputs.
 func scalarFails(t *testing.T, pair Pair, batch *fsim.Batch, order []*core.Gate, noise [][]float64) bool {
@@ -124,10 +124,7 @@ func scalarFailureRate(t *testing.T, pairs []Pair, v float64, cfg FailureRateCon
 	for i, pair := range pairs {
 		rng := rand.New(rand.NewSource(pairSeed(cfg.Seed, i)))
 		batch := fsim.Vectors(inputNames(pair.Bool), cfg.Samples, rng)
-		order, err := pair.Threshold.TopoGates()
-		if err != nil {
-			t.Fatal(err)
-		}
+		order := pair.Threshold.Gates
 		for trial := 0; trial < cfg.Trials; trial++ {
 			noise := make([][]float64, len(order))
 			for gi, g := range order {
