@@ -375,11 +375,6 @@ func ExprKey(e Expr) string {
 	return string(b)
 }
 
-// Equal reports whether two expressions are the same cube set.
-func Equal(a, b Expr) bool {
-	return ExprKey(a) == ExprKey(b)
-}
-
 // Vars returns the sorted variable indices used by the expression.
 func (e Expr) Vars() []int {
 	set := make(map[int]bool)

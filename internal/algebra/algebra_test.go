@@ -52,7 +52,7 @@ func TestCommonCube(t *testing.T) {
 	}
 	// c + d
 	want := expr(4, "--1-", "---1")
-	if !Equal(free, want) {
+	if ExprKey(free) != ExprKey(want) {
 		t.Fatalf("MakeCubeFree = %v, want %v", free, want)
 	}
 }
@@ -65,10 +65,10 @@ func TestWeakDivTextbook(t *testing.T) {
 	q, r := WeakDiv(F, D)
 	wantQ := expr(5, "--1--", "---1-")
 	wantR := expr(5, "----1")
-	if !Equal(q, wantQ) {
+	if ExprKey(q) != ExprKey(wantQ) {
 		t.Fatalf("quotient = %v, want %v", q, wantQ)
 	}
-	if !Equal(r, wantR) {
+	if ExprKey(r) != ExprKey(wantR) {
 		t.Fatalf("remainder = %v, want %v", r, wantR)
 	}
 }
@@ -80,7 +80,7 @@ func TestWeakDivNoQuotient(t *testing.T) {
 	if len(q) != 0 {
 		t.Fatalf("quotient = %v, want empty", q)
 	}
-	if !Equal(r, F) {
+	if ExprKey(r) != ExprKey(F) {
 		t.Fatalf("remainder = %v, want original", r)
 	}
 }
@@ -102,7 +102,7 @@ func TestWeakDivReconstruction(t *testing.T) {
 			}
 		}
 		rebuilt = append(rebuilt, r...)
-		if !Equal(dedupe(rebuilt), dedupe(F)) {
+		if ExprKey(dedupe(rebuilt)) != ExprKey(dedupe(F)) {
 			t.Fatalf("iter %d: F=%v D=%v q=%v r=%v rebuilt=%v", iter, F, D, q, r, rebuilt)
 		}
 	}
@@ -172,13 +172,13 @@ func TestKernelsTextbook(t *testing.T) {
 	abc := Expr{mk(0), mk(1), mk(2)}
 	de := Expr{mk(3), mk(4)}
 	for _, k := range ks {
-		if Equal(k.Expr, abc) {
+		if ExprKey(k.Expr) == ExprKey(abc) {
 			foundABC = true
 		}
-		if Equal(k.Expr, de) {
+		if ExprKey(k.Expr) == ExprKey(de) {
 			foundDE = true
 		}
-		if Equal(k.Expr, F) {
+		if ExprKey(k.Expr) == ExprKey(F) {
 			foundSelf = true
 		}
 	}
@@ -201,13 +201,13 @@ func TestKernelsAreQuotients(t *testing.T) {
 			}
 			if len(k.CoKernel) == 0 {
 				// The expression itself (made cube-free); check equality.
-				if !Equal(k.Expr, F.MakeCubeFree()) && !Equal(k.Expr, F) {
+				if ExprKey(k.Expr) != ExprKey(F.MakeCubeFree()) && ExprKey(k.Expr) != ExprKey(F) {
 					t.Fatalf("iter %d: empty co-kernel but expr %v != F %v", iter, k.Expr, F)
 				}
 				continue
 			}
 			q, _ := F.DivideByCube(k.CoKernel)
-			if !Equal(q.MakeCubeFree(), k.Expr) {
+			if ExprKey(q.MakeCubeFree()) != ExprKey(k.Expr) {
 				t.Fatalf("iter %d: kernel %v with co-kernel %v is not the cube-free quotient %v",
 					iter, k.Expr, k.CoKernel, q.MakeCubeFree())
 			}
@@ -238,7 +238,7 @@ func TestWeakDivWideLiterals(t *testing.T) {
 	if len(q) != 0 || len(r) != 2 {
 		t.Fatalf("WeakDiv(%v, [[2] [3]]) = q %v r %v, want q empty and r = e", e, q, r)
 	}
-	if Equal(Expr{{0}}, Expr{{65536}}) {
-		t.Fatal("Equal([[0]], [[65536]]) = true")
+	if ExprKey(Expr{{0}}) == ExprKey(Expr{{65536}}) {
+		t.Fatal("[[0]] and [[65536]] share a key")
 	}
 }

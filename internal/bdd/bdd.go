@@ -64,9 +64,6 @@ func New(numVars, maxNodes int) *Manager {
 	return m
 }
 
-// NumVars returns the variable count.
-func (m *Manager) NumVars() int { return m.numVars }
-
 // Size returns the number of live nodes including terminals.
 func (m *Manager) Size() int { return len(m.nodes) }
 
@@ -179,39 +176,6 @@ func (m *Manager) Eval(f Ref, assign []bool) bool {
 		}
 	}
 	return f == True
-}
-
-// SatCount returns the number of satisfying assignments over all NumVars
-// variables as a float64 (exact for < 2^53).
-func (m *Manager) SatCount(f Ref) float64 {
-	memo := make(map[Ref]float64)
-	var count func(r Ref) float64 // assignments of variables below r's level
-	count = func(r Ref) float64 {
-		if r == False {
-			return 0
-		}
-		if r == True {
-			return 1
-		}
-		if v, ok := memo[r]; ok {
-			return v
-		}
-		n := m.nodes[r]
-		lo := count(n.lo) * pow2(int(m.level(n.lo))-int(n.level)-1)
-		hi := count(n.hi) * pow2(int(m.level(n.hi))-int(n.level)-1)
-		v := lo + hi
-		memo[r] = v
-		return v
-	}
-	return count(f) * pow2(int(m.level(f)))
-}
-
-func pow2(k int) float64 {
-	v := 1.0
-	for i := 0; i < k; i++ {
-		v *= 2
-	}
-	return v
 }
 
 // AnySat returns one satisfying assignment, or nil for the constant-0

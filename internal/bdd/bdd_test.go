@@ -116,25 +116,6 @@ func TestOpsAgainstTruthTables(t *testing.T) {
 	}
 }
 
-func TestSatCount(t *testing.T) {
-	m := New(4, 0)
-	a, b := mustVar(t, m, 0), mustVar(t, m, 1)
-	and, _ := m.And(a, b)
-	if got := m.SatCount(and); got != 4 { // a∧b over 4 vars: 2^2 assignments
-		t.Fatalf("SatCount(a*b) = %v, want 4", got)
-	}
-	or, _ := m.Or(a, b)
-	if got := m.SatCount(or); got != 12 {
-		t.Fatalf("SatCount(a+b) = %v, want 12", got)
-	}
-	if got := m.SatCount(True); got != 16 {
-		t.Fatalf("SatCount(1) = %v, want 16", got)
-	}
-	if got := m.SatCount(False); got != 0 {
-		t.Fatalf("SatCount(0) = %v, want 0", got)
-	}
-}
-
 func TestAnySat(t *testing.T) {
 	m := New(3, 0)
 	a, c := mustVar(t, m, 0), mustVar(t, m, 2)

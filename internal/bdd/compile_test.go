@@ -148,9 +148,6 @@ func TestCompileThresholdErrors(t *testing.T) {
 
 func TestManagerAccessors(t *testing.T) {
 	m := New(5, 0)
-	if m.NumVars() != 5 {
-		t.Fatalf("NumVars = %d", m.NumVars())
-	}
 	if m.Size() != 2 {
 		t.Fatalf("fresh manager size = %d, want 2 terminals", m.Size())
 	}

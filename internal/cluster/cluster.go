@@ -109,9 +109,6 @@ func (c *Cluster) Self() string { return c.cfg.Self }
 // Size returns the fleet size.
 func (c *Cluster) Size() int { return c.ring.Size() }
 
-// Peers returns the sorted static peer list.
-func (c *Cluster) Peers() []string { return c.ring.Peers() }
-
 // Available reports whether the peer's breaker admits a request.
 func (c *Cluster) Available(addr string) bool { return c.health.Available(addr) }
 

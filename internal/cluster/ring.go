@@ -114,27 +114,5 @@ func (r *Ring) Owner(key string) string {
 // Self returns this peer's own address.
 func (r *Ring) Self() string { return r.self }
 
-// Peers returns the sorted peer list (shared; callers must not mutate).
-func (r *Ring) Peers() []string { return r.peers }
-
 // Size returns the number of peers on the ring.
 func (r *Ring) Size() int { return len(r.peers) }
-
-// Without returns a new ring with the peer removed — the static-list
-// rebalance an operator performs by restarting the fleet with a shorter
-// -peers list. Consistent hashing guarantees only the removed peer's
-// keys change owner; the rest of the key space is untouched (pinned by
-// TestRingRebalanceOnRemoval). newSelf names the caller's identity on
-// the new ring (the removed peer cannot keep a ring of its own).
-func (r *Ring) Without(peer, newSelf string) (*Ring, error) {
-	kept := make([]string, 0, len(r.peers))
-	for _, p := range r.peers {
-		if p != peer {
-			kept = append(kept, p)
-		}
-	}
-	if len(kept) == len(r.peers) {
-		return nil, fmt.Errorf("cluster: peer %q not on the ring", peer)
-	}
-	return NewRing(newSelf, kept)
-}

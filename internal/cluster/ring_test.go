@@ -76,15 +76,15 @@ func TestRingDistribution(t *testing.T) {
 }
 
 // TestRingRebalanceOnRemoval pins the consistent-hashing contract: when
-// a peer leaves the static list, only keys it owned change owner —
-// everything else stays put, so the surviving peers' caches stay warm.
+// a peer leaves the static list (the fleet restarts with a shorter -peers
+// list), only keys it owned change owner — everything else stays put, so
+// the surviving peers' caches stay warm.
 func TestRingRebalanceOnRemoval(t *testing.T) {
-	peers := []string{"h1:1", "h2:2", "h3:3", "h4:4"}
-	before, err := NewRing("h1:1", peers)
+	before, err := NewRing("h1:1", []string{"h1:1", "h2:2", "h3:3", "h4:4"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := before.Without("h3:3", "h1:1")
+	after, err := NewRing("h1:1", []string{"h1:1", "h2:2", "h4:4"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,9 +114,5 @@ func TestRingRebalanceOnRemoval(t *testing.T) {
 	}
 	if owned == 0 {
 		t.Fatal("test vacuous: removed peer owned no sampled keys")
-	}
-
-	if _, err := before.Without("nope:0", "h1:1"); err == nil {
-		t.Error("Without accepted a peer not on the ring")
 	}
 }

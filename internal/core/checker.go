@@ -67,7 +67,7 @@ type Checker struct {
 	// re-check the same rejected functions, and array-style benchmarks
 	// repeat the same wide slice function across outputs. Only proven
 	// verdicts enter — a §V-E budget bailout is not a certificate (see
-	// ilp.Result.Proven) — so a hit never changes a verdict, only the
+	// ilp.Result.LimitHit) — so a hit never changes a verdict, only the
 	// time to reach it. Allocated on the first insert.
 	unsat map[[32]byte]struct{}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"tels/internal/ilp"
 	"tels/internal/mcnc"
 	"tels/internal/opt"
+	"tels/internal/simplex"
 	"tels/internal/truth"
 )
 
@@ -157,48 +159,59 @@ func TestSynthesizeConcurrentRuns(t *testing.T) {
 }
 
 // A tiny ILP budget must surface as a budget bailout (declared
-// non-threshold, nothing stored), never as a proven UNSAT result.
+// non-threshold, nothing stored), never as a proven UNSAT result. The
+// instance's root LP relaxation is fractional, so a 1-node budget stops
+// branch and bound before any integer point.
 func TestBudgetBailoutNotCached(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
+	tt := weightedTable([]int{17, 9, 11, 5, 20, 12, 9, 9, 7}, 39)
 	tiny := Checker{ILP: ilp.Solver{MaxNodes: 1}}
-	full := Checker{}
-	for iter := 0; iter < 300; iter++ {
-		tt := randomUnate(rng, 6)
-		if isConst, _ := tt.IsConst(); isConst {
-			continue
-		}
-		if len(tt.Support()) != 6 {
-			continue
-		}
-		// A 1-node budget bails out unless the root LP happens to be
-		// integral or infeasible; hunt for an instance where it bails.
-		before := SnapshotCheckCounters().BudgetBailouts
-		_, ok := tiny.Check(tt, 0, 1, 0)
-		if SnapshotCheckCounters().BudgetBailouts == before {
-			continue
-		}
-		if ok {
-			t.Fatal("a budget bailout must report non-threshold")
-		}
-		// The bailout must not have entered the checker's UNSAT
-		// results: the same checker solves again and bails out again.
-		again := SnapshotCheckCounters()
-		if _, ok := tiny.Check(tt, 0, 1, 0); ok {
-			t.Fatal("repeated bailout must report non-threshold")
+	for i := 0; i < 2; i++ {
+		before := SnapshotCheckCounters()
+		if _, ok := tiny.Check(tt, 2, 1, 0); ok {
+			t.Fatalf("call %d: a budget bailout must report non-threshold", i)
 		}
 		after := SnapshotCheckCounters()
-		if after.UnsatCacheHits != again.UnsatCacheHits || after.BudgetBailouts == again.BudgetBailouts {
-			t.Fatalf("repeated check on the tiny budget was answered from stored results: %+v → %+v", again, after)
+		if after.BudgetBailouts == before.BudgetBailouts || after.UnsatCacheHits != before.UnsatCacheHits {
+			t.Fatalf("call %d: want a bailout and no stored answer: %+v → %+v", i, before, after)
 		}
-		// With the full budget the verdict matches the LP separability
-		// oracle.
-		_, got := full.Check(tt, 0, 1, 0)
-		if want := IsThresholdLP(tt); got != want {
-			t.Fatalf("after bailout: full-budget=%v oracle=%v", got, want)
-		}
-		return
 	}
-	t.Skip("no bailout instance found in 300 trials")
+	if len(tiny.unsat) != 0 {
+		t.Fatal("a bailout entered the checker's proven-UNSAT results")
+	}
+	var full Checker
+	v, ok := full.Check(tt, 2, 1, 0)
+	if !ok || !VerifyVector(tt, v, 2, 1) {
+		t.Fatalf("default budget: %v;%v, want a verified vector", v, ok)
+	}
+}
+
+// The phase-1 objective row of the float simplex drifts over the ~440
+// pivots of this 10-input check: the solver called the root LP of a
+// threshold function infeasible, and the checker stored that as proven.
+// Its exact optimum is 421 at 3·w with T = 142.
+func TestSimplexDriftNotInfeasible(t *testing.T) {
+	tt := weightedTable([]int{2, 7, 9, 12, 18, 3, 18, 8, 5, 11}, 48)
+	sys, ok := buildCheckSystem(tt, 2, 1, 0)
+	if !ok {
+		t.Fatal("buildCheckSystem rejected a threshold function")
+	}
+	res := simplex.Solve(sys.problem())
+	if res.Status != simplex.Optimal || math.Abs(res.Objective-421) > 0.01 {
+		t.Fatalf("root LP: %v, objective %v; want optimal 421", res.Status, res.Objective)
+	}
+}
+
+// Functions that are threshold by construction, up to 9 inputs, through
+// checkConstructed. The first is a 9-input function whose root LP the
+// drifting simplex called infeasible; re-priced, the solve runs out of
+// pivots instead, which the checker counts as a budget bailout.
+func TestCheckThresholdByConstruction(t *testing.T) {
+	checkConstructed(t, []int{12, 20, 12, 13, 17, 4, 10, 18, 12}, 69, 1, 1)
+	rng := rand.New(rand.NewSource(41))
+	for iter := 0; iter < 40; iter++ {
+		w, T := randomWeights(rng, 2+rng.Intn(8))
+		checkConstructed(t, w, T, rng.Intn(3), 1+rng.Intn(2))
+	}
 }
 
 // Every unate full-support function of up to 3 variables through the
@@ -268,7 +281,7 @@ func TestPBRefutationDirect(t *testing.T) {
 	}
 	var solver ilp.Solver
 	res := solver.Solve(sys.problem())
-	if res.Status != ilp.Infeasible || !res.Proven() {
+	if res.Status != ilp.Infeasible || res.LimitHit {
 		t.Fatalf("refutation: status %v, limit hit %v; want proven infeasible", res.Status, res.LimitHit)
 	}
 }

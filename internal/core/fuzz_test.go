@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"tels/internal/ilp"
 	"tels/internal/truth"
 )
 
@@ -64,21 +65,30 @@ func FuzzParseTLN(f *testing.F) {
 // unbounded, and an exhaustive search over every weight vector within
 // the cap when one is set (n ≤ 4). On SAT the vector must realize the
 // function within the cap, and a checker's proven-UNSAT results must
-// never change an answer.
+// never change an answer. With the high bit of nb set it checks a
+// function that is threshold by construction instead (see
+// checkConstructed), on up to 9 inputs.
 func FuzzCheck(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(0), uint8(1), uint8(0))
 	f.Add(int64(7), uint8(5), uint8(1), uint8(2), uint8(0))
 	f.Add(int64(23), uint8(6), uint8(0), uint8(1), uint8(5))
 	f.Add(int64(-99), uint8(3), uint8(2), uint8(1), uint8(0))
+	f.Add(int64(3), uint8(0x87), uint8(2), uint8(1), uint8(0))
+	f.Add(int64(11), uint8(0x85), uint8(1), uint8(0), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, nb, donb, doffb, maxWb uint8) {
-		n := 2 + int(nb)%5 // 2..6
 		don := int(donb) % 3
 		doff := 1 + int(doffb)%2
+		rng := rand.New(rand.NewSource(seed))
+		if nb&0x80 != 0 {
+			w, T := randomWeights(rng, 2+int(nb&0x7f)%8) // 2..9 inputs
+			checkConstructed(t, w, T, don, doff)
+			return
+		}
+		n := 2 + int(nb)%5 // 2..6
 		maxW := int(maxWb) % 8
 		if maxW != 0 && maxW < don+doff {
 			maxW = don + doff
 		}
-		rng := rand.New(rand.NewSource(seed))
 		tt := randomUnate(rng, n)
 		if isConst, _ := tt.IsConst(); isConst || len(tt.Support()) != n {
 			return
@@ -124,6 +134,73 @@ func refereeCheck(t *testing.T, tt *truth.Table, don, doff, maxW int) {
 	// from its proven-UNSAT results.
 	if cv, cok := cold.Check(tt, don, doff, maxW); cok != ok || !reflect.DeepEqual(cv, v) {
 		t.Fatalf("repeated check %v;%v, cold %v;%v (f=%s)", cv, cok, v, ok, tt)
+	}
+}
+
+// weightedTable is the threshold function Σ wᵢxᵢ ≥ T.
+func weightedTable(w []int, T int) *truth.Table {
+	tt := truth.New(len(w))
+	for m := 0; m < tt.Size(); m++ {
+		sum := 0
+		for i, wi := range w {
+			if m>>i&1 != 0 {
+				sum += wi
+			}
+		}
+		tt.Set(m, sum >= T)
+	}
+	return tt
+}
+
+// randomWeights draws nonzero weights in [-20, 20] and a threshold above
+// the least weighted sum and at most the greatest, so Σ wᵢxᵢ ≥ T is not
+// constant.
+func randomWeights(rng *rand.Rand, n int) ([]int, int) {
+	w := make([]int, n)
+	lo, hi := 0, 0
+	for i := range w {
+		for w[i] == 0 {
+			w[i] = rng.Intn(41) - 20
+		}
+		if w[i] < 0 {
+			lo += w[i]
+		} else {
+			hi += w[i]
+		}
+	}
+	return w, lo + 1 + rng.Intn(hi-lo)
+}
+
+// checkConstructed checks f = [w·x ≥ T], a threshold function by
+// construction, without relying on the simplex for the verdict: the
+// scaled vector (δon+δoff)·w with threshold (δon+δoff)·T − δon realizes f
+// under the margins. A cold checker must find a vector or bail out on
+// its budget; an infeasible verdict, which it would store as proven, is
+// wrong. The checker gets 16 branch-and-bound nodes: some 9-input checks
+// take minutes under the default budget, and a bailout is an allowed
+// answer here.
+func checkConstructed(t *testing.T, w []int, T, don, doff int) {
+	t.Helper()
+	tt := weightedTable(w, T)
+	if isConst, _ := tt.IsConst(); isConst || len(tt.Support()) != len(w) {
+		return
+	}
+	k := don + doff
+	witness := WeightVector{Weights: make([]int, len(w)), T: k*T - don}
+	for i, wi := range w {
+		witness.Weights[i] = k * wi
+	}
+	if !VerifyVector(tt, witness, don, doff) {
+		t.Fatalf("witness %v;%d does not realize w=%v T=%d", witness.Weights, witness.T, w, T)
+	}
+	cold := Checker{ILP: ilp.Solver{MaxNodes: 16}}
+	before := SnapshotCheckCounters().BudgetBailouts
+	v, ok := cold.Check(tt, don, doff, 0)
+	switch {
+	case ok && !VerifyVector(tt, v, don, doff):
+		t.Fatalf("vector %v;%d fails verification (w=%v T=%d don=%d doff=%d)", v.Weights, v.T, w, T, don, doff)
+	case !ok && (len(cold.unsat) != 0 || SnapshotCheckCounters().BudgetBailouts == before):
+		t.Fatalf("threshold function w=%v T=%d (don=%d doff=%d) rejected without a budget bailout", w, T, don, doff)
 	}
 }
 

@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -208,17 +207,6 @@ func (tn *Network) Area() int {
 	return a
 }
 
-// MaxFanin returns the largest gate fanin.
-func (tn *Network) MaxFanin() int {
-	m := 0
-	for _, g := range tn.Gates {
-		if len(g.Inputs) > m {
-			m = len(g.Inputs)
-		}
-	}
-	return m
-}
-
 // Validate checks that every output is an input or a gate. Gate order
 // and gate inputs need no check: AddGate and ParseTLN hold them.
 func (tn *Network) Validate() error {
@@ -311,14 +299,4 @@ func (tn *Network) String() string {
 	}
 	b.WriteString(".end\n")
 	return b.String()
-}
-
-// SortedGateNames returns the gate names sorted, for deterministic tests.
-func (tn *Network) SortedGateNames() []string {
-	names := make([]string, 0, len(tn.Gates))
-	for _, g := range tn.Gates {
-		names = append(names, g.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -31,8 +31,8 @@ func SubstituteLiteral(f *truth.Table, i, j int) *truth.Table {
 // weight–threshold vector for a positive-unate threshold function f, it
 // returns the vector for h = f ∨ x_{l+1}, where the new input receives
 // weight T + δon. The synthesizer itself re-derives minimal weights with
-// the ILP; this constructive form is the theorem's witness and is used as
-// a fallback and in tests.
+// the ILP; this constructive form is the theorem's witness, which the
+// tests check.
 func Theorem2Vector(v WeightVector, deltaOn int) WeightVector {
 	w := append(append([]int(nil), v.Weights...), v.T+deltaOn)
 	return WeightVector{Weights: w, T: v.T}

@@ -154,9 +154,8 @@ func TestWriteTLNAndAccessors(t *testing.T) {
 	if !strings.Contains(sb.String(), ".tnet demo") {
 		t.Fatalf("WriteTLN output wrong:\n%s", sb.String())
 	}
-	names := tn.SortedGateNames()
-	if len(names) != 2 || names[0] != "f" || names[1] != "g1" {
-		t.Fatalf("SortedGateNames = %v", names)
+	if tn.GateCount() != 2 || tn.Gate("f") == nil || tn.Gate("g1") == nil {
+		t.Fatalf("gates = %v, want g1 and f", tn.Gates)
 	}
 }
 

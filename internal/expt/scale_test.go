@@ -93,8 +93,10 @@ func TestScaleFlow(t *testing.T) {
 	if _, err := sim.Prove(src, tels, 1); err != nil {
 		t.Fatal(err)
 	}
-	if tels.MaxFanin() > 3 {
-		t.Fatalf("fanin restriction violated: %d", tels.MaxFanin())
+	for _, g := range tels.Gates {
+		if len(g.Inputs) > 3 {
+			t.Fatalf("fanin restriction violated: %s", g)
+		}
 	}
 	boolNet := opt.Boolean(src)
 	oneToOne, err := core.OneToOne(boolNet, core.DefaultOptions())

@@ -57,12 +57,6 @@ type Result struct {
 	LimitHit bool
 }
 
-// Proven reports whether the result is a complete verdict: a true optimum
-// or a genuine infeasibility, as opposed to a §V-E budget bailout.
-func (r Result) Proven() bool {
-	return (r.Status == Optimal || r.Status == Infeasible) && !r.LimitHit
-}
-
 // Solver carries the branch-and-bound configuration.
 type Solver struct {
 	// MaxNodes bounds the number of branch-and-bound nodes explored.

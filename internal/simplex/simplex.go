@@ -24,7 +24,7 @@ const (
 	Optimal    Status = iota // an optimal solution was found
 	Infeasible               // the constraints admit no solution
 	Unbounded                // the objective is unbounded below
-	IterLimit                // the iteration limit was reached
+	IterLimit                // the iteration limit was reached, or rounding left the verdict open
 )
 
 func (s Status) String() string {
@@ -131,10 +131,6 @@ func SolveWithLimit(p *Problem, maxIters int) Result {
 	rhs := cols - 1
 	tab := make([][]float64, m)
 	basis := make([]int, m)
-	artOf := make([]int, m)
-	for i := range artOf {
-		artOf[i] = -1
-	}
 	artCol := n + m
 	for i := 0; i < m; i++ {
 		row := make([]float64, cols)
@@ -150,7 +146,6 @@ func SolveWithLimit(p *Problem, maxIters int) Result {
 		if negRow[i] {
 			row[artCol] = 1
 			basis[i] = artCol
-			artOf[i] = artCol
 			artCol++
 		} else {
 			basis[i] = n + i
@@ -163,24 +158,31 @@ func SolveWithLimit(p *Problem, maxIters int) Result {
 	// Phase 1: minimize the sum of artificial variables.
 	if numArt > 0 {
 		obj := make([]float64, cols)
-		for i := 0; i < m; i++ {
-			if artOf[i] >= 0 {
-				// Objective row = sum of artificial rows (reduced costs of
-				// basic artificials must be zero).
-				for j := 0; j < cols; j++ {
-					obj[j] -= tab[i][j]
-				}
+		lastCol := n + m + numArt
+		phase1Price(tab, obj, basis, n+m, lastCol)
+		st := pivotLoop(tab, obj, basis, rhs, lastCol, &iters)
+		// Rounding over hundreds of pivots lets the objective row drift
+		// from the tableau: the loop can stop short of a feasible point,
+		// or enter a column whose reduced cost is noise and call the
+		// bounded phase-1 program unbounded. Price the row again from the
+		// tableau before any infeasible verdict, and go on pivoting while
+		// a column can enter, until the fresh row itself makes no pivot.
+		for st != IterLimit && -obj[rhs] > 1e-7 && phase1Price(tab, obj, basis, n+m, lastCol) {
+			left := iters
+			if st = pivotLoop(tab, obj, basis, rhs, lastCol, &iters); st == Unbounded && iters == left-1 {
+				break
 			}
 		}
-		for c := n + m; c < n+m+numArt; c++ {
-			obj[c] += 1
-		}
-		st := pivotLoop(tab, obj, basis, rhs, n+m+numArt, &iters)
 		if st == IterLimit {
 			return Result{Status: IterLimit}
 		}
 		if -obj[rhs] > 1e-7 { // phase-1 objective value is -obj[rhs]
-			return Result{Status: Infeasible}
+			// The slack columns' reduced costs are the Farkas multipliers
+			// of the rows; a drifted tableau gives ones that fail.
+			if farkas(p, obj[n:n+m]) {
+				return Result{Status: Infeasible}
+			}
+			return Result{Status: IterLimit}
 		}
 		// Drive any remaining basic artificials out of the basis.
 		for i := 0; i < m; i++ {
@@ -234,6 +236,62 @@ func SolveWithLimit(p *Problem, maxIters int) Result {
 		objVal += p.C[j] * x[j]
 	}
 	return Result{Status: Optimal, X: x, Objective: objVal}
+}
+
+// phase1Price sets obj to the phase-1 reduced costs under the current
+// basis: unit costs on the artificial columns [firstArt, lastCol), less
+// the row of every basic artificial. A reduced cost in (−1e-7, 0) is
+// rounding noise and is set to 0, so no such column enters. It reports
+// whether a column before lastCol can enter, that is, whether pivoting
+// can go on.
+func phase1Price(tab [][]float64, obj []float64, basis []int, firstArt, lastCol int) bool {
+	clear(obj)
+	for c := firstArt; c < lastCol; c++ {
+		obj[c] = 1
+	}
+	for i, bj := range basis {
+		if bj >= firstArt {
+			for j, v := range tab[i] {
+				obj[j] -= v
+			}
+		}
+	}
+	more := false
+	for j, v := range obj[:lastCol] {
+		if v <= -1e-7 {
+			more = true
+		} else if v < 0 {
+			obj[j] = 0
+		}
+	}
+	return more
+}
+
+// farkas reports whether y, clamped at 0, certifies that p has no
+// solution: y·A ≥ 0 and y·b < 0 (Farkas' lemma), checked on the problem's
+// own data with a tolerance relative to the magnitudes summed.
+func farkas(p *Problem, y []float64) bool {
+	yb, scale := 0.0, 0.0
+	for i, yi := range y {
+		yi = max(yi, 0)
+		yb += yi * p.B[i]
+		scale += yi * math.Abs(p.B[i])
+	}
+	if yb > -1e-7*(1+scale) {
+		return false
+	}
+	for j := range p.C {
+		ya, scale := 0.0, 0.0
+		for i, yi := range y {
+			yi = max(yi, 0)
+			ya += yi * p.A[i][j]
+			scale += yi * math.Abs(p.A[i][j])
+		}
+		if ya < -1e-7*(1+scale) {
+			return false
+		}
+	}
+	return true
 }
 
 // pivotLoop runs simplex pivots until optimality, unboundedness, or the

@@ -81,15 +81,6 @@ func (s *Store) GetResult(digest string) ([]byte, error) {
 	return data, nil
 }
 
-// HasResult reports whether a result is persisted for the digest.
-func (s *Store) HasResult(digest string) bool {
-	if validDigest(digest) != nil {
-		return false
-	}
-	_, err := os.Stat(s.resultPath(digest))
-	return err == nil
-}
-
 // ResultDigests lists every persisted digest, newest first by file
 // modification time — the order a bounded cache warm should load them.
 func (s *Store) ResultDigests() ([]string, error) {

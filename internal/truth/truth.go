@@ -238,38 +238,6 @@ var varMasks = [6]uint64{
 // 64 minterms is masked to its 2^N valid bits on read, so bits past 2^N
 // never reach a result.
 
-// Cofactor returns the cofactor with respect to variable i fixed at value v.
-// The result still has N variables but no longer depends on variable i.
-func (t *Table) Cofactor(i int, v bool) *Table {
-	t.checkVar(i)
-	u := New(t.n)
-	if i < 6 {
-		k, m, valid := uint(1)<<uint(i), varMasks[i], t.mask()
-		for w, a := range t.bits {
-			a &= valid
-			if v {
-				a &= m
-				u.bits[w] = a | a>>k
-			} else {
-				a &^= m
-				u.bits[w] = a | a<<k
-			}
-		}
-		return u
-	}
-	s := 1 << uint(i-6)
-	for w := range t.bits {
-		if w&s == 0 {
-			src := t.bits[w]
-			if v {
-				src = t.bits[w|s]
-			}
-			u.bits[w], u.bits[w|s] = src, src
-		}
-	}
-	return u
-}
-
 // DependsOn reports whether the function depends on variable i: whether
 // some minterm and its partner across i differ.
 func (t *Table) DependsOn(i int) bool {

@@ -168,9 +168,6 @@ func checkPrimitives(t *testing.T, tt *Table, vars []int) {
 	n := tt.N()
 	for i := 0; i < n; i++ {
 		checkTable(t, fmt.Sprintf("Var(%d,%d)", n, i), Var(n, i), varRef(n, i))
-		for _, v := range []bool{false, true} {
-			checkTable(t, fmt.Sprintf("Cofactor(%d,%v)", i, v), tt.Cofactor(i, v), cofactorRef(tt, i, v))
-		}
 		if got, want := tt.DependsOn(i), dependsOnRef(tt, i); got != want {
 			t.Fatalf("DependsOn(%d) = %v, want %v on %s", i, got, want, tt)
 		}
@@ -353,7 +350,6 @@ func TestSharedTableReads(t *testing.T) {
 				for i := 0; i < tt.N(); i++ {
 					tt.DependsOn(i)
 					tt.VarUnateness(i)
-					tt.Cofactor(i, true)
 					tt.SubstituteNeg(i)
 				}
 				tt.Project(tt.Support())
@@ -442,17 +438,9 @@ func TestNotMasksHighBits(t *testing.T) {
 	}
 }
 
-func TestCofactorAndSupport(t *testing.T) {
+func TestSupport(t *testing.T) {
 	// f = x0*x1 + x2
 	f := Var(3, 0).And(Var(3, 1)).Or(Var(3, 2))
-	f1 := f.Cofactor(2, true)
-	if c, v := f1.IsConst(); !c || !v {
-		t.Fatal("f|x2=1 should be constant 1")
-	}
-	f0 := f.Cofactor(2, false)
-	if !f0.Equal(Var(3, 0).And(Var(3, 1))) {
-		t.Fatal("f|x2=0 should be x0*x1")
-	}
 	sup := f.Support()
 	if len(sup) != 3 {
 		t.Fatalf("Support = %v, want all three", sup)
