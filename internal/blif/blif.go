@@ -25,7 +25,7 @@ import (
 // cover stored as written.
 func ParseCore(r io.Reader) (*netcore.Network, error) {
 	p := &parser{scanner: bufio.NewScanner(r)}
-	p.scanner.Buffer(make([]byte, 1024*1024), 1024*1024)
+	p.scanner.Buffer(nil, 1<<20)
 	return p.parse()
 }
 
@@ -139,6 +139,9 @@ func (p *parser) parse() (*netcore.Network, error) {
 			}
 			current.cubes = append(current.cubes, line)
 		}
+	}
+	if err := p.scanner.Err(); err != nil {
+		return nil, fmt.Errorf("blif: line %d: %w", p.line+1, err)
 	}
 	flush()
 	return build(name, inputs, outputs, names)

@@ -165,6 +165,27 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// A line longer than the parser's 1 MiB limit is an error, not the end of
+// the file: stopping there read f = ab here instead of f = ab + a'b'. A
+// line above bufio's 4 KiB starting buffer still parses.
+func TestLongLine(t *testing.T) {
+	text := func(comment int) string {
+		return ".model m\n.inputs a b\n.outputs f\n.names a b f\n11 1\n#" +
+			strings.Repeat("x", comment) + "\n00 1\n.end\n"
+	}
+	if _, err := ParseCoreString(text(2 << 20)); err == nil {
+		t.Fatal("a 2 MiB line parsed without error")
+	}
+	nw, err := ParseString(text(64 << 10))
+	if err != nil {
+		t.Fatalf("64 KiB line: %v", err)
+	}
+	out, err := nw.EvalOutputs(map[string]bool{"a": false, "b": false})
+	if err != nil || !out[0] {
+		t.Fatalf("f(0,0) = %v, %v; want true from the row after the long line", out, err)
+	}
+}
+
 // A .names whose output is a primary input would give that signal two
 // definitions; accepting it would drop the cover and read y = a here.
 func TestNamesDrivingInputRejected(t *testing.T) {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -163,11 +164,21 @@ func TestSynthesizeConcurrentRuns(t *testing.T) {
 // instance's root LP relaxation is fractional, so a 1-node budget stops
 // branch and bound before any integer point.
 func TestBudgetBailoutNotCached(t *testing.T) {
-	tt := weightedTable([]int{17, 9, 11, 5, 20, 12, 9, 9, 7}, 39)
+	tt := weightedTable([]int{8, 13, -17, -6, -15, 10, 10, -13, 8}, -3)
+	sys, ok := buildCheckSystem(tt, 0, 1, 0)
+	if !ok {
+		t.Fatal("buildCheckSystem rejected a threshold function")
+	}
+	root := simplex.Solve(sys.problem())
+	if root.Status != simplex.Optimal || !slices.ContainsFunc(root.X, func(x float64) bool {
+		return math.Abs(x-math.Round(x)) > 1e-6
+	}) {
+		t.Fatalf("root LP: %v at %v; the fixture needs a fractional vertex", root.Status, root.X)
+	}
 	tiny := Checker{ILP: ilp.Solver{MaxNodes: 1}}
 	for i := 0; i < 2; i++ {
 		before := SnapshotCheckCounters()
-		if _, ok := tiny.Check(tt, 2, 1, 0); ok {
+		if _, ok := tiny.Check(tt, 0, 1, 0); ok {
 			t.Fatalf("call %d: a budget bailout must report non-threshold", i)
 		}
 		after := SnapshotCheckCounters()
@@ -179,16 +190,16 @@ func TestBudgetBailoutNotCached(t *testing.T) {
 		t.Fatal("a bailout entered the checker's proven-UNSAT results")
 	}
 	var full Checker
-	v, ok := full.Check(tt, 2, 1, 0)
-	if !ok || !VerifyVector(tt, v, 2, 1) {
+	v, ok := full.Check(tt, 0, 1, 0)
+	if !ok || !VerifyVector(tt, v, 0, 1) {
 		t.Fatalf("default budget: %v;%v, want a verified vector", v, ok)
 	}
 }
 
-// The phase-1 objective row of the float simplex drifts over the ~440
-// pivots of this 10-input check: the solver called the root LP of a
-// threshold function infeasible, and the checker stored that as proven.
-// Its exact optimum is 421 at 3·w with T = 142.
+// The float two-phase primal simplex used earlier let its phase-1
+// objective row drift over the ~440 pivots of this 10-input check, called
+// the root LP of a threshold function infeasible, and the checker stored
+// that as proven. Its exact optimum is 421 at 3·w with T = 142.
 func TestSimplexDriftNotInfeasible(t *testing.T) {
 	tt := weightedTable([]int{2, 7, 9, 12, 18, 3, 18, 8, 5, 11}, 48)
 	sys, ok := buildCheckSystem(tt, 2, 1, 0)
@@ -202,15 +213,47 @@ func TestSimplexDriftNotInfeasible(t *testing.T) {
 }
 
 // Functions that are threshold by construction, up to 9 inputs, through
-// checkConstructed. The first is a 9-input function whose root LP the
-// drifting simplex called infeasible; re-priced, the solve runs out of
-// pivots instead, which the checker counts as a budget bailout.
+// checkConstructed.
 func TestCheckThresholdByConstruction(t *testing.T) {
-	checkConstructed(t, []int{12, 20, 12, 13, 17, 4, 10, 18, 12}, 69, 1, 1)
 	rng := rand.New(rand.NewSource(41))
 	for iter := 0; iter < 40; iter++ {
 		w, T := randomWeights(rng, 2+rng.Intn(8))
 		checkConstructed(t, w, T, rng.Intn(3), 1+rng.Intn(2))
+	}
+}
+
+// Two 9-input checks the two-phase primal could not decide: the first ran
+// out of its 20 000 pivots with a corrupted phase-1 tableau, the second
+// ran for minutes through the default node budget. Under the default
+// budget each must come back proven optimal, with the root LP's value as
+// its objective.
+func TestWideChecksProvenAtRoot(t *testing.T) {
+	for _, c := range []struct {
+		w            []int
+		T, don, doff int
+		want         int
+	}{
+		{[]int{12, 20, 12, 13, 17, 4, 10, 18, 12}, 69, 1, 1, 313},
+		{[]int{-6, 12, -12, 11, 11, 17, 8, -10, -10}, 4, 2, 1, 415},
+	} {
+		tt := weightedTable(c.w, c.T)
+		sys, ok := buildCheckSystem(tt, c.don, c.doff, 0)
+		if !ok {
+			t.Fatalf("w=%v T=%d: buildCheckSystem rejected a threshold function", c.w, c.T)
+		}
+		root := simplex.Solve(sys.problem())
+		if root.Status != simplex.Optimal || math.Abs(root.Objective-float64(c.want)) > 1e-6 {
+			t.Fatalf("w=%v T=%d: root LP %v, objective %v; want optimal %d", c.w, c.T, root.Status, root.Objective, c.want)
+		}
+		before := SnapshotCheckCounters().BudgetBailouts
+		var cold Checker
+		v, ok := cold.Check(tt, c.don, c.doff, 0)
+		if !ok || !VerifyVector(tt, v, c.don, c.doff) || objective(v) != c.want {
+			t.Fatalf("w=%v T=%d: %v;%d ok=%v, want a verified vector of objective %d", c.w, c.T, v.Weights, v.T, ok, c.want)
+		}
+		if SnapshotCheckCounters().BudgetBailouts != before {
+			t.Fatalf("w=%v T=%d: the check counted a budget bailout", c.w, c.T)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"tels/internal/ilp"
 	"tels/internal/truth"
 )
 
@@ -174,11 +173,9 @@ func randomWeights(rng *rand.Rand, n int) ([]int, int) {
 // checkConstructed checks f = [w·x ≥ T], a threshold function by
 // construction, without relying on the simplex for the verdict: the
 // scaled vector (δon+δoff)·w with threshold (δon+δoff)·T − δon realizes f
-// under the margins. A cold checker must find a vector or bail out on
-// its budget; an infeasible verdict, which it would store as proven, is
-// wrong. The checker gets 16 branch-and-bound nodes: some 9-input checks
-// take minutes under the default budget, and a bailout is an allowed
-// answer here.
+// under the margins. A cold checker under the default budget must find a
+// vector or bail out on its budget; an infeasible verdict, which it
+// would store as proven, is wrong. A bailout stays an allowed answer.
 func checkConstructed(t *testing.T, w []int, T, don, doff int) {
 	t.Helper()
 	tt := weightedTable(w, T)
@@ -193,7 +190,7 @@ func checkConstructed(t *testing.T, w []int, T, don, doff int) {
 	if !VerifyVector(tt, witness, don, doff) {
 		t.Fatalf("witness %v;%d does not realize w=%v T=%d", witness.Weights, witness.T, w, T)
 	}
-	cold := Checker{ILP: ilp.Solver{MaxNodes: 16}}
+	var cold Checker
 	before := SnapshotCheckCounters().BudgetBailouts
 	v, ok := cold.Check(tt, don, doff, 0)
 	switch {

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"tels/internal/ilp"
 	"tels/internal/logic"
 	"tels/internal/network"
 	"tels/internal/truth"
@@ -648,8 +647,6 @@ func TestVerifyVectorRejectsBad(t *testing.T) {
 		t.Fatal("arity mismatch accepted")
 	}
 }
-
-var _ = ilp.Solver{} // keep the import for documentation-style references
 
 func TestMaxWeightRespected(t *testing.T) {
 	// f = x1x2 + x1x3 needs weight 2 on x1 as a single gate; with

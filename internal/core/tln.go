@@ -25,7 +25,7 @@ func WriteTLN(w io.Writer, tn *Network) error {
 // A repeated name, a cycle and an undefined gate input are errors.
 func ParseTLN(r io.Reader) (*Network, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1<<20)
 	tn := NewNetwork("top")
 	line := 0
 	for sc.Scan() {
@@ -72,7 +72,7 @@ func ParseTLN(r io.Reader) (*Network, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tln: line %d: %w", line+1, err)
 	}
 	if err := tn.sortGates(); err != nil {
 		return nil, err

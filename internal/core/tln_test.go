@@ -72,6 +72,25 @@ func TestTLNParseErrors(t *testing.T) {
 	}
 }
 
+// A line longer than the parser's 1 MiB limit is an error, not the end
+// of the file; a line above bufio's 4 KiB starting buffer parses.
+func TestTLNLongLine(t *testing.T) {
+	text := func(comment int) string {
+		return ".tnet x\n.inputs a\n#" + strings.Repeat("x", comment) +
+			"\n.outputs f\n.gate f = [T=1] +1*a\n.end\n"
+	}
+	if _, err := ParseTLNString(text(2 << 20)); err == nil {
+		t.Fatal("a 2 MiB line parsed without error")
+	}
+	tn, err := ParseTLNString(text(64 << 10))
+	if err != nil {
+		t.Fatalf("64 KiB line: %v", err)
+	}
+	if len(tn.Gates) != 1 {
+		t.Fatalf("64 KiB line: %d gates, want 1", len(tn.Gates))
+	}
+}
+
 // TestTLNOutOfOrderGates: gate lines may come in any order; the parsed
 // Gates are topological and print as the in-order file does.
 func TestTLNOutOfOrderGates(t *testing.T) {

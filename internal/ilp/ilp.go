@@ -26,7 +26,6 @@ type Status int
 const (
 	Optimal    Status = iota // integer optimum found (see Result.LimitHit)
 	Infeasible               // no integer solution exists — the tree was exhausted
-	Unbounded                // relaxation unbounded below
 	Limit                    // budget exhausted before any solution
 )
 
@@ -36,8 +35,6 @@ func (s Status) String() string {
 		return "optimal"
 	case Infeasible:
 		return "infeasible"
-	case Unbounded:
-		return "unbounded"
 	case Limit:
 		return "node-limit"
 	}
@@ -71,7 +68,9 @@ const DefaultMaxNodes = 4000
 
 const intTol = 1e-6
 
-// Solve minimizes p.C·x subject to p.A x ≤ p.B, x ≥ 0, x integer.
+// Solve minimizes p.C·x subject to p.A x ≤ p.B, x ≥ 0, x integer. The
+// costs p.C must be nonnegative (see simplex.Solve); an invalid problem
+// reports Limit.
 func (s *Solver) Solve(p *simplex.Problem) Result {
 	maxNodes := s.MaxNodes
 	if maxNodes == 0 {
@@ -85,8 +84,6 @@ func (s *Solver) Solve(p *simplex.Problem) Result {
 	switch {
 	case b.hitLimit && b.bestX == nil:
 		return Result{Status: Limit, Nodes: b.nodes, LimitHit: true}
-	case b.unbounded:
-		return Result{Status: Unbounded, Nodes: b.nodes}
 	case b.bestX == nil:
 		return Result{Status: Infeasible, Nodes: b.nodes}
 	default:
@@ -95,12 +92,11 @@ func (s *Solver) Solve(p *simplex.Problem) Result {
 }
 
 type bnb struct {
-	best      float64
-	bestX     []int
-	nodes     int
-	maxNodes  int
-	hitLimit  bool
-	unbounded bool
+	best     float64
+	bestX    []int
+	nodes    int
+	maxNodes int
+	hitLimit bool
 }
 
 func (b *bnb) explore(p *simplex.Problem) {
@@ -112,12 +108,6 @@ func (b *bnb) explore(p *simplex.Problem) {
 	res := simplex.Solve(p)
 	switch res.Status {
 	case simplex.Infeasible:
-		return
-	case simplex.Unbounded:
-		// The relaxation is unbounded. For the problems this package
-		// serves the objective is a nonnegative combination of the
-		// variables, so this does not arise; record and stop.
-		b.unbounded = true
 		return
 	case simplex.IterLimit:
 		b.hitLimit = true

@@ -7,23 +7,18 @@ import (
 	"testing"
 )
 
-// SolveExact runs the same two-phase primal simplex as Solve but in exact
-// rational arithmetic (math/big.Rat): no tolerances, no rounding. It is
-// the test oracle that Solve's float64 verdicts are checked against.
+// SolveExact runs a two-phase primal simplex in exact rational
+// arithmetic (math/big.Rat): no tolerances, no rounding. It is the test
+// oracle that Solve's float64 verdicts are checked against, and it is a
+// different algorithm from Solve's dual simplex (artificial variables,
+// phase 1, primal Bland pivots), so agreement is an independent check.
+// Like Solve it takes only nonnegative costs, so phase 2 is bounded.
 func SolveExact(p *Problem) Result {
 	if err := p.Validate(); err != nil {
-		return Result{Status: Infeasible}
+		return Result{Status: IterLimit}
 	}
 	n := len(p.C)
 	m := len(p.A)
-	if m == 0 {
-		for _, c := range p.C {
-			if c < 0 {
-				return Result{Status: Unbounded}
-			}
-		}
-		return Result{Status: Optimal, X: make([]float64, n)}
-	}
 
 	numArt := 0
 	negRow := make([]bool, m)
@@ -69,7 +64,7 @@ func SolveExact(p *Problem) Result {
 		tab[i] = row
 	}
 
-	iters := defaultIters
+	iters := maxPivots
 
 	if numArt > 0 {
 		obj := newRatRow(cols)
@@ -115,12 +110,8 @@ func SolveExact(p *Problem) Result {
 			}
 		}
 	}
-	st := exactPivotLoop(tab, obj, basis, rhs, n+m, &iters)
-	switch st {
-	case IterLimit:
+	if exactPivotLoop(tab, obj, basis, rhs, n+m, &iters) == IterLimit {
 		return Result{Status: IterLimit}
-	case Unbounded:
-		return Result{Status: Unbounded}
 	}
 	x := make([]float64, n)
 	for i := 0; i < m; i++ {
@@ -175,7 +166,8 @@ func exactPivotLoop(tab [][]*big.Rat, obj []*big.Rat, basis []int, rhs, lastCol 
 			}
 		}
 		if leave < 0 {
-			return Unbounded
+			// Both phases minimize a nonnegative objective.
+			panic("simplex: exact phase unbounded")
 		}
 		exactPivot(tab, obj, basis, leave, enter)
 	}
@@ -183,29 +175,35 @@ func exactPivotLoop(tab [][]*big.Rat, obj []*big.Rat, basis []int, rhs, lastCol 
 
 func exactPivot(tab [][]*big.Rat, obj []*big.Rat, basis []int, row, col int) {
 	pv := new(big.Rat).Set(tab[row][col])
-	for j := range tab[row] {
-		tab[row][j].Quo(tab[row][j], pv)
+	var nz []int // the pivot row's nonzero columns; the rest change nothing
+	for j, v := range tab[row] {
+		if v.Sign() != 0 {
+			v.Quo(v, pv)
+			nz = append(nz, j)
+		}
+	}
+	var f, prod big.Rat
+	eliminate := func(r []*big.Rat) {
+		if r[col].Sign() == 0 {
+			return
+		}
+		f.Set(r[col])
+		for _, j := range nz {
+			r[j].Sub(r[j], prod.Mul(&f, tab[row][j]))
+		}
 	}
 	for i := range tab {
-		if i == row || tab[i][col].Sign() == 0 {
-			continue
-		}
-		f := new(big.Rat).Set(tab[i][col])
-		for j := range tab[i] {
-			tab[i][j].Sub(tab[i][j], new(big.Rat).Mul(f, tab[row][j]))
+		if i != row {
+			eliminate(tab[i])
 		}
 	}
-	if obj[col].Sign() != 0 {
-		f := new(big.Rat).Set(obj[col])
-		for j := range obj {
-			obj[j].Sub(obj[j], new(big.Rat).Mul(f, tab[row][j]))
-		}
-	}
+	eliminate(obj)
 	basis[row] = col
 }
 
 // The exact rational solver must agree with the float64 solver on status
-// and objective across random problems.
+// and objective across random problems, and across problems shaped like
+// the threshold checks Solve serves.
 func TestExactAgreesWithFloat(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	for iter := 0; iter < 250; iter++ {
@@ -223,15 +221,90 @@ func TestExactAgreesWithFloat(t *testing.T) {
 			p.A = append(p.A, row)
 			p.B = append(p.B, float64(rng.Intn(9)-4))
 		}
-		fl := Solve(p)
-		ex := SolveExact(p)
-		if fl.Status != ex.Status {
-			t.Fatalf("iter %d: status float=%v exact=%v (p=%+v)", iter, fl.Status, ex.Status, p)
-		}
-		if fl.Status == Optimal && math.Abs(fl.Objective-ex.Objective) > 1e-6 {
-			t.Fatalf("iter %d: objective float=%v exact=%v (p=%+v)", iter, fl.Objective, ex.Objective, p)
-		}
+		agree(t, iter, p)
 	}
+	for iter := 0; iter < 12; iter++ {
+		agree(t, iter, checkShaped(rng))
+	}
+}
+
+func agree(t *testing.T, iter int, p *Problem) {
+	t.Helper()
+	fl := Solve(p)
+	ex := SolveExact(p)
+	if fl.Status != ex.Status {
+		t.Fatalf("iter %d: status float=%v exact=%v (p=%+v)", iter, fl.Status, ex.Status, p)
+	}
+	if fl.Status == Optimal && math.Abs(fl.Objective-ex.Objective) > 1e-6 {
+		t.Fatalf("iter %d: objective float=%v exact=%v (p=%+v)", iter, fl.Objective, ex.Objective, p)
+	}
+}
+
+// checkShaped draws the LP of a threshold check on 8 or 9 inputs: unit
+// costs, weights w₀…w_{k−1} and the threshold T as variables, and one
+// row per sampled minterm of a positive-unate function f, over 100 of
+// them: −Σ_{i∈m} wᵢ + T ≤ −δon for an ON minterm and Σ_{i∈m} wᵢ − T ≤
+// −δoff for an OFF one. Half the functions are threshold (weights in
+// 1..20), so every sample is feasible. The other half are c₁ ∨ c₂ for
+// disjoint cubes of 2 or 3 variables; with cᵢ = {aᵢ} ∪ bᵢ, the ON
+// minterms c₁, c₂ and the OFF minterms a₁∪b₂, a₂∪b₁ have equal weight
+// sums, so their four rows, always included, make the LP infeasible.
+func checkShaped(rng *rand.Rand) *Problem {
+	k := 8 + rng.Intn(2)
+	var f func(m int) bool
+	var rows []int
+	if rng.Intn(2) == 0 {
+		w := make([]int, k)
+		hi := 0
+		for i := range w {
+			w[i] = 1 + rng.Intn(20)
+			hi += w[i]
+		}
+		T := 1 + rng.Intn(hi)
+		f = func(m int) bool {
+			sum := 0
+			for i, wi := range w {
+				if m>>i&1 != 0 {
+					sum += wi
+				}
+			}
+			return sum >= T
+		}
+	} else {
+		v := rng.Perm(k)
+		s1, s2 := 2+rng.Intn(2), 2+rng.Intn(2)
+		c1, c2 := 0, 0
+		for _, i := range v[:s1] {
+			c1 |= 1 << i
+		}
+		for _, i := range v[s1 : s1+s2] {
+			c2 |= 1 << i
+		}
+		a1, a2 := 1<<v[0], 1<<v[s1]
+		f = func(m int) bool { return m&c1 == c1 || m&c2 == c2 }
+		rows = []int{c1, c2, a1 | c2&^a2, a2 | c1&^a1}
+	}
+	rows = append(rows, rng.Perm(1 << k)[:101+rng.Intn(60)]...)
+	don, doff := float64(rng.Intn(3)), float64(1+rng.Intn(2))
+	p := &Problem{C: make([]float64, k+1)}
+	for j := range p.C {
+		p.C[j] = 1
+	}
+	for _, m := range rows {
+		row := make([]float64, k+1)
+		sign, b := -1.0, -don
+		if !f(m) {
+			sign, b = 1, -doff
+		}
+		for i := 0; i < k; i++ {
+			if m>>i&1 != 0 {
+				row[i] = sign
+			}
+		}
+		row[k] = -sign
+		p.AddConstraint(row, b)
+	}
+	return p
 }
 
 func TestExactBasicCases(t *testing.T) {
@@ -244,11 +317,6 @@ func TestExactBasicCases(t *testing.T) {
 	// Infeasible.
 	q := &Problem{C: []float64{1}, A: [][]float64{{1}, {-1}}, B: []float64{1, -2}}
 	if res := SolveExact(q); res.Status != Infeasible {
-		t.Fatalf("status = %v", res.Status)
-	}
-	// Unbounded.
-	u := &Problem{C: []float64{-1}, A: [][]float64{{-1}}, B: []float64{-1}}
-	if res := SolveExact(u); res.Status != Unbounded {
 		t.Fatalf("status = %v", res.Status)
 	}
 	// No constraints.

@@ -1,14 +1,17 @@
-// Package simplex implements a dense two-phase primal simplex solver for
-// linear programs in the form
+// Package simplex implements a dense dual simplex solver for linear
+// programs in the form
 //
 //	minimize    c·x
 //	subject to  A x ≤ b
 //	            x ≥ 0
 //
-// It stands in for the lp_solve library used by the original TELS tool.
-// The threshold-check ILPs it serves are tiny (at most fanin-restriction+1
-// variables), so the implementation favours clarity and numerical
-// robustness (Bland's anti-cycling rule, explicit tolerances) over speed.
+// with c ≥ 0. It stands in for the lp_solve library used by the original
+// TELS tool. Every threshold-check LP has unit costs, so the all-slack
+// basis is dual feasible and the dual simplex starts from it directly:
+// no phase 1, no artificial variables, and the objective is bounded below
+// by 0. The LPs are tiny (at most fanin-restriction+1 variables), so the
+// implementation favours clarity over speed: a condensed tableau, the
+// dual form of Bland's anti-cycling rule and explicit tolerances.
 package simplex
 
 import (
@@ -23,8 +26,7 @@ type Status int
 const (
 	Optimal    Status = iota // an optimal solution was found
 	Infeasible               // the constraints admit no solution
-	Unbounded                // the objective is unbounded below
-	IterLimit                // the iteration limit was reached, or rounding left the verdict open
+	IterLimit                // the pivot limit was reached, the problem is invalid, or rounding left the verdict open
 )
 
 func (s Status) String() string {
@@ -33,8 +35,6 @@ func (s Status) String() string {
 		return "optimal"
 	case Infeasible:
 		return "infeasible"
-	case Unbounded:
-		return "unbounded"
 	case IterLimit:
 		return "iteration-limit"
 	}
@@ -48,7 +48,8 @@ type Problem struct {
 	B []float64   // right-hand sides, length = len(A)
 }
 
-// Validate checks structural consistency of the problem.
+// Validate checks structural consistency of the problem and that no cost
+// is negative, which the dual simplex's starting basis needs.
 func (p *Problem) Validate() error {
 	n := len(p.C)
 	if len(p.A) != len(p.B) {
@@ -57,6 +58,11 @@ func (p *Problem) Validate() error {
 	for i, row := range p.A {
 		if len(row) != n {
 			return fmt.Errorf("simplex: row %d has %d coefficients, want %d", i, len(row), n)
+		}
+	}
+	for j, c := range p.C {
+		if c < 0 {
+			return fmt.Errorf("simplex: cost %d is negative (%g)", j, c)
 		}
 	}
 	return nil
@@ -90,181 +96,115 @@ type Result struct {
 }
 
 const (
-	eps          = 1e-9
-	defaultIters = 20000
+	eps       = 1e-9
+	maxPivots = 20000
 )
 
-// Solve runs two-phase primal simplex on the problem.
+// Solve runs the dual simplex on the problem from the all-slack basis. An
+// invalid problem gives IterLimit, never a proven verdict.
+//
+// The condensed tableau has one row per constraint plus the objective row
+// and one column per nonbasic variable plus the right-hand side, stored
+// row-major with stride w = n+1. Variable j < n is x_j and n+i is the
+// slack of row i. Row i reads x_basic[i] + Σ_j āᵢⱼ·x_nonbasic[j] = b̄ᵢ with
+// āᵢⱼ = tab[i*w+j] and b̄ᵢ = tab[i*w+n]; the objective row holds the
+// reduced costs, which stay ≥ 0.
 func Solve(p *Problem) Result {
-	return SolveWithLimit(p, defaultIters)
-}
-
-// SolveWithLimit is Solve with an explicit pivot-count budget.
-func SolveWithLimit(p *Problem, maxIters int) Result {
-	if err := p.Validate(); err != nil {
-		return Result{Status: Infeasible}
+	if p.Validate() != nil {
+		return Result{Status: IterLimit}
 	}
-	n := len(p.C)
-	m := len(p.A)
-	if m == 0 {
-		// Unconstrained: optimum is x = 0 unless some cost is negative.
-		for _, c := range p.C {
-			if c < -eps {
-				return Result{Status: Unbounded}
+	n, m := len(p.C), len(p.A)
+	w := n + 1
+	tab := make([]float64, (m+1)*w)
+	basic := make([]int, m)
+	for i, row := range p.A {
+		copy(tab[i*w:], row)
+		tab[i*w+n] = p.B[i]
+		basic[i] = n + i
+	}
+	copy(tab[m*w:], p.C)
+	nonbasic := make([]int, n)
+	for j := range nonbasic {
+		nonbasic[j] = j
+	}
+	cost := tab[m*w : m*w+n]
+	for range maxPivots {
+		// Leaving row: the smallest basic variable with a negative value.
+		r := -1
+		for i, v := range basic {
+			if tab[i*w+n] < -eps && (r < 0 || v < basic[r]) {
+				r = i
 			}
 		}
-		return Result{Status: Optimal, X: make([]float64, n)}
-	}
-
-	// Tableau layout: columns are [x_0..x_{n-1}, s_0..s_{m-1}, a_0.., rhs].
-	// Rows with negative b are negated so rhs ≥ 0; such rows get an
-	// artificial variable (their slack enters with coefficient -1).
-	numArt := 0
-	negRow := make([]bool, m)
-	for i, b := range p.B {
-		if b < 0 {
-			negRow[i] = true
-			numArt++
+		if r < 0 {
+			x := make([]float64, n)
+			for i, v := range basic {
+				if v < n {
+					x[v] = tab[i*w+n]
+				}
+			}
+			obj := 0.0
+			for j, c := range p.C {
+				obj += c * x[j]
+			}
+			return Result{Status: Optimal, X: x, Objective: obj}
 		}
-	}
-	cols := n + m + numArt + 1
-	rhs := cols - 1
-	tab := make([][]float64, m)
-	basis := make([]int, m)
-	artCol := n + m
-	for i := 0; i < m; i++ {
-		row := make([]float64, cols)
-		sign := 1.0
-		if negRow[i] {
-			sign = -1.0
-		}
-		for j := 0; j < n; j++ {
-			row[j] = sign * p.A[i][j]
-		}
-		row[n+i] = sign // slack
-		row[rhs] = sign * p.B[i]
-		if negRow[i] {
-			row[artCol] = 1
-			basis[i] = artCol
-			artCol++
-		} else {
-			basis[i] = n + i
-		}
-		tab[i] = row
-	}
-
-	iters := maxIters
-
-	// Phase 1: minimize the sum of artificial variables.
-	if numArt > 0 {
-		obj := make([]float64, cols)
-		lastCol := n + m + numArt
-		phase1Price(tab, obj, basis, n+m, lastCol)
-		st := pivotLoop(tab, obj, basis, rhs, lastCol, &iters)
-		// Rounding over hundreds of pivots lets the objective row drift
-		// from the tableau: the loop can stop short of a feasible point,
-		// or enter a column whose reduced cost is noise and call the
-		// bounded phase-1 program unbounded. Price the row again from the
-		// tableau before any infeasible verdict, and go on pivoting while
-		// a column can enter, until the fresh row itself makes no pivot.
-		for st != IterLimit && -obj[rhs] > 1e-7 && phase1Price(tab, obj, basis, n+m, lastCol) {
-			left := iters
-			if st = pivotLoop(tab, obj, basis, rhs, lastCol, &iters); st == Unbounded && iters == left-1 {
-				break
+		// Entering column: minimum ratio, ties by smallest variable.
+		row := tab[r*w : r*w+w]
+		e, best := -1, math.Inf(1)
+		for j, a := range row[:n] {
+			if a >= -eps {
+				continue
+			}
+			ratio := cost[j] / -a
+			if ratio < best-eps || (ratio < best+eps && nonbasic[j] < nonbasic[e]) {
+				e, best = j, ratio
 			}
 		}
-		if st == IterLimit {
-			return Result{Status: IterLimit}
-		}
-		if -obj[rhs] > 1e-7 { // phase-1 objective value is -obj[rhs]
-			// The slack columns' reduced costs are the Farkas multipliers
-			// of the rows; a drifted tableau gives ones that fail.
-			if farkas(p, obj[n:n+m]) {
+		if e < 0 {
+			// Row r is Σ yᵢ·(row i of A x + s = b) with y read off its
+			// slack columns; it proves infeasibility unless drift made it
+			// up, so check it on the problem's own data.
+			y := make([]float64, m)
+			for j, v := range nonbasic {
+				if v >= n {
+					y[v-n] = row[j]
+				}
+			}
+			if basic[r] >= n {
+				y[basic[r]-n] = 1
+			}
+			if farkas(p, y) {
 				return Result{Status: Infeasible}
 			}
 			return Result{Status: IterLimit}
 		}
-		// Drive any remaining basic artificials out of the basis.
-		for i := 0; i < m; i++ {
-			if basis[i] >= n+m {
-				pivoted := false
-				for j := 0; j < n+m; j++ {
-					if math.Abs(tab[i][j]) > eps {
-						pivot(tab, obj, basis, i, j)
-						pivoted = true
-						break
-					}
-				}
-				if !pivoted {
-					// Redundant row; harmless to leave (rhs is ~0).
-					continue
-				}
-			}
-		}
+		pivot(tab, w, r, e)
+		basic[r], nonbasic[e] = nonbasic[e], basic[r]
 	}
-
-	// Phase 2: minimize the real objective over columns [0, n+m).
-	obj := make([]float64, cols)
-	for j := 0; j < n; j++ {
-		obj[j] = p.C[j]
-	}
-	// Price out basic variables.
-	for i := 0; i < m; i++ {
-		bj := basis[i]
-		if bj < len(obj) && math.Abs(obj[bj]) > eps {
-			coef := obj[bj]
-			for j := 0; j < cols; j++ {
-				obj[j] -= coef * tab[i][j]
-			}
-		}
-	}
-	st := pivotLoop(tab, obj, basis, rhs, n+m, &iters)
-	switch st {
-	case IterLimit:
-		return Result{Status: IterLimit}
-	case Unbounded:
-		return Result{Status: Unbounded}
-	}
-	x := make([]float64, n)
-	for i := 0; i < m; i++ {
-		if basis[i] < n {
-			x[basis[i]] = tab[i][rhs]
-		}
-	}
-	objVal := 0.0
-	for j := 0; j < n; j++ {
-		objVal += p.C[j] * x[j]
-	}
-	return Result{Status: Optimal, X: x, Objective: objVal}
+	return Result{Status: IterLimit}
 }
 
-// phase1Price sets obj to the phase-1 reduced costs under the current
-// basis: unit costs on the artificial columns [firstArt, lastCol), less
-// the row of every basic artificial. A reduced cost in (−1e-7, 0) is
-// rounding noise and is set to 0, so no such column enters. It reports
-// whether a column before lastCol can enter, that is, whether pivoting
-// can go on.
-func phase1Price(tab [][]float64, obj []float64, basis []int, firstArt, lastCol int) bool {
-	clear(obj)
-	for c := firstArt; c < lastCol; c++ {
-		obj[c] = 1
+// pivot exchanges the basic variable of row r with the nonbasic variable
+// of column e in the condensed tableau of row stride w.
+func pivot(tab []float64, w, r, e int) {
+	row := tab[r*w : r*w+w]
+	p := row[e]
+	for j := range row {
+		row[j] /= p
 	}
-	for i, bj := range basis {
-		if bj >= firstArt {
-			for j, v := range tab[i] {
-				obj[j] -= v
-			}
+	row[e] = 1 / p
+	for i := 0; i < len(tab); i += w {
+		other := tab[i : i+w]
+		f := other[e]
+		if i == r*w || f == 0 {
+			continue
 		}
-	}
-	more := false
-	for j, v := range obj[:lastCol] {
-		if v <= -1e-7 {
-			more = true
-		} else if v < 0 {
-			obj[j] = 0
+		for j, v := range row {
+			other[j] -= f * v
 		}
+		other[e] = -f / p
 	}
-	return more
 }
 
 // farkas reports whether y, clamped at 0, certifies that p has no
@@ -292,77 +232,4 @@ func farkas(p *Problem, y []float64) bool {
 		}
 	}
 	return true
-}
-
-// pivotLoop runs simplex pivots until optimality, unboundedness, or the
-// iteration budget is exhausted. Columns at index ≥ lastCol (artificials in
-// phase 2) are never chosen to enter. Bland's rule (smallest eligible
-// index) guarantees termination in exact arithmetic.
-func pivotLoop(tab [][]float64, obj []float64, basis []int, rhs, lastCol int, iters *int) Status {
-	m := len(tab)
-	for {
-		if *iters <= 0 {
-			return IterLimit
-		}
-		*iters--
-		// Entering column: Bland's rule.
-		enter := -1
-		for j := 0; j < lastCol; j++ {
-			if obj[j] < -eps {
-				enter = j
-				break
-			}
-		}
-		if enter < 0 {
-			return Optimal
-		}
-		// Leaving row: minimum ratio, ties by smallest basis index.
-		leave := -1
-		bestRatio := math.Inf(1)
-		for i := 0; i < m; i++ {
-			a := tab[i][enter]
-			if a > eps {
-				ratio := tab[i][rhs] / a
-				if ratio < bestRatio-eps || (ratio < bestRatio+eps && (leave < 0 || basis[i] < basis[leave])) {
-					bestRatio = ratio
-					leave = i
-				}
-			}
-		}
-		if leave < 0 {
-			return Unbounded
-		}
-		pivot(tab, obj, basis, leave, enter)
-	}
-}
-
-// pivot performs a full Gauss–Jordan pivot at (row, col).
-func pivot(tab [][]float64, obj []float64, basis []int, row, col int) {
-	p := tab[row][col]
-	for j := range tab[row] {
-		tab[row][j] /= p
-	}
-	tab[row][col] = 1 // exact
-	for i := range tab {
-		if i == row {
-			continue
-		}
-		f := tab[i][col]
-		if math.Abs(f) <= eps {
-			tab[i][col] = 0
-			continue
-		}
-		for j := range tab[i] {
-			tab[i][j] -= f * tab[row][j]
-		}
-		tab[i][col] = 0
-	}
-	f := obj[col]
-	if math.Abs(f) > eps {
-		for j := range obj {
-			obj[j] -= f * tab[row][j]
-		}
-	}
-	obj[col] = 0
-	basis[row] = col
 }

@@ -9,11 +9,11 @@ import (
 func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-6 }
 
 func TestSimpleLP(t *testing.T) {
-	// max x+y s.t. x+2y ≤ 4, 3x+y ≤ 6  => min -(x+y); optimum at (8/5, 6/5).
+	// min x+y s.t. x+2y ≥ 4, 3x+y ≥ 6; optimum at (8/5, 6/5).
 	p := &Problem{
-		C: []float64{-1, -1},
-		A: [][]float64{{1, 2}, {3, 1}},
-		B: []float64{4, 6},
+		C: []float64{1, 1},
+		A: [][]float64{{-1, -2}, {-3, -1}},
+		B: []float64{-4, -6},
 	}
 	res := Solve(p)
 	if res.Status != Optimal {
@@ -22,8 +22,8 @@ func TestSimpleLP(t *testing.T) {
 	if !almostEq(res.X[0], 1.6) || !almostEq(res.X[1], 1.2) {
 		t.Fatalf("X = %v, want [1.6 1.2]", res.X)
 	}
-	if !almostEq(res.Objective, -2.8) {
-		t.Fatalf("obj = %v, want -2.8", res.Objective)
+	if !almostEq(res.Objective, 2.8) {
+		t.Fatalf("obj = %v, want 2.8", res.Objective)
 	}
 }
 
@@ -58,49 +58,34 @@ func TestInfeasible(t *testing.T) {
 	}
 }
 
-func TestUnbounded(t *testing.T) {
-	// min -x with only x ≥ 1.
-	p := &Problem{
-		C: []float64{-1},
-		A: [][]float64{{-1}},
-		B: []float64{-1},
-	}
-	if res := Solve(p); res.Status != Unbounded {
-		t.Fatalf("status = %v, want unbounded", res.Status)
-	}
-}
-
 func TestNoConstraints(t *testing.T) {
 	p := &Problem{C: []float64{1, 2}}
 	res := Solve(p)
 	if res.Status != Optimal || res.X[0] != 0 || res.X[1] != 0 {
 		t.Fatalf("res = %+v, want optimal at origin", res)
 	}
-	p2 := &Problem{C: []float64{-1}}
-	if res := Solve(p2); res.Status != Unbounded {
-		t.Fatalf("status = %v, want unbounded", res.Status)
-	}
 }
 
 func TestDegenerate(t *testing.T) {
-	// Klee-Minty-flavoured degenerate constraints should still terminate.
+	// Repeated and redundant rows make degenerate pivots; the solve must
+	// still terminate at the optimum x ≥ 2, y ≥ 1, x+y+z ≥ 4.
 	p := &Problem{
-		C: []float64{-1, -1, -1},
+		C: []float64{1, 1, 1},
 		A: [][]float64{
-			{1, 0, 0},
-			{1, 0, 0},
-			{0, 1, 0},
-			{1, 1, 1},
-			{1, 1, 1},
+			{-1, 0, 0},
+			{-1, 0, 0},
+			{0, -1, 0},
+			{-1, -1, -1},
+			{-1, -1, -1},
 		},
-		B: []float64{2, 2, 3, 4, 4},
+		B: []float64{-2, -2, -1, -4, -4},
 	}
 	res := Solve(p)
 	if res.Status != Optimal {
 		t.Fatalf("status = %v", res.Status)
 	}
-	if !almostEq(res.Objective, -4) {
-		t.Fatalf("obj = %v, want -4", res.Objective)
+	if !almostEq(res.Objective, 4) {
+		t.Fatalf("obj = %v, want 4", res.Objective)
 	}
 }
 
@@ -112,6 +97,17 @@ func TestValidate(t *testing.T) {
 	q := &Problem{C: []float64{1}, A: [][]float64{{1}}, B: []float64{}}
 	if err := q.Validate(); err == nil {
 		t.Fatal("Validate should reject mismatched B")
+	}
+	r := &Problem{C: []float64{1, -1}, A: [][]float64{{1, 1}}, B: []float64{-1}}
+	if err := r.Validate(); err == nil {
+		t.Fatal("Validate should reject a negative cost")
+	}
+	// An invalid problem is never a proven verdict: a caller would store
+	// Infeasible as a certificate.
+	for _, bad := range []*Problem{p, q, r} {
+		if res := Solve(bad); res.Status != IterLimit {
+			t.Fatalf("Solve(%+v) = %v, want %v", bad, res.Status, IterLimit)
+		}
 	}
 }
 
