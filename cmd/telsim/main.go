@@ -298,11 +298,7 @@ func simulate(path string, n int, seed int64) error {
 		for _, o := range nw.Outputs() {
 			outputs = append(outputs, nw.NetName(o))
 		}
-		bs, err := fsim.CompileBool(nw)
-		if err != nil {
-			return err
-		}
-		eval = bs.Eval
+		eval = func(b *fsim.Batch) ([][]uint64, error) { return fsim.EvalBool(nw, b) }
 	} else {
 		inputs, outputs = l.threshold.Inputs, l.threshold.Outputs
 		ts, err := fsim.CompileThresh(l.threshold)

@@ -7,7 +7,9 @@ package core
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
+
+	"tels/internal/truth"
 )
 
 // Gate is a linear threshold gate (LTG): it outputs 1 exactly when the
@@ -43,6 +45,23 @@ func (g *Gate) Eval(in []bool) bool {
 	return sum >= g.T
 }
 
+// Truth returns the gate's Boolean function over its inputs (bit i of
+// the minterm is input i): minterm m is on when the weights of its set
+// inputs sum to at least T. The gate has at most truth.MaxVars inputs.
+func (g *Gate) Truth() *truth.Table {
+	tt := truth.New(len(g.Inputs))
+	for m := 0; m < tt.Size(); m++ {
+		sum := 0
+		for i, w := range g.Weights {
+			if m>>uint(i)&1 == 1 {
+				sum += w
+			}
+		}
+		tt.Set(m, sum >= g.T)
+	}
+	return tt
+}
+
 // EvalPerturbed computes the gate output with per-input weight
 // disturbances added (the w' = w + v·U(−0.5,0.5) model of §VI-C).
 func (g *Gate) EvalPerturbed(in []bool, noise []float64) bool {
@@ -74,12 +93,26 @@ func abs(x int) int {
 
 // String renders the gate in the .tln textual form.
 func (g *Gate) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s = [T=%d]", g.Name, g.T)
+	return string(g.appendTLN(nil))
+}
+
+// appendTLN appends the gate's .tln text, "f = [T=2] +1*a -1*b", to b.
+// Every weight carries its sign, zero as +0.
+func (g *Gate) appendTLN(b []byte) []byte {
+	b = append(b, g.Name...)
+	b = append(b, " = [T="...)
+	b = strconv.AppendInt(b, int64(g.T), 10)
+	b = append(b, ']')
 	for i, in := range g.Inputs {
-		fmt.Fprintf(&b, " %+d*%s", g.Weights[i], in)
+		b = append(b, ' ')
+		if g.Weights[i] >= 0 {
+			b = append(b, '+')
+		}
+		b = strconv.AppendInt(b, int64(g.Weights[i]), 10)
+		b = append(b, '*')
+		b = append(b, in...)
 	}
-	return b.String()
+	return b
 }
 
 // Network is a combinational threshold network: a DAG of LTGs over named
@@ -290,13 +323,27 @@ func (tn *Network) Stats() Stats {
 
 // String renders the network in .tln form.
 func (tn *Network) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, ".tnet %s\n", tn.Name)
-	fmt.Fprintf(&b, ".inputs %s\n", strings.Join(tn.Inputs, " "))
-	fmt.Fprintf(&b, ".outputs %s\n", strings.Join(tn.Outputs, " "))
+	b := make([]byte, 0, 256)
+	b = append(b, ".tnet "...)
+	b = append(b, tn.Name...)
+	b = appendNames(append(b, "\n.inputs "...), tn.Inputs)
+	b = appendNames(append(b, "\n.outputs "...), tn.Outputs)
+	b = append(b, '\n')
 	for _, g := range tn.Gates {
-		fmt.Fprintf(&b, ".gate %s\n", g)
+		b = g.appendTLN(append(b, ".gate "...))
+		b = append(b, '\n')
 	}
-	b.WriteString(".end\n")
-	return b.String()
+	b = append(b, ".end\n"...)
+	return string(b)
+}
+
+// appendNames appends the names to b, separated by single spaces.
+func appendNames(b []byte, names []string) []byte {
+	for i, name := range names {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, name...)
+	}
+	return b
 }

@@ -32,11 +32,13 @@ var flowOptions = []core.Options{
 }
 
 // FuzzFlow runs BLIF → script → mapper → .tln on small random networks
-// and referees every result: each .tln must parse back to the same text
-// and be proved equivalent to the source network by sim.ProveCore, and
-// the pointer-network bridges perfbench calls (blif.ParseString,
-// opt.Algebraic/Boolean, core.Synthesize/OneToOne) must give the same
-// bytes as the arena flow (opt.Run, core.Map).
+// and referees every result: each .tln must parse back to the same text,
+// be proved equivalent to the source network by sim.ProveCore and agree
+// with it on every vector under sim.Equivalent (the BDD proof and the
+// packed simulation must agree), and the pointer-network bridges
+// perfbench calls (blif.ParseString, opt.Algebraic/Boolean,
+// core.Synthesize/OneToOne) must give the same bytes as the arena flow
+// (opt.Run, core.Map).
 //
 // The bytes decode into a network as flowBLIF describes. The committed
 // seeds under testdata/fuzz/FuzzFlow run as regular tests; run
@@ -93,6 +95,9 @@ func checkFlow(t *testing.T, text string) {
 			}
 			if _, err := sim.ProveCore(src, back, 1); err != nil {
 				t.Fatalf("%s: %v\n%s\n%s", at, err, text, tln)
+			}
+			if err := sim.Equivalent(src, back, 1); err != nil {
+				t.Fatalf("%s: proved equivalent, but packed simulation disagrees: %v\n%s\n%s", at, err, text, tln)
 			}
 		}
 	}

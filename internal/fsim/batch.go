@@ -1,10 +1,12 @@
 // Package fsim is the word-parallel fault- and variation-simulation
-// engine: it packs 64 input vectors into each uint64 word and evaluates
-// Boolean networks (internal/network) and threshold networks
-// (internal/core) in topological order over preallocated flat buffers —
-// no per-vector maps, no per-gate allocation in the hot loop. The inner
-// evaluator kernels are plain loops over the batch's []uint64 words. On
-// top of the packed evaluators it provides defect models (weight
+// engine: it packs 64 input vectors into each uint64 word of a Batch and
+// evaluates threshold networks (internal/core) gate by gate in
+// topological order over preallocated flat buffers — no per-vector maps,
+// no per-gate allocation in the hot loop. It has no Boolean evaluator of
+// its own: EvalBool runs netcore's cone walk (netcore.Network.EvalWords,
+// the walk that builds cone truth tables) over the batch columns for the
+// golden rows. The inner kernels are plain loops over the batch's
+// []uint64 words. On top of them it provides defect models (weight
 // variation, threshold drift, stuck-at gate faults), a Monte-Carlo yield
 // estimator with sequential early stopping, and a critical-gate ranking
 // that attributes observed output failures to the first flipped gate on
@@ -20,6 +22,9 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+
+	"tels/internal/netcore"
+	"tels/internal/truth"
 )
 
 // lanes is the number of vectors per 64-bit word: vector index v lives
@@ -91,30 +96,14 @@ func Vectors(inputs []string, samples int, rng *rand.Rand) *Batch {
 }
 
 // exhaustive packs all 2^n assignments of the inputs: vector m assigns
-// input i the value of bit i of m.
+// input i the value of bit i of m, so input i's row is the truth table of
+// variable i (truth.Var). Below six inputs the one word's unused lanes
+// are zero, and the mask hides them.
 func exhaustive(inputs []string) *Batch {
 	n := len(inputs)
 	b := newBatch(inputs, 1<<uint(n))
-	// Inside a 64-lane word, inputs 0..5 follow fixed alternation
-	// patterns; inputs 6+ are constant per word, selected by the word
-	// index bits. The mask hides the unused lanes of a short batch.
-	var low = [6]uint64{
-		0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
-		0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
-	}
-	for i := 0; i < n; i++ {
-		row := b.words[i]
-		if i < 6 {
-			for wi := range row {
-				row[wi] = low[i]
-			}
-			continue
-		}
-		for wi := range row {
-			if wi>>(uint(i)-6)&1 == 1 {
-				row[wi] = ^uint64(0)
-			}
-		}
+	for i := range inputs {
+		copy(b.words[i], truth.Var(n, i).Words())
 	}
 	return b
 }
@@ -159,6 +148,33 @@ func (b *Batch) columns(names []string) ([]int, error) {
 		cols[i] = c
 	}
 	return cols, nil
+}
+
+// EvalBool returns the Boolean network's packed outputs on the batch
+// ([output][word]): netcore's cone walk over the batch columns of the
+// network's inputs. The rows are copies the caller owns, also for an
+// output that is an input or repeats another output.
+func EvalBool(nw *netcore.Network, b *Batch) ([][]uint64, error) {
+	names := make([]string, len(nw.Inputs()))
+	for i, in := range nw.Inputs() {
+		names[i] = nw.NetName(in)
+	}
+	cols, err := b.columns(names)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([][]uint64, len(cols))
+	for i, c := range cols {
+		rows[i] = b.words[c]
+	}
+	out, err := nw.EvalWords(nw.Outputs(), nw.Inputs(), rows, b.Words())
+	if err != nil {
+		return nil, err
+	}
+	for o := range out {
+		out[o] = append([]uint64(nil), out[o]...)
+	}
+	return out, nil
 }
 
 // FirstDiff locates the lowest (vector, output) pair where the two packed

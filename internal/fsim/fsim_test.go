@@ -11,7 +11,9 @@ import (
 	"tels/internal/network"
 )
 
-// randomBoolNet builds a random DAG of SOP nodes over n inputs.
+// randomBoolNet builds a random DAG of SOP nodes over n inputs. About one
+// node in six is a constant with no fanins, and about one network in
+// three has a primary input among its outputs.
 func randomBoolNet(rng *rand.Rand, n int) *network.Network {
 	nw := network.New("rand")
 	var signals []*network.Node
@@ -20,6 +22,14 @@ func randomBoolNet(rng *rand.Rand, n int) *network.Network {
 	}
 	nodes := 2 + rng.Intn(8)
 	for i := 0; i < nodes; i++ {
+		if rng.Intn(6) == 0 {
+			cover := logic.Zero(0)
+			if rng.Intn(2) == 0 {
+				cover = logic.One(0)
+			}
+			signals = append(signals, nw.AddNode(fmt.Sprintf("n%d", i), nil, cover))
+			continue
+		}
 		k := 1 + rng.Intn(3)
 		if k > len(signals) {
 			k = len(signals)
@@ -49,6 +59,9 @@ func randomBoolNet(rng *rand.Rand, n int) *network.Network {
 	outs := 1 + rng.Intn(3)
 	for i := 0; i < outs; i++ {
 		nw.MarkOutput(signals[rng.Intn(len(signals))])
+	}
+	if rng.Intn(3) == 0 {
+		nw.MarkOutput(signals[rng.Intn(n)])
 	}
 	return nw
 }
@@ -114,19 +127,32 @@ func propertyBatches(t *testing.T, rng *rand.Rand, inputs []string) []*Batch {
 }
 
 // TestExhaustiveBatchLayout pins the packing convention: vector m assigns
-// input i the value of bit i of m.
+// input i the value of bit i of m. Below six inputs the batch is one
+// word whose unused lanes are masked off and zero in every row.
 func TestExhaustiveBatchLayout(t *testing.T) {
-	inputs := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	b := exhaustive(inputs)
-	if b.Len() != 256 || b.Words() != 4 {
-		t.Fatalf("len=%d words=%d", b.Len(), b.Words())
-	}
-	for m := 0; m < b.Len(); m++ {
-		got := b.Assignment(m)
-		for i, name := range inputs {
-			want := m>>uint(i)&1 == 1
-			if got[name] != want {
-				t.Fatalf("vector %d input %s = %v, want %v", m, name, got[name], want)
+	for _, n := range []int{0, 1, 5, 6, 8} {
+		inputs := []string{"a", "b", "c", "d", "e", "f", "g", "h"}[:n]
+		b := exhaustive(inputs)
+		if b.Len() != 1<<n || b.Words() != (1<<n+63)/64 {
+			t.Fatalf("n=%d: len=%d words=%d", n, b.Len(), b.Words())
+		}
+		if n < 6 {
+			if want := uint64(1)<<(1<<n) - 1; b.mask[0] != want {
+				t.Fatalf("n=%d: mask %#x, want %#x", n, b.mask[0], want)
+			}
+			for i, row := range b.words {
+				if row[0]&^b.mask[0] != 0 {
+					t.Fatalf("n=%d: input %s sets unused lanes %#x", n, inputs[i], row[0]&^b.mask[0])
+				}
+			}
+		}
+		for m := 0; m < b.Len(); m++ {
+			got := b.Assignment(m)
+			for i, name := range inputs {
+				want := m>>uint(i)&1 == 1
+				if got[name] != want {
+					t.Fatalf("n=%d: vector %d input %s = %v, want %v", n, m, name, got[name], want)
+				}
 			}
 		}
 	}
@@ -150,21 +176,19 @@ func TestRandomBatchMatchesScalarStream(t *testing.T) {
 	}
 }
 
-// TestPackedBoolMatchesScalar is the property test: on random networks,
-// over all 2^n inputs and over random multi-word batches with a partial
-// last word, the packed Boolean evaluator equals the reference
-// network.Network.EvalOutputs bit for bit.
+// TestPackedBoolMatchesScalar is the property test: on random networks
+// (constant nodes and input outputs included), over all 2^n inputs and
+// over random multi-word batches with a partial last word, EvalBool equals
+// the reference network.Network.EvalOutputs bit for bit, and its rows are
+// copies: overwriting them leaves the batch as it was.
 func TestPackedBoolMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(8)
 		nw := randomBoolNet(rng, n)
-		sim, err := CompileBool(netcore.FromNetwork(nw))
-		if err != nil {
-			t.Fatal(err)
-		}
+		nc := netcore.FromNetwork(nw)
 		for _, batch := range propertyBatches(t, rng, inputNames(nw)) {
-			got, err := sim.Eval(batch)
+			got, err := EvalBool(nc, batch)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,6 +201,22 @@ func TestPackedBoolMatchesScalar(t *testing.T) {
 					if Bit(got[o], m) != want[o] {
 						t.Fatalf("trial %d, %d vectors: vector %d output %d: packed=%v scalar=%v",
 							trial, batch.Len(), m, o, Bit(got[o], m), want[o])
+					}
+				}
+			}
+			before := make([][]uint64, len(batch.words))
+			for i, row := range batch.words {
+				before[i] = append([]uint64(nil), row...)
+			}
+			for _, row := range got {
+				for wi := range row {
+					row[wi] = ^row[wi]
+				}
+			}
+			for i, row := range batch.words {
+				for wi := range row {
+					if row[wi] != before[i][wi] {
+						t.Fatalf("trial %d: EvalBool's rows alias batch column %d", trial, i)
 					}
 				}
 			}

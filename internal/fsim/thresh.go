@@ -94,9 +94,11 @@ func CompileThresh(tn *core.Network) (*ThreshSim, error) {
 		}
 		s.gates = append(s.gates, pg)
 		if len(g.Inputs) <= tableFanin {
-			s.base[gi] = newFireTable(len(g.Inputs))
+			// The exact table is read-only, so it keeps the gate's
+			// truth table words.
+			tt := g.Truth()
+			s.base[gi] = fireTable{bits: tt.Words(), ones: tt.CountOnes()}
 			s.work[gi] = newFireTable(len(g.Inputs))
-			fillExactFire(g, &s.base[gi])
 		}
 	}
 	for _, o := range tn.Outputs {
@@ -108,22 +110,6 @@ func CompileThresh(tn *core.Network) (*ThreshSim, error) {
 	}
 	s.out = make([][]uint64, len(s.outSlots))
 	return s, nil
-}
-
-// fillExactFire enumerates the gate's integer-weight truth table.
-func fillExactFire(g *core.Gate, ft *fireTable) {
-	ft.clear()
-	for m := 0; m < 1<<uint(len(g.Inputs)); m++ {
-		sum := 0
-		for i, w := range g.Weights {
-			if m>>uint(i)&1 == 1 {
-				sum += w
-			}
-		}
-		if sum >= g.T {
-			ft.set(m)
-		}
-	}
 }
 
 // fillNoisyFire enumerates the truth table under real-valued weight noise
@@ -278,7 +264,7 @@ func (s *ThreshSim) evalWith(b *Batch, tabs []fireTable, d *Defect, trace [][]ui
 // sumFire evaluates one word of a gate too wide for a fire table: every
 // lane adds the weights of its set inputs in ascending input order and
 // compares the sum with T (plus drift). Exact weights sum as integers,
-// noisy ones as float64 terms w + noise — the sums fillExactFire and
+// noisy ones as float64 terms w + noise — the sums core.Gate.Truth and
 // fillNoisyFire form, so both paths agree bit for bit.
 func sumFire(pg *pGate, vals []uint64, d *Defect, gi int) uint64 {
 	g := pg.g

@@ -123,10 +123,6 @@ type YieldSession struct {
 // trial knobs are per-Estimate.
 func NewYieldSession(nw *netcore.Network, tn *core.Network, cfg YieldConfig) (*YieldSession, error) {
 	cfg = cfg.withDefaults()
-	bsim, err := CompileBool(nw)
-	if err != nil {
-		return nil, err
-	}
 	// Probe the threshold side now so an undriven output fails at
 	// session build rather than on the first point.
 	if _, err := CompileThresh(tn); err != nil {
@@ -136,17 +132,12 @@ func NewYieldSession(nw *netcore.Network, tn *core.Network, cfg YieldConfig) (*Y
 	for i, in := range nw.Inputs() {
 		inputs[i] = nw.NetName(in)
 	}
-	s := &YieldSession{tn: tn, seed: cfg.Seed}
-	s.batch = Vectors(inputs, cfg.Samples, rand.New(rand.NewSource(cfg.Seed)))
-	ref, err := bsim.Eval(s.batch)
+	batch := Vectors(inputs, cfg.Samples, rand.New(rand.NewSource(cfg.Seed)))
+	golden, err := EvalBool(nw, batch)
 	if err != nil {
 		return nil, err
 	}
-	s.golden = make([][]uint64, len(ref))
-	for o := range ref {
-		s.golden[o] = append([]uint64(nil), ref[o]...)
-	}
-	return s, nil
+	return &YieldSession{tn: tn, batch: batch, golden: golden, seed: cfg.Seed}, nil
 }
 
 // Vectors reports the packed vector count shared by every point.

@@ -436,3 +436,41 @@ func TestStatsAndLevels(t *testing.T) {
 		t.Fatalf("Stats = %+v, want %+v", s, want)
 	}
 }
+
+// TestEvalWordsWideSupport runs the cone walk over more support nets than
+// a truth table can hold: a 40-input parity chain on random three-word
+// rows, checked lane by lane. A row of the wrong length is refused.
+func TestEvalWordsWideSupport(t *testing.T) {
+	const n, words = 40, 3
+	rng := rand.New(rand.NewSource(5))
+	nw := New("parity")
+	xor := cover(2, cube(logic.Pos, logic.Neg), cube(logic.Neg, logic.Pos))
+	support := make([]Net, n)
+	rows := make([][]uint64, n)
+	for i := range support {
+		support[i] = nw.AddInput(fmt.Sprintf("x%d", i))
+		rows[i] = []uint64{rng.Uint64(), rng.Uint64(), rng.Uint64()}
+	}
+	acc := support[0]
+	for i := 1; i < n; i++ {
+		acc = nw.AddNode(fmt.Sprintf("p%d", i), []Net{acc, support[i]}, xor)
+	}
+	nw.MarkOutput(acc)
+	got, err := nw.EvalWords([]Net{acc}, support, rows, words)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for wi := 0; wi < words; wi++ {
+		var want uint64
+		for _, row := range rows {
+			want ^= row[wi]
+		}
+		if got[0][wi] != want {
+			t.Fatalf("word %d: %#x, want %#x", wi, got[0][wi], want)
+		}
+	}
+	rows[7] = rows[7][:2]
+	if _, err := nw.EvalWords([]Net{acc}, support, rows, words); err == nil {
+		t.Fatal("a two-word row in a three-word walk was accepted")
+	}
+}

@@ -40,22 +40,6 @@ func (m MapMemo) Get(key string) (string, bool) { v, ok := m[key]; return v, ok 
 // Put implements Memo.
 func (m MapMemo) Put(key, tln string) { m[key] = tln }
 
-// gateTruth enumerates the gate's Boolean function over its inputs
-// (bit i of the minterm is input i).
-func gateTruth(g *core.Gate) *truth.Table {
-	tt := truth.New(len(g.Inputs))
-	for m := 0; m < tt.Size(); m++ {
-		sum := 0
-		for i, w := range g.Weights {
-			if m>>uint(i)&1 == 1 {
-				sum += w
-			}
-		}
-		tt.Set(m, sum >= g.T)
-	}
-	return tt
-}
-
 // memoKey is the content address of one (function, δon) synthesis under
 // the loop's synthesis knobs.
 func memoKey(tt *truth.Table, don int, o core.Options) string {
@@ -91,7 +75,7 @@ func deriveReplacement(g *core.Gate, don int, o core.Options, memo Memo) (*repla
 		return nil, fmt.Errorf("resyn: gate %s fanin %d exceeds the %d-variable engine limit",
 			g.Name, len(g.Inputs), truth.MaxVars)
 	}
-	tt := gateTruth(g)
+	tt := g.Truth()
 	sup := tt.Support()
 	if len(sup) < tt.N() {
 		tt = tt.Project(sup)

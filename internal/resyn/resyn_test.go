@@ -55,7 +55,7 @@ func TestDeriveReplacementSingleGate(t *testing.T) {
 			r.frag.GateCount(), r.decomposed)
 	}
 	ng := r.frag.Gate(repOutput)
-	tt := gateTruth(g)
+	tt := g.Truth()
 	if !core.VerifyVector(tt, core.WeightVector{Weights: ng.Weights, T: ng.T}, 3, o.DeltaOff) {
 		t.Fatalf("replacement vector w=%v T=%d does not carry δon=3", ng.Weights, ng.T)
 	}
@@ -71,7 +71,7 @@ func TestDeriveReplacementDecomposeFallback(t *testing.T) {
 	o := core.DefaultOptions()
 	o.MaxWeight = 2
 
-	tt := gateTruth(g)
+	tt := g.Truth()
 	var chk core.Checker
 	if _, ok := chk.Check(tt, 1, o.DeltaOff, 0); !ok {
 		t.Fatal("test premise broken: function should be threshold without the cap")
@@ -104,7 +104,7 @@ func TestDeriveReplacementDecomposeFallback(t *testing.T) {
 	// Margin check gate by gate: the override must have raised every
 	// part gate, not just the root.
 	for _, fg := range r.frag.Gates {
-		ftt := gateTruth(fg)
+		ftt := fg.Truth()
 		if !core.VerifyVector(ftt, core.WeightVector{Weights: fg.Weights, T: fg.T}, 1, o.DeltaOff) {
 			t.Fatalf("fragment gate %s (w=%v T=%d) lacks δon=1", fg.Name, fg.Weights, fg.T)
 		}

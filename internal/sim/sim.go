@@ -11,11 +11,12 @@
 // (VerifyClean) and FailureRate runs its Monte-Carlo trial loop
 // (Estimate) under the §VI-C weight variation. The session packs the
 // vectors fsim.Vectors picks (all of them up to fsim.ExhaustiveInputs
-// inputs, a random sample beyond), evaluates the golden outputs once and
-// sweeps them 64 vectors per machine word, for threshold gates of any
-// fanin. The map-based reference evaluators (network.Network.EvalOutputs,
-// core.Gate.EvalPerturbed) are the test oracle this package's tests pin
-// those results to.
+// inputs, a random sample beyond), evaluates the golden outputs once
+// through netcore's cone walk (fsim.EvalBool) and sweeps the threshold
+// network against them 64 vectors per machine word, for threshold gates
+// of any fanin. The map-based reference evaluators
+// (network.Network.EvalOutputs, core.Gate.EvalPerturbed) are the test
+// oracle this package's tests pin those results to.
 package sim
 
 import (

@@ -30,10 +30,12 @@ func New(n int) *Table {
 	if n < 0 || n > MaxVars {
 		panic(fmt.Sprintf("truth: variable count %d out of range [0,%d]", n, MaxVars))
 	}
-	return &Table{n: n, bits: make([]uint64, wordsFor(n))}
+	return &Table{n: n, bits: make([]uint64, WordsFor(n))}
 }
 
-func wordsFor(n int) int {
+// WordsFor returns the packed word count of an n-variable table: one
+// word below six variables, 2^(n−6) from six on.
+func WordsFor(n int) int {
 	size := 1 << uint(n)
 	if size < 64 {
 		return 1
@@ -446,7 +448,7 @@ func (t *Table) Project(vars []int) *Table {
 			pos[v], pos[at[p]] = k, p
 		}
 	}
-	return FromWords(len(vars), u.bits[:wordsFor(len(vars))])
+	return FromWords(len(vars), u.bits[:WordsFor(len(vars))])
 }
 
 // swapVars exchanges variables i < j in place: the minterms with x_i = 1,
