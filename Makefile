@@ -28,9 +28,10 @@ race:
 	$(GO) test -race -run 'Sweep|Session|V1|Resyn|Run' -count=2 ./internal/service/ ./internal/fsim/ ./internal/resyn/
 
 # benchsmoke compiles and runs the packed Fig. 11 inner-loop benchmark
-# once (correctness smoke, not a measurement).
+# and the cold and warm threshold-check benchmarks once (correctness
+# smoke, not a measurement: a check benchmark fails on a wrong verdict).
 benchsmoke:
-	$(GO) test -run=NONE -bench=Fig11Inner -benchtime=1x .
+	$(GO) test -run=NONE -bench='Fig11Inner|ThresholdCheck' -benchtime=1x .
 
 # sweepsmoke fans a tiny 3-point grid through an in-process sweep job
 # (quick Fig. 11 path through the service, correctness smoke).

@@ -21,7 +21,7 @@
 //	                          telsd peers (synthetic per-point delay)
 //	telsbench tenants         solo vs fair admission latency of a light
 //	                          tenant beside a flooding one
-//	telsbench thresh          threshold check, cold vs deployed (UNSAT cache)
+//	telsbench thresh          threshold check, cold vs deployed (verdict memo)
 //	                          wall-clock on the widest MCNC nodes
 //	telsbench all             everything above (except sweep, resyn, store,
 //	                          cluster, tenants, thresh)

@@ -19,8 +19,8 @@ type WeightVector struct {
 // checkSystem is one threshold check in positive-unate form. The ON/OFF
 // covers are derived only by problem(): exact prime generation over 2ⁿ
 // minterms dwarfs the solve itself on wide functions, and the checker's
-// proven-UNSAT results are keyed on pos alone, so a hit never pays for
-// them.
+// memo of proven verdicts is keyed on digest() alone, so a hit — SAT or
+// UNSAT — never pays for them.
 type checkSystem struct {
 	n       int
 	flipped []bool       // variables substituted to reach positive-unate form
@@ -131,7 +131,8 @@ func (sys *checkSystem) vector(x []int) WeightVector {
 
 // digest is a canonical key of the check instance: the positive-unate
 // table bits (identical across input phase flips) plus every parameter
-// that influences the verdict. It keys a checker's proven-UNSAT results.
+// that influences the verdict or the ILP optimum. It keys a checker's memo
+// of proven verdicts.
 func (sys *checkSystem) digest() [32]byte {
 	h := sha256.New()
 	var hdr [4 * 8]byte

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"tels/internal/ilp"
@@ -15,7 +16,7 @@ import (
 // the next benchmark change.
 type CheckCounters struct {
 	// Checks counts threshold-check invocations that reached the ILP
-	// or a checker's proven-UNSAT results (constants/binate early-outs
+	// or a checker's memo of proven verdicts (constants/binate early-outs
 	// excluded).
 	Checks int64
 	// Deprecated: always zero; kept for perfbench/adapter.go until the
@@ -24,8 +25,9 @@ type CheckCounters struct {
 	// Deprecated: always zero; kept for perfbench/adapter.go until the
 	// next benchmark change.
 	PbsatWins int64
-	// UnsatCacheHits counts checks answered by the checker's own
-	// proven-UNSAT results without touching the ILP.
+	// UnsatCacheHits counts checks answered by a proven UNSAT in the
+	// checker's memo without touching the ILP. Feasible memo hits are
+	// not counted.
 	UnsatCacheHits int64
 	// BudgetBailouts counts checks declared non-threshold because the
 	// ILP ran out of budget (§V-E bailout; the caller splits).
@@ -45,31 +47,34 @@ func SnapshotCheckCounters() CheckCounters {
 	}
 }
 
-// ResetUnsatCache does nothing: every Checker owns its proven-UNSAT
-// results, so a run starts cold by building a new one.
+// ResetUnsatCache does nothing: every Checker owns its memo of proven
+// verdicts, so a run starts cold by building a new one.
 //
 // Deprecated: kept for perfbench/adapter.go until the next benchmark
 // change.
 func ResetUnsatCache() {}
 
 // Checker runs Fig. 6 threshold checks: one branch-and-bound ILP per
-// check, behind the checker's own proven-UNSAT results. The zero value is
-// ready to use: default ILP node budget, nothing cached. Synthesize,
+// check, behind the checker's own memo of proven verdicts. The zero value
+// is ready to use: default ILP node budget, nothing stored. Synthesize,
 // OneToOne and each resyn fragment build one, so runs share nothing. A
 // Checker is not safe for concurrent use.
 type Checker struct {
 	// ILP configures the branch-and-bound solver (§V-E node budget).
 	ILP ilp.Solver
-	// unsat holds the digests of proven-UNSAT instances (the
-	// positive-unate table plus margins, computed before the ON/OFF
-	// covers are derived, so a hit skips not only the ILP but also the
-	// exact prime generation that dominates wide checks). Binate splits
-	// re-check the same rejected functions, and array-style benchmarks
-	// repeat the same wide slice function across outputs. Only proven
-	// verdicts enter — a §V-E budget bailout is not a certificate (see
-	// ilp.Result.LimitHit) — so a hit never changes a verdict, only the
-	// time to reach it. Allocated on the first insert.
-	unsat map[[32]byte]struct{}
+	// verdicts maps the digest of a check instance (the positive-unate
+	// table plus margins and cap, computed before the ON/OFF covers are
+	// derived) to its proven verdict: the positive-form ILP optimum, or
+	// nil for proven UNSAT. A hit skips both the ILP and the exact prime
+	// generation that dominates wide checks; the binate and unate splits
+	// re-check the same functions, and array-style benchmarks repeat the
+	// same slice function across outputs. Each caller's phase flips are
+	// applied to the stored solution, so a hit returns what a cold check
+	// would. Only proven verdicts enter — a §V-E budget bailout is not a
+	// certificate either way (see ilp.Result.LimitHit) — so a hit never
+	// changes a verdict, only the time to reach it. Allocated on the
+	// first insert.
+	verdicts map[[32]byte][]int
 }
 
 // Check decides whether the function tt — which must be unate and depend
@@ -112,22 +117,32 @@ func (c *Checker) Check(tt *truth.Table, deltaOn, deltaOff, maxWeight int) (Weig
 	}
 	checkCounters.checks.Add(1)
 	key := sys.digest()
-	if _, hit := c.unsat[key]; hit {
-		checkCounters.unsatHits.Add(1)
-		return WeightVector{}, false
+	if x, hit := c.verdicts[key]; hit {
+		if x == nil {
+			checkCounters.unsatHits.Add(1)
+			return WeightVector{}, false
+		}
+		return sys.vector(x), true
 	}
 	res := c.ILP.Solve(sys.problem())
 	switch {
 	case res.Status == ilp.Optimal && !res.LimitHit:
+		c.store(key, slices.Clone(res.X))
 		return sys.vector(res.X), true
 	case res.Status == ilp.Infeasible:
-		if c.unsat == nil {
-			c.unsat = make(map[[32]byte]struct{})
-		}
-		c.unsat[key] = struct{}{}
+		c.store(key, nil)
 		return WeightVector{}, false
 	default:
 		checkCounters.bailouts.Add(1)
 		return WeightVector{}, false
 	}
+}
+
+// store records a proven verdict: the positive-form optimum, or nil for
+// proven UNSAT.
+func (c *Checker) store(key [32]byte, x []int) {
+	if c.verdicts == nil {
+		c.verdicts = make(map[[32]byte][]int)
+	}
+	c.verdicts[key] = x
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -17,7 +18,7 @@ import (
 // Random wider functions, margins and weight caps through the FuzzCheck
 // referee. The name dates from when two engines raced on every check;
 // the identity now held is between the check, its independent oracles
-// and the cached checker.
+// and the warm checker.
 func TestPortfolioIdentityRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for iter := 0; iter < 120; iter++ {
@@ -32,7 +33,7 @@ func TestPortfolioIdentityRandom(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			maxW = don + doff + rng.Intn(4)
 		}
-		refereeCheck(t, tt, don, doff, maxW)
+		refereeCheck(t, rng, tt, don, doff, maxW)
 	}
 }
 
@@ -160,9 +161,9 @@ func TestSynthesizeConcurrentRuns(t *testing.T) {
 }
 
 // A tiny ILP budget must surface as a budget bailout (declared
-// non-threshold, nothing stored), never as a proven UNSAT result. The
-// instance's root LP relaxation is fractional, so a 1-node budget stops
-// branch and bound before any integer point.
+// non-threshold, stored neither as SAT nor as UNSAT), never as a proven
+// result. The instance's root LP relaxation is fractional, so a 1-node
+// budget stops branch and bound before any integer point.
 func TestBudgetBailoutNotCached(t *testing.T) {
 	tt := weightedTable([]int{8, 13, -17, -6, -15, 10, 10, -13, 8}, -3)
 	sys, ok := buildCheckSystem(tt, 0, 1, 0)
@@ -176,7 +177,7 @@ func TestBudgetBailoutNotCached(t *testing.T) {
 		t.Fatalf("root LP: %v at %v; the fixture needs a fractional vertex", root.Status, root.X)
 	}
 	tiny := Checker{ILP: ilp.Solver{MaxNodes: 1}}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		before := SnapshotCheckCounters()
 		if _, ok := tiny.Check(tt, 0, 1, 0); ok {
 			t.Fatalf("call %d: a budget bailout must report non-threshold", i)
@@ -185,14 +186,84 @@ func TestBudgetBailoutNotCached(t *testing.T) {
 		if after.BudgetBailouts == before.BudgetBailouts || after.UnsatCacheHits != before.UnsatCacheHits {
 			t.Fatalf("call %d: want a bailout and no stored answer: %+v → %+v", i, before, after)
 		}
-	}
-	if len(tiny.unsat) != 0 {
-		t.Fatal("a bailout entered the checker's proven-UNSAT results")
+		if len(tiny.verdicts) != 0 {
+			t.Fatalf("call %d: a bailout entered the checker's memo", i)
+		}
 	}
 	var full Checker
 	v, ok := full.Check(tt, 0, 1, 0)
 	if !ok || !VerifyVector(tt, v, 0, 1) {
 		t.Fatalf("default budget: %v;%v, want a verified vector", v, ok)
+	}
+}
+
+// A repeated feasible check is answered from the memo with the vector a
+// cold check gives: the same vector on a repeat, the cold checker's vector
+// when some inputs are negated, and never a slice a caller can reach.
+func TestVerdictMemoTransparent(t *testing.T) {
+	// x0·x̄1 + x0·x̄2, the paper's worked example, in negative phase on x1
+	// and x2.
+	f := truth.Var(3, 0).And(truth.Var(3, 1).Not()).
+		Or(truth.Var(3, 0).And(truth.Var(3, 2).Not()))
+	var c Checker
+	first, ok := c.Check(f, 0, 1, 0)
+	if !ok || !VerifyVector(f, first, 0, 1) {
+		t.Fatalf("first check: %v;%v, want a verified vector", first, ok)
+	}
+	hit, ok := c.Check(f, 0, 1, 0)
+	if !ok || !reflect.DeepEqual(hit, first) {
+		t.Fatalf("repeat: %v;%v, first check %v", hit, ok, first)
+	}
+	if len(c.verdicts) != 1 {
+		t.Fatalf("memo holds %d entries after a repeat, want 1", len(c.verdicts))
+	}
+
+	// The same positive form under other phases: x̄0·x1 + x̄0·x̄2.
+	g := f.SubstituteNeg(0).SubstituteNeg(1)
+	var cold Checker
+	want, wantOK := cold.Check(g, 0, 1, 0)
+	got, gotOK := c.Check(g, 0, 1, 0)
+	if !gotOK || gotOK != wantOK || !reflect.DeepEqual(got, want) || !VerifyVector(g, got, 0, 1) {
+		t.Fatalf("negated inputs: warm %v;%v, cold %v;%v", got, gotOK, want, wantOK)
+	}
+	if len(c.verdicts) != 1 {
+		t.Fatalf("negated inputs added a memo entry: %d, want 1", len(c.verdicts))
+	}
+
+	// A caller that edits its vector does not edit the memo.
+	hit.Weights[0] += 100
+	hit.Weights[1] = -hit.Weights[1]
+	if again, _ := c.Check(f, 0, 1, 0); !reflect.DeepEqual(again, first) {
+		t.Fatalf("after mutating a returned vector: %v, want %v", again, first)
+	}
+}
+
+// A weight cap is part of the instance: x0·(x1 + x2) is threshold both
+// under cap 2 and uncapped, and the two verdicts are two memo entries,
+// each vector within its own cap.
+func TestVerdictMemoKeysCap(t *testing.T) {
+	g := truth.New(3)
+	for m := 0; m < g.Size(); m++ {
+		g.Set(m, m&1 != 0 && m&6 != 0)
+	}
+	var c Checker
+	for _, maxW := range []int{2, 0} {
+		before := len(c.verdicts)
+		v, ok := c.Check(g, 0, 1, maxW)
+		if !ok || !VerifyVector(g, v, 0, 1) {
+			t.Fatalf("cap %d: %v;%v, want a verified vector", maxW, v, ok)
+		}
+		for _, w := range v.Weights {
+			if maxW > 0 && abs(w) > maxW {
+				t.Fatalf("cap %d: weight %d exceeds it", maxW, w)
+			}
+		}
+		if len(c.verdicts) != before+1 {
+			t.Fatalf("cap %d: memo grew from %d to %d entries, want one more", maxW, before, len(c.verdicts))
+		}
+	}
+	if len(c.verdicts) != 2 {
+		t.Fatalf("memo holds %d entries, want 2", len(c.verdicts))
 	}
 }
 
@@ -259,9 +330,10 @@ func TestWideChecksProvenAtRoot(t *testing.T) {
 
 // Every unate full-support function of up to 3 variables through the
 // FuzzCheck referee, uncapped and under every cap from 1 to 3, so the
-// exhaustive capped search and the cache identity see the whole space
+// exhaustive capped search and the memo identity see the whole space
 // rather than a random sample.
 func TestPortfolioIdentityExhaustive(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
 	for n := 1; n <= 3; n++ {
 		size := 1 << uint(n)
 		for code := 0; code < 1<<uint(size); code++ {
@@ -276,7 +348,7 @@ func TestPortfolioIdentityExhaustive(t *testing.T) {
 				continue
 			}
 			for maxW := 0; maxW <= 3; maxW++ {
-				refereeCheck(t, tt, 0, 1, maxW)
+				refereeCheck(t, rng, tt, 0, 1, maxW)
 			}
 		}
 	}

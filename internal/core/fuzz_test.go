@@ -63,10 +63,10 @@ func FuzzParseTLN(f *testing.F) {
 // independent oracles: the LP separability test when weights are
 // unbounded, and an exhaustive search over every weight vector within
 // the cap when one is set (n ≤ 4). On SAT the vector must realize the
-// function within the cap, and a checker's proven-UNSAT results must
-// never change an answer. With the high bit of nb set it checks a
-// function that is threshold by construction instead (see
-// checkConstructed), on up to 9 inputs.
+// function within the cap, and a checker's memo of proven verdicts must
+// never change an answer, also with some inputs negated. With the high
+// bit of nb set it checks a function that is threshold by construction
+// instead (see checkConstructed), on up to 9 inputs.
 func FuzzCheck(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(0), uint8(1), uint8(0))
 	f.Add(int64(7), uint8(5), uint8(1), uint8(2), uint8(0))
@@ -74,6 +74,10 @@ func FuzzCheck(f *testing.F) {
 	f.Add(int64(-99), uint8(3), uint8(2), uint8(1), uint8(0))
 	f.Add(int64(3), uint8(0x87), uint8(2), uint8(1), uint8(0))
 	f.Add(int64(11), uint8(0x85), uint8(1), uint8(0), uint8(0))
+	// Threshold tables whose repeat and flipped checks are memo hits: a
+	// 4-input one at δon = 1, and a 3-input one under weight cap 3.
+	f.Add(int64(5), uint8(2), uint8(1), uint8(0), uint8(0))
+	f.Add(int64(10), uint8(1), uint8(0), uint8(0), uint8(3))
 	f.Fuzz(func(t *testing.T, seed int64, nb, donb, doffb, maxWb uint8) {
 		don := int(donb) % 3
 		doff := 1 + int(doffb)%2
@@ -92,14 +96,15 @@ func FuzzCheck(f *testing.F) {
 		if isConst, _ := tt.IsConst(); isConst || len(tt.Support()) != n {
 			return
 		}
-		refereeCheck(t, tt, don, doff, maxW)
+		refereeCheck(t, rng, tt, don, doff, maxW)
 	})
 }
 
 // refereeCheck decides tt with a cold Checker and holds the answer
-// against the independent oracles described at FuzzCheck. tt must be
-// non-constant with full support.
-func refereeCheck(t *testing.T, tt *truth.Table, don, doff, maxW int) {
+// against the independent oracles described at FuzzCheck, then holds the
+// now warm checker against cold ones on tt and on tt with an rng-chosen
+// subset of inputs negated. tt must be non-constant with full support.
+func refereeCheck(t *testing.T, rng *rand.Rand, tt *truth.Table, don, doff, maxW int) {
 	t.Helper()
 	n := tt.N()
 	var cold Checker
@@ -129,10 +134,30 @@ func refereeCheck(t *testing.T, tt *truth.Table, don, doff, maxW int) {
 		}
 	}
 
-	// Again on the same checker, so a rejected instance is answered
-	// from its proven-UNSAT results.
+	// Again on the same checker, so the instance is answered from its
+	// memo of proven verdicts.
 	if cv, cok := cold.Check(tt, don, doff, maxW); cok != ok || !reflect.DeepEqual(cv, v) {
 		t.Fatalf("repeated check %v;%v, cold %v;%v (f=%s)", cv, cok, v, ok, tt)
+	}
+
+	// Negating inputs keeps the positive-unate form, so the warm checker
+	// answers the flipped table from its memo, under the new phases.
+	ft := tt
+	for i := 0; i < n; i++ {
+		if rng.Intn(2) == 1 {
+			ft = ft.SubstituteNeg(i)
+		}
+	}
+	var fresh Checker
+	wv, wok := cold.Check(ft, don, doff, maxW)
+	fv, fok := fresh.Check(ft, don, doff, maxW)
+	switch {
+	case wok != fok || !reflect.DeepEqual(wv, fv):
+		t.Fatalf("flipped table %s: warm %v;%v, cold %v;%v (f=%s)", ft, wv, wok, fv, fok, tt)
+	case wok != ok:
+		t.Fatalf("flipped table %s: verdict %v, unflipped %v (f=%s)", ft, wok, ok, tt)
+	case wok && !VerifyVector(ft, wv, don, doff):
+		t.Fatalf("flipped table %s: vector %v;%d fails verification", ft, wv.Weights, wv.T)
 	}
 }
 
@@ -196,7 +221,7 @@ func checkConstructed(t *testing.T, w []int, T, don, doff int) {
 	switch {
 	case ok && !VerifyVector(tt, v, don, doff):
 		t.Fatalf("vector %v;%d fails verification (w=%v T=%d don=%d doff=%d)", v.Weights, v.T, w, T, don, doff)
-	case !ok && (len(cold.unsat) != 0 || SnapshotCheckCounters().BudgetBailouts == before):
+	case !ok && (len(cold.verdicts) != 0 || SnapshotCheckCounters().BudgetBailouts == before):
 		t.Fatalf("threshold function w=%v T=%d (don=%d doff=%d) rejected without a budget bailout", w, T, don, doff)
 	}
 }

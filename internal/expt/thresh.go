@@ -19,14 +19,14 @@ import (
 //	cold      a fresh Checker per check: every check pays the digest,
 //	          cover construction and a branch-and-bound solve.
 //	deployed  the checker as synthesis runs it: one Checker per timed
-//	          pass, whose proven-UNSAT results answer repeated
-//	          rejections, so the speedup is earned within one pass over
-//	          the workload, exactly as one synthesis run would.
+//	          pass, whose memo of proven verdicts answers every repeated
+//	          check, feasible or not, so the speedup is earned within one
+//	          pass over the workload, exactly as one synthesis run would.
 //
 // Instances are deliberately NOT deduplicated: array-style benchmarks
 // (comparator stages, adder slices) genuinely instantiate the same wide
 // node function many times, and re-deciding those repeats is precisely
-// the per-node hot path the proven-UNSAT results remove.
+// the per-node hot path the memo removes.
 
 // threshConfigs are the margin/cap points each instance is checked under:
 // the flow default (δon=0, δoff=1), a hardened margin (δon=1), and an
@@ -192,7 +192,7 @@ func RenderThreshBench(rows []ThreshRow) string {
 	var b strings.Builder
 	b.WriteString("threshold check — widest MCNC node functions\n")
 	b.WriteString("(per benchmark: one full checking pass, best of reps; cold pays every\n")
-	b.WriteString(" check, deployed keeps the UNSAT-certificate cache within the pass)\n\n")
+	b.WriteString(" check, deployed keeps the checker's verdict memo within the pass)\n\n")
 	fmt.Fprintf(&b, "%-10s | %5s %4s %6s %4s %4s | %9s %11s | %7s\n",
 		"bench", "nodes", "uniq", "checks", "maxN", "sat", "cold ms", "deployed ms", "speedup")
 	fmt.Fprintln(&b, "-------------------------------------------------------------------------------")
