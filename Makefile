@@ -27,11 +27,13 @@ race:
 	$(GO) test -race ./internal/truth/ ./internal/core/ ./internal/sim/ ./internal/opt/ ./internal/expt/ ./internal/service/ ./internal/fsim/ ./internal/resyn/ ./internal/store/ ./internal/cluster/
 	$(GO) test -race -run 'Sweep|Session|V1|Resyn|Run' -count=2 ./internal/service/ ./internal/fsim/ ./internal/resyn/
 
-# benchsmoke compiles and runs the packed Fig. 11 inner-loop benchmark
-# and the cold and warm threshold-check benchmarks once (correctness
-# smoke, not a measurement: a check benchmark fails on a wrong verdict).
+# benchsmoke compiles and runs the packed Fig. 11 inner-loop benchmark,
+# the cold and warm threshold-check benchmarks, kernel enumeration and
+# the algebraic script once (correctness smoke, not a measurement: a
+# check benchmark fails on a wrong verdict, the kernel benchmark on a
+# wrong kernel count).
 benchsmoke:
-	$(GO) test -run=NONE -bench='Fig11Inner|ThresholdCheck' -benchtime=1x .
+	$(GO) test -run=NONE -bench='Fig11Inner|ThresholdCheck|Kernels|AlgebraicScript' -benchtime=1x .
 
 # sweepsmoke fans a tiny 3-point grid through an in-process sweep job
 # (quick Fig. 11 path through the service, correctness smoke).

@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -65,7 +66,7 @@ func decodeDivision(data []byte) (e, d Expr) {
 }
 
 // cubeSet is an expression as a set of printed cubes, independent of
-// cubeKey.
+// Compare and of the cube order.
 func cubeSet(e Expr) map[string]bool {
 	s := make(map[string]bool, len(e))
 	for _, c := range e {
@@ -77,7 +78,10 @@ func cubeSet(e Expr) map[string]bool {
 // FuzzWeakDiv checks that WeakDiv's quotient is the cube set common to
 // e's quotients by each cube of d, that q·d and r split e exactly, and
 // that q is empty whenever a literal of d occurs nowhere in e (the
-// premise of the resub support filter).
+// premise of the resub support filter). It also checks Kernels(e): every
+// kernel is cube-free and is e divided by its co-kernel, made cube-free,
+// no two kernels hold the same cubes, and they come in ascending Compare
+// order.
 func FuzzWeakDiv(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, d := decodeDivision(data)
@@ -142,6 +146,29 @@ func FuzzWeakDiv(f *testing.F) {
 				if !inE[l] && len(q) != 0 {
 					t.Fatalf("e=%v d=%v: literal %d of d is not in e, yet q=%v", e, d, l, q)
 				}
+			}
+		}
+
+		ks := Kernels(e)
+		seen := make(map[string]bool, len(ks))
+		for i, k := range ks {
+			if !k.Expr.IsCubeFree() {
+				t.Fatalf("e=%v: kernel %v is not cube-free", e, k.Expr)
+			}
+			if !slices.IsSortedFunc(k.Expr, slices.Compare[Cube]) {
+				t.Fatalf("e=%v: kernel %v is not in ascending cube order", e, k.Expr)
+			}
+			kq, _ := e.DivideByCube(k.CoKernel)
+			if want := sorted(kq.MakeCubeFree()); Compare(want, k.Expr) != 0 {
+				t.Fatalf("e=%v: kernel %v with co-kernel %v is not the cube-free quotient %v", e, k.Expr, k.CoKernel, want)
+			}
+			if key := fmt.Sprint(k.Expr); seen[key] {
+				t.Fatalf("e=%v: kernel %v listed twice", e, k.Expr)
+			} else {
+				seen[key] = true
+			}
+			if i > 0 && Compare(ks[i-1].Expr, k.Expr) >= 0 {
+				t.Fatalf("e=%v: kernel %v does not sort after %v", e, k.Expr, ks[i-1].Expr)
 			}
 		}
 	})
