@@ -102,11 +102,17 @@ func TechDecomp(nw *netcore.Network, maxFanin int) *netcore.Network {
 	}
 
 	// Outputs keep their names: if the final signal already has the right
-	// name it is used directly, otherwise a named buffer is added.
+	// name it is used directly; a shared inverter is copied under the
+	// output's name (the shared one goes if nothing else reads it);
+	// otherwise a named buffer is added.
 	for _, o := range nw.Outputs() {
 		sig, name := mapping[o], nw.NetName(o)
 		if out.NetName(sig) != name {
-			sig = out.AddNode(name, []netcore.Net{sig}, logic.MustCover("1"))
+			if in := out.NetFanins(sig); len(in) == 1 && inverters[in[0]] == sig {
+				sig = out.AddNode(name, in, logic.MustCover("0"))
+			} else {
+				sig = out.AddNode(name, []netcore.Net{sig}, logic.MustCover("1"))
+			}
 		}
 		out.MarkOutput(sig)
 	}

@@ -146,6 +146,12 @@ func decodeDecompNet(data []byte) *netcore.Network {
 	return nw
 }
 
+// isWire reports whether net n is one literal of phase p over one fanin.
+func isWire(nw *netcore.Network, n netcore.Net, p logic.Phase) bool {
+	phases, nCubes, width := nw.NetCubes(n)
+	return width == 1 && nCubes == 1 && phases[0] == p
+}
+
 // netNames lists the names of nets.
 func netNames(nw *netcore.Network, nets []netcore.Net) []string {
 	names := make([]string, len(nets))
@@ -157,7 +163,8 @@ func netNames(nw *netcore.Network, nets []netcore.Net) []string {
 
 // FuzzTechDecomp decomposes a decoded network at fanin 2, 3 and 4 and
 // checks the decomposition's contract: every gate is simple with fanin
-// ≤ k, the input and output names are the source's, and each output
+// ≤ k, the input and output names are the source's, no output is a buffer
+// of an inverter (one inverter named by the output does), and each output
 // computes the source output's function over the primary inputs. The
 // committed seeds under testdata/fuzz/FuzzTechDecomp run as regular
 // tests; run `go test -fuzz FuzzTechDecomp ./internal/opt` to explore.
@@ -183,6 +190,11 @@ func FuzzTechDecomp(f *testing.F) {
 			}
 			if s, d := netNames(src, src.Outputs()), netNames(dec, dec.Outputs()); !slices.Equal(s, d) {
 				t.Fatalf("k=%d: outputs %v, source %v", k, d, s)
+			}
+			for _, o := range dec.Outputs() {
+				if in := dec.NetFanins(o); len(in) == 1 && isWire(dec, o, logic.Pos) && isWire(dec, in[0], logic.Neg) {
+					t.Fatalf("k=%d: output %s buffers the inverter %s", k, dec.NetName(o), dec.NetName(in[0]))
+				}
 			}
 			got, err := dec.NetLocalTTs(dec.Outputs(), dec.Inputs())
 			if err != nil {
