@@ -25,7 +25,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/truth/ ./internal/core/ ./internal/sim/ ./internal/opt/ ./internal/expt/ ./internal/service/ ./internal/fsim/ ./internal/resyn/ ./internal/store/ ./internal/cluster/
-	$(GO) test -race -run 'Sweep|Session|V1|Resyn|Run' -count=2 ./internal/service/ ./internal/fsim/ ./internal/resyn/
+	$(GO) test -race -run 'Sweep|Session|V1|Resyn|Run|Cluster|Compute|Coalesce' -count=2 ./internal/service/ ./internal/fsim/ ./internal/resyn/
 
 # benchsmoke compiles and runs the packed Fig. 11 inner-loop benchmark,
 # the cold and warm threshold-check benchmarks, kernel enumeration and

@@ -59,16 +59,11 @@ func (l *Latency) Percentile(q float64) (time.Duration, bool) {
 	return tmp[i], true
 }
 
-// jitterRand guards the shared jitter source; backoff is called from
-// many dispatch goroutines at once.
-var (
-	jitterMu   sync.Mutex
-	jitterRand = rand.New(rand.NewSource(time.Now().UnixNano()))
-)
-
 // Backoff returns the pause before retry attempt (0-based): an
 // exponential of base capped at max, with ±25% jitter so a fleet of
-// retriers doesn't re-converge on the struggling peer in lockstep.
+// retriers doesn't re-converge on the struggling peer in lockstep. The
+// jitter comes from the top-level math/rand source, which is safe for
+// the many dispatch goroutines that back off at once.
 func Backoff(attempt int, base, max time.Duration) time.Duration {
 	if base <= 0 {
 		base = 25 * time.Millisecond
@@ -80,8 +75,5 @@ func Backoff(attempt int, base, max time.Duration) time.Duration {
 	if d > max || d <= 0 { // d ≤ 0 on shift overflow
 		d = max
 	}
-	jitterMu.Lock()
-	f := 0.75 + 0.5*jitterRand.Float64()
-	jitterMu.Unlock()
-	return time.Duration(float64(d) * f)
+	return time.Duration(float64(d) * (0.75 + 0.5*rand.Float64()))
 }

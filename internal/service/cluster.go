@@ -219,10 +219,7 @@ func decodeRemoteJob(data []byte) pointOutcome {
 // CachedResult serves a peer's cache-fill request: the in-memory cache
 // first, then the content-addressed store. It never computes.
 func (m *Manager) CachedResult(digest string) (*Result, bool) {
-	m.mu.Lock()
-	res, ok := m.cache.Get(digest)
-	m.mu.Unlock()
-	if ok {
+	if res, ok := m.cache.Get(digest); ok {
 		m.metrics.clusterFillsServed.Add(1)
 		return &res, true
 	}
@@ -242,10 +239,7 @@ func (m *Manager) CachedResult(digest string) (*Result, bool) {
 func (m *Manager) AcceptResult(digest string, res Result) {
 	res.CacheHit = false
 	m.persistResult(digest, res)
-	m.mu.Lock()
-	evicted := m.cache.Put(digest, res)
-	m.mu.Unlock()
-	m.metrics.cacheEvictions.Add(int64(evicted))
+	m.cacheResult(digest, res)
 }
 
 // ComputeSyncAs runs one request to completion on the local pool under
@@ -279,24 +273,10 @@ func (m *Manager) ComputeSyncAs(ctx context.Context, tenant string, req Request)
 	id := fmt.Sprintf("rpc-%06d", m.seq)
 	m.mu.Unlock()
 
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
-	jctx, cancel := context.WithCancel(m.baseCtx)
-	j := &jobRecord{
-		id:       id,
-		req:      req,
-		digest:   digest,
-		tenant:   tenant,
-		state:    StateQueued,
-		created:  time.Now(),
-		internal: true,
-		ctx:      jctx,
-		cancel:   cancel,
-		done:     make(chan struct{}),
-	}
+	j := newJobRecord(m.baseCtx, id, tenant, req, digest)
+	j.internal = true
 	if err := m.admit.enqueueInternalFast(j); err != nil {
-		cancel()
+		j.cancel()
 		return Job{}, err
 	}
 	m.metrics.clusterComputeServed.Add(1)
@@ -307,7 +287,7 @@ func (m *Manager) ComputeSyncAs(ctx context.Context, tenant string, req Request)
 		m.mu.Lock()
 		j.cancelled = true
 		m.mu.Unlock()
-		cancel()
+		j.cancel()
 		<-j.done // the worker observes the cancel and finishes the record
 	}
 	m.mu.Lock()

@@ -130,7 +130,7 @@ func TestWideGateYieldJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	if done.State != StateDone {
-		t.Fatalf("state = %s (error %q, code %q), want done", done.State, done.Error, done.ErrorCode)
+		t.Fatalf("state = %s (error %q), want done", done.State, done.Error)
 	}
 	if done.Result.Stats.Gates != 1 || done.Result.Yield == nil || done.Result.Yield.Trials == 0 {
 		t.Fatalf("want one gate and a yield report, got stats %+v yield %+v",
@@ -138,8 +138,8 @@ func TestWideGateYieldJob(t *testing.T) {
 	}
 }
 
-// TestInvalidInputErrorCode: an internal runner failure is not classified
-// as the client's fault — the job fails with an empty error code.
+// TestInvalidInputErrorCode: a runner failure fails the job with the
+// runner's message.
 func TestInvalidInputErrorCode(t *testing.T) {
 	m := newTestManager(t, Config{Workers: 1})
 	m.exec = func(ctx context.Context, req Request) (Result, error) {
@@ -153,7 +153,7 @@ func TestInvalidInputErrorCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done.State != StateFailed || done.ErrorCode != "" {
-		t.Fatalf("internal failure misclassified: state %s, code %q", done.State, done.ErrorCode)
+	if done.State != StateFailed || done.Error != "boom" {
+		t.Fatalf("runner failure: state %s, error %q, want failed with \"boom\"", done.State, done.Error)
 	}
 }

@@ -466,11 +466,6 @@ type Job struct {
 	Started  time.Time `json:"started,omitempty"`
 	Finished time.Time `json:"finished,omitempty"`
 	Error    string    `json:"error,omitempty"`
-	// ErrorCode classifies Error with a v1 error-envelope code when the
-	// failure is attributable to the request; empty for internal
-	// failures, timeouts, and cancellations. No runner sets it today, but
-	// journals written by older builds carry it and replay restores it.
-	ErrorCode string `json:"error_code,omitempty"`
 	// Progress streams a sweep job's partial curve while it runs.
 	Progress *Progress `json:"progress,omitempty"`
 	Result   *Result   `json:"result,omitempty"`

@@ -13,7 +13,7 @@ type Metrics struct {
 	jobsDone      atomic.Int64
 	jobsFailed    atomic.Int64
 	jobsCancelled atomic.Int64
-	jobsExecuted  atomic.Int64 // pipeline runs actually started (= cache misses)
+	jobsExecuted  atomic.Int64 // runs actually started (cache misses no owner filled)
 
 	cacheHits      atomic.Int64
 	cacheMisses    atomic.Int64

@@ -71,108 +71,61 @@ func (m *Manager) restore(backlog []replayedJob) []*jobRecord {
 	return pending
 }
 
-// replayTenant resolves a folded journal entry's owner. Records written
-// before the journal carried tenancy (schema v1) have an empty tenant
-// and replay under the default tenant — pinned by test, since changing
-// it would silently re-own old backlogs.
-func replayTenant(st store.JobState) string {
-	if st.Tenant == "" {
-		return DefaultTenant
-	}
-	return st.Tenant
-}
-
-// restoreJob rebuilds one journal entry: terminal states land directly
-// in the job table (results re-read from the content-addressed store),
-// pending states are returned for the caller to re-enqueue under their
-// original IDs.
+// restoreJob rebuilds one journal entry under its original ID:
+// terminal states land directly in the job table (results re-read from
+// the content-addressed store), pending states are returned for New to
+// re-admit — sweep coordinators must not start before the backlog is
+// enqueued and the workers are draining, so recovered sweeps resume
+// against a live pool. Records written before the journal carried
+// tenancy (schema v1) have an empty tenant and replay under the default
+// tenant — pinned by test, since changing it would silently re-own old
+// backlogs.
 func (m *Manager) restoreJob(rj replayedJob) *jobRecord {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.bumpSeqLocked(rj.st.ID)
-	created := time.Unix(0, rj.st.Submitted)
-	if rj.st.Submitted == 0 {
-		created = time.Now()
+	j := newJobRecord(m.baseCtx, rj.st.ID, rj.st.Tenant, rj.req, rj.st.Digest)
+	if rj.st.Submitted != 0 {
+		j.created = time.Unix(0, rj.st.Submitted)
 	}
+	m.jobs[j.id] = j
+	m.order = append(m.order, j.id)
 
 	if rj.err != nil {
-		m.insertTerminalLocked(rj, created, StateFailed, rj.err, nil)
+		j.endRestored(rj.st, StateFailed, rj.err, nil)
 		return nil
 	}
 	switch rj.st.Status {
 	case store.EventFinished:
 		if res, ok := m.loadResult(rj.st.Digest); ok {
-			m.insertTerminalLocked(rj, created, StateDone, nil, res)
+			j.endRestored(rj.st, StateDone, nil, res)
 			return nil
 		}
 		// The journal says finished but the result file is gone (e.g. a
 		// crash between the result write and the journal append, or a
 		// pruned results directory): recompute.
-		return m.requeueLocked(rj, created)
 	case store.EventFailed:
-		m.insertTerminalLocked(rj, created, StateFailed, errors.New(rj.st.Error), nil)
+		j.endRestored(rj.st, StateFailed, errors.New(rj.st.Error), nil)
+		return nil
 	case store.EventCanceled:
-		m.insertTerminalLocked(rj, created, StateCancelled, context.Canceled, nil)
-	default: // submitted, started, interrupted → back into the queue
-		return m.requeueLocked(rj, created)
+		j.endRestored(rj.st, StateCancelled, context.Canceled, nil)
+		return nil
 	}
-	return nil
-}
-
-// insertTerminalLocked adds a finished journal entry to the job table.
-func (m *Manager) insertTerminalLocked(rj replayedJob, created time.Time, state State, err error, res *Result) {
-	ctx, cancel := context.WithCancel(m.baseCtx)
-	cancel()
-	j := &jobRecord{
-		id:       rj.st.ID,
-		req:      rj.req,
-		digest:   rj.st.Digest,
-		tenant:   replayTenant(rj.st),
-		state:    state,
-		created:  created,
-		finished: time.Unix(0, rj.st.Finished),
-		err:      err,
-		errCode:  rj.st.ErrorCode,
-		result:   res,
-		ctx:      ctx,
-		cancel:   cancel,
-		done:     make(chan struct{}),
-	}
-	if rj.st.Finished == 0 {
-		j.finished = created
-	}
-	if state == StateCancelled {
-		j.cancelled = true
-	}
-	close(j.done)
-	m.jobs[j.id] = j
-	m.order = append(m.order, j.id)
-}
-
-// requeueLocked rebuilds a pending journal entry under its original ID
-// and returns it for New to re-admit: sweep coordinators must not
-// start before the backlog is enqueued and the workers are draining,
-// so recovered sweeps resume against a live pool.
-func (m *Manager) requeueLocked(rj replayedJob, created time.Time) *jobRecord {
-	ctx, cancel := context.WithCancel(m.baseCtx)
-	j := &jobRecord{
-		id:      rj.st.ID,
-		req:     rj.req,
-		digest:  rj.st.Digest,
-		tenant:  replayTenant(rj.st),
-		state:   StateQueued,
-		created: created,
-		ctx:     ctx,
-		cancel:  cancel,
-		done:    make(chan struct{}),
-	}
-	if rj.req.Kind == "resyn" {
-		j.run = m.resynRunner(j)
-	}
-	m.jobs[j.id] = j
-	m.order = append(m.order, j.id)
+	// Submitted, started or interrupted: back into the queue.
 	m.storeRequeued++
 	return j
+}
+
+// endRestored moves a replayed record to its journaled terminal state.
+func (j *jobRecord) endRestored(st store.JobState, state State, err error, res *Result) {
+	j.state, j.err, j.result = state, err, res
+	j.cancelled = state == StateCancelled
+	j.finished = j.created
+	if st.Finished != 0 {
+		j.finished = time.Unix(0, st.Finished)
+	}
+	j.cancel()
+	close(j.done)
 }
 
 // bumpSeqLocked keeps the ID counter above every replayed ID so new
@@ -317,7 +270,6 @@ func (m *Manager) journalFinishLocked(j *jobRecord) {
 		if j.err != nil {
 			ev.Error = j.err.Error()
 		}
-		ev.ErrorCode = j.snapshotLocked().ErrorCode
 	}
 	m.journalLocked(ev)
 }

@@ -14,15 +14,16 @@ import (
 // re-synthesis loop of internal/resyn run as a service job.
 //
 // A resyn job occupies one worker like a synth job (the loop is
-// sequential), but its synthesis prefix goes through the same
-// content-addressed path as everything else: the baseline network is
-// looked up under the digest of the equivalent standalone synth request
-// before the pipeline runs, and the per-gate (function, δon) fragments
-// the loop derives are memoised in the shared result cache under a
-// "resyn:"-prefixed digest namespace, so repeated hardenings — across
-// iterations, jobs, and benchmarks — synthesize once. Per-iteration
-// progress (yield, area, hardened gates) streams through the job table
-// and is visible to clients polling GET /v1/jobs/{id}.
+// sequential). Its synthesis prefix takes the result path every job
+// takes (Manager.serve) under the digest of the equivalent standalone
+// synth request: a cache hit, a synth job of that digest in flight, or
+// the owner peer's copy serves it before the pipeline runs. The per-gate
+// (function, δon) fragments the loop derives are memoised in the shared
+// result cache under a "resyn:"-prefixed digest namespace, so repeated
+// hardenings — across iterations, jobs, and benchmarks — synthesize
+// once. Per-iteration progress (yield, area, hardened gates) streams
+// through the job table and is visible to clients polling
+// GET /v1/jobs/{id}.
 
 // resynMemoPrefix namespaces fragment memo entries in the result cache,
 // away from request digests.
@@ -44,34 +45,20 @@ func (c cacheMemo) Get(key string) (string, bool) {
 
 // Put implements resyn.Memo.
 func (c cacheMemo) Put(key, tln string) {
-	evicted := c.m.cache.Put(resynMemoPrefix+key, Result{TLN: tln})
-	c.m.metrics.cacheEvictions.Add(int64(evicted))
+	c.m.cacheResult(resynMemoPrefix+key, Result{TLN: tln})
 }
 
-// resynBaseline obtains the synthesized starting network: a cache hit
-// under the equivalent synth request's digest when possible, a pipeline
-// run otherwise (cached for the next job).
+// resynBaseline obtains the synthesized starting network through the
+// result path of the equivalent standalone synth request: a cache hit,
+// a synth job of the same digest in flight, the owner's copy, or a
+// pipeline run that the next job finds cached.
 func (m *Manager) resynBaseline(ctx context.Context, req Request) (Result, error) {
 	sreq := synthRequest(req, req.Options.DeltaOn)
 	sdigest, err := Digest(sreq)
 	if err != nil {
 		return Result{}, err
 	}
-	if res, ok := m.cache.Get(sdigest); ok {
-		m.metrics.cacheHits.Add(1)
-		res.CacheHit = true
-		return res, nil
-	}
-	m.metrics.cacheMisses.Add(1)
-	res, err := m.exec(ctx, sreq)
-	if err != nil {
-		return Result{}, err
-	}
-	m.persistResult(sdigest, res)
-	evicted := m.cache.Put(sdigest, res)
-	m.metrics.cacheEvictions.Add(int64(evicted))
-	m.metrics.addStages(res.Stages)
-	return res, nil
+	return m.serve(ctx, sreq, sdigest, true, m.exec)
 }
 
 // resynRunner returns the executor of one resyn job.

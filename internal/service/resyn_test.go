@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -166,5 +167,66 @@ func TestResynValidation(t *testing.T) {
 	}
 	if dt == dr {
 		t.Fatal("resyn knobs must change the digest")
+	}
+}
+
+// TestResynBaselineCoalescesWithSynth holds the first synthesis of a
+// resyn job's baseline, submits a synth job whose request is that
+// baseline's synthesis prefix, and checks that the two share one run: the
+// baseline takes the same cache → in-flight → run path as every job.
+func TestResynBaselineCoalescesWithSynth(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 2})
+	var runs atomic.Int32
+	started, release := make(chan struct{}), make(chan struct{})
+	real := m.exec
+	m.exec = func(ctx context.Context, req Request) (Result, error) {
+		if runs.Add(1) == 1 {
+			close(started)
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return Result{}, ctx.Err()
+			}
+		}
+		return real(ctx, req)
+	}
+
+	rreq := resynRequest()
+	if err := rreq.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	rjob, err := m.Submit(rreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	sjob, err := m.Submit(synthRequest(rreq, rreq.Options.DeltaOn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Once the synth job holds the second worker, give it time to start a
+	// run of its own if it bypassed the baseline's flight.
+	for j, _ := m.Get(sjob.ID); j.State == StateQueued; j, _ = m.Get(sjob.ID) {
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < 100 && runs.Load() == 1; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+
+	for _, id := range []string{rjob.ID, sjob.ID} {
+		done, err := m.Wait(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done.State != StateDone {
+			t.Fatalf("job %s: state %s (%s)", id, done.State, done.Error)
+		}
+	}
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("synthesis ran %d times, want 1: the resyn baseline and the synth job did not coalesce", got)
+	}
+	if done, _ := m.Get(sjob.ID); !done.Result.CacheHit {
+		t.Fatal("the synth job was not served by the baseline's run")
 	}
 }

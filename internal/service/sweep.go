@@ -61,20 +61,8 @@ func (m *Manager) submitInternal(ctx context.Context, id, tenant string, req Req
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	jctx, cancel := context.WithCancel(ctx)
-	j := &jobRecord{
-		id:       id,
-		req:      req,
-		digest:   digest,
-		tenant:   tenant,
-		state:    StateQueued,
-		created:  time.Now(),
-		internal: true,
-		run:      run,
-		ctx:      jctx,
-		cancel:   cancel,
-		done:     make(chan struct{}),
-	}
+	j := newJobRecord(ctx, id, tenant, req, digest)
+	j.internal, j.run = true, run
 	m.admit.enqueueInternal(j)
 	return j, nil
 }

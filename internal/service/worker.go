@@ -12,20 +12,20 @@ import (
 	"tels/internal/sim"
 )
 
-// runDetached executes fn under the job's context. The synthesis core and
-// the packed yield estimator are not preemptible, so the work runs in its
-// own goroutine and is abandoned when the context fires: the worker slot
-// is released immediately and the orphaned run's result is discarded (its
-// flight is already resolved with the context error, so coalesced jobs
-// retry).
-func runDetached(ctx context.Context, req Request, fn func(context.Context, Request) (Result, error)) (Result, error) {
+// runDetached executes run under the job's context. The synthesis core,
+// the packed yield estimator and the re-synthesis loop are not
+// preemptible, so the work runs in its own goroutine and is abandoned
+// when the context fires: the worker slot is released immediately and
+// the orphaned run's result is discarded (its flight is already
+// resolved with the context error, so coalesced jobs retry).
+func runDetached(ctx context.Context, req Request, run func(context.Context, Request) (Result, error)) (Result, error) {
 	type outcome struct {
 		res Result
 		err error
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		res, err := fn(ctx, req)
+		res, err := run(ctx, req)
 		ch <- outcome{res, err}
 	}()
 	select {
@@ -34,11 +34,6 @@ func runDetached(ctx context.Context, req Request, fn func(context.Context, Requ
 	case <-ctx.Done():
 		return Result{}, ctx.Err()
 	}
-}
-
-// runBounded is the default manager exec: the full pipeline, detached.
-func runBounded(ctx context.Context, req Request) (Result, error) {
-	return runDetached(ctx, req, runPipeline)
 }
 
 // runPipeline is the full batch flow of cmd/tels: parse → optimize →

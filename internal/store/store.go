@@ -64,9 +64,8 @@ type Event struct {
 	// replays such jobs under its default tenant.
 	Tenant   string `json:"tenant,omitempty"`
 	Priority string `json:"priority,omitempty"`
-	// Error and ErrorCode ride on failed events.
-	Error     string `json:"error,omitempty"`
-	ErrorCode string `json:"error_code,omitempty"`
+	// Error rides on failed events.
+	Error string `json:"error,omitempty"`
 	// Done and Total ride on progress events (sweep points landed,
 	// resyn iterations completed).
 	Done  int `json:"done,omitempty"`
@@ -85,7 +84,6 @@ type JobState struct {
 	Priority  string          `json:"priority,omitempty"`
 	Status    EventType       `json:"status"`
 	Error     string          `json:"error,omitempty"`
-	ErrorCode string          `json:"error_code,omitempty"`
 	Done      int             `json:"done,omitempty"`
 	Total     int             `json:"total,omitempty"`
 	Submitted int64           `json:"submitted_unix,omitempty"`
@@ -412,7 +410,7 @@ func (s *Store) foldLocked(ev Event) {
 		j.Done, j.Total = ev.Done, ev.Total
 	case EventFinished, EventFailed, EventCanceled:
 		j.Status = ev.Type
-		j.Error, j.ErrorCode, j.Finished = ev.Error, ev.ErrorCode, ev.Unix
+		j.Error, j.Finished = ev.Error, ev.Unix
 	default:
 		j.Status = ev.Type
 	}

@@ -321,3 +321,37 @@ func TestEmptyDirRecovers(t *testing.T) {
 		t.Fatalf("fresh store recovered %+v", rec)
 	}
 }
+
+// TestOldFailedFrameFolds replays a failed-event frame written by a build
+// whose events still carried an "error_code" field: JSON decoding drops
+// the unknown field, and the job folds to failed with its message.
+func TestOldFailedFrameFolds(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, Options{})
+	if err := s.Append(Event{Type: EventSubmitted, JobID: "job-000001", Kind: "synth", Request: json.RawMessage(`{}`), Unix: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "wal", segName(1)), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := `{"type":"failed","job_id":"job-000001","error":"service: parse: bad cube","error_code":"invalid_request","unix":2}`
+	if _, err := appendFrame(f, []byte(old)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := openTest(t, dir, Options{}).Recovered()
+	if rec.TruncatedBytes != 0 || len(rec.Jobs) != 1 {
+		t.Fatalf("recovered %d jobs, %d truncated bytes; want 1 job, none truncated", len(rec.Jobs), rec.TruncatedBytes)
+	}
+	j := rec.Jobs[0]
+	if j.Status != EventFailed || j.Error != "service: parse: bad cube" || j.Finished != 2 {
+		t.Fatalf("old failed frame folded to %+v", j)
+	}
+}
