@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tels/internal/logic"
+	"tels/internal/truth"
 )
 
 // FromCover converts a positional cover into an algebraic expression.
@@ -162,7 +163,7 @@ func TestFromCoverToCover(t *testing.T) {
 		t.Fatalf("expr has %d cubes", len(e))
 	}
 	back := e.ToCover(3)
-	if !f.Equivalent(back) {
+	if !truth.FromCover(f).Equal(truth.FromCover(back)) {
 		t.Fatalf("round trip changed function: %v -> %v", f, back)
 	}
 }

@@ -194,161 +194,3 @@ func (f Cover) Support() []int {
 	}
 	return vars
 }
-
-// mostBinate returns the index of the variable appearing in both phases in
-// the largest number of cubes, or -1 if the cover is syntactically unate.
-func (f Cover) mostBinate() int {
-	best, bestCount := -1, 0
-	for i, u := range f.Usage() {
-		if u.Pos > 0 && u.Neg > 0 && u.Total() > bestCount {
-			best, bestCount = i, u.Total()
-		}
-	}
-	return best
-}
-
-// mostActive returns the variable appearing in the most cubes (any phase),
-// or -1 if no cube has a literal.
-func (f Cover) mostActive() int {
-	best, bestCount := -1, 0
-	for i, u := range f.Usage() {
-		if u.Total() > bestCount {
-			best, bestCount = i, u.Total()
-		}
-	}
-	return best
-}
-
-// Tautology reports whether the cover denotes the constant-1 function,
-// using the standard recursive Shannon test with a unate shortcut.
-func (f Cover) Tautology() bool {
-	if f.HasUniverse() {
-		return true
-	}
-	if f.IsZero() {
-		return false
-	}
-	// Unate reduction: a unate cover is a tautology iff it contains the
-	// universal cube (already checked above).
-	split := f.mostBinate()
-	if split < 0 {
-		return false
-	}
-	return f.Cofactor(split, Pos).Tautology() && f.Cofactor(split, Neg).Tautology()
-}
-
-// Complement returns a cover of the complement function, computed by
-// recursive Shannon expansion with single-cube containment cleanup.
-func (f Cover) Complement() Cover {
-	if f.IsZero() {
-		return One(f.N)
-	}
-	if f.HasUniverse() {
-		return Zero(f.N)
-	}
-	if len(f.Cubes) == 1 {
-		return cubeComplement(f.N, f.Cubes[0])
-	}
-	split := f.mostBinate()
-	if split < 0 {
-		split = f.mostActive()
-	}
-	if split < 0 {
-		// No literals anywhere but no universal cube: impossible, since a
-		// literal-free cube is universal.
-		return Zero(f.N)
-	}
-	pos := f.Cofactor(split, Pos).Complement()
-	neg := f.Cofactor(split, Neg).Complement()
-	out := NewCover(f.N)
-	for _, c := range pos.Cubes {
-		d := c.Clone()
-		if d[split] == DC {
-			d[split] = Pos
-		}
-		out.Cubes = append(out.Cubes, d)
-	}
-	for _, c := range neg.Cubes {
-		d := c.Clone()
-		if d[split] == DC {
-			d[split] = Neg
-		}
-		out.Cubes = append(out.Cubes, d)
-	}
-	return out.mergeComplementHalves(split).SCC()
-}
-
-// mergeComplementHalves merges pairs of cubes identical except for opposite
-// phases of the split variable, lifting them to DC. This keeps Shannon
-// complements from exploding.
-func (f Cover) mergeComplementHalves(split int) Cover {
-	out := NewCover(f.N)
-	used := make([]bool, len(f.Cubes))
-	for i, c := range f.Cubes {
-		if used[i] {
-			continue
-		}
-		merged := false
-		if c[split] != DC {
-			for j := i + 1; j < len(f.Cubes); j++ {
-				if used[j] {
-					continue
-				}
-				d := f.Cubes[j]
-				if d[split] != DC && d[split] != c[split] && c.Without(split).Equal(d.Without(split)) {
-					out.Cubes = append(out.Cubes, c.Without(split))
-					used[i], used[j] = true, true
-					merged = true
-					break
-				}
-			}
-		}
-		if !merged {
-			out.Cubes = append(out.Cubes, c.Clone())
-			used[i] = true
-		}
-	}
-	return out
-}
-
-// cubeComplement returns the complement of a single cube by De Morgan: one
-// single-literal cube per literal, with the phase flipped.
-func cubeComplement(n int, c Cube) Cover {
-	out := NewCover(n)
-	for i, p := range c {
-		if p == DC {
-			continue
-		}
-		d := NewCube(n)
-		if p == Pos {
-			d[i] = Neg
-		} else {
-			d[i] = Pos
-		}
-		out.Cubes = append(out.Cubes, d)
-	}
-	return out
-}
-
-// Or returns the disjunction of two covers over the same variable count.
-func (f Cover) Or(g Cover) Cover {
-	if f.N != g.N {
-		panic("logic: Or of covers with different variable counts")
-	}
-	out := f.Clone()
-	for _, c := range g.Cubes {
-		out.Cubes = append(out.Cubes, c.Clone())
-	}
-	return out
-}
-
-// Equivalent reports whether two covers denote the same function, via two
-// tautology checks of (f' + g) and (f + g').
-func (f Cover) Equivalent(g Cover) bool {
-	if f.N != g.N {
-		return false
-	}
-	fImpliesG := f.Complement().Or(g)
-	gImpliesF := g.Complement().Or(f)
-	return fImpliesG.Tautology() && gImpliesF.Tautology()
-}

@@ -1,8 +1,10 @@
-// Package logic provides two-level (sum-of-products) Boolean algebra on
-// positional-cube covers. It is the foundation the rest of the synthesis
-// system builds on: node functions in the Boolean network, the splitting
-// heuristics of the threshold synthesizer, and the algebraic factorization
-// engine all manipulate Cover values.
+// Package logic provides positional-cube covers, the sum-of-products form
+// the rest of the synthesis system builds on: node functions in the
+// Boolean network, the splitting heuristics of the threshold synthesizer,
+// and the algebraic factorization engine all manipulate Cover values.
+// Its operations work on the cubes as written (single-cube containment,
+// cofactors, support); two-level minimization works on truth tables, in
+// package truth.
 //
 // A cube assigns one of three phases to each variable position: Neg (the
 // variable appears complemented), Pos (uncomplemented), or DC (the variable
@@ -119,18 +121,6 @@ func (c Cube) Contains(d Cube) bool {
 	return true
 }
 
-// Distance returns the number of positions at which c and d require
-// opposite phases. Distance 0 means the cubes intersect.
-func (c Cube) Distance(d Cube) int {
-	n := 0
-	for i := range c {
-		if c[i] != DC && d[i] != DC && c[i] != d[i] {
-			n++
-		}
-	}
-	return n
-}
-
 // Eval reports whether the cube covers the given complete assignment.
 func (c Cube) Eval(assign []bool) bool {
 	for i, p := range c {
@@ -158,24 +148,4 @@ func (c Cube) Cofactor(i int, ph Phase) (Cube, bool) {
 	d := c.Clone()
 	d[i] = DC
 	return d, true
-}
-
-// Without returns a copy of the cube with position i forced to DC.
-func (c Cube) Without(i int) Cube {
-	d := c.Clone()
-	d[i] = DC
-	return d
-}
-
-// Equal reports whether the two cubes are identical position by position.
-func (c Cube) Equal(d Cube) bool {
-	if len(c) != len(d) {
-		return false
-	}
-	for i := range c {
-		if c[i] != d[i] {
-			return false
-		}
-	}
-	return true
 }

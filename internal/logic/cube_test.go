@@ -58,15 +58,6 @@ func TestCubeContains(t *testing.T) {
 	}
 }
 
-func TestCubeDistance(t *testing.T) {
-	if d := MustParseCube("10-").Distance(MustParseCube("01-")); d != 2 {
-		t.Fatalf("Distance = %d, want 2", d)
-	}
-	if d := MustParseCube("1--").Distance(MustParseCube("-0-")); d != 0 {
-		t.Fatalf("Distance = %d, want 0", d)
-	}
-}
-
 func TestCubeEval(t *testing.T) {
 	c := MustParseCube("1-0")
 	if !c.Eval([]bool{true, false, false}) {

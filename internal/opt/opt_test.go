@@ -1,7 +1,10 @@
 package opt
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"tels/internal/algebra"
@@ -421,8 +424,8 @@ func TestAlgebraicReducesLiterals(t *testing.T) {
 }
 
 func TestSimplifyWideNode(t *testing.T) {
-	// A 14-fanin node (beyond the truth-table route) with an absorbable
-	// cube pair must still shrink via the cover-based minimizer.
+	// A 14-fanin node (the widest the truth-table route takes) with an
+	// absorbable cube pair must shrink and drop the fanin it stops using.
 	nw := network.New("wide")
 	var ins []*network.Node
 	for i := 0; i < 14; i++ {
@@ -447,6 +450,34 @@ func TestSimplifyWideNode(t *testing.T) {
 	}
 	if len(y.Fanins) != 13 {
 		t.Fatalf("fanins = %d, want 13 (x13 dropped)", len(y.Fanins))
+	}
+	equivalentOnAll(t, ref, out)
+}
+
+func TestSimplifyKeepsNodeAboveCeiling(t *testing.T) {
+	// One fanin past SimplifyMaxVars the net keeps its cover and fanins,
+	// even with a cube pair the truth-table route would absorb.
+	width := SimplifyMaxVars + 1
+	nw := network.New("wider")
+	var ins []*network.Node
+	for i := 0; i < width; i++ {
+		ins = append(ins, nw.AddInput(fmt.Sprintf("x%d", i)))
+	}
+	ab := "11" + strings.Repeat("-", width-2)
+	cover := logic.MustCover(ab, ab[:width-1]+"0", "--"+strings.Repeat("1", width-3)+"-")
+	y := nw.AddNode("y", ins, cover)
+	nw.MarkOutput(y)
+	ref := nw.Clone()
+	out, changed := runCore(nw, SimplifyNodesCore)
+	if changed != 0 {
+		t.Fatalf("%d nets changed, want 0", changed)
+	}
+	y = out.Node("y")
+	if got := faninNames(y); !slices.Equal(got, faninNames(ref.Node("y"))) {
+		t.Fatalf("fanins = %v, want them unchanged", got)
+	}
+	if got := y.Cover.String(); got != cover.String() {
+		t.Fatalf("cover = %s, want %s", got, cover)
 	}
 	equivalentOnAll(t, ref, out)
 }

@@ -7,32 +7,31 @@ import (
 )
 
 // SimplifyMaxVars bounds the fanin count for exact truth-table node
-// simplification. SimplifyNodesCore hands wider nets to the cover-based
-// minimizer (simplifyWideCore); the don't-care passes skip them.
-const SimplifyMaxVars = 10
+// simplification, the one two-level minimizer. SimplifyNodesCore leaves a
+// wider net's cover as it is (sweep has already removed single-cube
+// containment), and the don't-care passes skip it. The cost of exact
+// minimization climbs steeply with the width; BenchmarkSimplifyWideNode
+// times the worst case at this one, a dense random table.
+const SimplifyMaxVars = 14
 
 // EliminateMaxSupport bounds the combined support when collapsing a net
 // into a fanout during EliminateCore.
 const EliminateMaxSupport = 10
 
-// SimplifyNodesCore replaces each net's cover with an irredundant prime
-// cover of its local function and drops fanins the function does not
-// depend on. It is the two-level-minimization step of the script
-// pipelines (espresso without external don't-cares). Returns the number
-// of nets changed.
+// SimplifyNodesCore replaces the cover of each net of at most
+// SimplifyMaxVars fanins with an irredundant prime cover of its local
+// function and drops fanins the function does not depend on. It is the
+// two-level-minimization step of the script pipelines (SIS simplify
+// without external don't-cares). Returns the number of nets changed.
 func SimplifyNodesCore(nw *netcore.Network) int {
 	changed := 0
 	for _, n := range nw.InternalNets() {
 		fanins := nw.NetFanins(n)
 		width := len(fanins)
-		cov := nw.NetCover(n)
 		if width > SimplifyMaxVars {
-			if nf, ncov, ok := simplifyWideCore(fanins, cov); ok {
-				nw.SetFunction(n, nf, ncov)
-				changed++
-			}
 			continue
 		}
+		cov := nw.NetCover(n)
 		tt := truth.FromCover(cov)
 		if isConst, v := tt.IsConst(); isConst {
 			if width == 0 {
@@ -67,18 +66,6 @@ func SimplifyNodesCore(nw *netcore.Network) int {
 		nw.RemoveDangling()
 	}
 	return changed
-}
-
-// simplifyWideCore minimizes a net too wide for the truth-table route
-// with the cover-based espresso-style pass and drops fanins the minimized
-// cover no longer mentions.
-func simplifyWideCore(fanins []netcore.Net, cov logic.Cover) ([]netcore.Net, logic.Cover, bool) {
-	cover := cov.Minimize()
-	if cover.LiteralCount() >= cov.LiteralCount() && len(cover.Cubes) >= len(cov.Cubes) {
-		return nil, logic.Cover{}, false
-	}
-	nf, cover := dropUnusedFanins(fanins, cover)
-	return nf, cover, true
 }
 
 // dropUnusedFanins projects the cover onto the fanins it mentions.

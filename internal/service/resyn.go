@@ -118,7 +118,6 @@ func (m *Manager) resynRunner(j *jobRecord) func(context.Context, Request) (Resu
 			// when the baseline was proved.
 			Verified: "simulated",
 			Resyn:    rep,
-			Stages:   base.Stages,
 		}
 		if base.Verified == "skipped" {
 			res.Verified = base.Verified

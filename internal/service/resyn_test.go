@@ -79,6 +79,60 @@ func TestResynJob(t *testing.T) {
 	}
 }
 
+// TestResynStagesCountedOnce checks that a resyn job's stage sums count
+// the baseline's run once: a first job on a fresh manager adds exactly the
+// baseline's own parse, optimize, synthesize and verify times, and a
+// second job whose baseline is a cache hit adds none of them.
+func TestResynStagesCountedOnce(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 1})
+	run := func(req Request) Result {
+		t.Helper()
+		job, err := m.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done, err := m.Wait(context.Background(), job.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done.State != StateDone {
+			t.Fatalf("job %s: state %s (%s)", job.ID, done.State, done.Error)
+		}
+		return *done.Result
+	}
+	sums := func() [4]int64 {
+		snap := m.MetricsSnapshot()
+		return [4]int64{snap["stage_parse_ns_sum"], snap["stage_optimize_ns_sum"],
+			snap["stage_synthesize_ns_sum"], snap["stage_verify_ns_sum"]}
+	}
+
+	rreq := resynRequest()
+	if err := rreq.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if st := run(rreq).Stages; st.Parse != 0 || st.Optimize != 0 || st.Synthesize != 0 || st.Verify != 0 {
+		t.Fatalf("resyn result reports the baseline's stages: %+v", st)
+	}
+	base := run(synthRequest(rreq, rreq.Options.DeltaOn))
+	if !base.CacheHit {
+		t.Fatal("the baseline was not cached by the resyn job")
+	}
+	st := base.Stages
+	want := [4]int64{int64(st.Parse), int64(st.Optimize), int64(st.Synthesize), int64(st.Verify)}
+	if got := sums(); got != want || want[0] == 0 {
+		t.Fatalf("stage sums after one resyn job = %v, want the baseline's %v", got, want)
+	}
+
+	again := resynRequest()
+	again.Resyn.TopK = 1
+	if res := run(again); res.CacheHit {
+		t.Fatal("the second resyn job was a cache hit; it must run on the cached baseline")
+	}
+	if got := sums(); got != want {
+		t.Fatalf("stage sums after a second resyn job on the cached baseline = %v, want %v", got, want)
+	}
+}
+
 // TestResynJobHTTP drives a resyn job over the v1 wire: kind-tagged
 // submission, progress visible via GET /v1/jobs/{id}, hardened netlist
 // via /tln.

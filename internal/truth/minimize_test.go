@@ -420,8 +420,10 @@ func primeOracle(tt *Table, c logic.Cube) bool {
 		if p == logic.DC {
 			continue
 		}
+		raised := c.Clone()
+		raised[i] = logic.DC
 		bigger := logic.NewCover(tt.N())
-		bigger.AddCube(c.Without(i))
+		bigger.AddCube(raised)
 		if implies(FromCover(bigger), tt) {
 			return false
 		}
