@@ -8,35 +8,36 @@ import (
 
 // Don't-care simplification bounds.
 const (
-	// odcMaxNetworkNodes bounds the network size for the observability
-	// path; larger networks use satisfiability don't-cares only.
+	// odcMaxNetworkNodes bounds the network size for observability
+	// don't-cares; a larger network gets satisfiability don't-cares only.
 	odcMaxNetworkNodes = 600
-	// dcMaxConeInputs bounds the primary-input support of the fanin cones
-	// enumerated for satisfiability don't-cares, and the primary-input
-	// count for which observability is enumerated.
+	// dcMaxConeInputs bounds the primary-input support of a candidate
+	// net's fanin cones, and the primary-input count for which
+	// observability is enumerated.
 	dcMaxConeInputs = 12
 )
 
-// SimplifyFullCore minimizes each net against both its satisfiability
-// don't-cares (fanin patterns no input can produce) and its observability
-// don't-cares (patterns where no primary output is sensitive to the net).
-// This is the don't-care machinery of SIS's full_simplify, computed
-// exactly with word-parallel cone truth tables. Nets are processed one at
-// a time against the *current* network, so each rewrite preserves the
-// network function and sequential application is sound (avoiding the
-// classical ODC-compatibility pitfall). Non-output nets whose current
-// fanin cones stay within dcMaxConeInputs inputs are candidates;
-// observability is added when the whole network has at most
-// dcMaxConeInputs inputs, and networks of more than odcMaxNetworkNodes
-// gates get simplifySDC instead. Returns the number of nets improved.
+// SimplifyFullCore minimizes each net against its don't-cares: the
+// satisfiability don't-cares (fanin patterns no input can produce) and,
+// when the whole network has at most odcMaxNetworkNodes gates and at most
+// dcMaxConeInputs inputs, the observability don't-cares (patterns where no
+// primary output is sensitive to the net). This is the don't-care
+// machinery of SIS's full_simplify, computed exactly with word-parallel
+// cone truth tables. Nets are processed one at a time against the
+// *current* network, so each rewrite preserves the network function and
+// sequential application is sound (avoiding the classical
+// ODC-compatibility pitfall). Candidates are the non-output nets of
+// 1..SimplifyMaxVars fanins whose fanin cones, as they stand when the
+// pass starts, reach at most dcMaxConeInputs inputs; a rewrite only drops
+// fanins, so those supports stay sufficient. Returns the number of nets
+// improved.
 func SimplifyFullCore(nw *netcore.Network) int {
-	if nw.GateCount() > odcMaxNetworkNodes {
-		return simplifySDC(nw)
-	}
 	order, err := nw.TopoNets()
 	if err != nil {
 		panic(err)
 	}
+	support := coneSupports(nw, order)
+	observe := nw.GateCount() <= odcMaxNetworkNodes && len(nw.Inputs()) <= dcMaxConeInputs
 	outputs := make(map[netcore.Net]bool, len(nw.Outputs()))
 	for _, o := range nw.Outputs() {
 		outputs[o] = true
@@ -44,48 +45,16 @@ func SimplifyFullCore(nw *netcore.Network) int {
 	changed := 0
 	for _, n := range order {
 		k := len(nw.NetFanins(n))
-		if nw.NetKind(n) != netcore.NetFunc || outputs[n] || k < 1 || k > SimplifyMaxVars {
-			continue
-		}
-		cone := faninConeInputs(nw, n)
-		if len(cone) > dcMaxConeInputs {
+		if nw.NetKind(n) != netcore.NetFunc || outputs[n] || k < 1 || k > SimplifyMaxVars || support[n] == nil {
 			continue
 		}
 		var dc *truth.Table
-		if len(nw.Inputs()) > dcMaxConeInputs {
-			dc = sdcSet(nw, n, cone)
-		} else {
+		if observe {
 			dc = fullDCSet(nw, n)
+		} else {
+			dc = sdcSet(nw, n, support[n])
 		}
 		if reduceWithDC(nw, n, dc) {
-			changed++
-		}
-	}
-	if changed > 0 {
-		nw.RemoveDangling()
-	}
-	return changed
-}
-
-// simplifySDC minimizes each net of 2..SimplifyMaxVars fanins, outputs
-// included, against its satisfiability don't-cares alone: fanin patterns
-// that no primary-input assignment can produce (because the fanin cones
-// share logic) are free. Input supports are computed once, before any
-// rewrite, and nets whose support exceeds dcMaxConeInputs are skipped.
-// Returns the number of nets improved.
-func simplifySDC(nw *netcore.Network) int {
-	order, err := nw.TopoNets()
-	if err != nil {
-		panic(err)
-	}
-	support := coneSupports(nw, order)
-	changed := 0
-	for _, n := range order {
-		k := len(nw.NetFanins(n))
-		if nw.NetKind(n) != netcore.NetFunc || k < 2 || k > SimplifyMaxVars || support[n] == nil {
-			continue
-		}
-		if reduceWithDC(nw, n, sdcSet(nw, n, support[n])) {
 			changed++
 		}
 	}
@@ -142,31 +111,6 @@ func unionNets(a, b []netcore.Net) []netcore.Net {
 		return nil
 	}
 	return out
-}
-
-// faninConeInputs returns the primary inputs in the current transitive
-// fanin of n's fanins.
-func faninConeInputs(nw *netcore.Network, n netcore.Net) []netcore.Net {
-	seen := make(map[netcore.Net]bool)
-	var pis []netcore.Net
-	var visit func(x netcore.Net)
-	visit = func(x netcore.Net) {
-		if seen[x] {
-			return
-		}
-		seen[x] = true
-		if nw.NetKind(x) == netcore.NetInput {
-			pis = append(pis, x)
-			return
-		}
-		for _, f := range nw.NetFanins(x) {
-			visit(f)
-		}
-	}
-	for _, f := range nw.NetFanins(n) {
-		visit(f)
-	}
-	return pis
 }
 
 // sdcSet returns the satisfiability don't-cares of net n over its fanins:

@@ -2,8 +2,10 @@ package opt
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"tels/internal/logic"
 	"tels/internal/netcore"
 	"tels/internal/network"
 	"tels/internal/truth"
@@ -67,19 +69,19 @@ func bruteDC(nw *network.Network, name string, sdcOnly bool) *truth.Table {
 	return dc
 }
 
-// TestDCSetsMatchBruteForce walks the candidate loops of SimplifyFullCore
-// and simplifySDC on random networks and checks every don't-care table
-// they derive against whole-network simulation, rewriting as the passes
-// do so later candidates see a partly simplified network.
+// TestDCSetsMatchBruteForce walks SimplifyFullCore's candidate loop on
+// random networks and checks every don't-care table it derives against
+// whole-network simulation: the full set, and the satisfiability set over
+// the cone supports taken before any rewrite. It rewrites as the pass does,
+// so later candidates see a partly simplified network.
 func TestDCSetsMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	reducedFull, reducedSDC := 0, 0
+	reduced := 0
 	for iter := 0; iter < 40; iter++ {
 		nw := randomNetwork(rng, 4+rng.Intn(5), 4+rng.Intn(10))
-
-		// Observability path: non-output candidates, current cones.
 		cw := netcore.FromNetwork(nw)
 		order, _ := cw.TopoNets()
+		support := coneSupports(cw, order)
 		outputs := map[netcore.Net]bool{}
 		for _, o := range cw.Outputs() {
 			outputs[o] = true
@@ -93,30 +95,11 @@ func TestDCSetsMatchBruteForce(t *testing.T) {
 			if got, want := fullDCSet(cw, n), bruteDC(ref, name, false); !got.Equal(want) {
 				t.Fatalf("iter %d: %s full DC %v, brute force %v", iter, name, got, want)
 			}
-			cone := faninConeInputs(cw, n)
-			if got, want := sdcSet(cw, n, cone), bruteDC(ref, name, true); !got.Equal(want) {
-				t.Fatalf("iter %d: %s SDC over cone %v, brute force %v", iter, name, got, want)
+			if got, want := sdcSet(cw, n, support[n]), bruteDC(ref, name, true); !got.Equal(want) {
+				t.Fatalf("iter %d: %s SDC over %v: %v, brute force %v", iter, name, support[n], got, want)
 			}
 			if reduceWithDC(cw, n, fullDCSet(cw, n)) {
-				reducedFull++
-			}
-		}
-
-		// SDC-only path: outputs included, supports from before any rewrite.
-		cw = netcore.FromNetwork(nw)
-		order, _ = cw.TopoNets()
-		support := coneSupports(cw, order)
-		for _, n := range order {
-			if cw.NetKind(n) != netcore.NetFunc || len(cw.NetFanins(n)) < 2 {
-				continue
-			}
-			name := cw.NetName(n)
-			got := sdcSet(cw, n, support[n])
-			if want := bruteDC(cw.ToNetwork(), name, true); !got.Equal(want) {
-				t.Fatalf("iter %d: %s SDC %v, brute force %v", iter, name, got, want)
-			}
-			if reduceWithDC(cw, n, got) {
-				reducedSDC++
+				reduced++
 			}
 		}
 		if err := cw.Validate(); err != nil {
@@ -124,7 +107,35 @@ func TestDCSetsMatchBruteForce(t *testing.T) {
 		}
 		equivalentOnAll(t, nw, cw.ToNetwork())
 	}
-	if reducedFull == 0 || reducedSDC == 0 {
-		t.Fatalf("vacuous: %d full-DC and %d SDC reductions", reducedFull, reducedSDC)
+	if reduced == 0 {
+		t.Fatal("vacuous: no full-DC reduction")
+	}
+}
+
+// TestSimplifyFullLargeNetworkSDCOnly puts n = a ∨ b under y = n ∧ a,
+// where n's patterns with a = 0 are observability don't-cares but every
+// pattern is reachable. In a small network the pass collapses n; beside
+// enough filler gates to pass odcMaxNetworkNodes it uses satisfiability
+// don't-cares only and leaves n as it is. Both keep the network function.
+func TestSimplifyFullLargeNetworkSDCOnly(t *testing.T) {
+	for _, filler := range []int{0, odcMaxNetworkNodes} {
+		nw := network.New("odc")
+		a := nw.AddInput("a")
+		b := nw.AddInput("b")
+		c := nw.AddInput("c")
+		n := nw.AddNode("n", []*network.Node{a, b}, logic.MustCover("1-", "-1"))
+		nw.MarkOutput(nw.AddNode("y", []*network.Node{n, a}, logic.MustCover("11")))
+		for i := 0; i < filler; i++ {
+			nw.MarkOutput(nw.AddNode(nw.FreshName("w"), []*network.Node{b, c}, logic.MustCover("11")))
+		}
+		large := nw.GateCount() > odcMaxNetworkNodes
+		out, changed := runCore(nw, SimplifyFullCore)
+		equivalentOnAll(t, nw, out)
+		got := out.Node(n.Name)
+		kept := changed == 0 && slices.Equal(faninNames(got), faninNames(n)) &&
+			got.Cover.String() == n.Cover.String()
+		if kept != large {
+			t.Fatalf("%d gates: %d nets changed, n = %v over %v", nw.GateCount(), changed, got.Cover, faninNames(got))
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"tels/internal/algebra"
 	"tels/internal/logic"
+	"tels/internal/mcnc"
 	"tels/internal/netcore"
 	"tels/internal/network"
 )
@@ -188,6 +189,34 @@ func TestEliminate(t *testing.T) {
 	equivalentOnAll(t, ref, out)
 }
 
+// TestSimplifyAfterEliminateIsFixedPoint pins why the scripts run no
+// SimplifyNodesCore right after an EliminateCore that follows one: every
+// net EliminateCore rewrites is already the minimal cover of its
+// support-projected table, so the simplify step changes nothing. It runs
+// on every corpus benchmark and on random networks, at each threshold the
+// scripts use plus -1.
+func TestSimplifyAfterEliminateIsFixedPoint(t *testing.T) {
+	check := func(name string, nw *network.Network) {
+		t.Helper()
+		for _, k := range []int{-1, 0, 2, 25} {
+			cw := netcore.FromNetwork(nw)
+			SweepCore(cw)
+			SimplifyNodesCore(cw)
+			EliminateCore(cw, k)
+			if n := SimplifyNodesCore(cw); n != 0 {
+				t.Fatalf("%s: simplify after eliminate(%d) changed %d nets", name, k, n)
+			}
+		}
+	}
+	for _, bm := range mcnc.All() {
+		check(bm.Name, bm.Build())
+	}
+	rng := rand.New(rand.NewSource(38))
+	for iter := 0; iter < 1000; iter++ {
+		check(fmt.Sprintf("random %d", iter), randomNetwork(rng, 1+rng.Intn(8), 1+rng.Intn(20)))
+	}
+}
+
 func TestExtractSharedKernel(t *testing.T) {
 	// Two nodes sharing divisor (c+d): y1 = a(c+d), y2 = b(c+d) + e.
 	nw := network.New("ext")
@@ -234,7 +263,7 @@ func randomNetwork(rng *rand.Rand, inputs, gates int) *network.Network {
 		signals = append(signals, nw.AddInput("in"+string(rune('a'+i))))
 	}
 	for g := 0; g < gates; g++ {
-		k := 2 + rng.Intn(3)
+		k := min(2+rng.Intn(3), len(signals))
 		fanins := make([]*network.Node, 0, k)
 		used := map[*network.Node]bool{}
 		for len(fanins) < k {
@@ -399,6 +428,10 @@ func TestScriptsOnRandomNetworks(t *testing.T) {
 		boo := Boolean(nw)
 		equivalentOnAll(t, nw, boo)
 	}
+	// Fewer inputs than a gate's widest fanin draw.
+	nw := randomNetwork(rng, 3, 10)
+	equivalentOnAll(t, nw, Algebraic(nw))
+	equivalentOnAll(t, nw, Boolean(nw))
 }
 
 func TestAlgebraicReducesLiterals(t *testing.T) {
@@ -603,19 +636,31 @@ func TestLitSetSubset(t *testing.T) {
 	}
 }
 
+// sdcOnly pads nw with unused inputs up to one more than dcMaxConeInputs,
+// so SimplifyFullCore takes it through its satisfiability-only branch.
+func sdcOnly(nw *network.Network) *network.Network {
+	for i := len(nw.Inputs); i <= dcMaxConeInputs; i++ {
+		nw.AddInput(fmt.Sprintf("pad%d", i))
+	}
+	return nw
+}
+
 func TestSimplifyDCUnreachablePatterns(t *testing.T) {
-	// y AND-combines x and its inverter's output through separate nodes:
+	// f AND-combines x and its inverter's output through separate nodes:
 	// the fanin patterns (0,0) and (1,1) are unreachable, so
 	// f = a*!b over (p, q) with p = x, q = !x can simplify to a literal.
 	nw := network.New("sdc")
 	x := nw.AddInput("x")
+	e := nw.AddInput("e")
 	p := nw.AddNode("p", []*network.Node{x}, logic.MustCover("1"))
 	q := nw.AddNode("q", []*network.Node{x}, logic.MustCover("0"))
 	f := nw.AddNode("f", []*network.Node{p, q}, logic.MustCover("10"))
+	y := nw.AddNode("y", []*network.Node{f, e}, logic.MustCover("11"))
 	nw.MarkOutput(p) // keep p and q alive as outputs
 	nw.MarkOutput(q)
-	nw.MarkOutput(f)
-	out, n := runCore(nw, simplifySDC)
+	nw.MarkOutput(y)
+	sdcOnly(nw)
+	out, n := runCore(nw, SimplifyFullCore)
 	if n == 0 {
 		t.Fatal("expected a DC simplification")
 	}
@@ -628,8 +673,8 @@ func TestSimplifyDCUnreachablePatterns(t *testing.T) {
 func TestSimplifyDCPreservesNetworkFunction(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for iter := 0; iter < 30; iter++ {
-		nw := randomNetwork(rng, 6, 10)
-		out, _ := runCore(nw, simplifySDC)
+		nw := sdcOnly(randomNetwork(rng, 6, 10))
+		out, _ := runCore(nw, SimplifyFullCore)
 		equivalentOnAll(t, nw, out)
 		if err := netcore.FromNetwork(out).Validate(); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
@@ -640,8 +685,8 @@ func TestSimplifyDCPreservesNetworkFunction(t *testing.T) {
 func TestSimplifyDCOnBenchmarkShapes(t *testing.T) {
 	// The comparator's eq-chain has correlated fanins; the SDC pass must
 	// keep the function intact (improvement is circuit-dependent).
-	nw := fig2a()
-	out, _ := runCore(nw, simplifySDC)
+	nw := sdcOnly(fig2a())
+	out, _ := runCore(nw, SimplifyFullCore)
 	equivalentOnAll(t, nw, out)
 }
 

@@ -53,12 +53,13 @@ func CheckScript(script string) error {
 // simplification, a round of low-value elimination to expose larger
 // divisors, greedy algebraic extraction, and a final cleanup. The result
 // is the algebraically-factored multi-level network that threshold
-// synthesis consumes.
+// synthesis consumes. Neither script simplifies right after an eliminate
+// that follows a simplify: eliminate sets every net it rewrites to the
+// minimal cover of its table, which is simplify's fixed point.
 func algebraic(cw *netcore.Network) {
 	SweepCore(cw)
 	SimplifyNodesCore(cw)
 	EliminateCore(cw, 0)
-	SimplifyNodesCore(cw)
 	ExtractCore(cw)
 	ResubCore(cw)
 	SweepCore(cw)
@@ -78,11 +79,9 @@ func boolean(cw *netcore.Network) {
 	SweepCore(cw)
 	SimplifyNodesCore(cw)
 	EliminateCore(cw, 2)
-	SimplifyNodesCore(cw)
 	ExtractCore(cw)
 	SimplifyNodesCore(cw)
 	EliminateCore(cw, 0)
-	SimplifyNodesCore(cw)
 	ExtractCore(cw)
 	ResubCore(cw)
 	// The don’t-care ingredient of script.boolean (full_simplify): after
@@ -91,6 +90,8 @@ func boolean(cw *netcore.Network) {
 	SimplifyFullCore(cw)
 	SweepCore(cw)
 	EliminateCore(cw, 25)
+	// Not a fixed point: the don't-care pass and the sweep ran since the
+	// last simplify.
 	SimplifyNodesCore(cw)
 	SweepCore(cw)
 }

@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"slices"
+
 	"tels/internal/logic"
 	"tels/internal/netcore"
 	"tels/internal/truth"
@@ -131,22 +133,23 @@ func EliminateCore(nw *netcore.Network, threshold int) int {
 			}
 			refs := 0
 			collapsible := true
-			for _, m := range cons {
+			supports := make([][]netcore.Net, len(cons))
+			for i, m := range cons {
 				if dirty[m] {
 					collapsible = false
 					break
 				}
-				if combinedSupportSizeCore(nw, m, n) > EliminateMaxSupport {
+				if supports[i] = mergedSupport(nw, m, n); len(supports[i]) > EliminateMaxSupport {
 					collapsible = false
 					break
 				}
 				phases, nCubes, width := nw.NetCubes(m)
-				for i, f := range nw.NetFanins(m) {
+				for j, f := range nw.NetFanins(m) {
 					if f != n {
 						continue
 					}
 					for c := 0; c < nCubes; c++ {
-						if phases[c*width+i] != logic.DC {
+						if phases[c*width+j] != logic.DC {
 							refs++
 						}
 					}
@@ -159,24 +162,9 @@ func EliminateCore(nw *netcore.Network, threshold int) int {
 			if refs*L-L-refs > threshold {
 				continue
 			}
-			ok := true
-			for _, m := range cons {
-				if !CollapseFaninCore(nw, m, n) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				// Partially collapsed consumers stay functionally correct
-				// (CollapseFaninCore is exact); mark the region dirty.
-				dirty[n] = true
-				for _, m := range cons {
-					dirty[m] = true
-				}
-				continue
-			}
 			dirty[n] = true
-			for _, m := range cons {
+			for i, m := range cons {
+				collapseFanin(nw, m, supports[i])
 				dirty[m] = true
 			}
 			changed++
@@ -202,47 +190,30 @@ func coverLiteralCount(nw *netcore.Network, n netcore.Net) int {
 	return lits
 }
 
-func combinedSupportSizeCore(nw *netcore.Network, m, n netcore.Net) int {
-	set := make(map[netcore.Net]bool)
+// mergedSupport is net m's support once fanin n is replaced by n's
+// fanins: m's other fanins, then n's, each once.
+func mergedSupport(nw *netcore.Network, m, n netcore.Net) []netcore.Net {
+	var support []netcore.Net
 	for _, f := range nw.NetFanins(m) {
-		if f != n {
-			set[f] = true
+		if f != n && !slices.Contains(support, f) {
+			support = append(support, f)
 		}
 	}
 	for _, f := range nw.NetFanins(n) {
-		set[f] = true
+		if !slices.Contains(support, f) {
+			support = append(support, f)
+		}
 	}
-	return len(set)
+	return support
 }
 
-// CollapseFaninCore rewrites net m with fanin n substituted by n's
-// function, combining the two exactly over a window truth table; m's new
-// support is its remaining fanins plus n's fanins. Reports success
-// (failure means the combined support exceeds EliminateMaxSupport).
-func CollapseFaninCore(nw *netcore.Network, m, n netcore.Net) bool {
-	var support []netcore.Net
-	seen := make(map[netcore.Net]bool)
-	for _, f := range nw.NetFanins(m) {
-		if f == n {
-			continue
-		}
-		if !seen[f] {
-			seen[f] = true
-			support = append(support, f)
-		}
-	}
-	for _, f := range nw.NetFanins(n) {
-		if !seen[f] {
-			seen[f] = true
-			support = append(support, f)
-		}
-	}
-	if len(support) > EliminateMaxSupport {
-		return false
-	}
+// collapseFanin rewrites net m as its exact function over support, a cut
+// of m's cone such as mergedSupport's, which substitutes a fanin's
+// function into m.
+func collapseFanin(nw *netcore.Network, m netcore.Net, support []netcore.Net) {
 	tt, err := nw.NetLocalTT(m, support)
 	if err != nil {
-		return false
+		panic(err)
 	}
 	sup := tt.Support()
 	reduced := tt
@@ -260,8 +231,7 @@ func CollapseFaninCore(nw *netcore.Network, m, n netcore.Net) bool {
 		} else {
 			nw.SetFunction(m, nil, logic.Zero(0))
 		}
-		return true
+		return
 	}
 	nw.SetFunction(m, fanins, reduced.MinimalSOP())
-	return true
 }
