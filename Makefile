@@ -29,12 +29,13 @@ race:
 
 # benchsmoke compiles and runs the packed Fig. 11 inner-loop benchmark,
 # the cold and warm threshold-check benchmarks, kernel enumeration, the
-# algebraic and boolean scripts and the widest-node simplification once
-# (correctness smoke, not a measurement: a check benchmark fails on a
-# wrong verdict, the kernel benchmark on a wrong kernel count, the boolean
-# script and simplification benchmarks on a changed function).
+# algebraic and boolean scripts, the widest-node simplification and the
+# i10 BDD proof once (correctness smoke, not a measurement: a check
+# benchmark fails on a wrong verdict, the kernel benchmark on a wrong
+# kernel count, the boolean script and simplification benchmarks on a
+# changed function, the proof benchmark unless it proves).
 benchsmoke:
-	$(GO) test -run=NONE -bench='Fig11Inner|ThresholdCheck|Kernels|AlgebraicScript|BooleanScript|SimplifyWideNode' -benchtime=1x .
+	$(GO) test -run=NONE -bench='Fig11Inner|ThresholdCheck|Kernels|AlgebraicScript|BooleanScript|SimplifyWideNode|Prove$$' -benchtime=1x .
 
 # sweepsmoke fans a tiny 3-point grid through an in-process sweep job
 # (quick Fig. 11 path through the service, correctness smoke).

@@ -389,22 +389,28 @@ func BenchmarkSimulation(b *testing.B) {
 	}
 }
 
-// BenchmarkProve measures the BDD equivalence proof of a synthesized comp
-// (32 inputs — beyond exhaustive simulation).
+// BenchmarkProve measures sim.ProveCore, the BDD equivalence proof, on
+// i10's boolean → one-to-one network, the slowest proof in the golden
+// corpus. It fails unless the proof completes without falling back to
+// simulation.
 func BenchmarkProve(b *testing.B) {
-	src := mcnc.Build("comp")
-	tn, _, err := core.Synthesize(opt.Algebraic(src), core.DefaultOptions())
+	src := netcore.FromNetwork(mcnc.Build("i10"))
+	optimized, err := opt.Run("boolean", src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tn, _, err := core.Map("one2one", optimized, core.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Prove(src, tn, 1)
+		res, err := sim.ProveCore(src, tn, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if res != sim.Proved {
-			b.Fatal("expected a proof")
+			b.Fatalf("result = %v, want proved", res)
 		}
 	}
 }

@@ -1,7 +1,10 @@
 package bdd
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tels/internal/logic"
@@ -225,5 +228,258 @@ func TestCoverBDD(t *testing.T) {
 		if m.Eval(f, assign) != cover.Eval(assign) {
 			t.Fatalf("coverBDD wrong at %d", x)
 		}
+	}
+}
+
+// mapManager is the map-based kernel the flat Manager replaced: a Go map
+// as the unique table, a never-forgetting map as the ITE cache, and a
+// closure over a per-call map in Threshold. It is the oracle the Manager
+// must match Ref for Ref and node for node.
+type mapManager struct {
+	nodes    []node
+	unique   map[node]Ref
+	iteCache map[[3]Ref]Ref
+	numVars  int
+	maxNodes int
+}
+
+func newMapManager(numVars, maxNodes int) *mapManager {
+	if maxNodes <= 0 {
+		maxNodes = DefaultMaxNodes
+	}
+	return &mapManager{
+		nodes: []node{
+			{level: int32(numVars), lo: False, hi: False},
+			{level: int32(numVars), lo: True, hi: True},
+		},
+		unique:   make(map[node]Ref),
+		iteCache: make(map[[3]Ref]Ref),
+		numVars:  numVars,
+		maxNodes: maxNodes,
+	}
+}
+
+func (m *mapManager) Var(i int) (Ref, error) {
+	if i < 0 || i >= m.numVars {
+		return False, fmt.Errorf("bdd: variable %d out of range [0,%d)", i, m.numVars)
+	}
+	return m.mk(int32(i), False, True)
+}
+
+func (m *mapManager) mk(level int32, lo, hi Ref) (Ref, error) {
+	if lo == hi {
+		return lo, nil
+	}
+	key := node{level: level, lo: lo, hi: hi}
+	if r, ok := m.unique[key]; ok {
+		return r, nil
+	}
+	if len(m.nodes) >= m.maxNodes {
+		return False, ErrNodeLimit
+	}
+	r := Ref(len(m.nodes))
+	m.nodes = append(m.nodes, key)
+	m.unique[key] = r
+	return r, nil
+}
+
+func (m *mapManager) cofactors(r Ref, level int32) (lo, hi Ref) {
+	n := m.nodes[r]
+	if n.level != level {
+		return r, r
+	}
+	return n.lo, n.hi
+}
+
+func (m *mapManager) ITE(f, g, h Ref) (Ref, error) {
+	switch {
+	case f == True:
+		return g, nil
+	case f == False:
+		return h, nil
+	case g == h:
+		return g, nil
+	case g == True && h == False:
+		return f, nil
+	}
+	key := [3]Ref{f, g, h}
+	if r, ok := m.iteCache[key]; ok {
+		return r, nil
+	}
+	top := min(m.nodes[f].level, m.nodes[g].level, m.nodes[h].level)
+	f0, f1 := m.cofactors(f, top)
+	g0, g1 := m.cofactors(g, top)
+	h0, h1 := m.cofactors(h, top)
+	lo, err := m.ITE(f0, g0, h0)
+	if err != nil {
+		return False, err
+	}
+	hi, err := m.ITE(f1, g1, h1)
+	if err != nil {
+		return False, err
+	}
+	r, err := m.mk(top, lo, hi)
+	if err != nil {
+		return False, err
+	}
+	m.iteCache[key] = r
+	return r, nil
+}
+
+func (m *mapManager) Not(f Ref) (Ref, error)    { return m.ITE(f, False, True) }
+func (m *mapManager) And(f, g Ref) (Ref, error) { return m.ITE(f, g, False) }
+func (m *mapManager) Or(f, g Ref) (Ref, error)  { return m.ITE(f, True, g) }
+
+func (m *mapManager) Xor(f, g Ref) (Ref, error) {
+	ng, err := m.Not(g)
+	if err != nil {
+		return False, err
+	}
+	return m.ITE(f, ng, g)
+}
+
+func (m *mapManager) Threshold(inputs []Ref, weights []int, t int) (Ref, error) {
+	n := len(weights)
+	maxRest := make([]int, n+1)
+	minRest := make([]int, n+1)
+	for i := n - 1; i >= 0; i-- {
+		maxRest[i] = maxRest[i+1]
+		minRest[i] = minRest[i+1]
+		if weights[i] > 0 {
+			maxRest[i] += weights[i]
+		} else {
+			minRest[i] += weights[i]
+		}
+	}
+	memo := make(map[[2]int]Ref)
+	var rec func(i, rem int) (Ref, error)
+	rec = func(i, rem int) (Ref, error) {
+		if minRest[i] >= rem {
+			return True, nil
+		}
+		if maxRest[i] < rem {
+			return False, nil
+		}
+		if r, ok := memo[[2]int{i, rem}]; ok {
+			return r, nil
+		}
+		hi, err := rec(i+1, rem-weights[i])
+		if err != nil {
+			return False, err
+		}
+		lo, err := rec(i+1, rem)
+		if err != nil {
+			return False, err
+		}
+		r, err := m.ITE(inputs[i], hi, lo)
+		if err != nil {
+			return False, err
+		}
+		memo[[2]int{i, rem}] = r
+		return r, nil
+	}
+	return rec(0, t)
+}
+
+// TestManagerMatchesMapOracle runs random operation sequences on the
+// Manager and on the map-based oracle. Every step must return the same
+// Ref, leave the same node slice and trip ErrNodeLimit at the same call.
+// Odd sequences wipe the Manager's ITE cache after every step, so each
+// operation recomputes what the oracle remembers.
+func TestManagerMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	limitHits, grown := 0, 0
+	for seq := 0; seq < 600; seq++ {
+		numVars := 1 + rng.Intn(10)
+		budget := 0
+		if seq%3 == 0 {
+			budget = 50 + rng.Intn(451)
+		}
+		wipe := seq%2 == 1
+		m, o := New(numVars, budget), newMapManager(numVars, budget)
+		pool := []Ref{False, True}
+		// Half the operands are recent results, so functions compound
+		// and the larger sequences outgrow the first table.
+		pick := func() Ref {
+			if rng.Intn(2) == 0 {
+				return pool[len(pool)-1-rng.Intn(min(len(pool), 4))]
+			}
+			return pool[rng.Intn(len(pool))]
+		}
+		for step := 0; step < 250; step++ {
+			var op string
+			var got, want Ref
+			var gotErr, wantErr error
+			switch rng.Intn(7) {
+			case 0:
+				i := rng.Intn(numVars)
+				op = fmt.Sprintf("Var(%d)", i)
+				got, gotErr = m.Var(i)
+				want, wantErr = o.Var(i)
+			case 1:
+				f, g, h := pick(), pick(), pick()
+				op = fmt.Sprintf("ITE(%d, %d, %d)", f, g, h)
+				got, gotErr = m.ITE(f, g, h)
+				want, wantErr = o.ITE(f, g, h)
+			case 2:
+				f, g := pick(), pick()
+				op = fmt.Sprintf("And(%d, %d)", f, g)
+				got, gotErr = m.And(f, g)
+				want, wantErr = o.And(f, g)
+			case 3:
+				f, g := pick(), pick()
+				op = fmt.Sprintf("Or(%d, %d)", f, g)
+				got, gotErr = m.Or(f, g)
+				want, wantErr = o.Or(f, g)
+			case 4:
+				f, g := pick(), pick()
+				op = fmt.Sprintf("Xor(%d, %d)", f, g)
+				got, gotErr = m.Xor(f, g)
+				want, wantErr = o.Xor(f, g)
+			case 5:
+				f := pick()
+				op = fmt.Sprintf("Not(%d)", f)
+				got, gotErr = m.Not(f)
+				want, wantErr = o.Not(f)
+			case 6:
+				k := rng.Intn(7)
+				inputs, weights := make([]Ref, k), make([]int, k)
+				for i := range inputs {
+					inputs[i] = pick()
+					weights[i] = rng.Intn(9) - 4
+					if rng.Intn(8) == 0 {
+						weights[i] *= 1_000_000_000
+					}
+				}
+				thr := rng.Intn(9) - 4
+				op = fmt.Sprintf("Threshold(%v, %v, %d)", inputs, weights, thr)
+				got, gotErr = m.Threshold(inputs, weights, thr)
+				want, wantErr = o.Threshold(inputs, weights, thr)
+			}
+			at := fmt.Sprintf("sequence %d (%d vars, budget %d) step %d %s", seq, numVars, budget, step, op)
+			if (gotErr == nil) != (wantErr == nil) || errors.Is(gotErr, ErrNodeLimit) != errors.Is(wantErr, ErrNodeLimit) {
+				t.Fatalf("%s: error %v, oracle %v", at, gotErr, wantErr)
+			}
+			if got != want {
+				t.Fatalf("%s: Ref %d, oracle %d", at, got, want)
+			}
+			if !slices.Equal(m.nodes, o.nodes) {
+				t.Fatalf("%s: node slices differ (%d vs %d nodes)", at, len(m.nodes), len(o.nodes))
+			}
+			if gotErr != nil {
+				limitHits++
+			} else {
+				pool = append(pool, got)
+			}
+			if wipe {
+				clear(m.cache)
+			}
+		}
+		if len(m.nodes) > initialBuckets {
+			grown++
+		}
+	}
+	if limitHits == 0 || grown == 0 {
+		t.Fatalf("vacuous: %d node-limit errors, %d sequences outgrew the first table", limitHits, grown)
 	}
 }

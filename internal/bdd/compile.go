@@ -14,7 +14,7 @@ import (
 // comparator) — the classic static ordering heuristic.
 func VarOrder(nw *netcore.Network) map[string]int {
 	order := make(map[string]int)
-	visited := make(map[netcore.Net]bool)
+	visited := make([]bool, nw.NetCount())
 	var walk func(n netcore.Net)
 	walk = func(n netcore.Net) {
 		if visited[n] {
@@ -22,9 +22,7 @@ func VarOrder(nw *netcore.Network) map[string]int {
 		}
 		visited[n] = true
 		if nw.NetKind(n) == netcore.NetInput {
-			if _, ok := order[nw.NetName(n)]; !ok {
-				order[nw.NetName(n)] = len(order)
-			}
+			order[nw.NetName(n)] = len(order)
 			return
 		}
 		for _, f := range nw.NetFanins(n) {
@@ -36,7 +34,8 @@ func VarOrder(nw *netcore.Network) map[string]int {
 	}
 	// Inputs not in any output cone still need levels.
 	for _, in := range nw.Inputs() {
-		if _, ok := order[nw.NetName(in)]; !ok {
+		if !visited[in] {
+			visited[in] = true
 			order[nw.NetName(in)] = len(order)
 		}
 	}
@@ -46,7 +45,7 @@ func VarOrder(nw *netcore.Network) map[string]int {
 // CompileBoolean builds one BDD per primary output of the Boolean network
 // under the given input-name-to-level order.
 func CompileBoolean(m *Manager, nw *netcore.Network, varLevel map[string]int) ([]Ref, error) {
-	refs := make(map[netcore.Net]Ref)
+	refs := make([]Ref, nw.NetCount())
 	for _, in := range nw.Inputs() {
 		level, ok := varLevel[nw.NetName(in)]
 		if !ok {
@@ -62,11 +61,12 @@ func CompileBoolean(m *Manager, nw *netcore.Network, varLevel map[string]int) ([
 	if err != nil {
 		return nil, err
 	}
+	var fanins []Ref
 	for _, n := range order {
 		if nw.NetKind(n) != netcore.NetFunc {
 			continue
 		}
-		fanins := make([]Ref, 0, len(nw.NetFanins(n)))
+		fanins = fanins[:0]
 		for _, f := range nw.NetFanins(n) {
 			fanins = append(fanins, refs[f])
 		}
@@ -128,7 +128,7 @@ func coverBDD(m *Manager, phases []logic.Phase, nCubes, width int, fanins []Ref)
 // network under the given input-name-to-level order, using the
 // running-sum construction for each LTG.
 func CompileThreshold(m *Manager, tn *core.Network, varLevel map[string]int) ([]Ref, error) {
-	refs := make(map[string]Ref)
+	refs := make(map[string]Ref, len(tn.Inputs)+len(tn.Gates))
 	for _, in := range tn.Inputs {
 		level, ok := varLevel[in]
 		if !ok {
@@ -140,10 +140,15 @@ func CompileThreshold(m *Manager, tn *core.Network, varLevel map[string]int) ([]
 		}
 		refs[in] = v
 	}
+	var fanins []Ref
 	for _, g := range tn.Gates {
-		fanins := make([]Ref, len(g.Inputs))
-		for i, in := range g.Inputs {
-			fanins[i] = refs[in]
+		fanins = fanins[:0]
+		for _, in := range g.Inputs {
+			r, ok := refs[in]
+			if !ok {
+				return nil, fmt.Errorf("bdd: gate %s reads %s, which is not an input or an earlier gate", g.Name, in)
+			}
+			fanins = append(fanins, r)
 		}
 		r, err := m.Threshold(fanins, g.Weights, g.T)
 		if err != nil {

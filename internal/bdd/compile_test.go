@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"strings"
 	"testing"
 
 	"tels/internal/core"
@@ -143,6 +144,50 @@ func TestCompileThresholdErrors(t *testing.T) {
 	tn.Outputs = append(tn.Outputs, "ghost")
 	if _, err := CompileThreshold(m, tn, map[string]int{"a": 0}); err == nil {
 		t.Fatal("undriven output accepted")
+	}
+	// AddGate refuses a gate reading an unknown signal, but Gates is an
+	// exported slice; such a gate must not read its input as False.
+	tn.Outputs = []string{"h"}
+	tn.Gates = append(tn.Gates, &core.Gate{Name: "h", Inputs: []string{"ghost"}, Weights: []int{1}, T: 1})
+	_, err := CompileThreshold(New(1, 0), tn, map[string]int{"a": 0})
+	if err == nil || !strings.Contains(err.Error(), "gate h reads ghost") {
+		t.Fatalf("gate reading an unknown signal: err = %v, want one naming gate h and ghost", err)
+	}
+}
+
+// TestCompileThresholdHugeWeights compiles a gate with weights of ±10⁹,
+// as a hand-written .tln may hold, and checks it against Gate.Eval on
+// every input vector. The threshold memo must hold only the (input,
+// remainder) pairs the gate reaches, at most 7 here, not a range as wide
+// as the weights.
+func TestCompileThresholdHugeWeights(t *testing.T) {
+	tn := core.NewNetwork("huge")
+	for _, in := range []string{"a", "b", "c"} {
+		tn.AddInput(in)
+	}
+	g := &core.Gate{Name: "f", Inputs: []string{"a", "b", "c"},
+		Weights: []int{1_000_000_000, -1_000_000_000, 1_000_000_000}, T: 1_000_000_000}
+	if err := tn.AddGate(g); err != nil {
+		t.Fatal(err)
+	}
+	tn.MarkOutput("f")
+	m := New(3, 0)
+	outs, err := CompileThreshold(m, tn, map[string]int{"a": 0, "b": 1, "c": 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.thr.memo) != initialMemo || m.thr.used > 7 {
+		t.Fatalf("memo has %d slots and %d pairs, want %d slots and at most 7 pairs",
+			len(m.thr.memo), m.thr.used, initialMemo)
+	}
+	in := make([]bool, 3)
+	for v := 0; v < 8; v++ {
+		for i := range in {
+			in[i] = v>>i&1 == 1
+		}
+		if got, want := m.Eval(outs[0], in), g.Eval(in); got != want {
+			t.Fatalf("vector %03b: BDD %v, Gate.Eval %v", v, got, want)
+		}
 	}
 }
 

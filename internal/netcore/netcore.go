@@ -118,6 +118,10 @@ func (nw *Network) NetCover(n Net) logic.Cover {
 	return cv
 }
 
+// NetCount returns one more than the largest net number allocated so
+// far, dead nets included: the length of a slice indexed by Net.
+func (nw *Network) NetCount() int { return len(nw.nets) }
+
 // NetByName returns the live net with the given name, or InvalidNet.
 func (nw *Network) NetByName(name string) Net {
 	if n, ok := nw.byName[name]; ok {

@@ -34,7 +34,13 @@ func (r ProveResult) String() string {
 // Equivalent (exhaustive or sampled simulation). On inequivalence the
 // error carries a concrete counterexample when the proof path found one.
 func ProveCore(nw *netcore.Network, tn *core.Network, seed int64) (ProveResult, error) {
-	err := proveBDD(nw, tn)
+	return proveCore(nw, tn, seed, 0)
+}
+
+// proveCore is ProveCore under a BDD node budget; 0 selects
+// bdd.DefaultMaxNodes. Tests pass a tiny budget to reach the fallback.
+func proveCore(nw *netcore.Network, tn *core.Network, seed int64, maxNodes int) (ProveResult, error) {
+	err := proveBDD(nw, tn, maxNodes)
 	if errors.Is(err, bdd.ErrNodeLimit) {
 		return Simulated, Equivalent(nw, tn, seed)
 	}
@@ -64,12 +70,12 @@ func sameOutputs(nw *netcore.Network, tn *core.Network) error {
 	return nil
 }
 
-func proveBDD(nw *netcore.Network, tn *core.Network) error {
+func proveBDD(nw *netcore.Network, tn *core.Network, maxNodes int) error {
 	if err := sameOutputs(nw, tn); err != nil {
 		return err
 	}
 	varLevel := bdd.VarOrder(nw)
-	m := bdd.New(len(varLevel), 0)
+	m := bdd.New(len(varLevel), maxNodes)
 	want, err := bdd.CompileBoolean(m, nw, varLevel)
 	if err != nil {
 		return err

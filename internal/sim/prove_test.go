@@ -6,6 +6,7 @@ import (
 
 	"tels/internal/core"
 	"tels/internal/mcnc"
+	"tels/internal/netcore"
 	"tels/internal/opt"
 )
 
@@ -75,6 +76,26 @@ func TestProveOneToOne(t *testing.T) {
 	}
 	if res != Proved {
 		t.Fatalf("result = %v", res)
+	}
+}
+
+// TestProveFallsBackToSimulation drives ProveCore's fallback with a
+// budget of 10 BDD nodes, which no corpus proof fits: a correct network
+// must come back Simulated with no error, and a broken one with an error.
+func TestProveFallsBackToSimulation(t *testing.T) {
+	src := netcore.FromNetwork(mcnc.Build("cm152a"))
+	tn, _, err := core.Synthesize(opt.Algebraic(mcnc.Build("cm152a")), core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := proveCore(src, tn, 1, 10)
+	if err != nil || res != Simulated {
+		t.Fatalf("correct network: result %v, err %v; want simulated, nil", res, err)
+	}
+	tn.Gates[0].T += 100
+	res, err = proveCore(src, tn, 1, 10)
+	if err == nil || res != Simulated {
+		t.Fatalf("broken network: result %v, err %v; want simulated with an error", res, err)
 	}
 }
 
