@@ -308,20 +308,9 @@ func (s *synthesizer) tryTheorem2(name string, base, extra logic.Cover, support 
 	s.stats.ILPFeasible++
 
 	extraPin := s.makePartPin(name, extra, support)
-	// Build base ∨ pin over baseSup plus the new input.
 	n := baseTT.N()
-	parent := truth.New(n + 1)
-	for m := 0; m < parent.Size(); m++ {
-		bit := m&(1<<uint(n)) != 0
-		v := baseTT.Get(m & ((1 << uint(n)) - 1))
-		if extraPin.neg {
-			parent.Set(m, v || !bit)
-		} else {
-			parent.Set(m, v || bit)
-		}
-	}
 	s.stats.ILPCalls++
-	vec, ok := s.chk.Check(parent, s.don, s.o.DeltaOff, s.o.MaxWeight)
+	vec, ok := s.chk.Check(orNewVar(baseTT, extraPin.neg), s.don, s.o.DeltaOff, s.o.MaxWeight)
 	if !ok {
 		// Cannot happen for a genuinely new input (Theorem 2), but the
 		// extra pin may alias a base support signal; fall back.
@@ -346,6 +335,34 @@ func (s *synthesizer) tryTheorem2(name string, base, extra logic.Cover, support 
 		return s.synthFunction(extraPin.part.name, extraPin.part.tt, extraPin.part.support), true
 	}
 	return nil, true
+}
+
+// orNewVar returns base ∨ x, or base ∨ ¬x when neg, over base's variables
+// plus x as a new top variable: the half of the table where the x literal
+// is false is base, the other half is all ones.
+func orNewVar(base *truth.Table, neg bool) *truth.Table {
+	n := base.N()
+	b := base.Words()
+	words := make([]uint64, truth.WordsFor(n+1))
+	if n < 6 {
+		size := uint(1) << uint(n)
+		lo, ones := b[0]&(1<<size-1), uint64(1)<<size-1
+		if neg {
+			words[0] = ones | lo<<size
+		} else {
+			words[0] = lo | ones<<size
+		}
+		return truth.FromWords(n+1, words)
+	}
+	baseHalf, onesHalf := words[:len(b)], words[len(b):]
+	if neg {
+		baseHalf, onesHalf = onesHalf, baseHalf
+	}
+	copy(baseHalf, b)
+	for i := range onesHalf {
+		onesHalf[i] = ^uint64(0)
+	}
+	return truth.FromWords(n+1, words)
 }
 
 // kWayOr splits the function into k = min(ψ, |cubes|) OR parts with unit

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"tels/internal/netcore"
@@ -201,31 +202,19 @@ func OneToOne(src *network.Network, o Options) (*Network, error) {
 // output is collapsed, checked, and recursively split until all nodes are
 // threshold gates. Fanout nodes of the source network are preserved.
 //
-// It works on a Clone of src, structurally pre-decomposed; all cone
-// reads (local functions, fanins, fanout counts) run against the slab,
-// and the word-parallel NetLocalTT replaces the per-node cone walk.
+// It works on a Clone of src, structurally pre-decomposed; every read
+// (node functions, fanins, fanout counts) runs against the slab, and a
+// node's function is its cover built straight into a packed table.
 func synthesize(src *netcore.Network, o Options) (*Network, SynthStats, error) {
 	cw := src.Clone()
 	// Nets wider than the truth-table engine are structurally split
 	// first; the algorithm itself enforces ψ on the result.
 	opt.DecomposeLargeCore(cw, maxSupport-2)
 
-	s := &synthesizer{
-		o:      o,
-		src:    cw,
-		out:    NewNetwork(cw.Name),
-		fanout: make(map[netcore.Net]bool),
-		done:   make(map[string]bool),
-		rng:    rand.New(rand.NewSource(o.Seed)),
-	}
-	for _, n := range cw.InternalNets() {
-		if cw.NetFanoutCount(n) > 1 {
-			s.fanout[n] = true
-		}
-	}
+	s := newSynthesizer(cw, o)
 	for _, in := range cw.Inputs() {
 		s.out.AddInput(cw.NetName(in))
-		s.done[cw.NetName(in)] = true
+		s.done[in] = true
 	}
 	s.queue = append(s.queue, cw.Outputs()...)
 	for len(s.queue) > 0 {
@@ -252,11 +241,13 @@ func synthesize(src *netcore.Network, o Options) (*Network, SynthStats, error) {
 }
 
 type synthesizer struct {
-	o      Options
-	src    *netcore.Network
-	out    *Network
-	fanout map[netcore.Net]bool
-	done   map[string]bool
+	o   Options
+	src *netcore.Network
+	out *Network
+	// fanout and done are indexed by net: the nets read by more than one
+	// net position or output, and the nets already synthesized.
+	fanout []bool
+	done   []bool
 	queue  []netcore.Net
 	rng    *rand.Rand
 	chk    Checker
@@ -266,6 +257,22 @@ type synthesizer struct {
 	// processNode sets it from the per-node overrides before any gate of
 	// that node (split parts included) is emitted.
 	don int
+}
+
+// newSynthesizer returns a synthesizer over src, with no net done yet.
+func newSynthesizer(src *netcore.Network, o Options) *synthesizer {
+	s := &synthesizer{
+		o:      o,
+		src:    src,
+		out:    NewNetwork(src.Name),
+		fanout: make([]bool, src.NetCount()),
+		done:   make([]bool, src.NetCount()),
+		rng:    rand.New(rand.NewSource(o.Seed)),
+	}
+	for _, n := range src.InternalNets() {
+		s.fanout[n] = src.NetFanoutCount(n) > 1
+	}
+	return s
 }
 
 func (s *synthesizer) freshName(base string) string {
@@ -280,7 +287,7 @@ func (s *synthesizer) freshName(base string) string {
 
 // enqueue schedules a source net for synthesis if not already handled.
 func (s *synthesizer) enqueue(n netcore.Net) {
-	if s.src.NetKind(n) == netcore.NetInput || s.done[s.src.NetName(n)] {
+	if s.src.NetKind(n) == netcore.NetInput || s.done[n] {
 		return
 	}
 	s.queue = append(s.queue, n)
@@ -288,19 +295,14 @@ func (s *synthesizer) enqueue(n netcore.Net) {
 
 // processNode synthesizes one source-network node into threshold gates.
 func (s *synthesizer) processNode(n netcore.Net) error {
-	name := s.src.NetName(n)
-	if s.done[name] {
+	if s.done[n] {
 		return nil
 	}
-	s.done[name] = true
+	s.done[n] = true
+	name := s.src.NetName(n)
 	s.don = s.o.DeltaOnFor(name)
-	support := append([]netcore.Net(nil), s.src.NetFanins(n)...)
-	support = dedupeNets(support)
-	tt, err := s.src.NetLocalTT(n, support)
-	if err != nil {
-		return err
-	}
-	return s.synthFunction(name, tt, support)
+	support := dedupeNets(append([]netcore.Net(nil), s.src.NetFanins(n)...))
+	return s.synthFunction(name, s.netFunction(n, support), support)
 }
 
 // synthFunction emits a gate named name computing tt over the support
@@ -362,24 +364,24 @@ func (s *synthesizer) emitGate(name string, v WeightVector, support []netcore.Ne
 // the net is a primary input, a fanout net, already synthesized, or the
 // substitution would exceed the fanin restriction (the "undo" branch).
 func (s *synthesizer) collapse(tt *truth.Table, support []netcore.Net) (*truth.Table, []netcore.Net) {
-	failed := make(map[netcore.Net]bool)
+	var failed []netcore.Net
 	for {
 		progress := false
 		for idx, cand := range support {
 			if s.src.NetKind(cand) == netcore.NetInput || s.fanout[cand] ||
-				s.done[s.src.NetName(cand)] || failed[cand] {
+				s.done[cand] || slices.Contains(failed, cand) {
 				continue
 			}
 			// Fig. 4 checks the fanin count l = |F| syntactically before
 			// accepting a substitution; doing the same here avoids building
 			// truth tables for substitutions that will be undone anyway.
 			if s.mergedSupportSize(support, idx) > s.o.Fanin {
-				failed[cand] = true
+				failed = append(failed, cand)
 				continue
 			}
 			newTT, newSupport, ok := s.substitute(tt, support, idx)
 			if !ok || newTT.N() > s.o.Fanin || newTT.N() > maxSupport {
-				failed[cand] = true
+				failed = append(failed, cand)
 				continue
 			}
 			tt, support = newTT, newSupport
@@ -394,73 +396,57 @@ func (s *synthesizer) collapse(tt *truth.Table, support []netcore.Net) (*truth.T
 }
 
 // mergedSupportSize returns |support \ {support[idx]} ∪ fanins(support[idx])|.
+// support holds distinct nets and support[idx] is not its own fanin, so
+// only the fanins new to support, each counted once, add to it.
 func (s *synthesizer) mergedSupportSize(support []netcore.Net, idx int) int {
-	seen := make(map[netcore.Net]bool, len(support)+4)
-	for i, n := range support {
-		if i != idx {
-			seen[n] = true
+	fanins := s.src.NetFanins(support[idx])
+	size := len(support) - 1
+	for j, f := range fanins {
+		if !slices.Contains(support, f) && !slices.Contains(fanins[:j], f) {
+			size++
 		}
 	}
-	for _, n := range s.src.NetFanins(support[idx]) {
-		seen[n] = true
-	}
-	return len(seen)
+	return size
 }
 
 // substitute replaces support[idx] by that net's own function, returning
-// the new function over the merged, reduced support. This stays pure
-// truth-table math (rather than NetLocalTT over the merged support): the
-// incoming tt can already be a composition whose intermediate cone inputs
-// were dropped by reduceSupport, so the cone no longer exists in the
-// network as a unit.
+// the new function over the merged, reduced support: support without
+// support[idx], in order, then the victim's fanins new to it. The victim's
+// cover is built over the merged support and composed into tt word by
+// word (truth.Compose). This stays pure truth-table math (rather than
+// NetLocalTT over the merged support): the incoming tt can already be a
+// composition whose intermediate cone inputs were dropped by
+// reduceSupport, so the cone no longer exists in the network as a unit.
 func (s *synthesizer) substitute(tt *truth.Table, support []netcore.Net, idx int) (*truth.Table, []netcore.Net, bool) {
 	victim := support[idx]
-	victimFanins := s.src.NetFanins(victim)
-	merged := make([]netcore.Net, 0, len(support)+len(victimFanins))
-	seen := make(map[netcore.Net]bool)
-	for i, n := range support {
-		if i == idx {
-			continue
-		}
-		if !seen[n] {
-			seen[n] = true
-			merged = append(merged, n)
-		}
-	}
-	for _, n := range victimFanins {
-		if !seen[n] {
-			seen[n] = true
-			merged = append(merged, n)
+	fanins := s.src.NetFanins(victim)
+	merged := make([]netcore.Net, 0, len(support)-1+len(fanins))
+	merged = append(merged, support[:idx]...)
+	merged = append(merged, support[idx+1:]...)
+	for _, f := range fanins {
+		if !slices.Contains(merged, f) {
+			merged = append(merged, f)
 		}
 	}
 	if len(merged) > maxSupport {
 		return nil, nil, false
 	}
-	victimTT := truth.FromCover(s.src.NetCover(victim))
-	// Evaluate the composition minterm by minterm over the merged support.
-	out := truth.New(len(merged))
-	pos := make(map[netcore.Net]int, len(merged))
-	for i, n := range merged {
-		pos[n] = i
-	}
-	oldAssign := make([]bool, len(support))
-	vicAssign := make([]bool, len(victimFanins))
-	for m := 0; m < out.Size(); m++ {
-		for i, f := range victimFanins {
-			vicAssign[i] = m&(1<<uint(pos[f])) != 0
-		}
-		vicVal := victimTT.Eval(vicAssign)
-		for i, n := range support {
-			if i == idx {
-				oldAssign[i] = vicVal
-			} else {
-				oldAssign[i] = m&(1<<uint(pos[n])) != 0
-			}
-		}
-		out.Set(m, tt.Eval(oldAssign))
-	}
-	rtt, rsupport := reduceSupport(out, merged)
+	composed := tt.Compose(idx, s.netFunction(victim, merged))
+	rtt, rsupport := reduceSupport(composed, merged)
 	return rtt, rsupport, true
+}
+
+// netFunction returns the table of net n's cover over support, which
+// holds each of n's fanins: the node function itself, with no cone walk.
+// A fanin the fanin list repeats reads one variable.
+func (s *synthesizer) netFunction(n netcore.Net, support []netcore.Net) *truth.Table {
+	fanins := s.src.NetFanins(n)
+	vars := make([]int, len(fanins))
+	for j, f := range fanins {
+		vars[j] = slices.Index(support, f)
+	}
+	phases, nCubes, _ := s.src.NetCubes(n)
+	return truth.FromCubes(len(support), phases, nCubes, vars)
 }
 
 // reduceSupport drops variables the function does not depend on.
@@ -477,12 +463,11 @@ func reduceSupport(tt *truth.Table, support []netcore.Net) (*truth.Table, []netc
 	return reduced, out
 }
 
+// dedupeNets drops repeats in place, keeping each net's first position.
 func dedupeNets(nets []netcore.Net) []netcore.Net {
-	seen := make(map[netcore.Net]bool, len(nets))
 	out := nets[:0]
 	for _, n := range nets {
-		if !seen[n] {
-			seen[n] = true
+		if !slices.Contains(out, n) {
 			out = append(out, n)
 		}
 	}

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"tels/internal/logic"
+	"tels/internal/netcore"
 	"tels/internal/network"
 	"tels/internal/truth"
 )
@@ -709,5 +711,228 @@ func TestMaxWeightValidation(t *testing.T) {
 	o := Options{Fanin: 3, DeltaOn: 2, DeltaOff: 2, MaxWeight: 3}
 	if _, _, err := Synthesize(nw, o); err == nil {
 		t.Fatal("MaxWeight below δon+δoff must be rejected")
+	}
+}
+
+// substituteMinterms is the reference for substitute's word-parallel
+// composition: it evaluates tt with support[idx] driven by that net's
+// cover minterm by minterm over the merged support, then reduces the
+// support; false when the merged support exceeds maxSupport.
+func substituteMinterms(src *netcore.Network, tt *truth.Table, support []netcore.Net, idx int) (*truth.Table, []netcore.Net, bool) {
+	victim := support[idx]
+	victimFanins := src.NetFanins(victim)
+	merged := make([]netcore.Net, 0, len(support)+len(victimFanins))
+	seen := make(map[netcore.Net]bool)
+	for i, n := range support {
+		if i == idx {
+			continue
+		}
+		if !seen[n] {
+			seen[n] = true
+			merged = append(merged, n)
+		}
+	}
+	for _, n := range victimFanins {
+		if !seen[n] {
+			seen[n] = true
+			merged = append(merged, n)
+		}
+	}
+	if len(merged) > maxSupport {
+		return nil, nil, false
+	}
+	victimTT := truth.FromCover(src.NetCover(victim))
+	out := truth.New(len(merged))
+	pos := make(map[netcore.Net]int, len(merged))
+	for i, n := range merged {
+		pos[n] = i
+	}
+	oldAssign := make([]bool, len(support))
+	vicAssign := make([]bool, len(victimFanins))
+	for m := 0; m < out.Size(); m++ {
+		for i, f := range victimFanins {
+			vicAssign[i] = m&(1<<uint(pos[f])) != 0
+		}
+		vicVal := victimTT.Eval(vicAssign)
+		for i, n := range support {
+			if i == idx {
+				oldAssign[i] = vicVal
+			} else {
+				oldAssign[i] = m&(1<<uint(pos[n])) != 0
+			}
+		}
+		out.Set(m, tt.Eval(oldAssign))
+	}
+	rtt, rsupport := reduceSupport(out, merged)
+	return rtt, rsupport, true
+}
+
+// randomCoreNet returns a network of 14 inputs and 24 internal nets, each
+// over 0 to 5 fanins drawn with repeats from the nets before it, under a
+// random cover of up to 4 cubes.
+func randomCoreNet(rng *rand.Rand) *netcore.Network {
+	nw := netcore.New("random")
+	var nets []netcore.Net
+	for i := 0; i < 14; i++ {
+		nets = append(nets, nw.AddInput(fmt.Sprintf("x%d", i)))
+	}
+	for g := 0; g < 24; g++ {
+		fanins := make([]netcore.Net, rng.Intn(6))
+		for j := range fanins {
+			fanins[j] = nets[rng.Intn(len(nets))]
+		}
+		cover := logic.NewCover(len(fanins))
+		for c := rng.Intn(5); c > 0; c-- {
+			cube := logic.NewCube(len(fanins))
+			for j := range cube {
+				cube[j] = logic.Phase(rng.Intn(3))
+			}
+			cover.AddCube(cube)
+		}
+		nets = append(nets, nw.AddNode(fmt.Sprintf("g%d", g), fanins, cover))
+	}
+	return nw
+}
+
+// TestSubstituteMatchesMinterms compares substitute with the per-minterm
+// oracle on random networks, victims and supports of 1 to 12 nets: both
+// must refuse the same merged supports, and otherwise give the same table
+// words over the same reduced support.
+func TestSubstituteMatchesMinterms(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	accepted := make([]int, maxSupport+1)
+	var nw *netcore.Network
+	for trial := 0; trial < 3000; trial++ {
+		if trial%20 == 0 {
+			nw = randomCoreNet(rng)
+		}
+		internal := nw.InternalNets()
+		victim := internal[rng.Intn(len(internal))]
+		k := 1 + rng.Intn(maxSupport)
+		support := []netcore.Net{victim}
+		if rng.Intn(2) == 0 {
+			// Seed the support with the victim's fanins, so that wide
+			// supports still fit once merged.
+			for _, f := range nw.NetFanins(victim) {
+				if len(support) < k && !slices.Contains(support, f) {
+					support = append(support, f)
+				}
+			}
+		}
+		for len(support) < k {
+			n := netcore.Net(rng.Intn(nw.NetCount()))
+			if !slices.Contains(support, n) {
+				support = append(support, n)
+			}
+		}
+		rng.Shuffle(len(support), func(a, b int) { support[a], support[b] = support[b], support[a] })
+		idx := slices.Index(support, victim)
+		tt := truth.New(k)
+		for m := 0; m < tt.Size(); m++ {
+			tt.Set(m, rng.Intn(2) == 0)
+		}
+
+		s := newSynthesizer(nw, DefaultOptions())
+		got, gotSup, gotOK := s.substitute(tt, support, idx)
+		want, wantSup, wantOK := substituteMinterms(nw, tt, support, idx)
+		name := fmt.Sprintf("trial %d: substitute %s in %v", trial, nw.NetName(victim), support)
+		if gotOK != wantOK {
+			t.Fatalf("%s: ok = %v, want %v", name, gotOK, wantOK)
+		}
+		if !gotOK {
+			continue
+		}
+		accepted[k]++
+		if !slices.Equal(gotSup, wantSup) {
+			t.Fatalf("%s: support %v, want %v", name, gotSup, wantSup)
+		}
+		if got.N() != want.N() || !slices.Equal(got.Words(), want.Words()) {
+			t.Fatalf("%s: table %s, want %s", name, got, want)
+		}
+	}
+	for k := 1; k <= maxSupport; k++ {
+		if accepted[k] == 0 {
+			t.Errorf("no substitution into a support of %d nets was compared", k)
+		}
+	}
+}
+
+// TestCollapseDuplicateFanins collapses a victim whose fanin list repeats
+// a net, v = f(b, b, c): the merged support counts b once, so under ψ = 3
+// v collapses into a ∧ v (merged support a, b, c) but not into a ∧ d ∧ v
+// (a, d, b, c), and the accepted result matches the oracle.
+func TestCollapseDuplicateFanins(t *testing.T) {
+	for _, withD := range []bool{false, true} {
+		nw := netcore.New("dup")
+		a, b, c, d := nw.AddInput("a"), nw.AddInput("b"), nw.AddInput("c"), nw.AddInput("d")
+		// b¬c + ¬b c, plus a cube reading b in both phases, which is empty.
+		vc := logic.NewCover(3)
+		for _, lits := range [][3]logic.Phase{
+			{logic.Pos, logic.DC, logic.Neg},
+			{logic.DC, logic.Neg, logic.Pos},
+			{logic.Pos, logic.Neg, logic.DC},
+		} {
+			vc.AddCube(logic.Cube(lits[:]))
+		}
+		v := nw.AddNode("v", []netcore.Net{b, b, c}, vc)
+		support := []netcore.Net{a, v}
+		if withD {
+			support = []netcore.Net{a, d, v}
+		}
+		cube := logic.NewCube(len(support))
+		for i := range cube {
+			cube[i] = logic.Pos
+		}
+		and := logic.NewCover(len(support))
+		and.AddCube(cube)
+		top := nw.AddNode("top", support, and)
+		nw.MarkOutput(top)
+
+		s := newSynthesizer(nw, Options{Fanin: 3, DeltaOff: 1})
+		idx := len(support) - 1
+		if got, want := s.mergedSupportSize(support, idx), len(support)+1; got != want {
+			t.Fatalf("d=%v: mergedSupportSize = %d, want %d", withD, got, want)
+		}
+		tt, err := nw.NetLocalTT(top, support)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotSup := s.collapse(tt, support)
+		if withD {
+			if s.stats.Collapses != 0 || !slices.Equal(gotSup, support) || !got.Equal(tt) {
+				t.Fatalf("d=true: collapsed to %s over %v (%d collapses); the merged support of 4 exceeds ψ = 3",
+					got, gotSup, s.stats.Collapses)
+			}
+			continue
+		}
+		want, wantSup, _ := substituteMinterms(nw, tt, support, idx)
+		if s.stats.Collapses != 1 || !slices.Equal(gotSup, []netcore.Net{a, b, c}) {
+			t.Fatalf("d=false: collapsed to support %v in %d collapses, want [a b c] in 1", gotSup, s.stats.Collapses)
+		}
+		if !slices.Equal(gotSup, wantSup) || !got.Equal(want) {
+			t.Fatalf("d=false: collapsed to %s over %v, oracle %s over %v", got, gotSup, want, wantSup)
+		}
+	}
+}
+
+// TestOrNewVar checks Theorem 2's parent table, base ∨ x or base ∨ ¬x
+// over a new top variable x, against its minterm-by-minterm definition.
+func TestOrNewVar(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	for n := 0; n <= 10; n++ {
+		base := truth.New(n)
+		for m := 0; m < base.Size(); m++ {
+			base.Set(m, rng.Intn(2) == 0)
+		}
+		for _, neg := range []bool{false, true} {
+			want := truth.New(n + 1)
+			for m := 0; m < want.Size(); m++ {
+				x := m>>uint(n)&1 != 0
+				want.Set(m, base.Get(m&(1<<uint(n)-1)) || x != neg)
+			}
+			if got := orNewVar(base, neg); !got.Equal(want) {
+				t.Fatalf("n=%d neg=%v: orNewVar = %s, want %s", n, neg, got, want)
+			}
+		}
 	}
 }

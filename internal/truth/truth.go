@@ -372,7 +372,6 @@ func (t *Table) checkVar(i int) {
 // is ORed into.
 func FromCover(f logic.Cover) *Table {
 	t := New(f.N)
-	valid := t.mask()
 	for _, c := range f.Cubes {
 		var values, dcs uint32
 		for i, p := range c {
@@ -384,16 +383,54 @@ func FromCover(f logic.Cover) *Table {
 				dcs |= 1 << uint(i)
 			}
 		}
-		low := inWordMask(values, dcs, t.n) & valid
-		hiV, hiD := int32(values>>6), int32(dcs>>6)
-		for sub := hiD; ; sub = (sub - 1) & hiD {
-			t.bits[hiV|sub] |= low
-			if sub == 0 {
-				break
-			}
-		}
+		t.orCube(values, dcs)
 	}
 	return t
+}
+
+// FromCubes builds the n-variable table of nCubes cubes laid out
+// cube-major, len(vars) literals each (the layout of netcore's cover
+// slab), where literal j of every cube reads variable vars[j]. vars may
+// repeat a variable: a cube with both phases of it is empty, and
+// variables no entry names are don't-cares.
+func FromCubes(n int, phases []logic.Phase, nCubes int, vars []int) *Table {
+	t := New(n)
+	width := len(vars)
+	all := uint32(1)<<uint(n) - 1
+cubes:
+	for c := 0; c < nCubes; c++ {
+		var values, care uint32
+		for j, p := range phases[c*width : (c+1)*width] {
+			if p != logic.Pos && p != logic.Neg {
+				continue
+			}
+			bit := uint32(1) << uint(vars[j])
+			v := bit
+			if p == logic.Neg {
+				v = 0
+			}
+			if care&bit != 0 && values&bit != v {
+				continue cubes
+			}
+			care |= bit
+			values |= v
+		}
+		t.orCube(values, all&^care)
+	}
+	return t
+}
+
+// orCube ORs the subcube with the given values and don't-care mask into
+// the table.
+func (t *Table) orCube(values, dcs uint32) {
+	low := inWordMask(values, dcs, t.n) & t.mask()
+	hiV, hiD := int32(values>>6), int32(dcs>>6)
+	for sub := hiD; ; sub = (sub - 1) & hiD {
+		t.bits[hiV|sub] |= low
+		if sub == 0 {
+			break
+		}
+	}
 }
 
 // inWordMask returns the minterms, within one word, of the cube with the
@@ -479,6 +516,50 @@ func (t *Table) swapVars(i, j int) {
 			}
 		}
 	}
+}
+
+// Compose returns the function of g.N() variables that t computes when g
+// drives its variable i: t's other variables keep their order at
+// positions 0..t.N()-2, and positions from t.N()-1 up are read by g only.
+// g must have at least t.N()-1 variables.
+//
+// A copy of t has variable i moved to the top, so its two halves are the
+// cofactors at x_i = 0 and x_i = 1 over the other variables; each half is
+// tiled across g's space and the result muxes them word by word on g.
+func (t *Table) Compose(i int, g *Table) *Table {
+	t.checkVar(i)
+	h := t.n - 1
+	if g.n < h {
+		panic(fmt.Sprintf("truth: Compose of a %d-variable table into %d variables", t.n, g.n))
+	}
+	// Swaps below t.N() keep any stale bits past 2^N there, and the
+	// halves below read only the first 2^N bits.
+	u := t.Clone()
+	for j := i; j < h; j++ {
+		u.swapVars(j, j+1)
+	}
+	out := New(g.n)
+	if h >= 6 {
+		half := len(u.bits) / 2
+		lo, hi := u.bits[:half], u.bits[half:]
+		for w, sel := range g.bits {
+			k := w & (half - 1)
+			out.bits[w] = lo[k]&^sel | hi[k]&sel
+		}
+		return out
+	}
+	size := uint(1) << uint(h)
+	valid := uint64(1)<<size - 1
+	lo, hi := u.bits[0]&valid, u.bits[0]>>size&valid
+	for p := size; p < 64; p <<= 1 {
+		lo |= lo << p
+		hi |= hi << p
+	}
+	for w, sel := range g.bits {
+		out.bits[w] = lo&^sel | hi&sel
+	}
+	out.bits[len(out.bits)-1] &= out.mask()
+	return out
 }
 
 // SubstituteNeg returns the function with variable i replaced by its

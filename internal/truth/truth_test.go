@@ -549,3 +549,113 @@ func TestLargeTables(t *testing.T) {
 		t.Fatal("unateness broken on multi-word table")
 	}
 }
+
+// composeRef evaluates the composition of Compose minterm by minterm.
+func composeRef(t *Table, i int, g *Table) *Table {
+	u := New(g.n)
+	assign := make([]bool, t.n)
+	for m := 0; m < u.Size(); m++ {
+		for j := range assign {
+			switch {
+			case j < i:
+				assign[j] = m>>uint(j)&1 != 0
+			case j > i:
+				assign[j] = m>>uint(j-1)&1 != 0
+			default:
+				assign[j] = g.Get(m)
+			}
+		}
+		u.Set(m, t.Eval(assign))
+	}
+	return u
+}
+
+// TestComposeMatchesEval checks Compose against per-minterm Eval for
+// results of 0 to 12 variables (rows of 1 to 64 words), every substituted
+// position, and inputs with stale bits past 2^N.
+func TestComposeMatchesEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	for k := 0; k <= 12; k++ {
+		for n := 1; n <= k+1; n++ {
+			for r := 0; r < 4; r++ {
+				tt, g := randomTable(rng, n), randomTable(rng, k)
+				if r%2 == 1 {
+					if n < 6 {
+						stale(tt)
+					}
+					if k < 6 {
+						stale(g)
+					}
+				}
+				i := rng.Intn(n)
+				name := fmt.Sprintf("Compose(%d vars, %d, %d vars)", n, i, k)
+				got := tt.Compose(i, g)
+				if len(got.Words()) != WordsFor(k) {
+					t.Fatalf("%s: %d words, want %d", name, len(got.Words()), WordsFor(k))
+				}
+				checkTable(t, name, got, composeRef(tt, i, g))
+			}
+		}
+	}
+}
+
+// fromCubesRef evaluates FromCubes' cubes minterm by minterm.
+func fromCubesRef(n int, phases []logic.Phase, nCubes int, vars []int) *Table {
+	t := New(n)
+	width := len(vars)
+	for m := 0; m < t.Size(); m++ {
+		for c := 0; c < nCubes; c++ {
+			in := true
+			for j, p := range phases[c*width : (c+1)*width] {
+				v := m>>uint(vars[j])&1 != 0
+				if p == logic.Pos && !v || p == logic.Neg && v {
+					in = false
+				}
+			}
+			if in {
+				t.Set(m, true)
+				break
+			}
+		}
+	}
+	return t
+}
+
+// TestFromCubesMatchesEval checks FromCubes against per-minterm cube
+// evaluation, with variable maps that repeat and skip variables, and
+// against FromCover under the identity map.
+func TestFromCubesMatchesEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for n := 0; n <= 12; n++ {
+		for r := 0; r < 20; r++ {
+			width := 0
+			if n > 0 {
+				width = rng.Intn(7)
+			}
+			vars := make([]int, width)
+			for j := range vars {
+				vars[j] = rng.Intn(n)
+			}
+			nCubes := rng.Intn(5)
+			phases := make([]logic.Phase, nCubes*width)
+			for j := range phases {
+				phases[j] = logic.Phase(rng.Intn(3))
+			}
+			checkTable(t, fmt.Sprintf("FromCubes(%d, %v, %v)", n, phases, vars),
+				FromCubes(n, phases, nCubes, vars), fromCubesRef(n, phases, nCubes, vars))
+		}
+		cv := randomCover(rng, n, 6)
+		var phases []logic.Phase
+		for _, c := range cv.Cubes {
+			phases = append(phases, c...)
+		}
+		ident := make([]int, n)
+		for i := range ident {
+			ident[i] = i
+		}
+		checkTable(t, fmt.Sprintf("FromCubes(identity, %v)", cv.Cubes),
+			FromCubes(n, phases, len(cv.Cubes), ident), FromCover(cv))
+	}
+	// A cube reading one variable in both phases is empty.
+	checkTable(t, "FromCubes(x0 ∧ ¬x0)", FromCubes(2, []logic.Phase{logic.Pos, logic.Neg}, 1, []int{0, 0}), New(2))
+}
