@@ -30,13 +30,14 @@ race:
 # benchsmoke compiles and runs the packed Fig. 11 inner-loop benchmark,
 # the cold and warm threshold-check benchmarks, kernel enumeration, the
 # algebraic and boolean scripts, the widest-node simplification, the
-# i10 BDD proof and cordic's wide-fanin synthesis once (correctness smoke,
-# not a measurement: a check benchmark fails on a wrong verdict, the
-# kernel benchmark on a wrong kernel count, the boolean script and
-# simplification benchmarks on a changed function, the proof and
-# wide-synthesis benchmarks unless the result proves).
+# i10 BDD proof, cordic's wide-fanin synthesis and x1's Monte-Carlo yield
+# once (correctness smoke, not a measurement: a check benchmark fails on a
+# wrong verdict, the kernel benchmark on a wrong kernel count, the boolean
+# script and simplification benchmarks on a changed function, the proof
+# and wide-synthesis benchmarks unless the result proves, the yield
+# benchmark unless its report matches the pinned hash).
 benchsmoke:
-	$(GO) test -run=NONE -bench='Fig11Inner|ThresholdCheck|Kernels|AlgebraicScript|BooleanScript|SimplifyWideNode|Prove$$|SynthesizeWide' -benchtime=1x .
+	$(GO) test -run=NONE -bench='Fig11Inner|ThresholdCheck|Kernels|AlgebraicScript|BooleanScript|SimplifyWideNode|Prove$$|SynthesizeWide|Yield$$' -benchtime=1x .
 
 # sweepsmoke fans a tiny 3-point grid through an in-process sweep job
 # (quick Fig. 11 path through the service, correctness smoke).

@@ -12,6 +12,9 @@
 package tels_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -19,6 +22,7 @@ import (
 
 	"tels/internal/algebra"
 	"tels/internal/bdd"
+	"tels/internal/blif"
 	"tels/internal/core"
 	"tels/internal/expt"
 	"tels/internal/fsim"
@@ -402,6 +406,49 @@ func BenchmarkSynthesizeWide(b *testing.B) {
 	}
 	if res != sim.Proved {
 		b.Fatalf("result = %v, want proved", res)
+	}
+}
+
+// yieldX1SHA256 pins the JSON yield report BenchmarkYield measures.
+const yieldX1SHA256 = "dc6cce1637d65a27b5fc19664cd62f65ae0386fd4c65477db47a24d41f557d91"
+
+// BenchmarkYield measures fsim.EstimateYield on x1 after BLIF text →
+// algebraic → tels, the slowest of telsd's yield jobs, at the settings
+// those jobs use: weight variation v = 0.8, 256 trials with no early
+// stop, seed 1. It fails unless the last report, critical-gate ranking
+// included, hashes to the pinned value.
+func BenchmarkYield(b *testing.B) {
+	text, err := blif.WriteString(mcnc.Build("x1"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, err := blif.ParseCoreString(text)
+	if err != nil {
+		b.Fatal(err)
+	}
+	alg, err := opt.Run("algebraic", src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tn, _, err := core.Map("tels", alg, core.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := fsim.YieldConfig{MaxTrials: 256, HalfWidth: 1e-9, Seed: 1}
+	var rep *fsim.YieldReport
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rep, err = fsim.EstimateYield(src, tn, fsim.WeightVariation{V: 0.8}, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	js, err := json.Marshal(rep)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if sum := sha256.Sum256(js); hex.EncodeToString(sum[:]) != yieldX1SHA256 {
+		b.Fatalf("x1 yield report hashes to %x, want %s", sum, yieldX1SHA256)
 	}
 }
 

@@ -30,7 +30,8 @@ type DefectModel interface {
 
 // WeightVariation is the paper's §VI-C Monte-Carlo disturbance: every
 // weight receives an independent V·U(−0.5, 0.5) offset. It consumes the
-// RNG gate-major, weight-minor, one Float64 per weight, in Gates order.
+// RNG gate-major, weight-minor, one Float64 per weight, in Gates order,
+// and backs every gate's offsets with one slab per draw.
 type WeightVariation struct {
 	V float64
 }
@@ -41,8 +42,11 @@ func (m WeightVariation) Name() string { return fmt.Sprintf("weight-variation v=
 // Draw implements DefectModel.
 func (m WeightVariation) Draw(s *ThreshSim, rng *rand.Rand) *Defect {
 	noise := make([][]float64, len(s.tn.Gates))
+	slab := make([]float64, s.weights)
 	for gi, g := range s.tn.Gates {
-		n := make([]float64, len(g.Weights))
+		k := len(g.Weights)
+		n := slab[:k:k]
+		slab = slab[k:]
 		for i := range n {
 			n[i] = m.V * (rng.Float64() - 0.5)
 		}

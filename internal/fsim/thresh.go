@@ -11,7 +11,7 @@ import (
 // table holds 2^k minterm bits, so the bound caps the per-gate scratch at
 // 4096 minterm masks. Networks synthesized under the paper's fanin
 // restriction (ψ ≤ 8) stay below it; a wider gate has no table and is
-// evaluated lane by lane instead (see evalWith).
+// evaluated lane by lane instead (see evalGate).
 const tableFanin = 12
 
 // fireTable is the packed truth table of one gate under one weight
@@ -41,6 +41,11 @@ func (ft *fireTable) clear() {
 	ft.ones = 0
 }
 
+// block is the word length of one evaluation block. Without a trace the
+// gate rows live in a scratch of gates × block words, which stays
+// cache-resident however long the batch.
+const block = 32
+
 // pGate is one compiled threshold gate.
 type pGate struct {
 	g    *core.Gate
@@ -48,9 +53,10 @@ type pGate struct {
 	slot int   // output value slot
 }
 
-// ThreshSim evaluates a threshold network one 64-vector word at a time,
-// under exact weights (Eval), Monte-Carlo weight noise (EvalPerturbed),
-// or a general Defect (EvalDefect), for gates of any fanin. Compile once,
+// ThreshSim evaluates a threshold network gate-major: one gate at a time,
+// in topological order, over its whole row of 64-vector words, under
+// exact weights (Eval), Monte-Carlo weight noise (EvalPerturbed), or a
+// general Defect (EvalDefect), for gates of any fanin. Compile once,
 // evaluate many batches; not safe for concurrent use.
 type ThreshSim struct {
 	tn       *core.Network
@@ -58,12 +64,14 @@ type ThreshSim struct {
 	inSlots  []int
 	gates    []pGate
 	outSlots []int
+	weights  int // total gate fanin: the length of one weight-noise draw
 
-	vals []uint64    // [slot], rewritten per word
-	mts  []uint64    // the minterm masks of one table gate
-	out  [][]uint64  // [output][word], reused across calls
-	base []fireTable // exact-weight tables, built at compile time
-	work []fireTable // rebuilt per perturbed/defect evaluation
+	rows    [][]uint64  // [slot] the row of each signal, rewritten per block
+	scratch []uint64    // [gate·block + word] gate rows when there is no trace
+	mts     []uint64    // the minterm masks of one table gate
+	out     [][]uint64  // [output][word], reused across calls
+	base    []fireTable // exact-weight tables, built at compile time
+	work    []fireTable // rebuilt per perturbed/defect evaluation
 }
 
 // CompileThresh prepares the packed evaluator. Gate gi is tn.Gates[gi],
@@ -81,9 +89,11 @@ func CompileThresh(tn *core.Network) (*ThreshSim, error) {
 		if k := len(g.Inputs); k > maxFanin && k <= tableFanin {
 			maxFanin = k
 		}
+		s.weights += len(g.Weights)
 		slot[g.Name] = len(slot)
 	}
-	s.vals = make([]uint64, len(slot))
+	s.rows = make([][]uint64, len(slot))
+	s.scratch = make([]uint64, len(tn.Gates)*block)
 	s.mts = make([]uint64, 1<<uint(maxFanin))
 	s.base = make([]fireTable, len(tn.Gates))
 	s.work = make([]fireTable, len(tn.Gates))
@@ -168,23 +178,30 @@ func (s *ThreshSim) EvalDefect(b *Batch, d *Defect, trace [][]uint64) ([][]uint6
 	if d == nil {
 		d = &Defect{}
 	}
-	tabs := s.base
-	if d.WeightNoise != nil || d.ThresholdNoise != nil {
-		tabs = s.work
-		for gi, pg := range s.gates {
-			if len(pg.ins) <= tableFanin {
-				noise, drift := d.gateNoise(gi)
-				fillNoisyFire(pg.g, noise, drift, &s.work[gi])
-			}
-		}
-	}
-	return s.evalWith(b, tabs, d, trace)
+	return s.evalWith(b, s.tables(d), d, trace)
 }
 
-// evalWith is the packed inner loop: per word, load the inputs, evaluate
-// every gate, and collect the outputs. A gate of at most tableFanin
-// inputs goes through its fire table over an incrementally doubled
-// minterm-mask array; a wider gate is summed lane by lane (sumFire).
+// tables returns the fire tables of a defect: the exact-weight tables, or
+// the work tables refilled under its weight noise and threshold drift.
+func (s *ThreshSim) tables(d *Defect) []fireTable {
+	if d.WeightNoise == nil && d.ThresholdNoise == nil {
+		return s.base
+	}
+	for gi, pg := range s.gates {
+		if len(pg.ins) <= tableFanin {
+			noise, drift := d.gateNoise(gi)
+			fillNoisyFire(pg.g, noise, drift, &s.work[gi])
+		}
+	}
+	return s.work
+}
+
+// evalWith is the packed inner loop. It runs gate-major over blocks of
+// block words: in each block, every gate in Gates order is evaluated over
+// its whole row, reading the rows of its inputs (batch columns or rows of
+// earlier gates). Gate gi's row is written straight into trace[gi] when
+// there is a trace, into the scratch otherwise. Gate rows never alias a
+// batch column, and the output rows are copies in s.out.
 func (s *ThreshSim) evalWith(b *Batch, tabs []fireTable, d *Defect, trace [][]uint64) ([][]uint64, error) {
 	cols, err := b.columns(s.inputs)
 	if err != nil {
@@ -197,82 +214,159 @@ func (s *ThreshSim) evalWith(b *Batch, tabs []fireTable, d *Defect, trace [][]ui
 		}
 		s.out[o] = s.out[o][:row]
 	}
-	vals, mts, stuck := s.vals, s.mts, d.Stuck
-	for wi := 0; wi < row; wi++ {
+	for lo := 0; lo < row; lo += block {
+		hi := min(lo+block, row)
 		for i, slot := range s.inSlots {
-			vals[slot] = b.words[cols[i]][wi]
+			s.rows[slot] = b.words[cols[i]][lo:hi]
 		}
 		for gi := range s.gates {
-			pg := &s.gates[gi]
-			var acc uint64
-			if stuck != nil && stuck[gi] >= 0 {
-				if stuck[gi] == 1 {
-					acc = ^uint64(0)
-				}
-			} else if len(pg.ins) > tableFanin {
-				acc = sumFire(pg, vals, d, gi)
-			} else {
-				// Build the 2^k minterm masks by recursive doubling,
-				// processing fanins in reverse so input i lands at
-				// index bit i: each pass splits every existing mask on
-				// one input word, costing ~2·2^k word ops total.
-				mts[0] = ^uint64(0)
-				size := 1
-				for i := len(pg.ins) - 1; i >= 0; i-- {
-					w := vals[pg.ins[i]]
-					for j := size - 1; j >= 0; j-- {
-						t := mts[j]
-						mts[2*j+1] = t & w
-						mts[2*j] = t &^ w
-					}
-					size <<= 1
-				}
-				// OR the smaller of the ON/OFF minterm sets; the
-				// minterm masks partition the lanes, so the OFF union
-				// is the exact complement of the ON union.
-				ft := &tabs[gi]
-				invert := 2*ft.ones > size
-				for fi := 0; fi*lanes < size; fi++ {
-					fw := ft.bits[fi]
-					if invert {
-						fw = ^fw
-					}
-					if rem := size - fi*lanes; rem < lanes {
-						fw &= uint64(1)<<uint(rem) - 1
-					}
-					for fw != 0 {
-						acc |= mts[fi*lanes+bits.TrailingZeros64(fw)]
-						fw &= fw - 1
-					}
-				}
-				if invert {
-					acc = ^acc
-				}
-			}
-			vals[pg.slot] = acc
+			var dst []uint64
 			if trace != nil {
-				trace[gi][wi] = acc
+				dst = trace[gi][lo:hi]
+			} else {
+				dst = s.scratch[gi*block : gi*block+hi-lo]
 			}
+			s.evalGate(gi, tabs, d, dst)
+			s.rows[s.gates[gi].slot] = dst
 		}
 		for o, slot := range s.outSlots {
-			s.out[o][wi] = vals[slot]
+			copy(s.out[o][lo:hi], s.rows[slot])
 		}
 	}
 	return s.out, nil
 }
 
-// sumFire evaluates one word of a gate too wide for a fire table: every
+// evalGate writes gate gi's row into dst from the rows of its inputs. A
+// stuck gate fills its row. A gate of at most three inputs is a
+// branch-free Shannon mux over its fire table: each table bit becomes an
+// all-zeros or all-ones word, and each input selects between cofactors
+// (x0 ^ (x0^x1)&sel), 17 word ops per row word at three inputs. A gate of
+// up to tableFanin inputs ORs minterm masks per word (mintermRow); a wider
+// gate is summed lane by lane (sumFire).
+func (s *ThreshSim) evalGate(gi int, tabs []fireTable, d *Defect, dst []uint64) {
+	if d.Stuck != nil && d.Stuck[gi] >= 0 {
+		var fill uint64
+		if d.Stuck[gi] == 1 {
+			fill = ^uint64(0)
+		}
+		for wi := range dst {
+			dst[wi] = fill
+		}
+		return
+	}
+	pg := &s.gates[gi]
+	k := len(pg.ins)
+	if k > tableFanin {
+		for wi := range dst {
+			dst[wi] = sumFire(pg, s.rows, wi, d, gi)
+		}
+		return
+	}
+	if k > 3 {
+		s.mintermRow(pg, &tabs[gi], dst)
+		return
+	}
+	// c(m) is table bit m spread over a word.
+	t := tabs[gi].bits[0]
+	c := func(m uint) uint64 { return -(t >> m & 1) }
+	switch k {
+	case 0:
+		c0 := c(0)
+		for wi := range dst {
+			dst[wi] = c0
+		}
+	case 1:
+		a := s.rows[pg.ins[0]][:len(dst)]
+		c0, x01 := c(0), c(0)^c(1)
+		for wi := range dst {
+			dst[wi] = c0 ^ x01&a[wi]
+		}
+	case 2:
+		a := s.rows[pg.ins[0]][:len(dst)]
+		b := s.rows[pg.ins[1]][:len(dst)]
+		c0, x01 := c(0), c(0)^c(1)
+		c2, x23 := c(2), c(2)^c(3)
+		for wi := range dst {
+			u0 := c0 ^ x01&a[wi]
+			u1 := c2 ^ x23&a[wi]
+			dst[wi] = u0 ^ (u0^u1)&b[wi]
+		}
+	case 3:
+		a := s.rows[pg.ins[0]][:len(dst)]
+		b := s.rows[pg.ins[1]][:len(dst)]
+		e := s.rows[pg.ins[2]][:len(dst)]
+		c0, x01 := c(0), c(0)^c(1)
+		c2, x23 := c(2), c(2)^c(3)
+		c4, x45 := c(4), c(4)^c(5)
+		c6, x67 := c(6), c(6)^c(7)
+		for wi := range dst {
+			aw, bw := a[wi], b[wi]
+			u0 := c0 ^ x01&aw
+			u1 := c2 ^ x23&aw
+			u2 := c4 ^ x45&aw
+			u3 := c6 ^ x67&aw
+			v0 := u0 ^ (u0^u1)&bw
+			v1 := u2 ^ (u2^u3)&bw
+			dst[wi] = v0 ^ (v0^v1)&e[wi]
+		}
+	}
+}
+
+// mintermRow evaluates a table gate word by word: it builds the 2^k
+// minterm masks of the word by recursive doubling, processing fanins in
+// reverse so input i lands at index bit i (each pass splits every mask on
+// one input word, ~2·2^k word ops in all), then ORs the masks of the
+// smaller of the ON/OFF minterm sets. The masks partition the lanes, so
+// the OFF union is the exact complement of the ON union.
+func (s *ThreshSim) mintermRow(pg *pGate, ft *fireTable, dst []uint64) {
+	mts := s.mts
+	size := 1 << uint(len(pg.ins))
+	invert := 2*ft.ones > size
+	for wi := range dst {
+		mts[0] = ^uint64(0)
+		n := 1
+		for i := len(pg.ins) - 1; i >= 0; i-- {
+			w := s.rows[pg.ins[i]][wi]
+			for j := n - 1; j >= 0; j-- {
+				t := mts[j]
+				mts[2*j+1] = t & w
+				mts[2*j] = t &^ w
+			}
+			n <<= 1
+		}
+		var acc uint64
+		for fi := 0; fi*lanes < size; fi++ {
+			fw := ft.bits[fi]
+			if invert {
+				fw = ^fw
+			}
+			if rem := size - fi*lanes; rem < lanes {
+				fw &= uint64(1)<<uint(rem) - 1
+			}
+			for fw != 0 {
+				acc |= mts[fi*lanes+bits.TrailingZeros64(fw)]
+				fw &= fw - 1
+			}
+		}
+		if invert {
+			acc = ^acc
+		}
+		dst[wi] = acc
+	}
+}
+
+// sumFire evaluates word wi of a gate too wide for a fire table: every
 // lane adds the weights of its set inputs in ascending input order and
 // compares the sum with T (plus drift). Exact weights sum as integers,
 // noisy ones as float64 terms w + noise — the sums core.Gate.Truth and
 // fillNoisyFire form, so both paths agree bit for bit.
-func sumFire(pg *pGate, vals []uint64, d *Defect, gi int) uint64 {
+func sumFire(pg *pGate, rows [][]uint64, wi int, d *Defect, gi int) uint64 {
 	g := pg.g
 	var acc uint64
 	if d.WeightNoise == nil && d.ThresholdNoise == nil {
 		var sums [lanes]int
 		for i, in := range pg.ins {
-			for w := vals[in]; w != 0; w &= w - 1 {
+			for w := rows[in][wi]; w != 0; w &= w - 1 {
 				sums[bits.TrailingZeros64(w)] += g.Weights[i]
 			}
 		}
@@ -290,7 +384,7 @@ func sumFire(pg *pGate, vals []uint64, d *Defect, gi int) uint64 {
 		if noise != nil {
 			x += noise[i]
 		}
-		for w := vals[in]; w != 0; w &= w - 1 {
+		for w := rows[in][wi]; w != 0; w &= w - 1 {
 			sums[bits.TrailingZeros64(w)] += x
 		}
 	}

@@ -237,6 +237,8 @@ func (s *YieldSession) estimate(tsim *ThreshSim, model DefectModel, cfg YieldCon
 	badTrace := makeTrace(len(gates), batch.Words())
 	blamed := make([]int, len(gates))
 	flipped := make([]int, len(gates))
+	fail := make([]uint64, batch.Words())
+	remaining := make([]uint64, batch.Words())
 
 	rep := &YieldReport{Model: model.Name(), Vectors: batch.Len()}
 	for rep.Trials < cfg.MaxTrials {
@@ -246,35 +248,37 @@ func (s *YieldSession) estimate(tsim *ThreshSim, model DefectModel, cfg YieldCon
 			return nil, err
 		}
 		rep.Trials++
-		failedTrial := false
-		for wi := range batch.mask {
-			var fail uint64
+		// A lane fails when any output differs from the golden row.
+		copy(fail, batch.mask)
+		var failedLanes uint64
+		for wi := range fail {
+			var diff uint64
 			for o := range out {
-				fail |= out[o][wi] ^ golden[o][wi]
+				diff |= out[o][wi] ^ golden[o][wi]
 			}
-			fail &= batch.mask[wi]
-			if fail == 0 {
-				continue
-			}
-			failedTrial = true
-			// Attribute each failing lane to the first flipped gate in
-			// topological order; once a lane is blamed it is removed so
-			// downstream propagation is not double-counted.
-			remaining := fail
-			for gi := range gates {
-				flip := (cleanTrace[gi][wi] ^ badTrace[gi][wi]) & batch.mask[wi]
-				if flip == 0 {
-					continue
-				}
-				flipped[gi] += bits.OnesCount64(flip & fail)
-				if hit := flip & remaining; hit != 0 {
-					blamed[gi] += bits.OnesCount64(hit)
-					remaining &^= hit
-				}
-			}
+			fail[wi] &= diff
+			failedLanes |= fail[wi]
 		}
-		if failedTrial {
+		if failedLanes != 0 {
 			rep.Failures++
+			// Attribute each failing lane to the first flipped gate in
+			// topological order. Gate by gate, every word is swept, and
+			// a lane leaves remaining once blamed, so downstream
+			// propagation is not double-counted.
+			copy(remaining, fail)
+			for gi := range gates {
+				clean, bad := cleanTrace[gi][:len(fail)], badTrace[gi][:len(fail)]
+				nf, nb := 0, 0
+				for wi, f := range fail {
+					flip := clean[wi] ^ bad[wi]
+					hit := flip & remaining[wi]
+					nf += bits.OnesCount64(flip & f)
+					nb += bits.OnesCount64(hit)
+					remaining[wi] &^= hit
+				}
+				flipped[gi] += nf
+				blamed[gi] += nb
+			}
 		}
 		lo, hi := wilson(rep.Failures, rep.Trials, yieldZ)
 		if rep.Trials >= cfg.MinTrials && (hi-lo)/2 <= cfg.HalfWidth {
